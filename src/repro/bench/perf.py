@@ -6,8 +6,11 @@ trajectory.  It measures four hot paths:
 * **codec** — encode+decode round-trip ns/op for the tag-first JSON codec
   and the compact binary codec, over a representative tuple mix (nested
   tuples, bytes fields, unicode strings, big ints);
-* **store scan** — ns per ``find`` against a populated store, both uncached
-  (cache cleared between calls) and cached (repeat query, unchanged store);
+* **store scan** — ns per ``find`` by a filtered walk (a ``Range`` pattern;
+  signature-exact patterns pick from their bucket and never scan) against a
+  populated store: uncached (a mutation before every call), cached (repeat
+  query, unchanged store) and a read/write mix at 0 / 10 / 50 % writes —
+  what the scan memo is worth as the store gets busier;
 * **flight append** — amortised ns per flight-recorder ring append
   (``repro.obs.flight``), the per-event tax of the always-on black box;
 * **wire** — frames/op and bytes/op for the T1 MRU probe workload (the
@@ -129,26 +132,47 @@ def measure_codec(slowdown: int = 1) -> dict:
 
 
 def measure_scan(slowdown: int = 1, population: int = 2000) -> dict:
-    """Store scan ns/op, uncached (cache cleared per call) and cached."""
-    from repro.tuples.model import Pattern, Tuple
+    """Store scan ns/op: uncached, cached, and mixed with 0/10/50 % writes.
+
+    ``scan_mixed_w<P>_ns`` is ns per operation of a loop in which P % of
+    the operations replace a resident tuple (evenly spaced, so each write
+    strands the memo for the reads behind it) and the rest ``find``.
+    """
+    from repro.tuples.model import Pattern, Range, Tuple
     from repro.tuples.store import TupleStore
 
     store = TupleStore()
     for i in range(population):
         store.add(Tuple("job" if i % 10 else "rare", i, float(i)))
-    pattern = Pattern("rare", int, float)
+    # A Range keeps the pattern on the filtered walk the memo serves.
+    pattern = Pattern("rare", Range(0, population), float)
+
+    def write():    # any mutation bumps the store version
+        store.remove(store.add(Tuple("rare", 0, 0.0)).entry_id)
 
     def uncached():
-        store._scan_cache.clear()
+        write()
         store.find(pattern)
 
     def cached():
         store.find(pattern)
 
+    def mixed(write_every: int):
+        def ten_ops():
+            for k in range(10):
+                if write_every and k % write_every == 0:
+                    write()
+                else:
+                    store.find(pattern)
+        return bench_ns(ten_ops, slowdown=slowdown) / 10
+
     store.find(pattern)  # warm the cache for the cached loop
     return {
         "scan_uncached_ns": bench_ns(uncached, slowdown=slowdown),
         "scan_cached_ns": bench_ns(cached, slowdown=slowdown),
+        "scan_mixed_w0_ns": mixed(0),
+        "scan_mixed_w10_ns": mixed(10),
+        "scan_mixed_w50_ns": mixed(2),
     }
 
 

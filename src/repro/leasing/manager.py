@@ -198,12 +198,17 @@ class LeaseManager:
         committed = storage_needed if operation.is_deposit else 0
         if committed:
             self.storage_used += committed
-        lease.on_end(lambda l, state: self._on_lease_end(l, state, committed))
+        timer = None
         if lease.expires_at is not None:
-            self.sim.schedule_at(lease.expires_at, self._expire, lease.lease_id)
+            timer = self.sim.schedule_at(lease.expires_at, self._expire,
+                                         lease.lease_id)
+        lease.on_end(lambda l, state: self._on_lease_end(l, state, committed, timer))
         return lease
 
-    def _on_lease_end(self, lease: Lease, state: LeaseState, committed: int) -> None:
+    def _on_lease_end(self, lease: Lease, state: LeaseState, committed: int,
+                      timer) -> None:
+        if timer is not None:
+            timer.cancel()  # a released lease must not pin its expiry timer
         if not self._canary_lease_leak:
             self.active.pop(lease.lease_id, None)
         # (planted bug: with the canary on, the ended lease stays in the

@@ -141,15 +141,18 @@ class ThreadSafeTupleSpace:
     def _find_live(self, pattern: Pattern):
         """A live (unexpired) matching entry; reaps expired ones it meets."""
         now = time.monotonic()
-        # snapshot=True: this loop removes expired entries mid-iteration.
-        for entry in self._store.candidates(pattern, snapshot=True):
+        expired = []    # removed after the walk: it runs over the live index
+        live = None
+        for entry in self._store.candidates(pattern):
             expires_at = entry.meta.get("expires_at")
             if expires_at is not None and now >= expires_at:
-                self._store.remove(entry.entry_id)
-                continue
-            if matches(pattern, entry.tuple):
-                return entry
-        return None
+                expired.append(entry.entry_id)
+            elif matches(pattern, entry.tuple):
+                live = entry
+                break
+        for entry_id in expired:
+            self._store.remove(entry_id)
+        return live
 
     def _reap(self) -> None:
         now = time.monotonic()

@@ -83,9 +83,14 @@ class Simulator:
         Initial value of the virtual clock (defaults to ``0.0``).
     """
 
+    #: Smallest queue worth sweeping for cancelled timers.
+    COMPACT_FLOOR = 1024
+
     def __init__(self, seed: int = 0, start_time: float = 0.0) -> None:
         self._now = float(start_time)
         self._queue: list[Timer] = []
+        #: Queue length at which cancelled timers are next swept out.
+        self._compact_at = self.COMPACT_FLOOR
         self._seq = itertools.count()
         self._running = False
         self._stopped = False
@@ -202,7 +207,22 @@ class Simulator:
         timer = Timer(self._now + delay, next(self._seq), callback, args,
                       tiebreak)
         heapq.heappush(self._queue, timer)
+        if len(self._queue) >= self._compact_at:
+            self._compact()
         return timer
+
+    def _compact(self) -> None:
+        """Drop cancelled timers from the queue.
+
+        The run loop only discards a cancelled timer when it reaches the
+        head, which one scheduled far ahead (a long lease's expiry) never
+        does.  Sweeping when the queue has doubled since the last sweep is
+        amortised O(1) per ``schedule``; pop order depends only on the
+        total ``(time, tiebreak, seq)`` key, so it is unchanged.
+        """
+        self._queue[:] = [t for t in self._queue if not t.cancelled]
+        heapq.heapify(self._queue)
+        self._compact_at = max(self.COMPACT_FLOOR, 2 * len(self._queue))
 
     def schedule_at(self, time: float, callback: Callable[..., Any], *args: Any) -> Timer:
         """Run ``callback(*args)`` at absolute virtual time ``time``."""

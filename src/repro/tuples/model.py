@@ -91,7 +91,7 @@ class Tuple:
 
     @property
     def signature(self) -> tuple:
-        """Per-field concrete type names; the index key for stores."""
+        """Per-field concrete type names (stores index by the types themselves)."""
         return tuple(type(f).__name__ for f in self._fields)
 
     def __getitem__(self, index: int) -> FieldValue:
@@ -290,13 +290,14 @@ class Pattern:
         Pattern("load", Range(0.0, 0.5))  # serializable predicate
     """
 
-    __slots__ = ("_specs", "_hash")
+    __slots__ = ("_specs", "_hash", "_plan")
 
     def __init__(self, *specs: Any) -> None:
         if not specs:
             raise MalformedPatternError("a pattern must have at least one field")
         self._specs = tuple(_coerce_spec(s) for s in specs)
         self._hash: Optional[int] = None
+        self._plan: Optional[tuple] = None
 
     @classmethod
     def of(cls, specs: Iterable[Any]) -> "Pattern":
@@ -329,6 +330,36 @@ class Pattern:
             if isinstance(spec, Actual):
                 return (i, spec.value)
         return None
+
+    @property
+    def index_plan(self) -> tuple:
+        """``(signature, actuals)``: how a store's indexes can serve this pattern.
+
+        ``signature`` is the one tuple of concrete field types the pattern
+        can match (matching is exact-type), or None when some spec admits
+        several types (:data:`ANY`, :class:`Range`, ``Formal(Tuple)``, a
+        custom :class:`Field`).  ``actuals`` are the ``(position, value)``
+        pairs of its actual fields.  Computed once per pattern.
+        """
+        plan = self._plan
+        if plan is None:
+            types: Optional[list] = []
+            actuals = []
+            for pos, spec in enumerate(self._specs):
+                kind = type(spec)
+                if kind is Actual:
+                    actuals.append((pos, spec.value))
+                    field_type = type(spec.value)
+                elif kind is Formal and spec.type is not Tuple:
+                    field_type = spec.type
+                else:
+                    types = None
+                    continue
+                if types is not None:
+                    types.append(field_type)
+            plan = self._plan = (None if types is None else tuple(types),
+                                 tuple(actuals))
+        return plan
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Pattern) and other._specs == self._specs

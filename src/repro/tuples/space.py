@@ -138,7 +138,7 @@ class LocalTupleSpace:
         entry = self.store.add(tup, meta)
         self.deposits += 1
         if expires_at is not None:
-            self.sim.schedule_at(expires_at, self._expire, entry.entry_id)
+            self._schedule_expiry(entry, expires_at)
         for callback in self._on_out:
             callback(entry)
         return entry
@@ -180,7 +180,7 @@ class LocalTupleSpace:
         if quarantine:
             self.store.hold(entry.entry_id)
         if expires_at is not None:
-            self.sim.schedule_at(expires_at, self._expire, entry.entry_id)
+            self._schedule_expiry(entry, expires_at)
         return entry
 
     def rdp(self, pattern: Pattern) -> Optional[Tuple]:
@@ -331,6 +331,11 @@ class LocalTupleSpace:
         if waiter in self._waiters:
             self._waiters.remove(waiter)
 
+    def _schedule_expiry(self, entry: StoredEntry, expires_at: float) -> None:
+        # The timer is kept so a removal can cancel it (`_notify_removed`).
+        entry.meta["expiry_timer"] = self.sim.schedule_at(
+            expires_at, self._expire, entry.entry_id)
+
     def _expire(self, entry_id: int) -> None:
         entry = self.store.get(entry_id)
         if entry is None or entry.removed:
@@ -345,6 +350,11 @@ class LocalTupleSpace:
         self._notify_removed(entry, "expired")
 
     def _notify_removed(self, entry: StoredEntry, reason: str) -> None:
+        # A consumed tuple's expiry timer would otherwise sit in the kernel
+        # queue until its lease ran out — for a long lease, forever.
+        timer = entry.meta.pop("expiry_timer", None)
+        if timer is not None:
+            timer.cancel()
         for callback in self._on_removed:
             callback(entry, reason)
 

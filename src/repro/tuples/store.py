@@ -4,9 +4,6 @@ The store is the passive data structure under every space implementation in
 the repository (Tiamat's local spaces and all five baselines).  It supports:
 
 * duplicate tuples (a multiset — two identical ``out``\\ s mean two tuples);
-* candidate lookup indexed by arity and, within an arity, by the value of
-  each actual field position of the query pattern (cheap and effective for
-  the tag-in-a-fixed-position workloads generative communication produces);
 * **two-phase removal**: a destructive match can be *held* (made invisible
   to other queries), then *confirmed* (removed for good) or *released*
   (made visible again).  Tiamat's distributed `in` needs this: a remote
@@ -14,27 +11,51 @@ the repository (Tiamat's local spaces and all five baselines).  It supports:
   responders; the loser releases ("the remaining instances place the tuples
   back into their respective spaces", section 3.1.3).
 
-**Scan caching**: repeated queries with the same pattern against an
-unchanged store are the common case in polling workloads (blocking ``rd``
-re-checking after every wakeup, serving instances re-matching registered
-queries).  ``_scan`` memoizes its result per pattern, keyed to a
-**store version** that every visibility-changing mutation (add, remove,
-hold, release) bumps — so a hit is provably identical to a fresh scan and
-the cache can never serve stale entries.  Hits and misses are counted
-(``scan_cache_hits`` / ``scan_cache_misses``) and surface in the metrics
-registry via ``Observability.observe_space``.
+**Indexes** are keyed by the tuple's signature (its per-field concrete
+types, what :attr:`Tuple.signature` names): ``signature -> bucket`` and
+``(signature, position, value) -> bucket``, each bucket an insertion-ordered
+dict of entries.  Matching is exact-type, so a pattern made only of actuals
+and scalar ``Formal``\\ s can match one signature only.
+
+**A bucket is exact** when every entry in it matches: the pattern names
+one signature, no actual is or holds a NaN and there is at most one of
+them — or their smallest bucket holds a single, matching entry, the
+id-addressed ``Pattern("job", 17, str)`` — no entry is held, the ``ghost``
+canary is off and no probe sink is installed (the checker wants a
+``store.match`` per match).  Then ``len(bucket)`` *is* the match count;
+:meth:`TupleStore.find` draws what the scan would draw (``rng.choice`` over
+that many items, or the oldest) and returns that entry without calling
+``matches()`` — O(1) for the destructive take-any every coordination
+pattern leans on.
+
+**Everything else** (``ANY``, ``Range``, ``Formal(Tuple)``, several actuals
+sharing a bucket, held entries) is a filtered walk, oldest entry first,
+over the smallest bucket of each signature of the pattern's arity — and
+only that walk is memoized.  ``_scan`` keeps its result per pattern, keyed
+to a **store version** that every visibility-changing mutation (add,
+remove, hold, release) bumps, so a hit is provably identical to a fresh
+scan.  The memo is kept because polling with a non-exact pattern against a
+mostly unchanged store is real (the e2e ``store_poll`` workload's ``Range``
+read would otherwise rescan 2000 notes per call); exact patterns never
+enter it.  Hits and misses are counted (``scan_cache_hits`` /
+``scan_cache_misses``) and surface in the metrics registry via
+``Observability.observe_space``; an exact pick is neither.
 """
 
 from __future__ import annotations
 
+import heapq
 import itertools
-from typing import Any, Iterator, Optional
+from operator import attrgetter
+from typing import Iterator, Optional
 
 from repro.check import probes
 from repro.errors import TupleError
 from repro.sim.rng import RngStream
 from repro.tuples.matching import matches
-from repro.tuples.model import Actual, Pattern, Tuple
+from repro.tuples.model import Pattern, Tuple
+
+_EMPTY: dict = {}
 
 
 class StoredEntry:
@@ -45,12 +66,18 @@ class StoredEntry:
     interprets it.
     """
 
-    __slots__ = ("entry_id", "tuple", "meta", "held", "removed")
+    __slots__ = ("entry_id", "tuple", "meta", "held", "removed", "seq", "sig")
 
-    def __init__(self, entry_id: int, tup: Tuple, meta: Optional[dict] = None) -> None:
+    def __init__(self, entry_id: int, tup: Tuple, meta: Optional[dict] = None,
+                 seq: int = 0) -> None:
         self.entry_id = entry_id
         self.tuple = tup
         self.meta = meta if meta is not None else {}
+        #: Insertion stamp (the store version at ``add``): "oldest first"
+        #: across buckets, also when recovery pins ids out of order.
+        self.seq = seq
+        #: The concrete field types: the index key, computed once.
+        self.sig = tuple(map(type, tup.fields))
         self.held = False
         self.removed = False
 
@@ -65,7 +92,7 @@ class StoredEntry:
 
 
 class TupleStore:
-    """Arity-indexed multiset of tuples with hold/confirm/release removal."""
+    """Signature-indexed multiset of tuples with hold/confirm/release removal."""
 
     #: Cached distinct patterns per store before the scan cache is wiped.
     #: Mutation-heavy workloads invalidate constantly (every bump strands
@@ -82,10 +109,12 @@ class TupleStore:
         # GhostReadOracle exists to catch.  Read once at construction.
         self._canary_ghost = probes.canary(probes.CANARY_GHOST)
         self._entries: dict[int, StoredEntry] = {}
-        # arity -> insertion-ordered dict of entry_id -> StoredEntry
-        self._by_arity: dict[int, dict[int, StoredEntry]] = {}
-        # (arity, position, value-key) -> dict of entry_id -> StoredEntry
+        # signature -> insertion-ordered dict of entry_id -> StoredEntry
+        self._by_sig: dict[tuple, dict[int, StoredEntry]] = {}
+        # (signature, position, value) -> dict of entry_id -> StoredEntry;
+        # the signature keeps 1 / True / 1.0 apart.
         self._by_actual: dict[tuple, dict[int, StoredEntry]] = {}
+        self._held = 0
         # Monotone version, bumped by every visibility-changing mutation;
         # the scan cache keys its entries to it (see module docstring).
         self._version = 0
@@ -127,12 +156,12 @@ class TupleStore:
             entry_id = next(self._ids)
         elif entry_id in self._entries:
             raise TupleError(f"entry id #{entry_id} already in store")
-        entry = StoredEntry(entry_id, tup, meta)
-        self._entries[entry.entry_id] = entry
-        self._by_arity.setdefault(tup.arity, {})[entry.entry_id] = entry
+        entry = StoredEntry(entry_id, tup, meta, self._version)
+        sig = entry.sig
+        self._entries[entry_id] = entry
+        self._by_sig.setdefault(sig, {})[entry_id] = entry
         for pos, value in enumerate(tup.fields):
-            key = (tup.arity, pos, self._value_key(value))
-            self._by_actual.setdefault(key, {})[entry.entry_id] = entry
+            self._by_actual.setdefault((sig, pos, value), {})[entry_id] = entry
         if probes.SINK is not None:
             probes.emit("store.add", store=id(self), entry=entry.entry_id)
         return entry
@@ -147,6 +176,7 @@ class TupleStore:
             if entry is None:
                 raise TupleError(f"no entry #{entry_id} in store")
             self._version += 1
+            self._held -= entry.held
             entry.removed = True
             entry.held = False
             if probes.SINK is not None:
@@ -156,16 +186,20 @@ class TupleStore:
         if entry is None:
             raise TupleError(f"no entry #{entry_id} in store")
         self._version += 1
+        self._held -= entry.held
         entry.removed = True
         entry.held = False
-        self._by_arity[entry.tuple.arity].pop(entry_id, None)
+        sig = entry.sig
+        bucket = self._by_sig[sig]
+        del bucket[entry_id]
+        if not bucket:
+            del self._by_sig[sig]
         for pos, value in enumerate(entry.tuple.fields):
-            key = (entry.tuple.arity, pos, self._value_key(value))
-            bucket = self._by_actual.get(key)
-            if bucket is not None:
-                bucket.pop(entry_id, None)
-                if not bucket:
-                    del self._by_actual[key]
+            key = (sig, pos, value)
+            bucket = self._by_actual[key]
+            del bucket[entry_id]
+            if not bucket:
+                del self._by_actual[key]
         if probes.SINK is not None:
             probes.emit("store.remove", store=id(self), entry=entry_id)
         return entry
@@ -179,6 +213,7 @@ class TupleStore:
         if entry.held:
             raise TupleError(f"entry #{entry_id} already held")
         self._version += 1
+        self._held += 1
         entry.held = True
         return entry
 
@@ -195,6 +230,7 @@ class TupleStore:
         if not entry.held:
             raise TupleError(f"entry #{entry_id} not held; cannot release")
         self._version += 1
+        self._held -= 1
         entry.held = False
         return entry
 
@@ -203,24 +239,30 @@ class TupleStore:
     # ------------------------------------------------------------------
     def candidates(self, pattern: Pattern,
                    snapshot: bool = False) -> Iterator[StoredEntry]:
-        """Visible entries that *may* match, via the cheapest index.
+        """Visible entries that *may* match, oldest first, via the cheapest index.
 
-        Uses the smallest bucket among the pattern's actual-field indexes,
-        falling back to the arity bucket when the pattern is all formals.
+        Per signature the pattern can match, uses the smallest bucket among
+        the pattern's actual-field indexes and the signature bucket.
 
-        Iteration is **lazy** over the live index bucket — no per-scan
+        Iteration is **lazy** over the live index buckets — no per-scan
         copy of a potentially huge bucket.  Callers that mutate the store
         while iterating (removing expired entries, holding matches) must
-        pass ``snapshot=True``, which materialises the bucket first;
+        pass ``snapshot=True``, which materialises the walk first;
         read-only consumers (``_scan`` and friends) pay nothing.
         """
-        buckets = [self._by_arity.get(pattern.arity, {})]
-        for pos, spec in enumerate(pattern.specs):
-            if isinstance(spec, Actual):
-                key = (pattern.arity, pos, self._value_key(spec.value))
-                buckets.append(self._by_actual.get(key, {}))
-        smallest = min(buckets, key=len)
-        source = list(smallest.values()) if snapshot else smallest.values()
+        sig, actuals = pattern.index_plan
+        if sig is not None:
+            sigs = [sig]
+        else:
+            sigs = [s for s in self._by_sig if len(s) == pattern.arity]
+        buckets = [self._smallest(s, actuals) for s in sigs]
+        sources = [bucket.values() for bucket in buckets if bucket]
+        if len(sources) > 1:
+            source = heapq.merge(*sources, key=attrgetter("seq"))
+        else:
+            source = sources[0] if sources else ()
+        if snapshot:
+            source = list(source)
         if self._canary_ghost:
             # Planted bug: visibility (removed/held) is not filtered.
             yield from source
@@ -229,28 +271,81 @@ class TupleStore:
             if entry.visible:
                 yield entry
 
+    def _smallest(self, sig: tuple, actuals: tuple) -> dict:
+        """The smallest bucket holding every ``sig`` entry with these actuals."""
+        bucket = self._by_sig.get(sig, _EMPTY)
+        for pos, value in actuals:
+            narrowed = self._by_actual.get((sig, pos, value), _EMPTY)
+            if len(narrowed) < len(bucket):
+                bucket = narrowed
+        return bucket
+
+    def _exact_bucket(self, pattern: Pattern) -> Optional[dict]:
+        """The bucket holding exactly ``pattern``'s matches, all visible.
+
+        None when a filtered walk is needed (see the module docstring).
+        """
+        if self._held or self._canary_ghost or probes.SINK is not None:
+            return None
+        sig, actuals = pattern.index_plan
+        if sig is None:
+            return None
+        for _, value in actuals:
+            if value != value:
+                return None  # NaN, bare or inside a nested tuple, equals nothing
+        bucket = self._smallest(sig, actuals)
+        if len(actuals) > 1 and bucket:
+            # The other actuals still filter: exact only for a lone match.
+            if len(bucket) > 1:
+                return None
+            fields = next(iter(bucket.values())).tuple.fields
+            for pos, value in actuals:
+                if fields[pos] != value:    # same signature, so same type
+                    return None
+        return bucket
+
     def find(self, pattern: Pattern, rng: Optional[RngStream] = None) -> Optional[StoredEntry]:
         """A visible entry matching ``pattern``, or None.
 
         When several entries match, one is chosen non-deterministically
         (uniformly from ``rng`` when given; otherwise the oldest), per the
-        Linda specification of ``rdp``.
+        Linda specification of ``rdp``.  An exact bucket and the filtered
+        walk make the same draw and return the same entry.
         """
-        found = self._scan(pattern)
-        if not found:
+        bucket = self._exact_bucket(pattern)
+        if bucket is None:
+            found = self._scan(pattern)
+            if not found:
+                return None
+            if rng is not None and len(found) > 1:
+                return rng.choice(found)
+            return found[0]
+        count = len(bucket)
+        self._count_scan(1 if count else 0)
+        if not count:
             return None
-        if rng is not None and len(found) > 1:
-            return rng.choice(found)
-        return found[0]
+        k = rng.choice(range(count)) if rng is not None and count > 1 else 0
+        return next(itertools.islice(bucket.values(), k, None))
 
     def find_all(self, pattern: Pattern) -> list[StoredEntry]:
         """All visible entries matching ``pattern`` (oldest first)."""
-        found = self._scan(pattern)
+        bucket = self._exact_bucket(pattern)
+        if bucket is None:
+            found = self._scan(pattern)
+        else:
+            self._count_scan(len(bucket))
+            found = list(bucket.values())
         found.sort(key=lambda e: e.entry_id)
         return found
 
+    def _count_scan(self, examined: int) -> None:
+        self.scans += 1
+        self.entries_scanned += examined
+        if self.scan_observer is not None:
+            self.scan_observer(examined)
+
     def _scan(self, pattern: Pattern) -> list[StoredEntry]:
-        """Matching visible entries, with scan-cost accounting.
+        """Matching visible entries by filtered walk, with scan-cost accounting.
 
         Results are memoized per (pattern, store version): a repeat query
         against an unchanged store returns the cached match list without
@@ -259,34 +354,25 @@ class TupleStore:
         truncate their copy without corrupting the cache.
         """
         cached = self._scan_cache.get(pattern)
-        if cached is not None and cached[0] == self._version:
-            self.scans += 1
-            self.scan_cache_hits += 1
-            if self.scan_observer is not None:
-                self.scan_observer(0)
-            if probes.SINK is not None:
-                for entry in cached[1]:
-                    probes.emit("store.match", store=id(self),
-                                entry=entry.entry_id)
-            return list(cached[1])
         examined = 0
-        found: list[StoredEntry] = []
-        for entry in self.candidates(pattern):
-            examined += 1
-            if matches(pattern, entry.tuple):
-                found.append(entry)
+        if cached is not None and cached[0] == self._version:
+            found = cached[1]
+            self.scan_cache_hits += 1
+        else:
+            found = []
+            for entry in self.candidates(pattern):
+                examined += 1
+                if matches(pattern, entry.tuple):
+                    found.append(entry)
+            self.scan_cache_misses += 1
+            if len(self._scan_cache) >= self.SCAN_CACHE_MAX:
+                self._scan_cache.clear()
+            self._scan_cache[pattern] = (self._version, found)
         if probes.SINK is not None:
             for entry in found:
                 probes.emit("store.match", store=id(self),
                             entry=entry.entry_id)
-        self.scans += 1
-        self.entries_scanned += examined
-        self.scan_cache_misses += 1
-        if len(self._scan_cache) >= self.SCAN_CACHE_MAX:
-            self._scan_cache.clear()
-        self._scan_cache[pattern] = (self._version, found)
-        if self.scan_observer is not None:
-            self.scan_observer(examined)
+        self._count_scan(examined)
         return list(found)
 
     def get(self, entry_id: int) -> Optional[StoredEntry]:
@@ -309,12 +395,6 @@ class TupleStore:
         from repro.tuples.serialization import encoded_size
 
         return sum(encoded_size(e.tuple) for e in self._entries.values())
-
-    # ------------------------------------------------------------------
-    @staticmethod
-    def _value_key(value: Any) -> Any:
-        """A hashable index key that respects exact-type equality."""
-        return (type(value).__name__, value)
 
     def _require(self, entry_id: int) -> StoredEntry:
         entry = self._entries.get(entry_id)

@@ -22,7 +22,7 @@ from repro.errors import CodecMismatchError
 from repro.net import Network
 from repro.net.message import BATCH, Message
 from repro.sim import Simulator
-from repro.tuples import Pattern, Tuple
+from repro.tuples import ANY, Pattern, Range, Tuple
 from repro.tuples.store import TupleStore
 
 
@@ -219,7 +219,7 @@ def test_scan_cache_hit_returns_equal_results():
     store = TupleStore()
     for i in range(50):
         store.add(Tuple("job", i))
-    p = Pattern("job", int)
+    p = Pattern("job", ANY)         # not signature-exact: served by the memo
     first = store.find_all(p)
     second = store.find_all(p)
     assert [e.entry_id for e in first] == [e.entry_id for e in second]
@@ -230,7 +230,7 @@ def test_scan_cache_hit_returns_equal_results():
 def test_scan_cache_invalidation_on_every_mutation():
     store = TupleStore()
     e0 = store.add(Tuple("job", 0))
-    p = Pattern("job", int)
+    p = Pattern("job", Range(0, None))
 
     def misses_after(mutate):
         store.find_all(p)           # ensure the cache is populated
@@ -253,12 +253,28 @@ def test_scan_counters_reconcile():
     store = TupleStore()
     for i in range(20):
         store.add(Tuple("t", i))
-    p = Pattern("t", int)
+    walked = Pattern("t", Range(0, None))
     for _ in range(5):
-        store.find(p)
+        store.find(walked)
     assert store.scans == store.scan_cache_hits + store.scan_cache_misses == 5
     # Hits examine nothing; the one miss examined the full bucket.
     assert store.entries_scanned == 20
+    # A signature-exact pattern picks straight from its bucket: one scan
+    # examining one entry (none on an empty bucket), never a memo event.
+    for _ in range(3):
+        store.find(Pattern("t", int))
+    store.find(Pattern(str, 7))
+    store.find(Pattern("absent", int))
+    assert store.scans == 10
+    assert store.entries_scanned == 24
+    assert (store.scan_cache_hits, store.scan_cache_misses) == (4, 1)
+    # find_all copies the bucket: every entry counts as examined.
+    assert len(store.find_all(Pattern("t", int))) == 20
+    assert (store.scans, store.entries_scanned) == (11, 44)
+    # A held entry forces the filtered walk (and the memo) back on.
+    store.hold(store.find(Pattern(str, 3)).entry_id)
+    assert len(store.find_all(Pattern("t", int))) == 19
+    assert store.scan_cache_misses == 2
 
 
 def test_scan_cache_capped():
@@ -273,7 +289,7 @@ def test_mutating_cached_result_does_not_corrupt_cache():
     store = TupleStore()
     for i in range(10):
         store.add(Tuple("j", i))
-    p = Pattern("j", int)
+    p = Pattern("j", ANY)
     first = store.find_all(p)
     first.reverse()                      # caller mangles its copy
     again = store.find_all(p)            # cache hit
@@ -307,7 +323,12 @@ def test_scan_observer_sees_zero_on_hits():
     store.scan_observer = lengths.append
     for i in range(7):
         store.add(Tuple("w", i))
-    p = Pattern("w", int)
-    store.find(p)
-    store.find(p)
+    walked = Pattern("w", ANY)
+    store.find(walked)
+    store.find(walked)
     assert lengths == [7, 0]
+    # Exact picks report the one entry they return, or none.
+    store.find(Pattern("w", int))
+    store.find(Pattern("nope", int))
+    store.find_all(Pattern("w", int))
+    assert lengths == [7, 0, 1, 0, 7]

@@ -2,8 +2,11 @@
 
 import pytest
 
+import repro
 from repro.errors import SimulationError
+from repro.leasing import GenerousPolicy
 from repro.sim import Simulator
+from repro.tuples import Pattern, Tuple
 
 
 def test_clock_starts_at_zero():
@@ -184,3 +187,48 @@ def test_events_processed_counter():
         sim.schedule(float(i), lambda: None)
     sim.run()
     assert sim.events_processed == 4
+
+
+def test_consumed_tuples_and_released_leases_do_not_pin_timers():
+    """out+inp cycles under a 1e9 s lease leave a bounded queue behind.
+
+    Each cycle schedules a tuple-expiry and two lease-expiry timers that
+    never reach the head of the queue; they must be cancelled when the
+    tuple is consumed / the lease ends, and swept out of the heap.
+    """
+    rt = repro.connect("sim", seed=3)
+    try:
+        node = rt.node("n", policy=GenerousPolicy(max_duration=2e9))
+        sim = rt.sim
+        sizes = []
+        for i in range(5000):
+            node.out(Tuple("task", i), 1e9)
+            assert node.inp(Pattern("task", int)) == Tuple("task", i)
+            if i in (999, 4999):
+                sizes.append((sim.pending, len(sim._queue)))
+        assert sizes[1][0] == sizes[0][0]                   # live timers: constant
+        assert sizes[1][1] <= 2 * Simulator.COMPACT_FLOOR   # dead ones: swept
+    finally:
+        rt.close()
+
+
+def test_compaction_leaves_the_schedule_unchanged():
+    def run(force_compaction):
+        sim = Simulator(seed=9)
+        rng = sim.rng("test")
+        fired = []
+
+        def tick(i):
+            fired.append((sim.now, i))
+            if force_compaction and i % 50 == 0:
+                sim._compact()
+
+        timers = [sim.schedule(rng.uniform(0, 100), tick, i) for i in range(3000)]
+        for timer in rng.sample(timers, 1800):
+            timer.cancel()
+        end = sim.run()
+        return fired, sim.events_processed, end
+
+    swept, lazy = run(True), run(False)
+    assert swept == lazy
+    assert swept[1] == 1200

@@ -1,0 +1,232 @@
+"""``TupleStore.find`` picks the same entry, with the same draws, on every path.
+
+The store answers a signature-exact pattern straight from an index bucket
+and everything else by a filtered walk.  Both must behave like the
+reference below — filter every entry by ``visible`` and ``matches``,
+oldest first, ``rng.choice`` when more than one — down to the state the
+random stream is left in, or seeded experiments would drift.
+"""
+
+import random
+
+from hypothesis import settings
+from hypothesis import strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, precondition, rule
+
+from repro.check import probes
+from repro.check.oracles import InvariantMonitor
+from repro.sim.rng import RngStream
+from repro.tuples import ANY, Formal, Pattern, Range, Tuple, TupleStore, matches
+
+NAN = float("nan")
+#: Values whose hashes and ``==`` collide across types (1 / True / 1.0,
+#: 0.0 / -0.0), a value equal to nothing, bytes and nested tuples.
+SCALARS = [1, True, 1.0, 0.0, -0.0, 0, False, NAN, "a", "1", b"a", b""]
+NESTED = [Tuple(1), Tuple(True), Tuple(1.0), Tuple("a", Tuple(0.0)), Tuple(NAN)]
+
+values = st.sampled_from(SCALARS + NESTED)
+tuples = st.lists(values, min_size=1, max_size=3).map(Tuple.of)
+
+formals = st.sampled_from([bool, int, float, str, bytes]).map(Formal)
+loose = st.sampled_from([ANY, Range(0, 1), Range(None, 0.5), Range(1.0, None),
+                         Formal(Tuple)])
+
+
+@st.composite
+def patterns(draw):
+    """All-formal, one-actual, two-actual and non-exact patterns, arity 1-3.
+
+    Built around a tuple's own field types, so most of them match something.
+    """
+    like = draw(tuples)
+    shape = draw(st.sampled_from(["formal", "one", "two", "loose", "mixed"]))
+    specs = [Formal(Tuple if isinstance(f, Tuple) else type(f)) for f in like]
+    if shape == "mixed":
+        specs = [draw(st.one_of(st.just(spec), st.just(f), values, formals, loose))
+                 for spec, f in zip(specs, like)]
+    elif shape == "loose":
+        specs[draw(st.integers(0, len(specs) - 1))] = draw(loose)
+    elif shape != "formal":
+        positions = draw(st.permutations(range(len(specs))))
+        for pos in positions[:1 if shape == "one" else 2]:
+            specs[pos] = like[pos]
+    return Pattern.of(specs)
+
+
+class Reference:
+    """Every entry in insertion order; a find filters all of them."""
+
+    def __init__(self):
+        self.entries = []       # [entry_id, tuple, held]
+
+    def found(self, pattern):
+        return [e[0] for e in self.entries
+                if not e[2] and matches(pattern, e[1])]
+
+    def find(self, pattern, rng=None):
+        found = self.found(pattern)
+        if not found:
+            return None
+        if rng is not None and len(found) > 1:
+            return rng.choice(found)
+        return found[0]
+
+    def ids(self, held):
+        return [e[0] for e in self.entries if e[2] == held]
+
+    def set_held(self, entry_id, held):
+        next(e for e in self.entries if e[0] == entry_id)[2] = held
+
+    def drop(self, entry_id):
+        self.entries = [e for e in self.entries if e[0] != entry_id]
+
+
+class PickMachine(RuleBasedStateMachine):
+    def __init__(self):
+        super().__init__()
+        self.store = TupleStore()
+        self.ref = Reference()
+        self.rng = RngStream(7)
+        self.ref_rng = RngStream(7)
+        # Recovery restores under original ids, in no particular order.
+        self.pinned = iter(range(100_000, 0, -7))
+
+    def _same_draws(self):
+        assert self.rng._random.getstate() == self.ref_rng._random.getstate()
+
+    @rule(tup=tuples)
+    def add(self, tup):
+        entry = self.store.add(tup)
+        self.ref.entries.append([entry.entry_id, tup, False])
+
+    @rule(tup=tuples, quarantine=st.booleans())
+    def restore(self, tup, quarantine):
+        entry = self.store.add(tup, entry_id=next(self.pinned))
+        if quarantine:
+            self.store.hold(entry.entry_id)
+        self.ref.entries.append([entry.entry_id, tup, quarantine])
+
+    @precondition(lambda self: self.ref.entries)
+    @rule(data=st.data())
+    def remove(self, data):
+        entry_id = data.draw(st.sampled_from([e[0] for e in self.ref.entries]))
+        self.store.remove(entry_id)
+        self.ref.drop(entry_id)
+
+    @precondition(lambda self: self.ref.ids(held=False))
+    @rule(data=st.data())
+    def hold(self, data):
+        entry_id = data.draw(st.sampled_from(self.ref.ids(held=False)))
+        self.store.hold(entry_id)
+        self.ref.set_held(entry_id, True)
+
+    @precondition(lambda self: self.ref.ids(held=True))
+    @rule(data=st.data(), confirm=st.booleans())
+    def settle(self, data, confirm):
+        entry_id = data.draw(st.sampled_from(self.ref.ids(held=True)))
+        if confirm:
+            self.store.confirm(entry_id)
+            self.ref.drop(entry_id)
+        else:
+            self.store.release(entry_id)
+            self.ref.set_held(entry_id, False)
+
+    @rule(pattern=patterns(), take=st.booleans())
+    def find_seeded(self, pattern, take):
+        entry = self.store.find(pattern, self.rng)
+        expected = self.ref.find(pattern, self.ref_rng)
+        assert (entry.entry_id if entry else None) == expected
+        self._same_draws()
+        if entry is not None and take:
+            self.store.remove(entry.entry_id)
+            self.ref.drop(entry.entry_id)
+
+    @rule(pattern=patterns())
+    def find_oldest(self, pattern):
+        entry = self.store.find(pattern)
+        assert (entry.entry_id if entry else None) == self.ref.find(pattern)
+
+    @rule(pattern=patterns())
+    def find_all(self, pattern):
+        got = [e.entry_id for e in self.store.find_all(pattern)]
+        assert got == sorted(self.ref.found(pattern))
+        assert all(self.store.get(i).visible for i in got)
+
+
+TestStorePick = PickMachine.TestCase
+TestStorePick.settings = settings(max_examples=60, stateful_step_count=60,
+                                  deadline=None)
+
+
+def test_nan_actuals_never_match_through_the_index():
+    store = TupleStore()
+    store.add(Tuple(NAN))
+    store.add(Tuple("x", NESTED[-1]))
+    assert store.find(Pattern(NAN)) is None
+    assert store.find(Pattern(str, NESTED[-1])) is None
+    assert store.find(Pattern(float)).tuple.fields[0] is NAN
+    assert store.find(Pattern("x", Formal(Tuple))) is not None
+
+
+def test_oldest_first_across_signatures_is_insertion_order_not_id_order():
+    store = TupleStore()
+    store.add(Tuple(True), entry_id=900)        # recovery pins original ids
+    store.add(Tuple(1))                         # id 1, deposited later
+    store.add(Tuple(1.0), entry_id=500)
+    assert store.find(Pattern(ANY)).entry_id == 900
+    assert [e.entry_id for e in store.candidates(Pattern(ANY))] == [900, 1, 500]
+    assert [e.entry_id for e in store.find_all(Pattern(ANY))] == [1, 500, 900]
+    rng, same = RngStream(5), RngStream(5)
+    assert store.find(Pattern(ANY), rng).entry_id == same.choice([900, 1, 500])
+
+
+def _churn(seed, steps=400):
+    """A seeded take-heavy run over colliding tuples; returns every pick."""
+    script = random.Random(seed)
+    store, rng, picks = TupleStore(), RngStream(seed), []
+    for tag in ("task", "note"):
+        for i in range(30):
+            store.add(Tuple(tag, i % 5, script.choice([1, True, 1.0])))
+    queries = [Pattern("task", int, int), Pattern("task", int, ANY),
+               Pattern(str, 3, bool), Pattern("note", Range(1, 3), float),
+               Pattern("task", 2, 1), Pattern(str, int, float)]
+    for step in range(steps):
+        entry = store.find(script.choice(queries), rng)
+        picks.append(entry.entry_id if entry else None)
+        if entry is not None and step % 3:
+            store.remove(entry.entry_id)
+            store.add(Tuple("task", step % 5, script.choice([1, True, 1.0])))
+    return picks, rng._random.getstate()
+
+
+def test_monitored_and_unmonitored_runs_pick_the_same_entries():
+    """The probe sink forces the filtered walk; the picks must not notice."""
+    direct = _churn(11)
+    with InvariantMonitor(stop_on_violation=False) as monitor:
+        assert probes.SINK is not None
+        walked = _churn(11)
+    assert probes.SINK is None
+    assert not monitor.violations
+    assert walked == direct
+    assert any(pick is not None for pick in direct[0])
+
+
+def test_exact_pick_skips_the_walk_and_the_memo():
+    store = TupleStore()
+    for i in range(500):
+        store.add(Tuple("task", i, "t"))
+        store.add(Tuple("note", i, 0.5))
+    rng = RngStream(3)
+    for i in range(100):
+        assert store.find(Pattern("task", int, str), rng) is not None
+        assert store.find(Pattern("task", i, str), rng).tuple[1] == i
+    assert store.entries_scanned == 200
+    assert store.scan_cache_hits == store.scan_cache_misses == 0
+    # A held entry brings the filtered walk back; settling it ends that.
+    held = store.find(Pattern("note", int, float))
+    store.hold(held.entry_id)
+    assert store.find(Pattern("task", int, str), rng) is not None
+    assert (store.entries_scanned, store.scan_cache_misses) == (701, 1)
+    store.confirm(held.entry_id)
+    assert store.find(Pattern("task", int, str), rng) is not None
+    assert (store.entries_scanned, store.scan_cache_misses) == (702, 1)
