@@ -38,9 +38,6 @@ Quickstart — one front door for every execution substrate::
 See also ``examples/quickstart.py`` and the README.
 """
 
-import warnings
-from typing import Optional
-
 from repro.core import (
     AdmissionController,
     Refusal,
@@ -59,28 +56,7 @@ from repro.runtime.api import (
 from repro.sim import Simulator
 from repro.tuples import ANY, Formal, Pattern, Range, Tuple
 
-__version__ = "1.2.0"
-
-
-def create_instance(sim: Simulator, network: Network, name: str, *,
-                    config: Optional[TiamatConfig] = None,
-                    **kwargs) -> TiamatInstance:
-    """Deprecated: construct a sim-bound Tiamat node directly.
-
-    Superseded by :func:`repro.connect` — ``create_instance`` only ever
-    built nodes for the simulation substrate, while the front door
-    constructs any of the three runtimes behind one handle vocabulary.
-    Still equivalent to ``TiamatInstance(sim, network, name,
-    config=config, ...)`` with every tunable keyword-only; see the
-    deprecation table in ``docs/API.md``.
-    """
-    warnings.warn(
-        "repro.create_instance is deprecated; use repro.connect("
-        "runtime='sim') for the front door, or construct TiamatInstance "
-        "directly for bespoke sim wiring",
-        DeprecationWarning, stacklevel=2)
-    return TiamatInstance(sim, network, name, config=config, **kwargs)
-
+__version__ = "2.0.0"
 
 __all__ = [
     "ANY",
@@ -103,5 +79,4 @@ __all__ = [
     "VisibilityGraph",
     "__version__",
     "connect",
-    "create_instance",
 ]

@@ -31,6 +31,8 @@ runtimes, reported step-by-step in :class:`DifferentialResult`.
 
 from __future__ import annotations
 
+import functools
+import threading
 from typing import List, Optional
 
 from repro.sim.rng import RngStream
@@ -279,85 +281,53 @@ def run_sim(workload: ScriptedWorkload) -> RuntimeTranscript:
     return transcript
 
 
-def run_threaded(workload: ScriptedWorkload,
-                 timeout: float = 10.0) -> RuntimeTranscript:
-    """Drive the workload through the threaded runtime (real threads)."""
-    from repro.runtime.node import ThreadedNodeRegistry, ThreadedTiamatNode
+def _await_eval(pending, timeout: float) -> Optional[str]:
+    """Wait for a handle's ``eval``; returns what went wrong, if anything.
 
-    transcript = RuntimeTranscript("threaded")
-    registry = ThreadedNodeRegistry()
-    nodes = {name: ThreadedTiamatNode(registry, name)
-             for name in workload.nodes}
-    names = list(workload.nodes)
-    for i, a in enumerate(names):
-        for b in names[i + 1:]:
-            registry.set_visible(a, b, True)
-    errors: List[str] = []
-    for index, step in enumerate(workload.steps):
-        node = nodes[step.node]
-        if step.kind == "out":
-            node.out(step.tup, lease_duration=_LONG_LEASE)
-            continue
-        if step.kind == "eval":
-            thread = node.eval(_eval_square, step.tup.fields[1],
-                               lease_duration=_LONG_LEASE)
-            thread.join(timeout)
-            if thread.is_alive():
-                errors.append(f"step {index}: eval did not finish")
-            continue
-        pattern = Pattern.for_tuple(step.tup)
-        if step.kind in ("in", "rd"):
-            result = getattr(node, "in_" if step.kind == "in" else "rd")(
-                pattern, timeout=timeout)
-        else:
-            result = getattr(node, step.kind)(pattern)
-        if step.kind in ("inp", "in"):
-            transcript.consumed.append((index, step.kind, step.node, result))
-        else:
-            transcript.observed.append((index, step.kind, step.node, result))
-        if result != step.tup:
-            errors.append(f"step {index}: {step.kind} @{step.node} got "
-                          f"{result!r}, expected {step.tup!r}")
-    if errors:
-        raise AssertionError("threaded driver mismatches: "
-                             + "; ".join(errors))
-    transcript.final = _final_snapshot(
-        {name: node.space.snapshot() for name, node in nodes.items()})
-    return transcript
-
-
-def run_aio(workload: ScriptedWorkload,
-            timeout: float = 10.0) -> RuntimeTranscript:
-    """Drive the workload through the asyncio UDP runtime (loopback).
-
-    Nodes bind ephemeral ports on 127.0.0.1, so the run is CI-safe: no
-    fixed ports, no off-host traffic.  The driver is the threaded one's
-    shape — strictly sequential synchronous calls against the facade —
-    while every inter-node probe underneath travels as a real datagram.
+    The one place the two handle kinds differ: threads hands back the
+    worker :class:`~threading.Thread`, aio a waitable future.
     """
-    from repro.runtime.aio import AioNodeRegistry, AioTiamatNode
+    if isinstance(pending, threading.Thread):
+        pending.join(timeout)
+        return "eval did not finish" if pending.is_alive() else None
+    try:
+        pending.result(timeout)
+    except Exception as exc:  # pragma: no cover - diagnostics
+        return f"eval failed: {exc!r}"
+    return None
 
-    transcript = RuntimeTranscript("aio")
+
+def _run_handles(kind: str, workload: ScriptedWorkload,
+                 timeout: float = 10.0) -> RuntimeTranscript:
+    """Drive the workload through ``repro.connect(kind)`` node handles.
+
+    Strictly sequential synchronous calls against the handle vocabulary;
+    on ``threads`` a probe is a method call under real locks, on ``aio``
+    every inter-node probe underneath travels as a real datagram (nodes
+    bind ephemeral ports on 127.0.0.1, so the run is CI-safe).
+    """
+    from repro.runtime.api import connect
+
+    label = "threaded" if kind == "threads" else kind
+    transcript = RuntimeTranscript(label)
     errors: List[str] = []
-    with AioNodeRegistry() as registry:
-        nodes = {name: AioTiamatNode(registry, name)
-                 for name in workload.nodes}
+    with connect(kind) as rt:
+        nodes = {node: rt.node(node) for node in workload.nodes}
         names = list(workload.nodes)
         for i, a in enumerate(names):
             for b in names[i + 1:]:
-                registry.set_visible(a, b, True)
+                rt.set_visible(a, b, True)
         for index, step in enumerate(workload.steps):
             node = nodes[step.node]
             if step.kind == "out":
                 node.out(step.tup, lease_duration=_LONG_LEASE)
                 continue
             if step.kind == "eval":
-                future = node.eval(_eval_square, step.tup.fields[1],
-                                   lease_duration=_LONG_LEASE)
-                try:
-                    future.result(timeout)
-                except Exception as exc:  # pragma: no cover - diagnostics
-                    errors.append(f"step {index}: eval failed: {exc!r}")
+                problem = _await_eval(
+                    node.eval(_eval_square, step.tup.fields[1],
+                              lease_duration=_LONG_LEASE), timeout)
+                if problem:
+                    errors.append(f"step {index}: {problem}")
                 continue
             pattern = Pattern.for_tuple(step.tup)
             if step.kind in ("in", "rd"):
@@ -375,12 +345,15 @@ def run_aio(workload: ScriptedWorkload,
                 errors.append(f"step {index}: {step.kind} @{step.node} got "
                               f"{result!r}, expected {step.tup!r}")
         if errors:
-            raise AssertionError("aio driver mismatches: "
+            raise AssertionError(f"{label} driver mismatches: "
                                  + "; ".join(errors))
         transcript.final = _final_snapshot(
             {name: node.space.snapshot() for name, node in nodes.items()})
     return transcript
 
+
+run_threaded = functools.partial(_run_handles, "threads")
+run_aio = functools.partial(_run_handles, "aio")
 
 #: Runtime name -> driver, in canonical comparison order.
 RUNTIME_DRIVERS = {

@@ -23,7 +23,6 @@ from __future__ import annotations
 import itertools
 from typing import Callable, Optional
 
-from repro._compat import absorb_positional
 from repro.core import protocol
 from repro.core.comms import CommsManager
 from repro.core.config import TiamatConfig
@@ -61,41 +60,21 @@ class TiamatInstance:
     """One node's Tiamat middleware.
 
     Only the identity triple ``(sim, network, name)`` is positional; every
-    tunable is keyword-only.  Legacy positional calls are absorbed for one
-    deprecation cycle (see :mod:`repro._compat` and ``docs/API.md``).
+    tunable is keyword-only.
     """
-
-    #: Legacy positional order of the optional parameters (pre-PR-4 API).
-    _LEGACY_OPTIONALS: dict = {
-        "policy": None, "config": None, "storage_capacity": None,
-        "thread_capacity": None, "router": None, "space": None,
-    }
 
     #: Per-peer cap on witnessed remote-consume entry ids (oldest evicted).
     #: Sized so that even a node consuming from one peer at full tilt keeps
     #: a long enough memory to cover any plausible crash/restart window.
     WITNESS_CAP = 4096
 
-    def __init__(self, sim: Simulator, network: Network, name: str, *args,
+    def __init__(self, sim: Simulator, network: Network, name: str, *,
                  policy: Optional[GrantPolicy] = None,
                  config: Optional[TiamatConfig] = None,
                  storage_capacity: Optional[int] = None,
                  thread_capacity: Optional[int] = None,
                  router: Optional[Router] = None,
                  space: Optional[LocalTupleSpace] = None) -> None:
-        if args:
-            merged = absorb_positional(
-                "TiamatInstance", args, self._LEGACY_OPTIONALS,
-                {"policy": policy, "config": config,
-                 "storage_capacity": storage_capacity,
-                 "thread_capacity": thread_capacity,
-                 "router": router, "space": space})
-            policy = merged["policy"]
-            config = merged["config"]
-            storage_capacity = merged["storage_capacity"]
-            thread_capacity = merged["thread_capacity"]
-            router = merged["router"]
-            space = merged["space"]
         self.sim = sim
         self.network = network
         self.name = name

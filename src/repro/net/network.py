@@ -45,7 +45,6 @@ from __future__ import annotations
 
 from typing import Callable, Optional, Union
 
-from repro._compat import absorb_positional
 from repro.errors import UnknownNodeError
 from repro.net.message import BATCH, Message
 from repro.net.stats import (
@@ -115,34 +114,15 @@ class NetworkInterface:
 class Network:
     """The simulated datagram network over a visibility graph.
 
-    Only ``sim`` is positional; every tunable is keyword-only.  Legacy
-    positional calls are absorbed for one deprecation cycle (see
-    :mod:`repro._compat` and ``docs/API.md``).
+    Only ``sim`` is positional; every tunable is keyword-only.
     """
 
-    #: Legacy positional order of the optional parameters (pre-PR-4 API).
-    _LEGACY_OPTIONALS: dict = {
-        "visibility": None, "loss_rate": 0.0, "latency_factory": None,
-        "codec": None, "batching": False,
-    }
-
-    def __init__(self, sim: Simulator, *args,
+    def __init__(self, sim: Simulator, *,
                  visibility: Optional[VisibilityGraph] = None,
                  loss_rate: float = 0.0,
                  latency_factory: Optional[Callable[["Network"], LatencyModel]] = None,
                  codec: Union[str, WireCodec, None] = None,
                  batching: bool = False) -> None:
-        if args:
-            merged = absorb_positional(
-                "Network", args, self._LEGACY_OPTIONALS,
-                {"visibility": visibility, "loss_rate": loss_rate,
-                 "latency_factory": latency_factory, "codec": codec,
-                 "batching": batching})
-            visibility = merged["visibility"]
-            loss_rate = merged["loss_rate"]
-            latency_factory = merged["latency_factory"]
-            codec = merged["codec"]
-            batching = merged["batching"]
         self.sim = sim
         self.visibility = visibility if visibility is not None else VisibilityGraph()
         self.loss_rate = loss_rate

@@ -4,6 +4,9 @@ Everything in :mod:`repro.core` runs over the discrete-event simulator so
 experiments are deterministic and scale on one machine.  This package
 demonstrates that the model is not simulator-bound, twice over:
 
+* :mod:`repro.runtime.base` — what the two share, written once: the node
+  registry and visibility relation, the admission-controlled serving gate
+  (``SHED``) and the origin's per-peer shed back-off;
 * :mod:`repro.runtime.node` — a **threaded** runtime: thread-safe tuple
   space with genuinely blocking ``rd``/``in`` (condition variables,
   wall-clock lease deadlines) and nodes linked by an in-process registry,
@@ -15,13 +18,9 @@ demonstrates that the model is not simulator-bound, twice over:
 
 :mod:`repro.runtime.api` fronts all substrates (including the sim) with
 one constructor — ``repro.connect(runtime="sim"|"threads"|"aio")`` — and
-one node-handle vocabulary.  Prefer it for new code: importing
-``ThreadedNodeRegistry``/``ThreadedTiamatNode`` from *this* package is
-deprecated (import from :mod:`repro.runtime.node` directly, or use
-``repro.connect``).
+one node-handle vocabulary.  The runtime classes themselves live in
+their modules (:mod:`repro.runtime.node`, :mod:`repro.runtime.aio`).
 """
-
-import warnings
 
 from repro.runtime.api import (
     AioRuntime,
@@ -31,7 +30,7 @@ from repro.runtime.api import (
     TiamatRuntime,
     connect,
 )
-from repro.runtime.node import SHED
+from repro.runtime.base import SHED
 from repro.runtime.space import ThreadSafeTupleSpace
 
 __all__ = [
@@ -39,31 +38,8 @@ __all__ = [
     "SHED",
     "SimRuntime",
     "ThreadSafeTupleSpace",
-    "ThreadedNodeRegistry",
-    "ThreadedTiamatNode",
     "ThreadsRuntime",
     "TiamatNodeHandle",
     "TiamatRuntime",
     "connect",
 ]
-
-#: Names that still resolve here but now warn: the threaded classes moved
-#: behind the front door (repro.connect) in v1.2; their canonical import
-#: path is repro.runtime.node.
-_DEPRECATED = ("ThreadedNodeRegistry", "ThreadedTiamatNode")
-
-
-def __getattr__(name: str):
-    if name in _DEPRECATED:
-        warnings.warn(
-            f"importing {name} from repro.runtime is deprecated; use "
-            f"repro.connect(runtime='threads') or import it from "
-            f"repro.runtime.node",
-            DeprecationWarning, stacklevel=2)
-        from repro.runtime import node
-        return getattr(node, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-def __dir__():
-    return sorted(__all__)

@@ -53,7 +53,6 @@ import random
 import socket
 import struct
 import threading
-import time
 from typing import (
     TYPE_CHECKING,
     Any,
@@ -64,9 +63,7 @@ from typing import (
     Union,
 )
 
-from repro.obs import Observability
-from repro.runtime.node import SHED, _ShedType
-from repro.runtime.space import ThreadSafeTupleSpace
+from repro.runtime.base import SHED, NodeRegistry, RuntimeNode, _ShedType
 from repro.tuples.model import Pattern, Tuple
 from repro.tuples.serialization import (
     WireCodec,
@@ -76,7 +73,6 @@ from repro.tuples.serialization import (
     encode_pattern,
     encode_payload_into,
     encode_tuple,
-    ensure_codec_match,
 )
 
 if TYPE_CHECKING:
@@ -231,13 +227,12 @@ class _AioProtocol(asyncio.DatagramProtocol):
         self.node.transport_errors += 1
 
 
-class AioNodeRegistry:
-    """A cluster of aio nodes: background event loop + visibility relation.
+class AioNodeRegistry(NodeRegistry["AioTiamatNode"]):
+    """A cluster of aio nodes: the shared registry plus an event loop.
 
-    Plays the :class:`~repro.runtime.node.ThreadedNodeRegistry` role —
-    records which nodes exist and which pairs see each other — but the
-    registry carries *addresses only*; every probe, answer and discovery
-    exchange travels through the nodes' UDP sockets.  One event loop on a
+    The visibility relation hands out *addresses only*
+    (:meth:`visible_peers`); every probe, answer and discovery exchange
+    travels through the nodes' UDP sockets.  One event loop on a
     daemon thread drives every member node, so the synchronous facade
     (``node.rdp(...)`` from test or application threads) and the native
     ``async`` API (``await node.a_rdp(...)`` from loop code) coexist.
@@ -247,17 +242,16 @@ class AioNodeRegistry:
     the T10-style smoke lean on.
     """
 
+    transport = "cluster"
+
     def __init__(self, *, host: str = "127.0.0.1",
                  config: Optional["TiamatConfig"] = None,
                  codec: Union[str, WireCodec, None] = None,
                  loss_rate: float = 0.0, loss_seed: int = 0,
                  multicast: Optional[PyTuple[str, int]] = None) -> None:
-        from repro.core.config import TiamatConfig
         if not 0.0 <= loss_rate < 1.0:
             raise ValueError("loss_rate must be in [0, 1)")
-        self.config = config if config is not None else TiamatConfig()
-        self.codec = ensure_codec_match(self.config.wire_codec, codec,
-                                        transport="cluster")
+        super().__init__(config=config, codec=codec)
         self.frames = (_BinaryFrames if self.codec.name == "binary"
                        else _JsonFrames)
         self.host = host
@@ -265,10 +259,6 @@ class AioNodeRegistry:
         self._loss_rng = random.Random(loss_seed)
         self.frames_dropped = 0
         self.multicast = multicast
-        self.obs = Observability(clock=time.monotonic, thread_safe=True)
-        self._lock = threading.Lock()
-        self._nodes: Dict[str, "AioTiamatNode"] = {}
-        self._edges: set = set()
         self._closed = False
         self._loop = asyncio.new_event_loop()
         self._thread = threading.Thread(target=self._run_loop,
@@ -299,37 +289,9 @@ class AioNodeRegistry:
         """Seeded loss injection: True means drop this datagram."""
         return self.loss_rate > 0 and self._loss_rng.random() < self.loss_rate
 
-    # -- membership and visibility (the threaded registry's contract) ----
-    def register(self, node: "AioTiamatNode") -> None:
-        with self._lock:
-            self._nodes[node.name] = node
-
-    def set_visible(self, a: str, b: str, visible: bool = True) -> None:
-        if a == b:
-            return
-        edge = frozenset((a, b))
-        with self._lock:
-            if visible:
-                self._edges.add(edge)
-            else:
-                self._edges.discard(edge)
-
     def visible_peers(self, name: str) -> List[PyTuple[str, Addr]]:
         """(name, address) of nodes visible from ``name``, sorted by name."""
-        with self._lock:
-            peers = sorted(
-                other for edge in self._edges if name in edge
-                for other in edge if other != name
-            )
-            return [(p, self._nodes[p].addr) for p in peers
-                    if p in self._nodes]
-
-    def visible_nodes(self, name: str) -> List["AioTiamatNode"]:
-        return [self._nodes[p] for p, _ in self.visible_peers(name)]
-
-    def all_nodes(self) -> List["AioTiamatNode"]:
-        with self._lock:
-            return [self._nodes[name] for name in sorted(self._nodes)]
+        return [(node.name, node.addr) for node in self.visible_nodes(name)]
 
     def stats(self) -> Dict[str, Any]:
         """Aggregated cluster wire counters (plus per-node breakdown)."""
@@ -366,7 +328,7 @@ class AioNodeRegistry:
         self.close()
 
 
-class AioTiamatNode:
+class AioTiamatNode(RuntimeNode):
     """One aio node: a local space plus opportunistic ops over UDP.
 
     Synchronous methods (``out``/``rdp``/``inp``/``rd``/``in_``/``eval``)
@@ -375,10 +337,7 @@ class AioTiamatNode:
     native ``a_``-prefixed coroutine twin for asyncio applications.
     """
 
-    #: How often blocking operations re-sample visibility and re-probe.
-    POLL_INTERVAL = 0.005
-    #: Cap on the per-peer backoff an origin applies after being shed.
-    SHED_BACKOFF_MAX = 0.25
+    registry: AioNodeRegistry
     #: Wall-clock budget for one peer probe (first send to giving up).
     PROBE_TIMEOUT = 1.0
     #: Completed query answers kept for idempotent retransmit replies.
@@ -387,53 +346,35 @@ class AioTiamatNode:
     def __init__(self, registry: AioNodeRegistry, name: str, *,
                  max_concurrent_serves: Optional[int] = None,
                  port: int = 0) -> None:
-        if max_concurrent_serves is not None and max_concurrent_serves < 1:
-            raise ValueError("max_concurrent_serves must be >= 1 or None")
-        self.registry = registry
-        self.name = name
-        self.space = ThreadSafeTupleSpace(name)
-        self.max_concurrent_serves = max_concurrent_serves
-        self._active_serves = 0
-        self._peer_backoff: Dict[str, PyTuple[int, float]] = {}
+        super().__init__(registry, name,
+                         max_concurrent_serves=max_concurrent_serves)
         self._req_ids = itertools.count(1)
         self._pending: Dict[int, asyncio.Future] = {}
+        # (origin, request id) -> committed destructive answer, oldest first
         self._served_cache: Dict[PyTuple[str, int], dict] = {}
-        self._served_order: List[PyTuple[str, int]] = []
         self._send_queues: Dict[Addr, List[dict]] = {}
         self._flush_scheduled = False
         self._local_event: Optional[asyncio.Event] = None
         self.pool = BufferPool()
-        # wire + op counters (cheap ints; the obs registry mirrors ops)
+        # wire counters (cheap ints, read back by stats())
         self.frames_sent = 0
         self.frames_received = 0
         self.batches_sent = 0
         self.bytes_sent = 0
         self.retransmits = 0
         self.dedup_served = 0
-        self.sheds = 0
         self.transport_errors = 0
-        self.ops_started = 0
-        self.ops_unsatisfied = 0
         self.force_shed = False  # test/bench hook: shed every probe
         self._protocol: Optional[_AioProtocol] = None
         self._transport: Optional[asyncio.DatagramTransport] = None
         self._sock: Optional[socket.socket] = None
-        self._mcast_transport = None
         self._mcast_sock: Optional[socket.socket] = None
         self.addr: Addr = ("", 0)
-        reg = registry.obs.registry
-        self._ops_metric = reg.counter(
-            "runtime_ops_total",
-            help="Logical operations by node, operation, and outcome.",
-            labels=("node", "op", "outcome"))
-        self._serve_metric = reg.counter(
-            "runtime_serve_total",
-            help="Remote probes served or shed by each node.",
-            labels=("node", "outcome"))
-        registry.register(self)
         fut = asyncio.run_coroutine_threadsafe(self._a_start(port),
                                                registry.loop)
         fut.result(timeout=10.0)
+        # Only now: peers are handed ``self.addr``, so it must be bound.
+        registry.register(self)
 
     # ------------------------------------------------------------------
     # Endpoint lifecycle (runs on the loop)
@@ -600,13 +541,7 @@ class AioTiamatNode:
     # Serving plane: how peers enter this node (admission + idempotency)
     # ------------------------------------------------------------------
     def _admit_serve(self) -> bool:
-        if self.force_shed:
-            return False
-        if (self.max_concurrent_serves is not None
-                and self._active_serves >= self.max_concurrent_serves):
-            return False
-        self._active_serves += 1
-        return True
+        return not self.force_shed and super()._admit_serve()
 
     def _serve_query(self, frame: dict, addr: Addr) -> None:
         origin = frame.get("o", "?")
@@ -622,45 +557,27 @@ class AioTiamatNode:
             self._queue_frame(addr, cached)
             return
         pattern = frame.get("p")
-        if not self._admit_serve():
-            self.sheds += 1
-            self._serve_metric.labels(node=self.name, outcome="shed").inc()
+        remove = frame.get("op") == "inp"
+        # A malformed pattern is a miss; it takes no serving slot.
+        found = (self._serve(pattern, remove)
+                 if isinstance(pattern, Pattern) else None)
+        response: dict = {"k": RESPONSE, "id": req_id, "st": "miss"}
+        if found is SHED:
             # Shed verdicts are *not* cached: the origin should retry
             # after backoff and find an admitted slot.
-            self._queue_frame(addr, {"k": RESPONSE, "id": req_id,
-                                     "st": "shed"})
-            return
-        try:
-            if not isinstance(pattern, Pattern):
-                response: dict = {"k": RESPONSE, "id": req_id, "st": "miss"}
-            else:
-                remove = frame.get("op") == "inp"
-                found = (self.space.inp(pattern) if remove
-                         else self.space.rdp(pattern))
-                if found is None:
-                    response = {"k": RESPONSE, "id": req_id, "st": "miss"}
-                else:
-                    response = {"k": RESPONSE, "id": req_id, "st": "hit",
-                                "t": found}
-        finally:
-            self._active_serves -= 1
-        self._serve_metric.labels(node=self.name, outcome="served").inc()
-        # Only destructive hits are cached: they are the one irreversible
-        # verdict.  Misses and reads are recomputed on retransmit, so a
-        # blocking origin that reuses its request id across poll rounds
-        # still sees tuples that arrive *after* an early miss.
-        if response.get("st") == "hit" and frame.get("op") == "inp":
-            self._remember_served(key, response)
+            response["st"] = "shed"
+        elif found is not None:
+            response["st"] = "hit"
+            response["t"] = found
+            # Only destructive hits are cached: the one irreversible
+            # verdict.  Misses and reads are recomputed on retransmit, so a
+            # blocking origin that reuses its request id across poll rounds
+            # still sees tuples that arrive *after* an early miss.
+            if remove and req_id is not None:
+                self._served_cache[key] = response
+                if len(self._served_cache) > self.SERVED_CACHE:
+                    del self._served_cache[next(iter(self._served_cache))]
         self._queue_frame(addr, response)
-
-    def _remember_served(self, key: PyTuple[str, int], response: dict) -> None:
-        if key[1] is None:
-            return
-        self._served_cache[key] = response
-        self._served_order.append(key)
-        if len(self._served_order) > self.SERVED_CACHE:
-            evict = self._served_order.pop(0)
-            self._served_cache.pop(evict, None)
 
     # ------------------------------------------------------------------
     # Request plane: retransmit until answered or out of budget
@@ -709,9 +626,7 @@ class AioTiamatNode:
         instead of silently consuming the tuple into the void.
         """
         loop = asyncio.get_running_loop()
-        now = loop.time()
-        streak, until = self._peer_backoff.get(peer, (0, 0.0))
-        if now < until:
+        if self._backing_off(peer, loop.time()):
             return None
         frame = {"k": QUERY,
                  "id": next(self._req_ids) if req_id is None else req_id,
@@ -720,14 +635,10 @@ class AioTiamatNode:
         answer = await self._request(addr, frame, budget=self.PROBE_TIMEOUT)
         if answer is None:
             return None
-        if answer.get("st") == "shed":
-            streak += 1
-            delay = min(self.POLL_INTERVAL * (2.0 ** streak),
-                        self.SHED_BACKOFF_MAX)
-            self._peer_backoff[peer] = (streak, loop.time() + delay)
+        shed = answer.get("st") == "shed"
+        self._note_answer(peer, shed, loop.time())
+        if shed:
             return SHED
-        if streak:
-            self._peer_backoff.pop(peer, None)
         if answer.get("st") == "hit":
             result = answer.get("t")
             return result if isinstance(result, Tuple) else None
@@ -736,9 +647,6 @@ class AioTiamatNode:
     # ------------------------------------------------------------------
     # The six operations: async core
     # ------------------------------------------------------------------
-    def _count(self, op: str, outcome: str) -> None:
-        self._ops_metric.labels(node=self.name, op=op, outcome=outcome).inc()
-
     def _notify_local(self) -> None:
         event = self._local_event
         if event is not None:
@@ -907,11 +815,6 @@ class AioTiamatNode:
     def discover(self, window: float = 0.1) -> Dict[str, Addr]:
         """Synchronous :meth:`a_discover`."""
         return self.registry.submit(self.a_discover(window)).result()
-
-    @property
-    def active_serves(self) -> int:
-        """Remote probes currently being served by this node."""
-        return self._active_serves
 
     def stats(self) -> Dict[str, int]:
         """Wire and op counters for this node."""

@@ -3,8 +3,8 @@
 Tiamat has three execution substrates — the deterministic simulation
 (:mod:`repro.core` over :mod:`repro.sim`), the threaded runtime
 (:mod:`repro.runtime.node`), and the asyncio UDP runtime
-(:mod:`repro.runtime.aio`).  Historically each had its own entry ritual
-(build a ``Simulator`` + ``Network`` + ``TiamatInstance``; or a
+(:mod:`repro.runtime.aio`).  Each has its own construction ritual (build
+a ``Simulator`` + ``Network`` + ``TiamatInstance``; or a
 ``ThreadedNodeRegistry`` + ``ThreadedTiamatNode``); this module gives all
 three one door and one handle vocabulary::
 
@@ -23,8 +23,6 @@ Every handle satisfies :class:`TiamatNodeHandle`: synchronous
 runtime's signatures.  The sim adapter makes that work by *driving the
 kernel* under each call — virtual time advances while the caller blocks,
 so a ``rd`` with a 5 s timeout completes in microseconds of wall time.
-The legacy entry points remain as deprecated shims (see ``repro.runtime``
-and ``repro.create_instance``).
 """
 
 from __future__ import annotations

@@ -8,20 +8,18 @@ spaces of currently visible nodes — re-sampling visibility on every probe
 round, which is exactly the opportunistic construction of section 2.2
 (no connection or disconnection operations anywhere).
 
-Destructive remote takes use the same two-phase hold/confirm discipline as
-the simulated protocol, implemented with the store's own ``hold`` under the
-target space's lock, so exactly-once consumption holds under real
-concurrency.
+The transport is a method call: a remote probe enters the target node
+through its serving plane (:meth:`~repro.runtime.base.RuntimeNode.serve_rdp`
+/ ``serve_inp``), and a destructive take finds and removes the tuple in
+one step under the target space's lock — there is no hold/confirm phase
+to lose, so exactly-once consumption holds under real concurrency.
 
-Serving is *admission-controlled*, mirroring the simulated
-:mod:`repro.core.admission` plane: every remote probe enters the target
-node through :meth:`ThreadedTiamatNode.serve_rdp` /
-:meth:`~ThreadedTiamatNode.serve_inp`, which gate on a bounded concurrent
-serving budget (``max_concurrent_serves``).  A saturated node returns the
-:data:`SHED` sentinel instead of scanning its store; origins react with a
-capped exponential per-peer backoff, so overload on one node does not turn
-every visible peer's poll loop into a thundering herd.  The default budget
-is ``None`` (unbounded), which preserves the uncontrolled behaviour.
+The registry, the admission-controlled serving gate (``SHED``) and the
+origin's per-peer shed back-off are the ones :mod:`repro.runtime.base`
+shares with the aio runtime.  This module adds what only threads have:
+the tracing plane, leased telemetry rows, and a blocking loop that parks
+the calling thread on the local space's condition variable between probe
+rounds.
 """
 
 from __future__ import annotations
@@ -29,158 +27,32 @@ from __future__ import annotations
 import json
 import threading
 import time
-from typing import TYPE_CHECKING, Dict, Iterable, Optional, Union
+from typing import Optional
 
-from repro.obs import Observability
-from repro.obs.telemetry import (
-    TELEMETRY_TAG,
-    NodeHealth,
-    collect_cluster_health,
-)
-from repro.runtime.space import ThreadSafeTupleSpace
+from repro.obs.telemetry import TELEMETRY_TAG
+from repro.runtime.base import SHED, NodeRegistry, RuntimeNode
 from repro.tuples.model import Pattern, Tuple
-from repro.tuples.serialization import WireCodec, ensure_codec_match
-
-if TYPE_CHECKING:  # pragma: no cover - type hint only, no runtime import
-    from repro.core.config import TiamatConfig
 
 
-class _ShedType:
-    """Sentinel type for :data:`SHED` (falsy, unique, self-describing)."""
-
-    __slots__ = ()
-
-    def __repr__(self) -> str:
-        return "SHED"
-
-    def __bool__(self) -> bool:
-        return False
+class ThreadedNodeRegistry(NodeRegistry["ThreadedTiamatNode"]):
+    """In-process 'network' (the in-process transport never serialises;
+    byte *accounting* and conformance harnesses read ``registry.codec``)."""
 
 
-#: Returned by ``serve_rdp``/``serve_inp`` when the node sheds the probe
-#: instead of serving it (concurrent serving budget exhausted).  Falsy, so
-#: callers that only distinguish "got a tuple or not" keep working; callers
-#: that care (the origin poll loops here) check identity and back off.
-SHED = _ShedType()
-
-
-class ThreadedNodeRegistry:
-    """In-process 'network': node registry plus a visibility relation.
-
-    The registry also owns the runtime's :class:`~repro.obs.hub.Observability`
-    hub (``registry.obs``): a **thread-safe** metrics registry clocked by
-    wall time (``time.monotonic``), which every member node feeds its
-    operation counters, blocking-wait histogram, and space residency into.
-
-    ``config.wire_codec`` flows into the registry exactly as it does into
-    the sim network and the aio cluster: the resolved codec is exposed as
-    ``registry.codec`` (the in-process transport never serialises, but
-    byte *accounting* and conformance harnesses read it), and an explicit
-    ``codec`` argument that disagrees with the config raises the shared
-    :class:`~repro.errors.CodecMismatchError` at construction.
-    """
-
-    def __init__(self, *, config: Optional["TiamatConfig"] = None,
-                 codec: Union[str, "WireCodec", None] = None) -> None:
-        from repro.core.config import TiamatConfig
-        self.config = config if config is not None else TiamatConfig()
-        self.codec = ensure_codec_match(self.config.wire_codec, codec,
-                                        transport="registry")
-        self._lock = threading.Lock()
-        self._nodes: dict[str, "ThreadedTiamatNode"] = {}
-        self._edges: set[frozenset] = set()
-        self.obs = Observability(clock=time.monotonic, thread_safe=True)
-
-    def register(self, node: "ThreadedTiamatNode") -> None:
-        """Attach a node (idempotent by name)."""
-        with self._lock:
-            self._nodes[node.name] = node
-
-    def set_visible(self, a: str, b: str, visible: bool = True) -> None:
-        """Set or clear mutual visibility between two nodes."""
-        if a == b:
-            return
-        edge = frozenset((a, b))
-        with self._lock:
-            if visible:
-                self._edges.add(edge)
-            else:
-                self._edges.discard(edge)
-
-    def visible_nodes(self, name: str) -> list["ThreadedTiamatNode"]:
-        """The nodes currently visible from ``name`` (sorted by name)."""
-        with self._lock:
-            peers = sorted(
-                other for edge in self._edges if name in edge
-                for other in edge if other != name
-            )
-            return [self._nodes[p] for p in peers if p in self._nodes]
-
-    def all_nodes(self) -> list["ThreadedTiamatNode"]:
-        """Every registered node (sorted by name)."""
-        with self._lock:
-            return [self._nodes[name] for name in sorted(self._nodes)]
-
-    def cluster_health(self, period: float = 1.0,
-                       expected: Optional[Iterable[str]] = None
-                       ) -> Dict[str, NodeHealth]:
-        """Aggregate every member's telemetry rows into per-node health.
-
-        The same :func:`repro.obs.telemetry.collect_cluster_health` model
-        as the simulated runtime — rows are read from the members' spaces
-        (lease expiry has already reclaimed dead publishers), ``expected``
-        defaults to every registered node so a member that never managed
-        to publish shows up ``partitioned`` instead of vanishing.
-        """
-        nodes = self.all_nodes()
-        if expected is None:
-            expected = [node.name for node in nodes]
-        return collect_cluster_health((node.space for node in nodes),
-                                      now=time.monotonic(), period=period,
-                                      expected=expected)
-
-
-class ThreadedTiamatNode:
+class ThreadedTiamatNode(RuntimeNode):
     """One node: a local space plus opportunistic logical operations."""
-
-    #: How often blocking operations re-sample visibility and re-probe.
-    POLL_INTERVAL = 0.005
-    #: Cap on the per-peer backoff an origin applies after being shed.
-    SHED_BACKOFF_MAX = 0.25
 
     def __init__(self, registry: ThreadedNodeRegistry, name: str, *,
                  max_concurrent_serves: Optional[int] = None) -> None:
-        if max_concurrent_serves is not None and max_concurrent_serves < 1:
-            raise ValueError("max_concurrent_serves must be >= 1 or None")
-        self.registry = registry
-        self.name = name
-        self.space = ThreadSafeTupleSpace(name)
-        self.max_concurrent_serves = max_concurrent_serves
-        self._serve_lock = threading.Lock()
-        self._active_serves = 0
-        # peer name -> (shed streak, monotonic time before which we skip it)
-        self._peer_backoff: dict[str, tuple[int, float]] = {}
-        # plain counters for the telemetry payload (the labelled metrics
-        # above are for export; these are cheap to read back)
-        self.ops_started = 0
-        self.ops_unsatisfied = 0
-        self.sheds = 0
+        super().__init__(registry, name,
+                         max_concurrent_serves=max_concurrent_serves)
         self.telemetry_published = 0
         self._op_lock = threading.Lock()
         self._op_seq = 0
         self._telemetry_epoch = 0
         self._telemetry_last: dict[str, int] = {}
         self._telemetry_stop: Optional[threading.Event] = None
-        registry.register(self)
         reg = registry.obs.registry
-        self._ops_metric = reg.counter(
-            "runtime_ops_total",
-            help="Logical operations by node, operation, and outcome.",
-            labels=("node", "op", "outcome"))
-        self._serve_metric = reg.counter(
-            "runtime_serve_total",
-            help="Remote probes served or shed by each node.",
-            labels=("node", "outcome"))
         self._wait_hist = reg.histogram(
             "runtime_blocking_wait_seconds",
             help="Wall-clock wait of blocking rd/in operations.",
@@ -198,9 +70,7 @@ class ThreadedTiamatNode:
                      lambda: [((name,), space.store.visible_count)],
                      help="Live tuples resident in each node's space.",
                      labels=("node",), key=id(self))
-
-    def _count(self, op: str, outcome: str) -> None:
-        self._ops_metric.labels(node=self.name, op=op, outcome=outcome).inc()
+        registry.register(self)
 
     # ------------------------------------------------------------------
     # Tracing plane: wall-clock op timelines for ``repro trace --chrome``
@@ -230,87 +100,39 @@ class ThreadedTiamatNode:
             tracer.op_finished(op_id, self.name, result is not None, source)
 
     # ------------------------------------------------------------------
-    # Serving plane: how *peers* enter this node
+    # Transport: a probe is a call into the peer's serving plane
     # ------------------------------------------------------------------
-    def _admit_serve(self) -> bool:
-        with self._serve_lock:
-            if (self.max_concurrent_serves is not None
-                    and self._active_serves >= self.max_concurrent_serves):
-                return False
-            self._active_serves += 1
-        return True
-
-    def _release_serve(self) -> None:
-        with self._serve_lock:
-            self._active_serves -= 1
-
-    @property
-    def active_serves(self) -> int:
-        """Remote probes currently being served by this node."""
-        return self._active_serves
-
-    def serve_rdp(self, pattern: Pattern) -> Union[Optional[Tuple], _ShedType]:
-        """Serve a peer's non-destructive probe, or :data:`SHED` it.
-
-        This is the only sanctioned path for a remote read: it gates on the
-        concurrent serving budget before touching the store, mirroring the
-        simulated admission plane's "refuse before any work" rule.
-        """
-        if not self._admit_serve():
-            self.sheds += 1
-            self._serve_metric.labels(node=self.name, outcome="shed").inc()
-            return SHED
-        try:
-            found = self.space.rdp(pattern)
-        finally:
-            self._release_serve()
-        self._serve_metric.labels(node=self.name, outcome="served").inc()
-        return found
-
-    def serve_inp(self, pattern: Pattern) -> Union[Optional[Tuple], _ShedType]:
-        """Serve a peer's destructive probe, or :data:`SHED` it."""
-        if not self._admit_serve():
-            self.sheds += 1
-            self._serve_metric.labels(node=self.name, outcome="shed").inc()
-            return SHED
-        try:
-            taken = self.space.inp(pattern)
-        finally:
-            self._release_serve()
-        self._serve_metric.labels(node=self.name, outcome="served").inc()
-        return taken
-
-    def _peer_probe(self, peer: "ThreadedTiamatNode", pattern: Pattern,
+    def _peer_probe(self, peer: RuntimeNode, pattern: Pattern,
                     remove: bool, op_id: Optional[str] = None,
                     tracer=None) -> Optional[Tuple]:
         """Probe one peer through its serving gate, honouring backoff.
 
-        A shed answer is treated as a miss and starts (or extends) a capped
-        exponential backoff window for that peer; a served answer clears
-        the window.  Backoff windows only suppress *probes of that peer* —
-        the local space and other peers are unaffected.  With a tracer
-        installed, the verdict is recorded against the peer's span so the
-        waterfall and Chrome export show who shed or answered.
+        A shed answer is treated as a miss.  With a tracer installed, the
+        verdict is recorded against the peer's span so the waterfall and
+        Chrome export show who shed or answered.
         """
         now = time.monotonic()
-        streak, until = self._peer_backoff.get(peer.name, (0, 0.0))
-        if now < until:
+        if self._backing_off(peer.name, now):
             return None
-        result = peer.serve_inp(pattern) if remove else peer.serve_rdp(pattern)
-        if result is SHED:
-            streak += 1
-            delay = min(self.POLL_INTERVAL * (2.0 ** streak),
-                        self.SHED_BACKOFF_MAX)
-            self._peer_backoff[peer.name] = (streak, now + delay)
-            if tracer is not None and op_id is not None:
+        result = peer._serve(pattern, remove)
+        shed = result is SHED
+        self._note_answer(peer.name, shed, now)
+        if tracer is not None and op_id is not None:
+            if shed:
                 tracer.note(op_id, peer.name, "serve", outcome="shed")
-            return None
-        if streak:
-            self._peer_backoff.pop(peer.name, None)
-        if tracer is not None and op_id is not None and result is not None:
-            tracer.note(op_id, peer.name, "serve",
-                        outcome="hit", remove=remove)
-        return result
+            elif result is not None:
+                tracer.note(op_id, peer.name, "serve",
+                            outcome="hit", remove=remove)
+        return None if shed else result
+
+    def _probe_peers(self, pattern: Pattern, remove: bool,
+                     op_id: Optional[str], tracer):
+        """One round over the currently visible peers: ``(tuple, source)``."""
+        for peer in self.registry.visible_nodes(self.name):
+            found = self._peer_probe(peer, pattern, remove, op_id, tracer)
+            if found is not None:
+                return found, peer.name
+        return None, None
 
     # ------------------------------------------------------------------
     # The six operations
@@ -322,43 +144,23 @@ class ThreadedTiamatNode:
         self._count("out", "ok")
         self._trace_end(tracer, op_id, tup, "local")
 
+    def _poll(self, op: str, pattern: Pattern, remove: bool) -> Optional[Tuple]:
+        op_id, tracer = self._trace_start(op)
+        found = self.space.inp(pattern) if remove else self.space.rdp(pattern)
+        source: Optional[str] = "local"
+        if found is None:
+            found, source = self._probe_peers(pattern, remove, op_id, tracer)
+        self._count(op, "hit" if found is not None else "miss")
+        self._trace_end(tracer, op_id, found, source)
+        return found
+
     def rdp(self, pattern: Pattern) -> Optional[Tuple]:
         """Non-blocking read over the current logical space."""
-        op_id, tracer = self._trace_start("rdp")
-        local = self.space.rdp(pattern)
-        if local is not None:
-            self._count("rdp", "hit")
-            self._trace_end(tracer, op_id, local, "local")
-            return local
-        for peer in self.registry.visible_nodes(self.name):
-            found = self._peer_probe(peer, pattern, remove=False,
-                                     op_id=op_id, tracer=tracer)
-            if found is not None:
-                self._count("rdp", "hit")
-                self._trace_end(tracer, op_id, found, peer.name)
-                return found
-        self._count("rdp", "miss")
-        self._trace_end(tracer, op_id, None, None)
-        return None
+        return self._poll("rdp", pattern, remove=False)
 
     def inp(self, pattern: Pattern) -> Optional[Tuple]:
         """Non-blocking take over the current logical space."""
-        op_id, tracer = self._trace_start("inp")
-        local = self.space.inp(pattern)
-        if local is not None:
-            self._count("inp", "hit")
-            self._trace_end(tracer, op_id, local, "local")
-            return local
-        for peer in self.registry.visible_nodes(self.name):
-            taken = self._peer_probe(peer, pattern, remove=True,
-                                     op_id=op_id, tracer=tracer)
-            if taken is not None:
-                self._count("inp", "hit")
-                self._trace_end(tracer, op_id, taken, peer.name)
-                return taken
-        self._count("inp", "miss")
-        self._trace_end(tracer, op_id, None, None)
-        return None
+        return self._poll("inp", pattern, remove=True)
 
     def rd(self, pattern: Pattern, timeout: float = 5.0) -> Optional[Tuple]:
         """Blocking read: polls the logical space until match or lease end."""
@@ -467,22 +269,18 @@ class ThreadedTiamatNode:
         """Poll until match or deadline; returns ``(tuple, source)``."""
         deadline = time.monotonic() + timeout
         while True:
-            # Local space first — use a short real block so a local deposit
-            # wakes us immediately.
-            local = (self.space.in_(pattern, timeout=self.POLL_INTERVAL) if remove
-                     else self.space.rd(pattern, timeout=self.POLL_INTERVAL))
+            # Local space first — a real block, no longer than what is left
+            # of the lease, so a local deposit wakes us immediately.
+            wait = min(self.POLL_INTERVAL, deadline - time.monotonic())
+            local = (self.space.in_(pattern, timeout=wait) if remove
+                     else self.space.rd(pattern, timeout=wait))
             if local is not None:
                 return local, "local"
-            # Then the currently visible peers (opportunistic re-sample),
-            # through their serving gates so a saturated peer sheds us
-            # into a per-peer backoff instead of being hammered.
-            for peer in self.registry.visible_nodes(self.name):
-                found = self._peer_probe(peer, pattern, remove=remove,
-                                         op_id=op_id, tracer=tracer)
-                if found is not None:
-                    return found, peer.name
-            if time.monotonic() >= deadline:
-                return None, None
+            # Then the peers, through their serving gates so a saturated
+            # one sheds us into a per-peer backoff instead of being hammered.
+            found, source = self._probe_peers(pattern, remove, op_id, tracer)
+            if found is not None or time.monotonic() >= deadline:
+                return found, source
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<ThreadedTiamatNode {self.name}>"

@@ -435,41 +435,9 @@ def test_lease_policy_sees_queue_pressure(sim):
 
 
 # ---------------------------------------------------------------------------
-# Threaded runtime: bounded serve concurrency + SHED + origin backoff
+# Threaded runtime: bounded serve concurrency (SHED and the origin backoff
+# are checked once for both runtimes in tests/test_runtime_base.py)
 # ---------------------------------------------------------------------------
-def test_threaded_serve_gate_sheds_and_backs_off():
-    from repro.runtime import SHED
-    from repro.runtime.node import ThreadedNodeRegistry, ThreadedTiamatNode
-
-    registry = ThreadedNodeRegistry()
-    a = ThreadedTiamatNode(registry, "a", max_concurrent_serves=1)
-    b = ThreadedTiamatNode(registry, "b")
-    registry.set_visible("a", "b")
-    a.out(Tuple("t", 1))
-
-    assert not SHED  # falsy sentinel: plain truthiness keeps working
-    assert b.rdp(Pattern("t", int)) == Tuple("t", 1)
-
-    # Saturate a's serving gate; b's probe is shed and backs off.
-    assert a._admit_serve()
-    assert a.serve_rdp(Pattern("t", int)) is SHED
-    assert b.rdp(Pattern("t", int)) is None
-    assert b._peer_backoff["a"][0] == 1
-    a._release_serve()
-    # While backed off, b does not even contact a.
-    assert b.rdp(Pattern("t", int)) is None
-    import time
-    time.sleep(2.5 * ThreadedTiamatNode.POLL_INTERVAL)
-    assert b.rdp(Pattern("t", int)) == Tuple("t", 1)
-    assert "a" not in b._peer_backoff  # served answer clears the window
-
-    metrics = registry.obs.registry.snapshot()["runtime_serve_total"]
-    samples = {tuple(s["labels"].values()): s["value"]
-               for s in metrics["samples"]}
-    assert samples[("a", "shed")] >= 2
-    assert samples[("a", "served")] >= 2
-
-
 def test_threaded_serve_gate_validates_bound():
     from repro.runtime.node import ThreadedNodeRegistry, ThreadedTiamatNode
 

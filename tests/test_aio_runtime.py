@@ -153,6 +153,45 @@ def test_miss_is_recomputed_on_retransmit(cluster):
     assert b.space.count() == 0  # the second serve consumed it
 
 
+def test_replay_cache_evicts_oldest_first(cluster):
+    registry, a, b = cluster
+    b.SERVED_CACHE = 2
+    for i in range(3):
+        b.out(Tuple("evict", i))
+
+    async def take(i):
+        b._serve_query({"k": "q", "id": 5000 + i, "op": "inp",
+                        "p": Pattern("evict", i), "o": "a"}, a.addr)
+
+    for i in range(3):
+        registry.submit(take(i)).result(timeout=10.0)
+    assert list(b._served_cache) == [("a", 5001), ("a", 5002)]
+    registry.submit(take(2)).result(timeout=10.0)   # still cached: replayed
+    registry.submit(take(0)).result(timeout=10.0)   # evicted: recomputed
+    assert b.dedup_served == 1
+    assert list(b._served_cache) == [("a", 5001), ("a", 5002)]
+
+
+def test_node_is_registered_only_once_its_socket_is_bound(monkeypatch):
+    """Visibility may be declared before a node exists; its peers must
+    never be handed the unbound ``("", 0)`` placeholder address."""
+    seen = []
+    start = AioTiamatNode._a_start
+
+    async def spying_start(self, port):
+        seen.append(self.registry.visible_peers("a"))   # socket not bound yet
+        await start(self, port)
+
+    monkeypatch.setattr(AioTiamatNode, "_a_start", spying_start)
+    with AioNodeRegistry() as registry:
+        registry.set_visible("a", "b")
+        AioTiamatNode(registry, "a")
+        b = AioTiamatNode(registry, "b")
+        assert seen == [[], []]
+        assert registry.visible_peers("a") == [("b", b.addr)]
+        assert b.addr[1] != 0
+
+
 def test_force_shed_and_backoff_recovery(cluster):
     _, a, b = cluster
     b.out(Tuple("gated", 3))

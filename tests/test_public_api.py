@@ -7,10 +7,9 @@ Three kinds of guarantees:
 * **shape** — the blessed constructors are keyword-only for their
   optional arguments (inspected, not just documented), and
   :func:`repro.connect` is the one-call entry point (v1.2);
-* **compatibility** — the legacy forms — positional constructor calls,
-  :func:`repro.create_instance`, and the threaded-class re-exports from
-  ``repro.runtime`` — still work, but only under
-  :class:`DeprecationWarning`.
+* **removal** — the pre-``connect`` shims are gone in 2.0: optionals
+  passed positionally are a plain :class:`TypeError`, and nothing in the
+  keyword form warns.
 
 Run in CI as its own step (see ``.github/workflows/ci.yml``).
 """
@@ -38,7 +37,7 @@ EXPECTED_TOP_LEVEL = {
     "Pattern", "Range", "Refusal", "SimpleLeaseRequester", "Simulator",
     "SpaceHandle", "TiamatConfig", "TiamatInstance", "TiamatNodeHandle",
     "TiamatRuntime", "Tuple", "UnavailablePolicy", "VisibilityGraph",
-    "__version__", "connect", "create_instance",
+    "__version__", "connect",
 }
 
 EXPECTED_CORE = {
@@ -52,8 +51,7 @@ EXPECTED_CORE = {
 
 EXPECTED_RUNTIME = {
     "AioRuntime", "SHED", "SimRuntime", "ThreadSafeTupleSpace",
-    "ThreadedNodeRegistry", "ThreadedTiamatNode", "ThreadsRuntime",
-    "TiamatNodeHandle", "TiamatRuntime", "connect",
+    "ThreadsRuntime", "TiamatNodeHandle", "TiamatRuntime", "connect",
 }
 
 EXPECTED_SIM = {
@@ -157,66 +155,31 @@ def test_connect_is_the_front_door():
         assert isinstance(rt, repro.TiamatRuntime)
 
 
-def test_create_instance_still_works_but_warns():
-    sig = inspect.signature(repro.create_instance)
-    params = list(sig.parameters.values())
-    assert [p.name for p in params[:3]] == ["sim", "network", "name"]
-    assert params[3].name == "config"
-    assert params[3].kind is inspect.Parameter.KEYWORD_ONLY
-
-    sim = repro.Simulator(seed=3)
-    net = repro.Network(sim)
-    with pytest.warns(DeprecationWarning, match="repro.connect"):
-        inst = repro.create_instance(sim, net, "n0",
-                                     config=repro.TiamatConfig())
-    assert isinstance(inst, repro.TiamatInstance)
-    assert inst.name == "n0"
-
-
 def test_version_is_pep440ish():
     parts = repro.__version__.split(".")
     assert len(parts) >= 2
     assert all(p.isdigit() for p in parts[:2])
-    # the runtime front door shipped in 1.2
-    assert tuple(int(p) for p in parts[:2]) >= (1, 2)
+    # the pre-connect shims were removed in 2.0
+    assert tuple(int(p) for p in parts[:2]) >= (2, 0)
 
 
 # ---------------------------------------------------------------------------
-# 3. Compatibility: legacy positional calls work, but warn.
+# 3. Removed in 2.0: optionals passed positionally are a plain TypeError.
 # ---------------------------------------------------------------------------
-def test_legacy_positional_instance_ctor_warns_and_works():
+def test_excess_positional_arguments_are_an_error():
     sim = repro.Simulator(seed=3)
+    with pytest.raises(TypeError):
+        repro.Network(sim, repro.VisibilityGraph())       # a second positional
     net = repro.Network(sim)
-    with pytest.warns(DeprecationWarning, match="positionally is deprecated"):
-        inst = repro.TiamatInstance(sim, net, "legacy", None,
-                                    repro.TiamatConfig(relay_ttl=5))
-    assert inst.config.relay_ttl == 5
-
-
-def test_legacy_positional_network_ctor_warns_and_works():
-    sim = repro.Simulator(seed=3)
-    vis = repro.VisibilityGraph()
-    with pytest.warns(DeprecationWarning, match="positionally is deprecated"):
-        net = repro.Network(sim, vis, 0.25)
-    assert net.visibility is vis
-    assert net.loss_rate == 0.25
+    with pytest.raises(TypeError):
+        repro.TiamatInstance(sim, net, "n0", None)        # a fourth positional
 
 
 def test_positional_and_keyword_duplicate_is_an_error():
     sim = repro.Simulator(seed=3)
     with pytest.raises(TypeError):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            repro.Network(sim, repro.VisibilityGraph(),
-                          visibility=repro.VisibilityGraph())
-
-
-def test_excess_positional_arguments_are_an_error():
-    sim = repro.Simulator(seed=3)
-    with pytest.raises(TypeError):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            repro.Network(sim, None, 0.0, None, None, False, "extra")
+        repro.Network(sim, repro.VisibilityGraph(),
+                      visibility=repro.VisibilityGraph())
 
 
 def test_keyword_form_does_not_warn():

@@ -53,19 +53,6 @@ def test_threaded_space_count_with_pattern():
     assert space.count() == 3
 
 
-def test_registry_visible_nodes_sorted_and_dynamic():
-    registry = ThreadedNodeRegistry()
-    a = ThreadedTiamatNode(registry, "a")
-    c = ThreadedTiamatNode(registry, "c")
-    b = ThreadedTiamatNode(registry, "b")
-    registry.set_visible("a", "c")
-    registry.set_visible("a", "b")
-    assert [n.name for n in registry.visible_nodes("a")] == ["b", "c"]
-    registry.set_visible("a", "b", False)
-    assert [n.name for n in registry.visible_nodes("a")] == ["c"]
-    assert registry.visible_nodes("stranger") == []
-
-
 def test_threaded_rd_does_not_consume_remote():
     registry = ThreadedNodeRegistry()
     a = ThreadedTiamatNode(registry, "a")

@@ -2,11 +2,8 @@
 
 The v1.2 API redesign routes every runtime behind
 ``repro.connect(runtime=...)``; these tests pin the dispatch table, the
-shared Protocol contract, and the deprecation shims that keep the old
-entry points importable (and warning) through the transition.
+shared Protocol contract, and that the 1.x deprecation shims are gone.
 """
-
-import warnings
 
 import pytest
 
@@ -108,43 +105,14 @@ def test_runtime_protocols_are_runtime_checkable():
 
 
 # ----------------------------------------------------------------------
-# Deprecation shims
+# The 1.x deprecation shims are gone (2.0)
 # ----------------------------------------------------------------------
-def test_create_instance_warns_but_works():
-    from repro.net.network import Network
-    from repro.net.visibility import VisibilityGraph
-    from repro.sim.kernel import Simulator
-
-    sim = Simulator(seed=0)
-    network = Network(sim, visibility=VisibilityGraph())
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        instance = repro.create_instance(sim, network, "legacy")
-    assert any(issubclass(w.category, DeprecationWarning) and
-               "repro.connect" in str(w.message) for w in caught)
-    assert instance.name == "legacy"
-
-
-def test_runtime_package_reexports_warn():
+def test_runtime_package_dropped_threaded_reexports():
     import repro.runtime as runtime_pkg
-    for legacy in ("ThreadedTiamatNode", "ThreadedNodeRegistry"):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            obj = getattr(runtime_pkg, legacy)
-        assert obj is not None
-        assert any(issubclass(w.category, DeprecationWarning) and
-                   "repro.runtime.node" in str(w.message) for w in caught)
-
-
-def test_legacy_names_still_fully_functional():
-    """The shim hands back the real classes — old code keeps running."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DeprecationWarning)
-        from repro.runtime import ThreadedNodeRegistry, ThreadedTiamatNode
-    registry = ThreadedNodeRegistry()
-    node = ThreadedTiamatNode(registry, "legacy")
-    node.out(Tuple("old", 1))
-    assert node.inp(Pattern("old", int)) == Tuple("old", 1)
+    for removed in ("ThreadedTiamatNode", "ThreadedNodeRegistry"):
+        with pytest.raises(AttributeError):
+            getattr(runtime_pkg, removed)
+    assert not hasattr(repro, "create_instance")
 
 
 def test_runtime_package_rejects_unknown_attribute():
