@@ -10,12 +10,21 @@ Benchmarks that pass their simulation's metrics registry to
 next to their table — ``<name>.metrics.prom`` (Prometheus text) and
 ``<name>.metrics.json`` — so every report row can be cross-checked against
 the full ``repro.obs`` registry of the run that produced it.
+
+Benchmarks that pin seeded figures exactly carry the ``fresh_process``
+mark.  A seeded run is exact per *process*, not per simulation: message,
+lease and operation ids come from module-level counters, their width
+feeds frame sizes and so latencies, so the same seed gives different
+figures after another simulation has run.  In a session of more than one
+test the mark therefore re-runs the test alone in a new interpreter.
 """
 
 from __future__ import annotations
 
 import json
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -64,6 +73,31 @@ class Reporter:
         if self._metrics_json is not None:
             (_REPORT_DIR / f"{self.name}.metrics.json").write_text(
                 self._metrics_json + "\n")
+
+
+def pytest_configure(config):
+    config.addinivalue_line(
+        "markers", "fresh_process: run alone in a new interpreter, so the "
+                   "seeded figures the test pins do not depend on what ran "
+                   "before it")
+
+
+@pytest.hookimpl(tryfirst=True)
+def pytest_pyfunc_call(pyfuncitem):
+    if (pyfuncitem.get_closest_marker("fresh_process") is None
+            or len(pyfuncitem.session.items) == 1):
+        return None  # already alone in its process: run it here
+    child = pyfuncitem.funcargs["benchmark"].pedantic(
+        subprocess.run,
+        ([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+          pyfuncitem.nodeid],),
+        dict(cwd=pyfuncitem.config.rootpath, capture_output=True, text=True),
+        rounds=1, iterations=1)
+    _REPORTS.append(child.stdout)  # its tables, for the terminal summary
+    assert child.returncode == 0, (
+        f"{pyfuncitem.nodeid} failed in a fresh interpreter:\n"
+        f"{child.stdout[-4000:]}\n{child.stderr[-2000:]}")
+    return True
 
 
 @pytest.fixture()

@@ -1,25 +1,28 @@
 #!/usr/bin/env python
-"""Micro-ops perf baseline harness + CI regression gate.
+"""Micro-layer perf baseline harness + CI regression gate.
 
-Runs the ``repro.bench.perf`` suite (codec ns/op, scan ns/op, frames/op
-and bytes/op on the T1 MRU workload) and either records the result as the
-committed baseline or checks a fresh run against it.
+Runs the ``repro.bench.perf`` suite (codec, store scan, flight append and
+aio frame-path ns/op; frames/op and bytes/op on the T1 MRU workload; the
+ungated UDP-loopback ``info`` section) and either records the result as
+the committed baseline or checks a fresh run against it.  This is the
+only ``--check`` / ``--rebaseline`` front end: end-to-end cost is gated by
+``BENCHMARK.json``, and the seeded fabric/agents figures are pinned
+exactly inside ``test_t5b_tiamat_scalability.py`` / ``test_t12_agents.py``.
 
 Usage::
 
     python benchmarks/perf_baseline.py                # measure + print
     python benchmarks/perf_baseline.py --rebaseline   # rewrite BENCH_micro.json
     python benchmarks/perf_baseline.py --check        # gate: exit 1 on >25% regression
-    python benchmarks/perf_baseline.py --check --inject-slowdown 2
-                                                      # prove the gate trips
 
 **Rebaseline policy** (the escape hatch): when a PR intentionally changes
 performance (new hardware assumptions, heavier correctness checks, a
 deliberate trade), run ``--rebaseline`` locally, commit the updated
 ``BENCH_micro.json`` in the same PR, and say why in the PR description.
 The gate compares against the *committed* baseline, so the rebaseline and
-the change it excuses are reviewed together.  Never rebaseline to silence
-a regression you cannot explain.
+the change it excuses are reviewed together.  The document is always one
+whole run on one box — never splice values from different runs — and
+never rebaseline to silence a regression you cannot explain.
 """
 
 from __future__ import annotations
@@ -39,11 +42,6 @@ REPO_ROOT = os.path.abspath(os.path.join(os.path.dirname(__file__), ".."))
 DEFAULT_BASELINE = os.path.join(REPO_ROOT, "BENCH_micro.json")
 
 
-def load_baseline(path: str) -> dict:
-    with open(path, encoding="utf-8") as fh:
-        return json.load(fh)
-
-
 def runner_fingerprint() -> dict:
     """Where a baseline was measured — context for reviewing a regression
     (timing metrics move with the hardware; the gate's 25% tolerance
@@ -55,13 +53,14 @@ def runner_fingerprint() -> dict:
     }
 
 
-def build_document(metrics: dict) -> dict:
+def build_document(current: dict) -> dict:
     return {
         "schema": perf.SCHEMA_VERSION,
         "generated": datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ"),
         "runner": runner_fingerprint(),
-        "units": {"*_ns": "median ns/op", "*_per_op": "per logical operation"},
-        "metrics": metrics,
+        "units": {"*_ns": "median ns/op", "*_per_op": "per logical operation",
+                  "*_ops_per_s": "sustained ops/s (informational)"},
+        **current,
     }
 
 
@@ -76,28 +75,19 @@ def main(argv=None) -> int:
     parser.add_argument("--tolerance", type=float,
                         default=perf.DEFAULT_TOLERANCE,
                         help="relative regression tolerated (default 0.25)")
-    parser.add_argument("--inject-slowdown", type=int, default=1,
-                        metavar="N",
-                        help="run every timed operation N times per iteration "
-                             "(gate-verification only)")
     args = parser.parse_args(argv)
 
-    if args.inject_slowdown != 1:
-        print(f"[perf] synthetic slowdown x{args.inject_slowdown} "
-              "(gate verification mode)")
-    metrics = perf.collect(slowdown=args.inject_slowdown)
+    current = perf.collect()
 
     baseline = None
-    if args.check or (os.path.exists(args.baseline) and not args.rebaseline):
-        try:
-            baseline = load_baseline(args.baseline)
-        except FileNotFoundError:
-            baseline = None
+    if not args.rebaseline and os.path.exists(args.baseline):
+        with open(args.baseline, encoding="utf-8") as fh:
+            baseline = json.load(fh)
 
-    print(perf.render_table(metrics, baseline))
+    print(perf.render_table(current, baseline))
 
     if args.rebaseline:
-        doc = build_document(metrics)
+        doc = build_document(current)
         with open(args.baseline, "w", encoding="utf-8") as fh:
             json.dump(doc, fh, indent=2, sort_keys=True)
             fh.write("\n")
@@ -109,7 +99,7 @@ def main(argv=None) -> int:
             print(f"\n[perf] FAIL: no baseline at {args.baseline} "
                   "(run --rebaseline and commit it)")
             return 1
-        problems = perf.compare(baseline, metrics, tolerance=args.tolerance)
+        problems = perf.compare(baseline, current, tolerance=args.tolerance)
         if problems:
             print("\n[perf] FAIL: regression gate tripped:")
             for line in problems:

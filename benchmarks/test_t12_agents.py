@@ -24,7 +24,9 @@ Acceptance (the paper-shaped claim this PR exists to prove):
 * churn actually happened (crashes observed) and the central master
   actually paid recovery timeouts (reassignments observed).
 
-Set ``REPRO_BENCH_SMOKE=1`` to shorten each point to 12 virtual seconds.
+The run is seeded, so on a clean wire its figures are also pinned
+exactly (``T12_PINS`` and the completion counts): a change that moves
+one edits the pin in the same diff and says why.
 
 Under ``REPRO_CHAOS_LOSS`` (the nightly soak injects 25% i.i.d. frame
 loss) the performance claims are waived and only the *safety* claims are
@@ -38,6 +40,8 @@ from __future__ import annotations
 
 import os
 
+import pytest
+
 from repro.bench import Table
 from repro.bench.agents import (
     AGENTS,
@@ -50,16 +54,23 @@ from repro.bench.agents import (
 )
 
 SEED = 12
-T12_DURATION = 12.0 if os.environ.get("REPRO_BENCH_SMOKE") else DURATION
+
+#: Derived figures of the seeded run; the per-task costs
+#: (``DURATION / completed``) are pinned through the completion counts.
+T12_PINS = {
+    "bb_churn_goodput_loss": 0.19801980198019797,
+    "bb_consensus_ttc_s": 0.47759819946352433,
+    "bb_unfairness_churn": 0.15654520917678816,
+}
 
 
 def run_points() -> dict:
     registry_sink: list = []
-    result = run_t12(SEED, duration=T12_DURATION,
-                     registry_sink=registry_sink)
+    result = run_t12(SEED, registry_sink=registry_sink)
     return {"result": result, "_registry": registry_sink[0]}
 
 
+@pytest.mark.fresh_process
 def test_t12_agents(benchmark, report):
     out = benchmark.pedantic(run_points, rounds=1, iterations=1)
     report.metrics(out.pop("_registry"))
@@ -69,7 +80,7 @@ def test_t12_agents(benchmark, report):
         "T12: blackboard vs centralized master under churn",
         ["arm", "churn", "completed", "goodput (t/s)", "dup", "fairness",
          "peer debt", "consensus", "ttc (s)", "recoveries", "crashes"],
-        caption=f"{AGENTS} agents, {T12_DURATION:.0f}s per point, "
+        caption=f"{AGENTS} agents, {DURATION:.0f}s per point, "
                 f"work mean {WORK_MEAN}s, {BALLOTS} ballots, churn target "
                 f"{CHURN:.0%} (mean outage {MEAN_DOWNTIME}s), seed {SEED}; "
                 "recoveries = re-offers (blackboard) / reassignments "
@@ -123,3 +134,12 @@ def test_t12_agents(benchmark, report):
 
     # --- the centralized arm paid for recovery with timeouts ----------
     assert result.central_churn.recoveries > 0
+
+    # --- the seeded figures, exactly -----------------------------------
+    assert (bb_zero.completed, bb_churn.completed,
+            result.central_churn.completed) == (101, 81, 199)
+    assert {
+        "bb_churn_goodput_loss": 1.0 - result.blackboard_goodput_ratio,
+        "bb_consensus_ttc_s": bb_churn.consensus_mean,
+        "bb_unfairness_churn": 1.0 - bb_churn.fairness,
+    } == pytest.approx(T12_PINS, rel=1e-9)

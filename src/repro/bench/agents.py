@@ -24,8 +24,8 @@ Two arms run the same streaming task workload plus periodic ballots for
     which the blackboard's token gate rules out.
 
 Both arms share a seeded discrete-event simulation, so every metric is
-exactly reproducible; ``benchmarks/agents_baseline.py`` gates them in CI
-against the committed ``BENCH_agents.json``.
+exactly reproducible; ``benchmarks/test_t12_agents.py`` pins the
+headline figures exactly and CI's ``bench-gate`` job runs it.
 
 Measured per (arm, churn) point:
 
@@ -95,7 +95,7 @@ def _req(duration: float, max_remotes: int = 16) -> SimpleLeaseRequester:
 def _chaos_loss() -> float:
     """Extra i.i.d. frame loss for the nightly soak (``REPRO_CHAOS_LOSS``).
 
-    Zero in the PR gate (keeping the committed baseline exact); the
+    Zero in the PR gate (where T12's figures are pinned exactly); the
     nightly job sets 0.25 to stack a lossy wire on top of agent churn —
     the exactly-once and goodput claims must survive both at once.
     """

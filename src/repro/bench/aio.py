@@ -1,38 +1,28 @@
-"""Benchmarks for the asyncio UDP runtime (``BENCH_aio.json``).
+"""Measurements for the asyncio UDP runtime (part of ``BENCH_micro.json``).
 
-Two planes, gated differently:
+Two planes, gated differently; :func:`repro.bench.perf.collect` runs both:
 
 * **Codec hot path** (gated, lower-is-better ns): the zero-copy frame
   path the aio runtime actually runs — pooled-buffer encode
   (:func:`repro.tuples.serialization.encode_tuple_into` /
   ``encode_payload_into``) and buffer-aware decode straight off the
-  received datagram, no intermediate ``bytes`` copies.  The headline
-  ``aio_codec_roundtrip_ns`` is the ISSUE-9 target (≤2500 ns per tuple,
-  down from ~5300 ns before the zero-copy work).
+  received datagram, no intermediate ``bytes`` copies.
 * **Loopback throughput** (informational, *not* gated): sustained echo
   round-trips/s over real UDP sockets on 127.0.0.1.  Higher is better,
   and wildly runner-dependent — which is exactly why it lives in the
   document's ``info`` section where :func:`repro.bench.perf.compare`
-  never sees it, per the M1 gate policy (the gate only eats
-  lower-is-better medians).
-
-``benchmarks/aio_baseline.py`` serialises both into ``BENCH_aio.json``
-with the same ``--check`` / ``--rebaseline`` contract as the micro-ops
-gate.
+  never sees it (the gate only eats lower-is-better medians).
 """
 
 from __future__ import annotations
 
 from repro.bench.perf import bench_ns, sample_tuples
 
-#: ISSUE 9 acceptance bar for the gated round-trip metric (ns/tuple).
-ROUNDTRIP_TARGET_NS = 2500.0
-
 
 # ----------------------------------------------------------------------
 # Gated: the zero-copy codec hot path
 # ----------------------------------------------------------------------
-def measure_aio_codec(slowdown: int = 1) -> dict:
+def measure_aio_codec() -> dict:
     """ns/op for the pooled encode, buffer decode, and full round-trip.
 
     The round-trip mirrors one datagram's life: append the tuple's wire
@@ -82,10 +72,10 @@ def measure_aio_codec(slowdown: int = 1) -> dict:
         encode_payload_into(fresh, response)
 
     return {
-        "aio_codec_roundtrip_ns": bench_ns(roundtrip, slowdown=slowdown) / n,
-        "aio_codec_encode_ns": bench_ns(encode_only, slowdown=slowdown) / n,
-        "aio_frame_decode_ns": bench_ns(frame_decode, slowdown=slowdown),
-        "aio_frame_encode_ns": bench_ns(frame_encode, slowdown=slowdown),
+        "aio_codec_roundtrip_ns": bench_ns(roundtrip) / n,
+        "aio_codec_encode_ns": bench_ns(encode_only) / n,
+        "aio_frame_decode_ns": bench_ns(frame_decode),
+        "aio_frame_encode_ns": bench_ns(frame_encode),
     }
 
 
@@ -146,11 +136,3 @@ def measure_loopback(count: int = 3000, concurrency: int = 32) -> dict:
             "retransmits": stats["retransmits"],
             "buffer_pool": stats["pool"],
         }
-
-
-def collect(slowdown: int = 1, loopback_count: int = 3000) -> dict:
-    """Both planes: ``{"metrics": gated ns, "info": throughput + pool}``."""
-    return {
-        "metrics": measure_aio_codec(slowdown=slowdown),
-        "info": measure_loopback(count=loopback_count),
-    }

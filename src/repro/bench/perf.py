@@ -1,7 +1,7 @@
-"""Micro-benchmark measurement + regression-gate logic (``repro.perf``).
+"""Micro-benchmark measurement + regression-gate logic (``repro perf``).
 
-This module is the single source of truth for the repo's performance
-trajectory.  It measures four hot paths:
+The one timing gate below the end-to-end benchmark (``BENCHMARK.json``).
+It measures five hot paths:
 
 * **codec** — encode+decode round-trip ns/op for the tag-first JSON codec
   and the compact binary codec, over a representative tuple mix (nested
@@ -16,22 +16,22 @@ trajectory.  It measures four hot paths:
 * **wire** — frames/op and bytes/op for the T1 MRU probe workload (the
   paper's §3.1.3 cached-visibility scenario) under the *baseline* wire
   configuration (JSON, one frame per send, dedicated acks) and the *fast*
-  configuration (binary codec + frame batching + piggybacked acks).
+  configuration (binary codec + frame batching + piggybacked acks);
+* **aio frame path** — the zero-copy codec path the asyncio runtime runs
+  (:mod:`repro.bench.aio`), plus its ungated loopback throughput.
 
-Every metric is **lower-is-better**.  ``collect()`` returns a flat
-``{metric: value}`` dict; ``benchmarks/perf_baseline.py`` serialises it to
-``BENCH_micro.json`` and the CI perf gate compares a fresh run against the
-committed baseline with :func:`compare` (fail on >25% median regression).
+Every gated metric is **lower-is-better**.  :func:`collect` returns
+``{"metrics": {...}, "info": {...}}``; ``benchmarks/perf_baseline.py``
+serialises it to ``BENCH_micro.json`` and the CI ``bench-gate`` job
+compares a fresh run against the committed document with :func:`compare`
+(fail on >25% median regression).  ``tests/test_perf_gate.py`` proves the
+gate trips.
 
 Timing metrics are medians of several repeats of a calibrated inner loop,
-which makes them stable enough for a 25% gate on shared CI runners; the
-wire metrics come from a seeded discrete-event simulation and are exactly
-reproducible.
-
-The ``slowdown`` knob exists for one purpose: proving the gate trips.  It
-multiplies the work inside every timed loop (running the operation N times
-per iteration), producing an honest N× measurement without touching the
-production code paths.
+which makes them stable enough for a 25% gate between runs on one box —
+the committed document must come from a single ``--rebaseline`` on the
+machine that checks it; the wire metrics come from a seeded discrete-event
+simulation and are exactly reproducible.
 """
 
 from __future__ import annotations
@@ -50,13 +50,12 @@ DEFAULT_TOLERANCE = 0.25
 # Timing core
 # ----------------------------------------------------------------------
 def bench_ns(fn: Callable[[], object], *, repeats: int = 5,
-             min_time_s: float = 0.05, slowdown: int = 1) -> float:
+             min_time_s: float = 0.05) -> float:
     """Median ns per call of ``fn`` over ``repeats`` calibrated runs.
 
     The inner-loop count is auto-calibrated so each run lasts at least
     ``min_time_s`` — long enough to drown out timer resolution and
-    scheduler noise.  ``slowdown`` runs ``fn`` that many times per counted
-    iteration (see module docstring).
+    scheduler noise.
     """
     # Calibrate: grow the loop until one run is long enough to time.
     number = 1
@@ -72,8 +71,7 @@ def bench_ns(fn: Callable[[], object], *, repeats: int = 5,
     for _ in range(repeats):
         start = time.perf_counter()
         for _ in range(number):
-            for _ in range(slowdown):
-                fn()
+            fn()
         elapsed = time.perf_counter() - start
         samples.append(elapsed / number * 1e9)
     return statistics.median(samples)
@@ -95,7 +93,7 @@ def sample_tuples():
     ]
 
 
-def measure_codec(slowdown: int = 1) -> dict:
+def measure_codec() -> dict:
     """Encode+decode round-trip ns/op for both wire codecs.
 
     Both sides measure the full structure→wire-bytes→structure path: the
@@ -126,12 +124,12 @@ def measure_codec(slowdown: int = 1) -> dict:
 
     n = len(tuples)
     return {
-        "codec_json_roundtrip_ns": bench_ns(json_roundtrip, slowdown=slowdown) / n,
-        "codec_binary_roundtrip_ns": bench_ns(binary_roundtrip, slowdown=slowdown) / n,
+        "codec_json_roundtrip_ns": bench_ns(json_roundtrip) / n,
+        "codec_binary_roundtrip_ns": bench_ns(binary_roundtrip) / n,
     }
 
 
-def measure_scan(slowdown: int = 1, population: int = 2000) -> dict:
+def measure_scan(population: int = 2000) -> dict:
     """Store scan ns/op: uncached, cached, and mixed with 0/10/50 % writes.
 
     ``scan_mixed_w<P>_ns`` is ns per operation of a loop in which P % of
@@ -164,12 +162,12 @@ def measure_scan(slowdown: int = 1, population: int = 2000) -> dict:
                     write()
                 else:
                     store.find(pattern)
-        return bench_ns(ten_ops, slowdown=slowdown) / 10
+        return bench_ns(ten_ops) / 10
 
     store.find(pattern)  # warm the cache for the cached loop
     return {
-        "scan_uncached_ns": bench_ns(uncached, slowdown=slowdown),
-        "scan_cached_ns": bench_ns(cached, slowdown=slowdown),
+        "scan_uncached_ns": bench_ns(uncached),
+        "scan_cached_ns": bench_ns(cached),
         "scan_mixed_w0_ns": mixed(0),
         "scan_mixed_w10_ns": mixed(10),
         "scan_mixed_w50_ns": mixed(2),
@@ -236,7 +234,7 @@ def run_mru_workload(fast: bool, seed: int = 4, n_peers: int = 8,
     }
 
 
-def measure_flight(slowdown: int = 1) -> dict:
+def measure_flight() -> dict:
     """Amortised ns per flight-ring append (the always-on recorder tax).
 
     The acceptance bar is "cheap enough to leave on": one append is index
@@ -255,7 +253,7 @@ def measure_flight(slowdown: int = 1) -> dict:
             append(1.5, "send", "a#1", "query", "peer", None)
 
     return {
-        "flight_append_ns": bench_ns(appends, slowdown=slowdown) / burst,
+        "flight_append_ns": bench_ns(appends) / burst,
     }
 
 
@@ -275,25 +273,41 @@ def measure_wire() -> dict:
     }
 
 
-def collect(slowdown: int = 1) -> dict:
-    """All metrics as one flat lower-is-better dict."""
+def collect() -> dict:
+    """One run of every measurement: ``{"metrics": gated, "info": not}``.
+
+    ``metrics`` is the flat lower-is-better dict the gate compares;
+    ``info`` is the real-socket loopback throughput (higher-is-better and
+    runner-noisy, so :func:`compare` never reads it).
+    """
+    from repro.bench.aio import measure_aio_codec, measure_loopback
+
     metrics: dict = {}
-    metrics.update(measure_codec(slowdown=slowdown))
-    metrics.update(measure_scan(slowdown=slowdown))
-    metrics.update(measure_flight(slowdown=slowdown))
+    metrics.update(measure_codec())
+    metrics.update(measure_scan())
+    metrics.update(measure_flight())
     metrics.update(measure_wire())
-    return metrics
+    metrics.update(measure_aio_codec())
+    return {"metrics": metrics, "info": measure_loopback()}
 
 
 # ----------------------------------------------------------------------
 # Gate logic
 # ----------------------------------------------------------------------
+def _delta(old: float, new: float) -> str:
+    """``new`` against ``old``: relative, or absolute from a zero baseline."""
+    if old > 0:
+        return f"{(new / old - 1.0) * 100:+.1f}%"
+    return f"{new - old:+.4g}"
+
+
 def compare(baseline: dict, current: dict,
             tolerance: float = DEFAULT_TOLERANCE) -> list[str]:
     """Regression report: one line per metric over tolerance; empty = pass.
 
     Metrics present in only one of the two dicts are reported too — a
-    silently vanished metric is how a gate rots.
+    silently vanished metric is how a gate rots.  A zero baseline has no
+    relative band, so any rise above it is a regression.
     """
     problems = []
     base_metrics = baseline.get("metrics", baseline)
@@ -303,13 +317,11 @@ def compare(baseline: dict, current: dict,
             problems.append(f"metric {name!r} missing from current run")
             continue
         old, new = base_metrics[name], cur_metrics[name]
-        if old <= 0:
-            continue  # degenerate baseline; nothing meaningful to gate
-        ratio = new / old
-        if ratio > 1.0 + tolerance:
+        limit = old * (1.0 + tolerance) if old > 0 else old
+        if new > limit:
             problems.append(
                 f"{name}: {new:.4g} vs baseline {old:.4g} "
-                f"({(ratio - 1.0) * 100:+.1f}%, tolerance {tolerance:.0%})")
+                f"({_delta(old, new)}, tolerance {tolerance:.0%})")
     for name in sorted(cur_metrics):
         if name not in base_metrics:
             problems.append(
@@ -317,8 +329,8 @@ def compare(baseline: dict, current: dict,
     return problems
 
 
-def render_table(metrics: dict, baseline: Optional[dict] = None) -> str:
-    """Fixed-width report of the metric dict (optionally vs a baseline)."""
+def render_table(current: dict, baseline: Optional[dict] = None) -> str:
+    """Fixed-width report of a :func:`collect` run (optionally vs a baseline)."""
     from repro.bench.reporting import Table
 
     headers = ["metric", "value"]
@@ -326,14 +338,18 @@ def render_table(metrics: dict, baseline: Optional[dict] = None) -> str:
         headers += ["baseline", "delta"]
     table = Table("micro-ops perf baseline", headers,
                   caption="all metrics lower-is-better")
+    metrics = current.get("metrics", current)
     base_metrics = (baseline or {}).get("metrics", baseline or {})
     for name in sorted(metrics):
         row = [name, metrics[name]]
         if baseline is not None:
             old = base_metrics.get(name)
-            if old:
-                row += [old, f"{(metrics[name] / old - 1.0) * 100:+.1f}%"]
-            else:
-                row += ["-", "-"]
+            row += ["-", "-"] if old is None else [old, _delta(old, metrics[name])]
         table.add_row(*row)
-    return table.render()
+    text = table.render()
+    info = current.get("info")
+    if info:
+        text += (f"\nloopback: {info['loopback_echo_ops_per_s']:,.0f} pipelined "
+                 f"echo ops/s, {info['loopback_sync_echo_ops_per_s']:,.0f} sync "
+                 "ops/s (informational, not gated)")
+    return text

@@ -333,11 +333,12 @@ def cmd_stats(args: argparse.Namespace) -> int:
 
 
 def cmd_perf(args: argparse.Namespace) -> int:
-    """Run the micro-ops perf suite and print the metric table.
+    """Run the micro-layer perf suite and print the metric table.
 
-    The regression gate itself lives in ``benchmarks/perf_baseline.py``
-    (which CI runs with ``--check``); this subcommand is the quick local
-    view of the same metrics.
+    The same ``repro.bench.perf.collect()`` run that
+    ``benchmarks/perf_baseline.py --check`` gates against
+    ``BENCH_micro.json`` in CI (all 16 names plus the ungated loopback
+    line); this subcommand prints it and never fails.
     """
     from repro.bench import perf
 

@@ -46,11 +46,14 @@ class TraceEntry:
 class ProtocolTrace:
     """Captures frames flowing through a network.
 
-    The tracer wraps every node's delivery handler (including nodes
-    attached after the tracer starts), so it sees exactly what the nodes
-    see.  With ``capture_drops`` (the default) it also subscribes to the
-    network's drop listener, so lost/faulted frames appear in the timeline
-    with their drop reason.  Stop with :meth:`detach`.
+    The tracer subscribes to the network's ``on_frame`` listener and
+    records each ``deliver`` — the point a frame reaches its node's
+    handler, one entry per logical sub-frame on a batching network — so it
+    sees exactly what the nodes see, including nodes attached (or
+    re-attached after a crash) once the tracer is running.  With
+    ``capture_drops`` (the default) it also subscribes to the drop
+    listener, so lost/faulted frames appear in the timeline with their
+    drop reason.  Stop with :meth:`detach`.
     """
 
     def __init__(self, network: Network, frame_filter: Optional[FrameFilter] = None,
@@ -60,60 +63,27 @@ class ProtocolTrace:
         self.max_entries = max_entries
         self.capture_drops = capture_drops
         self.entries: list[TraceEntry] = []
-        self._wrapped: dict[str, Callable] = {}
-        self._original_attach = network.attach
-        self._attached = False
-        self._unsubscribe_drops = None
+        self._unsubscribe: list[Callable[[], None]] = []
 
     # ------------------------------------------------------------------
     def attach(self) -> "ProtocolTrace":
         """Begin capturing (idempotent); returns self for chaining."""
-        if self._attached:
-            return self
-        self._attached = True
-        for name in list(self.network._handlers):
-            self._wrap(name)
-        network = self.network
-        tracer = self
-
-        def attach_and_wrap(name, handler):
-            iface = tracer._original_attach(name, handler)
-            tracer._wrap(name)
-            return iface
-
-        network.attach = attach_and_wrap
-        if self.capture_drops:
-            self._unsubscribe_drops = network.on_drop(self._record_drop)
+        if not self._unsubscribe:
+            self._unsubscribe.append(self.network.on_frame(self._on_frame))
+            if self.capture_drops:
+                self._unsubscribe.append(self.network.on_drop(self._record))
         return self
 
     def detach(self) -> None:
-        """Stop capturing and restore the original handlers."""
-        if not self._attached:
-            return
-        self._attached = False
-        for name, original in self._wrapped.items():
-            if name in self.network._handlers:
-                self.network._handlers[name] = original
-        self._wrapped.clear()
-        self.network.attach = self._original_attach
-        if self._unsubscribe_drops is not None:
-            self._unsubscribe_drops()
-            self._unsubscribe_drops = None
+        """Stop capturing."""
+        while self._unsubscribe:
+            self._unsubscribe.pop()()
 
-    def _wrap(self, name: str) -> None:
-        if name in self._wrapped:
-            return
-        original = self.network._handlers[name]
-        self._wrapped[name] = original
-        tracer = self
+    def _on_frame(self, phase: str, msg: Message) -> None:
+        if phase == "deliver":
+            self._record(msg)
 
-        def traced(msg: Message) -> None:
-            tracer._record(msg)
-            original(msg)
-
-        self.network._handlers[name] = traced
-
-    def _record(self, msg: Message) -> None:
+    def _record(self, msg: Message, drop_reason: Optional[str] = None) -> None:
         if self.filter is not None and not self.filter(msg):
             return
         if len(self.entries) >= self.max_entries:
@@ -122,16 +92,9 @@ class ProtocolTrace:
         # injectors) may mutate it in place afterwards, which would
         # silently falsify the captured timeline.
         self.entries.append(TraceEntry(self.network.sim.now, msg.src, msg.dst,
-                                       msg.kind, copy.deepcopy(msg.payload)))
-
-    def _record_drop(self, msg: Message, reason: str) -> None:
-        if self.filter is not None and not self.filter(msg):
-            return
-        if len(self.entries) >= self.max_entries:
-            return
-        self.entries.append(TraceEntry(self.network.sim.now, msg.src, msg.dst,
                                        msg.kind, copy.deepcopy(msg.payload),
-                                       dropped=True, drop_reason=reason))
+                                       dropped=drop_reason is not None,
+                                       drop_reason=drop_reason))
 
     # ------------------------------------------------------------------
     def by_kind(self, kind: str) -> list[TraceEntry]:

@@ -106,3 +106,28 @@ def test_trace_attach_idempotent(sim):
     assert len(queries) == len({id(e) for e in queries})
     payload_ids = [(e.time, e.src, e.dst) for e in queries]
     assert len(payload_ids) == len(set(payload_ids))
+
+
+def test_trace_leaves_the_network_unpatched(sim):
+    net = Network(sim)
+    seen = []
+    net.attach("a", seen.append)
+    trace = ProtocolTrace(net).attach()
+    assert "attach" not in vars(net)  # still the class's bound method
+
+    net.attach("b", seen.append)  # attached after the tracer
+    net.visibility.set_visible("a", "b")
+    net.unicast("a", "b", {"kind": "ping", "n": 1})
+    sim.run(until=1.0)
+    assert [(e.dst, e.payload["n"]) for e in trace.entries] == [("b", 1)]
+
+    net.detach("b")  # crash ...
+    net.attach("b", seen.append)  # ... and restart
+    net.visibility.set_visible("a", "b")
+    net.unicast("a", "b", {"kind": "ping", "n": 2})
+    sim.run(until=2.0)
+    # Once per frame: re-attaching neither loses nor doubles the capture.
+    assert [(e.dst, e.payload["n"]) for e in trace.entries] == [("b", 1), ("b", 2)]
+    assert [m.payload["n"] for m in seen] == [1, 2]
+    trace.detach()
+    assert not net._frame_listeners and not net._drop_listeners
