@@ -692,6 +692,10 @@ class AioTiamatNode(RuntimeNode):
         event = self._local_event
         req_ids: Dict[str, int] = {}
         while True:
+            if event is not None:
+                # Arm before the local check: an ``out`` that lands while a
+                # probe is awaited stays set and the park returns at once.
+                event.clear()
             local = (self.space.inp(pattern) if remove
                      else self.space.rdp(pattern))
             if local is not None:
@@ -711,7 +715,6 @@ class AioTiamatNode(RuntimeNode):
                 self.ops_unsatisfied += 1
                 return None
             if event is not None:
-                event.clear()
                 try:
                     await asyncio.wait_for(
                         event.wait(),

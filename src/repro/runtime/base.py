@@ -125,9 +125,17 @@ class NodeRegistry(Generic[N]):
 class RuntimeNode:
     """One node: a local space, a gated serving plane, shed back-off.
     Subclasses add the transport and ``registry.register(self)`` once
-    peers can reach them."""
+    peers can reach them.
 
-    #: How often blocking operations re-sample visibility and re-probe.
+    A blocking ``rd``/``in_`` runs, on both runtimes: (1) a non-blocking
+    local check; (2) one round over the currently visible peers, through
+    their gates and this node's back-off; (3) the deadline check; (4) a
+    park of ``min(POLL_INTERVAL, remaining)`` that a local ``out`` ends
+    early; (5) repeat.  A tuple already in reach never waits on a timer."""
+
+    #: How long a *parked* blocking operation sleeps before it re-samples
+    #: visibility and probes again; it delays neither the first round nor
+    #: a local deposit.
     POLL_INTERVAL = 0.005
     #: Cap on the per-peer backoff an origin applies after being shed.
     SHED_BACKOFF_MAX = 0.25

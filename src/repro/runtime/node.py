@@ -17,9 +17,9 @@ to lose, so exactly-once consumption holds under real concurrency.
 The registry, the admission-controlled serving gate (``SHED``) and the
 origin's per-peer shed back-off are the ones :mod:`repro.runtime.base`
 shares with the aio runtime.  This module adds what only threads have:
-the tracing plane, leased telemetry rows, and a blocking loop that parks
-the calling thread on the local space's condition variable between probe
-rounds.
+the tracing plane, leased telemetry rows, and a blocking loop that probes
+first (local space, then the visible peers) and only then parks the
+calling thread on the local space's condition variable until the next round.
 """
 
 from __future__ import annotations
@@ -163,12 +163,12 @@ class ThreadedTiamatNode(RuntimeNode):
         return self._poll("inp", pattern, remove=True)
 
     def rd(self, pattern: Pattern, timeout: float = 5.0) -> Optional[Tuple]:
-        """Blocking read: polls the logical space until match or lease end."""
+        """Blocking read: local, then peers, then park; until lease end."""
         return self._timed_blocking("rd", pattern, remove=False,
                                     timeout=timeout)
 
     def in_(self, pattern: Pattern, timeout: float = 5.0) -> Optional[Tuple]:
-        """Blocking take: polls the logical space until match or lease end."""
+        """Blocking take: local, then peers, then park; until lease end."""
         return self._timed_blocking("in", pattern, remove=True,
                                     timeout=timeout)
 
@@ -266,21 +266,23 @@ class ThreadedTiamatNode(RuntimeNode):
 
     def _blocking(self, pattern: Pattern, remove: bool, timeout: float,
                   op_id: Optional[str] = None, tracer=None):
-        """Poll until match or deadline; returns ``(tuple, source)``."""
+        """The :class:`RuntimeNode` blocking order; ``(tuple, source)``."""
+        space = self.space
         deadline = time.monotonic() + timeout
-        while True:
-            # Local space first — a real block, no longer than what is left
-            # of the lease, so a local deposit wakes us immediately.
-            wait = min(self.POLL_INTERVAL, deadline - time.monotonic())
-            local = (self.space.in_(pattern, timeout=wait) if remove
-                     else self.space.rd(pattern, timeout=wait))
-            if local is not None:
-                return local, "local"
-            # Then the peers, through their serving gates so a saturated
-            # one sheds us into a per-peer backoff instead of being hammered.
+        local = space.inp(pattern) if remove else space.rdp(pattern)
+        while local is None:
+            # Through the serving gates, so a saturated peer sheds us into
+            # a per-peer backoff instead of being hammered.
             found, source = self._probe_peers(pattern, remove, op_id, tracer)
-            if found is not None or time.monotonic() >= deadline:
+            remaining = deadline - time.monotonic()
+            if found is not None or remaining <= 0:
                 return found, source
+            # The park re-checks the store under the space lock before it
+            # waits, so it is also the next round's local check.
+            wait = min(self.POLL_INTERVAL, remaining)
+            local = (space.in_(pattern, timeout=wait) if remove
+                     else space.rd(pattern, timeout=wait))
+        return local, "local"
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<ThreadedTiamatNode {self.name}>"

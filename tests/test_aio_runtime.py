@@ -84,6 +84,22 @@ def test_blocking_take_wakes_on_late_remote_deposit(cluster):
     assert b.space.count() == 0
 
 
+def test_local_out_during_a_probe_is_not_a_lost_wakeup(cluster):
+    _, a, _ = cluster
+    a.POLL_INTERVAL = 1.0       # one instance; a slept poll would be obvious
+    real_probe = a._probe
+
+    async def probe_with_a_deposit_in_flight(*args, **kwargs):
+        a._probe = real_probe   # only the first round's probe
+        await a.a_out(Tuple("mid", 1))
+        return await real_probe(*args, **kwargs)
+
+    a._probe = probe_with_a_deposit_in_flight
+    start = time.monotonic()
+    assert a.rd(Pattern("mid", int), timeout=3.0) == Tuple("mid", 1)
+    assert time.monotonic() - start < 0.5
+
+
 def test_blocking_read_times_out_cleanly(cluster):
     _, a, _ = cluster
     start = time.monotonic()

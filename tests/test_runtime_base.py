@@ -3,9 +3,11 @@
 One copy of the code, so one copy of the tests: every case runs on both
 runtimes through ``repro.connect`` and must read the same on each —
 registry and visibility relation, serving gate and ``SHED``, the origin's
-capped per-peer back-off, and the plain operation counters.
+capped per-peer back-off, the plain operation counters, and the order a
+blocking ``rd``/``in_`` works in (probe first, park after).
 """
 
+import threading
 import time
 
 import pytest
@@ -116,3 +118,92 @@ def test_plain_counters_read_the_same_on_both_runtimes(rt):
     assert counted == {("a", "out", "ok"): 1, ("b", "rdp", "hit"): 1,
                        ("b", "inp", "miss"): 1, ("b", "rd", "miss"): 1,
                        ("b", "in", "hit"): 1}
+
+
+# ----------------------------------------------------------------------
+# The blocking loop: local check -> peer round -> deadline -> park -> repeat
+# ----------------------------------------------------------------------
+@pytest.fixture()
+def pair(rt):
+    a, b = rt.node("a"), rt.node("b")
+    rt.set_visible("a", "b")
+    return a, b
+
+
+def _timed(fn, *args, **kwargs):
+    start = time.monotonic()
+    return fn(*args, **kwargs), time.monotonic() - start
+
+
+def _after(delay, action):
+    """Run ``action`` on a thread ``delay`` seconds from now."""
+    timer = threading.Timer(delay, action)
+    timer.start()
+    return timer
+
+
+def test_blocking_probes_peers_before_it_parks(pair):
+    a, b = pair
+    b.POLL_INTERVAL = 30.0      # one instance; a park would be obvious
+    a.out(Tuple("there", 1))
+    pattern = Pattern("there", int)
+    got, elapsed = _timed(b.rd, pattern, timeout=5.0)
+    assert got == Tuple("there", 1) and elapsed < 1.0
+    got, elapsed = _timed(b.in_, pattern, timeout=5.0)
+    assert got == Tuple("there", 1) and elapsed < 1.0
+    assert a.space.count() == 0         # the take removed it at the owner
+
+
+def test_local_out_wakes_a_parked_op(pair):
+    _, b = pair
+    b.POLL_INTERVAL = 30.0
+    deposited = []
+
+    def deposit():
+        deposited.append(time.monotonic())
+        b.out(Tuple("late", 1))
+
+    timer = _after(0.2, deposit)
+    got = b.in_(Pattern("late", int), timeout=10.0)
+    woke = time.monotonic()
+    timer.join(timeout=5.0)
+    assert got == Tuple("late", 1) and woke - deposited[0] < 1.0
+
+
+def test_later_rounds_find_late_deposits_and_late_peers(rt, pair):
+    a, b = pair
+    timer = _after(0.1, lambda: a.out(Tuple("late", 1)))
+    got, elapsed = _timed(b.in_, Pattern("late", int), timeout=10.0)
+    timer.join(timeout=5.0)
+    assert got == Tuple("late", 1) and elapsed < 1.0
+
+    c = rt.node("c")
+    c.out(Tuple("far", 2))
+    timer = _after(0.1, lambda: rt.set_visible("b", "c"))
+    got, elapsed = _timed(b.rd, Pattern("far", int), timeout=10.0)
+    timer.join(timeout=5.0)
+    assert got == Tuple("far", 2) and elapsed < 1.0
+
+
+def test_first_round_skips_a_peer_inside_its_backoff_window(rt, pair):
+    a, b = pair
+    b.POLL_INTERVAL = 0.2       # window = SHED_BACKOFF_MAX, wide enough
+    pattern = Pattern("t", int)
+    a.out(Tuple("t", 1))
+    assert b.rd(pattern, timeout=0.0) == Tuple("t", 1)
+    b._note_answer("a", True, time.monotonic())
+    before = _serve_totals(rt)
+    assert b.rd(pattern, timeout=0.0) is None
+    assert b.in_(pattern, timeout=0.0) is None
+    assert _serve_totals(rt) == before
+    assert a.space.count() == 1
+
+
+def test_blocking_does_not_overshoot_a_lease_shorter_than_the_poll(pair):
+    a, b = pair
+    b.POLL_INTERVAL = 0.5       # one instance; a full poll would be obvious
+    got, elapsed = _timed(b.rd, Pattern("never"), timeout=0.02)
+    assert got is None and elapsed < 0.25
+    # a zero lease is still one local check and one peer round
+    a.out(Tuple("there", 1))
+    assert b.in_(Pattern("there", int), timeout=0.0) == Tuple("there", 1)
