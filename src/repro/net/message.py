@@ -10,7 +10,10 @@ the network's configured :class:`~repro.tuples.serialization.WireCodec`
 used for both latency (per-byte transmission delay) and byte accounting.
 
 Every frame also carries a **checksum** over its encoded payload, computed
-at send time.  Real link layers discard damaged frames; the simulated
+at send time — on a JSON-codec network from the same canonical encoding
+that gave the size (sorting keys does not change a length), and carried,
+with the size, to every multicast copy instead of being recomputed.  Real
+link layers discard damaged frames; the simulated
 network models that by letting fault injectors :meth:`corrupt` a frame in
 flight, after which :meth:`verify` fails and the network drops the frame at
 delivery time (drop reason ``corrupt``) instead of handing garbage to a
@@ -33,6 +36,7 @@ import json
 import zlib
 from typing import Optional
 
+from repro.errors import SerializationError
 from repro.tuples.serialization import WireCodec, encoded_size
 
 #: Network-layer frame kind for batch envelopes (not a Tiamat protocol kind).
@@ -61,10 +65,19 @@ class Message:
         self.dst = dst
         self.payload = payload
         self.codec = codec
-        self.size = (encoded_size(payload) if codec is None
-                     else codec.encoded_size(payload))
         self.sent_at = sent_at
-        self.checksum = payload_checksum(payload)
+        if codec is None or codec.name == "json":
+            try:
+                encoded = json.dumps(payload, separators=(",", ":"),
+                                     sort_keys=True)
+            except TypeError as exc:
+                raise SerializationError(
+                    f"payload is not JSON-representable: {exc}") from exc
+            self.size = len(encoded)
+            self.checksum = zlib.crc32(encoded.encode("utf-8"))
+        else:
+            self.size = codec.encoded_size(payload)
+            self.checksum = payload_checksum(payload)
 
     @property
     def kind(self) -> str:
@@ -72,8 +85,21 @@ class Message:
         return self.payload.get("kind", "?")
 
     def copy_for(self, dst: Optional[str], sent_at: float) -> "Message":
-        """A fresh frame (new id) carrying the same payload to ``dst``."""
-        return Message(self.src, dst, self.payload, sent_at, codec=self.codec)
+        """A fresh frame (new id) carrying the same payload to ``dst``.
+
+        Size and checksum are those of the original: the payload is shared,
+        and :meth:`corrupt` replaces it on one copy rather than mutating it.
+        """
+        msg = object.__new__(Message)
+        msg.msg_id = next(_ids)
+        msg.src = self.src
+        msg.dst = dst
+        msg.payload = self.payload
+        msg.codec = self.codec
+        msg.size = self.size
+        msg.sent_at = sent_at
+        msg.checksum = self.checksum
+        return msg
 
     @classmethod
     def sub_frame(cls, envelope: "Message", payload: dict) -> "Message":

@@ -116,19 +116,39 @@ class FlightRing:
         else:  # wrapped: oldest slot is the one about to be overwritten
             start = self._next
             order = [(start + j) % self.capacity for j in range(n)]
-        out = []
-        for i in order:
-            event: Dict[str, Any] = {"t": self._t[i], "event": self._code[i]}
-            if self._op[i] is not None:
-                event["op_id"] = self._op[i]
-            if self._kind[i] is not None:
-                event["kind"] = self._kind[i]
-            if self._peer[i] is not None:
-                event["peer"] = self._peer[i]
-            if self._detail[i] is not None:
-                event["detail"] = self._detail[i]
-            out.append(event)
+        return [self._event(i) for i in order]
+
+    def op_events(self, op_id: str, since: float,
+                  limit: int) -> List[Dict[str, Any]]:
+        """The last *limit* events of one operation, oldest first.
+
+        Walks newest → oldest over the ``_op`` column, builds a dict only
+        for a matching slot, and stops at the first event recorded before
+        *since* (the operation's start: nothing of it can be older), so
+        the cost follows the operation's length, not the ring's.
+        """
+        out: List[Dict[str, Any]] = []
+        i = self._next
+        for _ in range(len(self)):
+            i = (i or self.capacity) - 1
+            if self._t[i] < since or len(out) == limit:
+                break
+            if self._op[i] == op_id:
+                out.append(self._event(i))
+        out.reverse()
         return out
+
+    def _event(self, i: int) -> Dict[str, Any]:
+        event: Dict[str, Any] = {"t": self._t[i], "event": self._code[i]}
+        if self._op[i] is not None:
+            event["op_id"] = self._op[i]
+        if self._kind[i] is not None:
+            event["kind"] = self._kind[i]
+        if self._peer[i] is not None:
+            event["peer"] = self._peer[i]
+        if self._detail[i] is not None:
+            event["detail"] = self._detail[i]
+        return event
 
 
 class _NullRing:
@@ -148,6 +168,10 @@ class _NullRing:
         return 0
 
     def events(self) -> List[Dict[str, Any]]:
+        return []
+
+    def op_events(self, op_id: str, since: float,
+                  limit: int) -> List[Dict[str, Any]]:
         return []
 
 

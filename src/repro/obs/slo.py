@@ -158,7 +158,7 @@ class SLOTracker:
             return
         exemplar = {"t": now, "latency": latency, "op_id": op_id,
                     "node": node, "kind": kind,
-                    "trace": _ring_slice(ring, op_id)}
+                    "trace": _ring_slice(ring, op_id, now, latency)}
         slot.append(exemplar)
         slot.sort(key=lambda e: e["latency"])
         if len(slot) > EXEMPLAR_SLOTS:
@@ -193,13 +193,15 @@ class SLOTracker:
         return out
 
 
-def _ring_slice(ring: Any, op_id: Optional[str],
-                limit: int = EXEMPLAR_TRACE_EVENTS) -> List[Dict[str, Any]]:
+def _ring_slice(ring: Any, op_id: Optional[str], now: float,
+                latency: float) -> List[Dict[str, Any]]:
     """The op's tail of its node's flight ring (empty when unavailable)."""
     if ring is None or op_id is None:
         return []
-    events = [e for e in ring.events() if e.get("op_id") == op_id]
-    return events[-limit:]
+    # ``now - latency`` is the op's start up to rounding of order
+    # ``latency * 2**-52``; the margin keeps its first event in the walk.
+    since = now - latency * (1.0 + 1e-9)
+    return ring.op_events(op_id, since, EXEMPLAR_TRACE_EVENTS)
 
 
 class _LocalHistogramFamily:

@@ -89,10 +89,11 @@ class _RuntimeBase:
 class _SimNodeHandle:
     """Synchronous facade over a :class:`~repro.core.TiamatInstance`.
 
-    Each call constructs the operation and then runs the simulation
-    kernel until the operation concludes or its (virtual) timeout
-    expires — the same generator-driver idiom the differential harness
-    uses, packaged per call.
+    Each call constructs the operation, registers a callback on its
+    event and then runs the simulation kernel in 0.25 s slices of virtual
+    time until the callback has fired or the (virtual) timeout expires.
+    The wait costs no kernel events of its own: no process is spawned to
+    watch the event.
     """
 
     def __init__(self, runtime: "SimRuntime", instance: Any) -> None:
@@ -113,23 +114,23 @@ class _SimNodeHandle:
     def _await_event(self, event: Any, timeout: float,
                      cancel: Any = None) -> Optional[Tuple]:
         sim = self._runtime.sim
-        box: dict = {}
-
-        def driver():
-            box["result"] = yield event
-
-        sim.spawn(driver())
+        done: list = []
+        event.add_callback(done.append)
         # Advance virtual time in small slices and stop as soon as the
         # event concludes: burning the whole timeout on every call would
         # silently expire leased tuples between operations.
         deadline = sim.now + timeout
-        while "result" not in box and sim.now < deadline:
+        while not done and sim.now < deadline:
             sim.run(until=min(sim.now + 0.25, deadline))
-        if "result" not in box and cancel is not None:
-            # Timed out: withdraw the pending operation so it cannot
-            # consume a tuple deposited after this call returned None.
-            cancel()
-        return box.get("result")
+        if not done:
+            if cancel is not None:
+                # Timed out: withdraw the pending operation so it cannot
+                # consume a tuple deposited after this call returned None.
+                cancel()
+            return None
+        if not event.ok:
+            raise event.value
+        return event.value
 
     def out(self, tup: Tuple,
             lease_duration: Optional[float] = None) -> None:

@@ -3,9 +3,11 @@
 The design is a small, deterministic core:
 
 * :class:`Simulator` owns the virtual clock (``now``) and a binary heap of
-  pending callbacks keyed by ``(time, sequence)``.  The monotonically
-  increasing sequence number guarantees FIFO order among callbacks scheduled
-  for the same instant, which in turn makes every experiment reproducible.
+  ``(time, tiebreak, seq, timer)`` entries.  The monotonically increasing
+  sequence number guarantees FIFO order among callbacks scheduled for the
+  same instant, which in turn makes every experiment reproducible; because
+  it is unique, ``heapq`` settles every comparison on the three leading
+  numbers, in C, and never reaches the :class:`Timer`.
 * :class:`Timer` is the cancellable handle returned by
   :meth:`Simulator.schedule`; cancelling is O(1) (the heap entry is merely
   flagged dead and skipped when popped).
@@ -37,6 +39,10 @@ class Timer:
     hook that assigns random subkeys, turning same-instant FIFO into an
     adversarially explorable interleaving while staying deterministic per
     seed.
+
+    Timers are deliberately unorderable: the queue holds
+    ``(time, tiebreak, seq, timer)`` tuples and ``seq`` is unique, so no
+    comparison ever falls through to the timer itself.
     """
 
     __slots__ = ("time", "tiebreak", "seq", "callback", "args", "cancelled",
@@ -61,10 +67,6 @@ class Timer:
         """True while the callback is still pending."""
         return not self.cancelled and not self.fired
 
-    def __lt__(self, other: "Timer") -> bool:
-        return ((self.time, self.tiebreak, self.seq)
-                < (other.time, other.tiebreak, other.seq))
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "cancelled" if self.cancelled else ("fired" if self.fired else "pending")
         return f"<Timer t={self.time:.6g} seq={self.seq} {state}>"
@@ -88,7 +90,8 @@ class Simulator:
 
     def __init__(self, seed: int = 0, start_time: float = 0.0) -> None:
         self._now = float(start_time)
-        self._queue: list[Timer] = []
+        #: Heap of ``(time, tiebreak, seq, timer)``; see the module docstring.
+        self._queue: list[tuple[float, float, int, Timer]] = []
         #: Queue length at which cancelled timers are next swept out.
         self._compact_at = self.COMPACT_FLOOR
         self._seq = itertools.count()
@@ -204,9 +207,9 @@ class Simulator:
         if delay < 0:
             raise SimulationError(f"cannot schedule into the past (delay={delay})")
         tiebreak = 0.0 if self._tiebreak_hook is None else self._tiebreak_hook()
-        timer = Timer(self._now + delay, next(self._seq), callback, args,
-                      tiebreak)
-        heapq.heappush(self._queue, timer)
+        time, seq = self._now + delay, next(self._seq)
+        timer = Timer(time, seq, callback, args, tiebreak)
+        heapq.heappush(self._queue, (time, tiebreak, seq, timer))
         if len(self._queue) >= self._compact_at:
             self._compact()
         return timer
@@ -220,7 +223,7 @@ class Simulator:
         amortised O(1) per ``schedule``; pop order depends only on the
         total ``(time, tiebreak, seq)`` key, so it is unchanged.
         """
-        self._queue[:] = [t for t in self._queue if not t.cancelled]
+        self._queue[:] = [e for e in self._queue if not e[3].cancelled]
         heapq.heapify(self._queue)
         self._compact_at = max(self.COMPACT_FLOOR, 2 * len(self._queue))
 
@@ -269,18 +272,18 @@ class Simulator:
             while self._queue:
                 if self._stopped:
                     break
-                timer = self._queue[0]
+                time, _, _, timer = self._queue[0]
                 if timer.cancelled:
                     heapq.heappop(self._queue)
                     continue
-                if until is not None and timer.time > until:
+                if until is not None and time > until:
                     break
                 if max_events is not None and processed >= max_events:
                     break
                 heapq.heappop(self._queue)
-                if timer.time < self._now:
+                if time < self._now:
                     raise SimulationError("event queue corrupted: time moved backwards")
-                self._now = timer.time
+                self._now = time
                 timer.fired = True
                 if self.profiling:
                     started = _time.perf_counter()
@@ -320,13 +323,13 @@ class Simulator:
     @property
     def pending(self) -> int:
         """Number of live (non-cancelled) callbacks in the queue."""
-        return sum(1 for t in self._queue if not t.cancelled)
+        return sum(1 for e in self._queue if not e[3].cancelled)
 
     def peek(self) -> Optional[float]:
         """Time of the next live callback, or None if the queue is empty."""
-        while self._queue and self._queue[0].cancelled:
+        while self._queue and self._queue[0][3].cancelled:
             heapq.heappop(self._queue)
-        return self._queue[0].time if self._queue else None
+        return self._queue[0][0] if self._queue else None
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Simulator now={self._now:.6g} pending={self.pending}>"

@@ -23,6 +23,7 @@ import math
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.net.message import Message, payload_checksum
 from repro.tuples.model import ANY, Actual, Formal, Pattern, Range, Tuple
 from repro.tuples.serialization import (
     BINARY_CODEC,
@@ -175,3 +176,24 @@ def test_payload_binary_roundtrip(payload):
     # Equality above is not enough for bool/int confusion; spot-check types.
     assert json.dumps(decoded, sort_keys=True, default=str) == \
         json.dumps(payload, sort_keys=True, default=str)
+
+
+# ----------------------------------------------------------------------
+# Frames: one encoding prices and checksums what the codec would
+# ----------------------------------------------------------------------
+frame_payloads = st.dictionaries(
+    st.text(min_size=1, max_size=10),
+    st.one_of(json_values, tuples.map(encode_tuple),
+              patterns.map(encode_pattern)),
+    min_size=1, max_size=6)
+
+
+@settings(max_examples=150, deadline=None)
+@given(frame_payloads, st.sampled_from([None, JSON_CODEC, BINARY_CODEC]))
+def test_frame_size_and_checksum_agree_with_the_codec(payload, codec):
+    msg = Message("a", "b", payload, 0.0, codec=codec)
+    assert msg.size == (codec or JSON_CODEC).encoded_size(payload)
+    assert msg.checksum == payload_checksum(payload)
+    copy = msg.copy_for("c", 0.0)
+    assert (copy.size, copy.checksum) == (msg.size, msg.checksum)
+    assert copy.verify()

@@ -1,10 +1,14 @@
 """Unit tests for the simulated network (delivery, loss, stats)."""
 
+import json
+
 import pytest
 
-from repro.errors import UnknownNodeError
+from repro.errors import SerializationError, UnknownNodeError
 from repro.net import Network
+from repro.net.message import Message
 from repro.sim import Simulator
+from repro.tuples.serialization import BINARY_CODEC, JSON_CODEC
 
 
 @pytest.fixture()
@@ -173,3 +177,50 @@ def test_larger_messages_take_longer(sim):
     net.unicast("src", "big", {"kind": "x", "body": "y" * 100_000})
     sim.run()
     assert arrivals["big"] > arrivals["small"]
+
+
+# ----------------------------------------------------------------------
+# Frame pricing: size and checksum from one encoding (the equivalence
+# with the codec is the Hypothesis test in test_codec_cross.py)
+# ----------------------------------------------------------------------
+PAYLOAD = {"kind": "query", "op_id": "a#1", "z": [1, 2.5, None], "a": {"k": True}}
+
+
+@pytest.mark.parametrize("codec", [None, JSON_CODEC])
+def test_raw_bytes_on_a_json_network_are_refused(codec):
+    with pytest.raises(SerializationError):
+        Message("a", "b", {"kind": "x", "blob": b"\x00raw"}, 0.0, codec=codec)
+
+
+@pytest.mark.parametrize("codec", [JSON_CODEC, BINARY_CODEC])
+def test_copy_shares_pricing_but_not_damage(codec):
+    original = Message("a", None, PAYLOAD, 0.0, codec=codec)
+    copy = original.copy_for("b", 1.0)
+    assert (copy.dst, copy.sent_at, copy.codec) == ("b", 1.0, codec)
+    assert copy.msg_id != original.msg_id
+    assert (copy.size, copy.checksum) == (original.size, original.checksum)
+    assert copy.verify()
+    copy.corrupt()
+    assert not copy.verify()
+    assert original.verify() and original.payload == PAYLOAD
+    # a duplicate made of a damaged frame stays damaged (recomputing the
+    # checksum over the garbled payload used to bless it)
+    assert not copy.copy_for("c", 2.0).verify()
+
+
+def test_multicast_encodes_the_payload_once(sim, monkeypatch):
+    net = Network(sim)
+    inboxes = {name: [] for name in "abcdefghi"}
+    for name, inbox in inboxes.items():
+        net.attach(name, inbox.append)
+    net.visibility.connect_clique(list(inboxes))
+    dumps = []
+    real = json.dumps
+    monkeypatch.setattr(json, "dumps",
+                        lambda *a, **kw: dumps.append(a) or real(*a, **kw))
+    assert net.multicast("a", PAYLOAD) == 8
+    assert len(dumps) == 1          # was 2 per frame: probe + 8 copies = 18
+    monkeypatch.undo()
+    sim.run()
+    sizes = {m.size for name in "bcdefghi" for m in inboxes[name]}
+    assert sizes == {JSON_CODEC.encoded_size(PAYLOAD)}

@@ -9,10 +9,13 @@ import json
 
 import pytest
 
-from repro.obs.flight import FlightRing
+import repro
+from repro.obs import slo
+from repro.obs.flight import FlightRing, _NullRing
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.slo import (
     EXEMPLAR_SLOTS,
+    EXEMPLAR_TRACE_EVENTS,
     MIN_WINDOW_SAMPLES,
     SLOObjective,
     SLOTracker,
@@ -94,6 +97,57 @@ def test_exemplar_carries_flight_ring_slice():
     trace_events = [e["event"] for e in exemplar["trace"]]
     assert trace_events == ["op_start", "send", "op_end"]
     assert all(e["op_id"] == "a#1" for e in exemplar["trace"])
+
+
+def _whole_ring_slice(ring, op_id):
+    """The exemplar slice as first written: every live slot becomes a
+    dict, then the op's are kept.  The reference the column walk must equal."""
+    events = [e for e in ring.events() if e.get("op_id") == op_id]
+    return events[-EXEMPLAR_TRACE_EVENTS:]
+
+
+def test_exemplar_slice_builds_only_the_operations_events(monkeypatch):
+    ring = FlightRing("a", capacity=4096)
+    for i in range(5000):                              # wraps the ring
+        ring.append(float(i), "send", f"a#{i}", "query", "b")
+    ring.append(5000.0, "op_start", "a#x", "in")
+    ring.append(5000.5, "send", "a#x", "query", "b")
+    ring.append(5000.5, "deliver", "a#other", "response", "b")
+    ring.append(5001.0, "op_end", "a#x", "in", "b")
+    built = []
+    real = FlightRing._event
+    monkeypatch.setattr(FlightRing, "_event",
+                        lambda self, i: built.append(i) or real(self, i))
+    trace = ring.op_events("a#x", 5000.0, EXEMPLAR_TRACE_EVENTS)
+    assert len(built) == 3                             # not one per live slot
+    assert [e["event"] for e in trace] == ["op_start", "send", "op_end"]
+    assert trace == _whole_ring_slice(ring, "a#x")
+    assert [e["event"] for e in ring.op_events("a#x", 5000.0, 2)] == \
+        ["send", "op_end"]                             # the tail, oldest first
+    assert _NullRing("a").op_events("a#x", 5000.0, EXEMPLAR_TRACE_EVENTS) == []
+
+
+def test_seeded_run_exemplar_traces_equal_the_whole_ring_slice(monkeypatch):
+    compared = []
+    real = slo._ring_slice
+
+    def checked(ring, op_id, now, latency):
+        trace = real(ring, op_id, now, latency)
+        assert trace == _whole_ring_slice(ring, op_id)
+        compared.append(len(trace))
+        return trace
+
+    monkeypatch.setattr(slo, "_ring_slice", checked)
+    with repro.connect("sim", seed=7) as rt:
+        a, b = rt.node("a"), rt.node("b")
+        rt.set_visible("a", "b")
+        for i in range(40):                            # > 512 ring events
+            b.out(repro.Tuple("job", i))
+            assert a.rd(repro.Pattern("job", i), timeout=2.0) is not None
+            assert a.in_(repro.Pattern("job", int), timeout=2.0) is not None
+        exemplars = rt.sim.obs.slo.exemplars()
+    assert exemplars and all(e["trace"] for e in exemplars)
+    assert len(compared) >= len(exemplars) and min(compared) >= 2
 
 
 def test_exemplars_expire_out_of_window():

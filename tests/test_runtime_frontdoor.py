@@ -9,6 +9,7 @@ import pytest
 
 import repro
 from repro.core.config import TiamatConfig
+from repro.errors import MalformedTupleError
 from repro.runtime.api import (
     AioRuntime,
     SimRuntime,
@@ -102,6 +103,64 @@ def test_runtime_protocols_are_runtime_checkable():
         assert isinstance(rt, TiamatRuntime)
         assert isinstance(rt.node("n"), TiamatNodeHandle)
         assert not isinstance(object(), TiamatRuntime)
+
+
+# ----------------------------------------------------------------------
+# The sim handle waits on the operation's event, not on a process
+# ----------------------------------------------------------------------
+def test_sim_handle_wait_costs_no_kernel_events():
+    """40 handle calls, 32 of them waiting: the virtual clock ends where
+    it did when each wait spawned a driver process (pinned at PR 21:
+    2 node settles + 32 slices of 0.25 s, 402 events), and every waiting
+    call costs exactly 2 kernel events fewer (the spawn step and the
+    process's completion trigger)."""
+    with connect("sim", seed=5) as rt:
+        a, b = rt.node("a"), rt.node("b")
+        rt.set_visible("a", "b")
+        before = rt.sim.events_processed
+        for i in range(8):
+            b.out(Tuple("job", i))
+            assert a.rdp(Pattern("job", i)) == Tuple("job", i)
+            assert a.rd(Pattern("job", int), timeout=1.0) == Tuple("job", i)
+            assert a.in_(Pattern("job", i), timeout=1.0) == Tuple("job", i)
+            assert a.inp(Pattern("job", int)) is None
+        assert rt.sim.now == 8.001999999999999
+        assert rt.sim.events_processed - before == 402 - 2 * 32
+
+
+def test_sim_handle_failed_eval_raises_once():
+    with connect("sim") as rt:
+        a = rt.node("a")
+        with pytest.raises(MalformedTupleError):
+            a.eval(lambda: 7)
+        rt.run(until=rt.sim.now + 1.0)      # no unobserved driver re-raises
+
+
+def test_sim_handle_raises_a_failed_event():
+    with connect("sim") as rt:
+        a = rt.node("a")
+        failed = rt.sim.event().fail(MalformedTupleError("boom"))
+        with pytest.raises(MalformedTupleError, match="boom"):
+            a._await_event(failed, timeout=5.0)
+
+
+def test_sim_handle_timeout_withdraws_the_operation():
+    with connect("sim") as rt:
+        a = rt.node("a")
+        assert a.in_(Pattern("late", int), timeout=0.5) is None
+        a.out(Tuple("late", 1))
+        rt.run(until=rt.sim.now + 1.0)
+        assert a.rdp(Pattern("late", int)) == Tuple("late", 1)
+
+
+def test_sim_handle_returns_a_concluded_event_within_one_slice():
+    with connect("sim") as rt:
+        a = rt.node("a")
+        concluded = rt.sim.event().succeed(Tuple("done", 1))
+        rt.run(until=rt.sim.now + 1.0)      # triggered and flushed
+        start = rt.sim.now
+        assert a._await_event(concluded, timeout=60.0) == Tuple("done", 1)
+        assert rt.sim.now == start + 0.25
 
 
 # ----------------------------------------------------------------------

@@ -1,11 +1,19 @@
 """Unit tests for the discrete-event kernel (clock, queue, timers)."""
 
+import hashlib
+import struct
+
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import repro
+from repro.core import TiamatInstance
 from repro.errors import SimulationError
-from repro.leasing import GenerousPolicy
+from repro.leasing import GenerousPolicy, LeaseTerms, SimpleLeaseRequester
+from repro.net.network import Network, default_latency
 from repro.sim import Simulator
+from repro.sim.kernel import Timer
 from repro.tuples import Pattern, Tuple
 
 
@@ -232,3 +240,72 @@ def test_compaction_leaves_the_schedule_unchanged():
     swept, lazy = run(True), run(False)
     assert swept == lazy
     assert swept[1] == 1200
+
+
+# ----------------------------------------------------------------------
+# The total order (time, tiebreak, seq): pinned, and as a property
+# ----------------------------------------------------------------------
+#: SHA-256 over ``(time, seq)`` of every timer ``_schedule_digest`` fires,
+#: recorded at PR 21 (heap of ``Timer`` objects ordered by ``__lt__``).
+#: Size-independent latency keeps it exact whatever ran earlier in the
+#: process (ids are per process and an id's width prices a frame).
+SCHEDULE_SHA256 = ("edcd91437b19c59bc24141df062c4be6"
+                   "08a2ebeb5871aebb21ba9a145618f763")
+
+
+def _schedule_digest():
+    sim = Simulator(seed=22)
+    net = Network(sim, latency_factory=default_latency(per_byte=0.0))
+    a = TiamatInstance(sim, net, "a")
+    b = TiamatInstance(sim, net, "b")
+    net.visibility.connect_clique(["a", "b"])
+    sha = hashlib.sha256()
+    sim.event_hook = lambda t: sha.update(struct.pack("<dq", t.time, t.seq))
+    for i in range(50):
+        b.out(Tuple("job", i))
+        rd = a.rd(Pattern("job", i))
+        sim.run(until=sim.now + 0.5)
+        take = a.in_(Pattern("job", int))
+        sim.run(until=sim.now + 0.5)
+        assert rd.result == take.result == Tuple("job", i)
+    b.out(Tuple("brief", 0),
+          requester=SimpleLeaseRequester(LeaseTerms(duration=2.0)))
+    sim.run(until=sim.now + 5.0)
+    assert b.space.rdp(Pattern("brief", int)) is None      # lease expired
+    return sha.hexdigest(), sim.events_processed, sim.now
+
+
+def test_schedule_hash_is_pinned():
+    assert _schedule_digest() == (SCHEDULE_SHA256, 1156, 55.0)
+
+
+@given(seed=st.integers(0, 2**16),
+       count=st.integers(1, 2 * Simulator.COMPACT_FLOOR + 200),
+       hooked=st.booleans(), cancel_share=st.floats(0.0, 0.9))
+def test_fired_order_is_sorted_by_time_tiebreak_seq(seed, count, hooked,
+                                                    cancel_share):
+    sim = Simulator(seed=seed)
+    rng = sim.rng("test")
+    if hooked:
+        # two-valued on purpose: ties on (time, tiebreak) fall to seq
+        sim.set_tiebreak(lambda: float(rng.randint(0, 1)))
+    fired = []
+    sim.event_hook = fired.append
+    timers = []
+    for _ in range(count):      # few distinct delays: ties are the rule
+        timers.append(sim.schedule(rng.choice([0.0, 0.5, 1.0, 2.5, 7.0]),
+                                   lambda: None))
+        if rng.random() < cancel_share:    # cancels interleave with sweeps
+            rng.choice(timers).cancel()
+    sim.run()
+    live = [t for t in timers if not t.cancelled]
+    assert fired == sorted(live, key=lambda t: (t.time, t.tiebreak, t.seq))
+
+
+def test_timers_are_unorderable():
+    """Nothing orders timers: heap entries settle on (time, tiebreak, seq)."""
+    sim = Simulator()
+    with pytest.raises(TypeError):
+        sim.schedule(1.0, lambda: None) < sim.schedule(1.0, lambda: None)
+    with pytest.raises(TypeError):
+        Timer(0.0, 0, print, ()) < Timer(0.0, 1, print, ())
