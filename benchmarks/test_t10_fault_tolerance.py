@@ -252,7 +252,7 @@ def run_durability(codec: str, seed: int,
     backend = WALBackend(os.path.join(wal_dir, "server"), codec=codec,
                          compact_every=32)
     attach_backend(registry["server"].space, backend)
-    injector = CrashRestartInjector(sim, registry, factory, durable=True,
+    injector = CrashRestartInjector(sim, registry, factory,
                                     backends={"server": backend})
     dec = decode_tuple_binary if codec == "binary" else decode_tuple
 

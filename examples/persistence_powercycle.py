@@ -6,12 +6,13 @@ Run with::
     python examples/persistence_powercycle.py
 
 The space-info tuple advertises "whether the local space provides a
-persistence mechanism or not"; here a PDA running low on battery snapshots
-its space to disk, powers down, and a later incarnation restores it —
-with every tuple's *remaining* lease time intact, so nothing outlives the
-lifetime its depositor negotiated.
+persistence mechanism or not"; here a PDA running low on battery images
+its space into a write-ahead log on disk, powers down, and a later
+incarnation recovers from it — with every tuple's *remaining* lease time
+intact, so nothing outlives the lifetime its depositor negotiated.
 """
 
+import os
 import tempfile
 
 from repro import (
@@ -24,7 +25,7 @@ from repro import (
     TiamatInstance,
     Tuple,
 )
-from repro.tuples import load_space, save_space
+from repro.tuples.storage import WALBackend, attach_backend, inspect_wal
 
 
 def main() -> None:
@@ -42,19 +43,26 @@ def main() -> None:
           f"{pda.space.count(Pattern('note', str))} notes "
           f"(leases: 110s and 10s remaining)")
 
-    with tempfile.NamedTemporaryFile(suffix=".json", delete=False) as handle:
-        path = handle.name
-    saved = save_space(pda.space, path)
+    flash = tempfile.TemporaryDirectory(prefix="repro-powercycle-")
+    path = os.path.join(flash.name, "pda")
+    # A polite power-down is a crash whose log is complete: one compaction
+    # image of the resident tuples, fsynced and renamed into place.
+    attach_backend(pda.space, WALBackend(path)).detach()
+    saved = inspect_wal(path)["live_entries"]
     pda.shutdown()
     print(f"[t={sim.now:5.1f}] battery died; {saved} tuples snapshotted "
-          f"to {path}")
+          f"to {path}.snap")
 
     sim.run(until=40.0)  # thirty seconds pass while the device charges
 
     reborn = TiamatInstance(sim, net, "pda-reborn",
                             config=TiamatConfig(persistent_space=True))
-    restored = load_space(reborn.space, path)
-    print(f"[t={sim.now:5.1f}] rebooted; {restored} tuples restored")
+    # The device was off, not leaking lease time: re-anchor each tuple's
+    # remaining time to the boot clock instead of charging the 30 s outage.
+    # Nobody could have consumed from a powered-off PDA, so no rejoin.
+    stats = reborn.recover_from(WALBackend(path), downtime=30.0,
+                                charge_downtime=False, sync=False)
+    print(f"[t={sim.now:5.1f}] rebooted; {stats.restored} tuples restored")
     # Remaining lease time was preserved relative to the restoring clock:
     # 'call home' has 10 more seconds to live, 'buy milk' has 110.
     sim.run(until=55.0)
@@ -69,6 +77,7 @@ def main() -> None:
     sim.run(until=200.0)
     left = reborn.space.count(Pattern("note", str))
     print(f"[t={sim.now:5.1f}] all leases elapsed; notes remaining: {left}")
+    flash.cleanup()
 
 
 if __name__ == "__main__":

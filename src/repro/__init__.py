@@ -56,7 +56,7 @@ from repro.runtime.api import (
 from repro.sim import Simulator
 from repro.tuples import ANY, Formal, Pattern, Range, Tuple
 
-__version__ = "2.0.0"
+__version__ = "3.0.0"
 
 __all__ = [
     "ANY",

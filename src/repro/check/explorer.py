@@ -335,7 +335,7 @@ def build_crash_recover(sim: Simulator, net: Network,
     backend = attach_backend(
         registry["srv"].space,
         WALBackend("srv", fs=MemoryFS(), compact_every=6))
-    injector = CrashRestartInjector(sim, registry, factory, durable=True,
+    injector = CrashRestartInjector(sim, registry, factory,
                                     backends={"srv": backend})
     jobs = Pattern("job", int)
 

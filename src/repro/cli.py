@@ -32,9 +32,9 @@ Subcommands:
     A scripted fault scenario — burst loss, duplication, corruption, and a
     server power-cycle — with the trace, drop-reason stats, and
     reliability-sublayer counters printed (demo of ``repro.net.faults``).
-    With ``--durable`` the server's space sits on a write-ahead log and the
-    power-cycle goes through crash recovery + anti-entropy rejoin
-    (``docs/PROTOCOL.md`` section 10) instead of an in-memory snapshot.
+    The power-cycle goes through crash recovery + anti-entropy rejoin
+    (``docs/PROTOCOL.md`` section 10); the server's log lives in process
+    memory by default and in a write-ahead log on disk with ``--durable``.
 ``wal``
     Storage tooling: ``wal inspect PATH`` decodes a write-ahead log —
     frame-by-frame records, the embedded snapshot, torn-tail diagnosis,
@@ -414,30 +414,29 @@ def cmd_chaos(args: argparse.Namespace) -> int:
     registry["client"] = factory("client")
     trace = ProtocolTrace(net).attach()
 
-    backend = wal_dir = None
+    # One recovery path, two places for the log to live: an in-process
+    # MemoryBackend by default, a WAL on disk under --durable.
+    from repro.tuples.storage import MemoryBackend, WALBackend, attach_backend
+
+    wal_dir = None
     if args.durable:
         import tempfile
 
-        from repro.tuples.storage import WALBackend, attach_backend
-
         wal_dir = tempfile.mkdtemp(prefix="repro-chaos-wal-")
-        backend = attach_backend(
-            registry["server"].space,
-            WALBackend(os.path.join(wal_dir, "server"), compact_every=16))
+        backend = WALBackend(os.path.join(wal_dir, "server"), compact_every=16)
+    else:
+        backend = MemoryBackend()
+    attach_backend(registry["server"].space, backend)
 
     for i in range(args.items):
         registry["server"].out(
             Tuple("item", i),
             requester=SimpleLeaseRequester(LeaseTerms(duration=300.0)))
 
-    # Power-cycle the server mid-run: its space round-trips persistence —
-    # an in-memory snapshot by default, full WAL crash recovery with the
-    # anti-entropy rejoin under --durable.
-    if args.durable:
-        boom = CrashRestartInjector(sim, registry, factory, durable=True,
-                                    backends={"server": backend})
-    else:
-        boom = CrashRestartInjector(sim, registry, factory)
+    # Power-cycle the server mid-run: it dies with whatever its backend
+    # logged and recovers from it, anti-entropy rejoin included.
+    boom = CrashRestartInjector(sim, registry, factory,
+                                backends={"server": backend})
     boom.power_cycle("server", crash_time=2.0, restart_time=4.0)
 
     consumed = []
@@ -467,12 +466,12 @@ def cmd_chaos(args: argparse.Namespace) -> int:
     print(f"power cycle: crashes={boom.crashes} restarts={boom.restarts} "
           f"tuples restored={boom.tuples_restored} "
           f"reclaimed={boom.tuples_reclaimed}")
-    if args.durable:
-        print(f"durable recovery: ghosts purged={boom.ghosts_purged} "
-              f"wal records out={backend.records_out} "
-              f"rm={backend.records_remove} "
-              f"compactions={backend.compactions} "
-              f"torn truncations={backend.torn_truncations}")
+    print(f"durable recovery: ghosts purged={boom.ghosts_purged} "
+          f"log records out={backend.records_out} "
+          f"rm={backend.records_remove} "
+          f"compactions={backend.compactions} "
+          f"torn truncations={backend.torn_truncations}")
+    if wal_dir is not None:
         print(f"wal dir: {wal_dir}")
     print(f"fault plan: {plan.frames_seen} frames judged, "
           f"{plan.frames_dropped} dropped")
@@ -716,9 +715,9 @@ def build_parser() -> argparse.ArgumentParser:
     chaos.add_argument("--items", type=int, default=6,
                        help="destructive in ops to run (default 6)")
     chaos.add_argument("--durable", action="store_true",
-                       help="back the server's space with a write-ahead "
-                            "log; the power-cycle exercises WAL crash "
-                            "recovery and the anti-entropy rejoin")
+                       help="keep the server's log in a write-ahead log "
+                            "on disk instead of process memory (same "
+                            "recovery path, torn-tail-tolerant replay)")
 
     wal = sub.add_parser("wal", help="write-ahead-log storage tooling")
     wal_sub = wal.add_subparsers(dest="wal_command", required=True)

@@ -37,6 +37,7 @@ from repro.leasing import (
     LeaseManager,
     LeaseRequester,
     LeaseState,
+    LeaseTerms,
     OperationKind,
     SimpleLeaseRequester,
 )
@@ -393,9 +394,10 @@ class TiamatInstance:
     def _on_tuple_removed(self, entry, reason: str) -> None:
         lease = entry.meta.get("lease")
         # A migrated-away entry frees its funding lease just like a
-        # consumed one: the tuple now lives (and is leased) elsewhere.
+        # consumed one: the tuple now lives (and is leased) elsewhere.  So
+        # does a ghost the anti-entropy rejoin purged: it was consumed.
         if (lease is not None and lease.active
-                and reason in ("consumed", "migrated")):
+                and reason in ("consumed", "migrated", "reconciled")):
             lease.release()
 
     def deposit_eval_result(self, result: Tuple, lease) -> None:
@@ -565,28 +567,8 @@ class TiamatInstance:
             self.neighbor_since.pop(peer, None)
 
     # ==================================================================
-    # Persistence (section 2.4: the advertised persistence mechanism)
-    # ==================================================================
-    def snapshot_space(self) -> dict:
-        """Snapshot the local space (visible tuples + remaining leases)."""
-        from repro.tuples.persistence import snapshot_space
-
-        return snapshot_space(self.space)
-
-    def restore_space(self, snapshot: dict) -> int:
-        """Restore a snapshot into the local space; returns the count.
-
-        Restored tuples carry their remaining lease time but are not
-        re-attached to lease-manager accounting (the leases that granted
-        them died with the previous incarnation); their expiry is enforced
-        by the space itself.
-        """
-        from repro.tuples.persistence import restore_space
-
-        return restore_space(self.space, snapshot)
-
-    # ==================================================================
-    # Durable recovery + anti-entropy rejoin (docs/PROTOCOL.md section 10)
+    # Persistence (section 2.4): recovery from a storage backend + the
+    # anti-entropy rejoin (docs/PROTOCOL.md section 10)
     # ==================================================================
     def note_remote_consume(self, peer: str, entry_id: int) -> None:
         """Witness a destructive consume of ``peer``'s entry ``entry_id``.
@@ -610,9 +592,12 @@ class TiamatInstance:
         absolute, so leases kept burning while the node was down and any
         that ran out are reclaimed instead of restored; with it off, each
         lease's remaining time *as of the crash* (``downtime`` seconds ago)
-        is re-anchored to the current clock.  Entry ids are bumped past the
-        backend's high-water mark first, so ids never recur across
-        incarnations (see :mod:`repro.tuples.storage.base`).
+        is re-anchored to the current clock.  Every survivor is re-admitted
+        through the lease manager (an ``out`` lease for the time it has
+        left, its bytes charged to storage); one the manager refuses counts
+        as reclaimed.  Entry ids are bumped past the backend's high-water
+        mark first, so ids never recur across incarnations (see
+        :mod:`repro.tuples.storage.base`).
 
         With ``sync`` (the default), restored entries enter *quarantined*
         (held, invisible) and an anti-entropy rejoin asks every visible
@@ -634,22 +619,34 @@ class TiamatInstance:
         restored = 0
         reclaimed = 0
         durable_map: dict[int, int] = {}
+        # Leases burned until now (downtime charged) or only until the crash.
+        burned_until = now if charge_downtime else now - downtime
         for durable_id, tup, expires_at in state.entries:
-            if expires_at is None:
-                exp = None
-            elif charge_downtime:
-                exp = expires_at
-            else:
-                exp = now + max(0.0, expires_at - (now - downtime))
-            if exp is not None and exp <= now:
+            left = None if expires_at is None else expires_at - burned_until
+            if left is not None and left <= 0:
+                reclaimed += 1
+                continue
+            # A survivor is re-admitted like any deposit: the lease that
+            # granted it died with the previous incarnation, so the manager
+            # grants a fresh one for the time it has left — or refuses, and
+            # the tuple is reclaimed rather than stored unaccounted.
+            try:
+                lease = self.leases.negotiate(
+                    SimpleLeaseRequester(LeaseTerms(duration=left)),
+                    OperationKind.OUT, storage_needed=encoded_size(tup))
+            except LeaseError:
                 reclaimed += 1
                 continue
             # Restored under its original id: durable id == store id ==
             # wire id in every incarnation, so peer witness records (and
             # the WAL's own history) keep naming the same tuple forever.
             entry = self.space.restore_entry(
-                tup, expires_at=exp, meta={"durable_id": durable_id},
+                tup, expires_at=lease.expires_at,
+                meta={"lease": lease, "owner": self.name,
+                      "durable_id": durable_id},
                 quarantine=sync, entry_id=durable_id)
+            lease.on_end(lambda l, ended, entry=entry:
+                         self._on_out_lease_end(entry, ended))
             restored += 1
             if entry.entry_id:
                 durable_map[durable_id] = entry.entry_id

@@ -22,7 +22,7 @@ machinery experiments need around it:
   composable injectors (Gilbert–Elliott burst loss, duplication, bounded
   reordering, payload corruption, one-way links) plus
   :class:`CrashRestartInjector`, which power-cycles whole instances through
-  the persistence layer.
+  a storage backend.
 """
 
 from repro.net.faults import (

@@ -23,11 +23,11 @@ Injectors
   modelling asymmetric radio reach.
 
 Whole-node **crash + restart** is a different beast: it must round-trip an
-instance through :mod:`repro.tuples.persistence` (the paper's §2.4
-power-cycle story).  :class:`CrashRestartInjector` snapshots the victim's
-space, detaches it, and later builds a replacement instance and restores
-the snapshot — charging the downtime against every tuple's remaining lease
-so expired tuples are reclaimed rather than resurrected.
+instance through a :mod:`repro.tuples.storage` backend (the paper's §2.4
+power-cycle story).  :class:`CrashRestartInjector` detaches the victim and
+later builds a replacement that recovers from the backend — charging the
+downtime against every tuple's remaining lease so expired tuples are
+reclaimed rather than resurrected.
 """
 
 from __future__ import annotations
@@ -271,56 +271,50 @@ class FaultPlan:
 
 
 class CrashRestartInjector:
-    """Scheduled crash + restart of Tiamat instances through persistence.
+    """Scheduled crash + restart of Tiamat instances through a storage backend.
 
     The injector owns a registry mapping node name → live instance (the
     same dict the experiment uses, so lookups always find the current
     incarnation) and a ``factory(name)`` callable that builds and attaches
     a replacement instance.
 
-    On **crash**: the victim's space is snapshotted
-    (:func:`repro.tuples.persistence.snapshot_space` — held two-phase
-    entries deliberately excluded), the instance is shut down (detached
-    from the network, retransmit timers cancelled), and the node is marked
-    down.  In-flight operations *against* the victim terminate via their
-    lease deadlines; nothing wedges.
+    On **crash** the instance is shut down (detached from the network,
+    retransmit timers cancelled) and its backend detached, so stale timers
+    of the dead incarnation can no longer log.  In-flight operations
+    *against* the victim terminate via their lease deadlines; nothing
+    wedges.  A node listed in ``backends`` (name →
+    :class:`~repro.tuples.storage.base.StorageBackend`, attached by the
+    caller) dies like a killed process: whatever its backend had durably
+    recorded *before* the crash is all that survives.  A node that is not
+    powers down politely: its space is imaged into a
+    :class:`~repro.tuples.storage.base.MemoryBackend` first — a crash whose
+    log is complete.
 
-    On **restart**: a fresh instance is built, the snapshot's remaining
-    lease times are charged with the downtime (``charge_downtime=True``,
-    the default), entries whose leases expired while the device was off are
-    reclaimed instead of restored, and the survivors are deposited into the
-    new space re-anchored to the restart clock.
-
-    **Durable mode** (``durable=True`` plus a ``backends`` dict mapping
-    node name → :class:`~repro.tuples.storage.base.StorageBackend`)
-    models real process death instead of a polite power-down: no snapshot
-    is taken at crash time — whatever the victim's backend had durably
-    recorded *before* the crash is all that survives.  The restart goes
-    through :meth:`TiamatInstance.recover_from`: lease-aware replay, id
-    high-watering, and (``sync_on_restart``, default on) the anti-entropy
-    rejoin that purges tuples consumed remotely during the downtime.
+    On **restart** a fresh instance goes through
+    :meth:`TiamatInstance.recover_from`: the downtime is charged against
+    every lease (``charge_downtime=True``, the default), tuples whose
+    leases ran out while the device was off are reclaimed instead of
+    restored, survivors keep their entry ids and are re-leased.  A node
+    with its own backend then runs the anti-entropy rejoin
+    (``sync_on_restart``, default on) that purges tuples consumed remotely
+    behind a torn removal record; an image the injector itself just wrote
+    has no torn record to reconcile and skips it.
     """
 
     def __init__(self, sim, registry: dict,
                  factory: Callable[[str], object],
                  charge_downtime: bool = True,
-                 durable: bool = False,
                  backends: Optional[dict] = None,
                  sync_on_restart: bool = True,
                  sync_timeout: Optional[float] = None) -> None:
-        if durable and not backends:
-            raise ValueError("durable mode needs a backends dict "
-                             "(node name -> StorageBackend)")
         self.sim = sim
         self.registry = registry
         self.factory = factory
         self.charge_downtime = charge_downtime
-        self.durable = durable
         self.backends = backends if backends is not None else {}
         self.sync_on_restart = sync_on_restart
         self.sync_timeout = sync_timeout
-        self._snapshots: dict[str, tuple] = {}
-        self._crash_times: dict[str, float] = {}
+        self._down: dict[str, tuple] = {}  # name -> (crashed_at, backend)
         self._recovered: list = []
         self.crashes = 0
         self.restarts = 0
@@ -360,78 +354,41 @@ class CrashRestartInjector:
     # Immediate control
     # ------------------------------------------------------------------
     def crash(self, name: str) -> None:
-        """Take the instance down now.
-
-        In snapshot mode the space is snapshotted first (a polite
-        power-down); in durable mode nothing is — the process dies with
-        whatever its backend already made durable, and the backend is
-        detached so stale timers from the dead incarnation can no longer
-        log.
-        """
-        from repro.tuples.persistence import snapshot_space
+        """Take the instance down now, imaging its space if nobody logs it."""
+        from repro.tuples.storage.base import MemoryBackend, attach_backend
 
         instance = self.registry.get(name)
         if instance is None:
             return
-        if self.durable:
-            backend = self.backends.get(name)
-            if backend is not None:
-                backend.detach()
-            self._crash_times[name] = self.sim.now
-        else:
-            snapshot = snapshot_space(instance.space)
-            self._snapshots[name] = (snapshot, self.sim.now)
+        backend = self.backends.get(name)
+        if backend is None:
+            backend = attach_backend(instance.space, MemoryBackend())
+            for entry in instance.space.store:
+                if entry.held:
+                    # A two-phase claim cannot survive a power cycle, and
+                    # no rejoin will follow to say how it ended.
+                    backend.record_remove(entry.entry_id, "held", self.sim.now)
+        backend.detach()
+        self._down[name] = (self.sim.now, backend)
         instance.shutdown()
         del self.registry[name]
         self.crashes += 1
 
     def restart(self, name: str) -> None:
-        """Bring a crashed instance back, restoring its snapshot.
-
-        In durable mode the replacement instance instead recovers from the
-        node's storage backend (WAL replay + anti-entropy rejoin).
-        """
-        from repro.tuples.persistence import restore_space
-
-        if self.durable:
-            if name in self.registry or name not in self._crash_times:
-                return
-            crashed_at = self._crash_times.pop(name)
-            backend = self.backends[name]
-            instance = self.factory(name)
-            stats = instance.recover_from(
-                backend,
-                downtime=max(0.0, self.sim.now - crashed_at),
-                charge_downtime=self.charge_downtime,
-                sync=self.sync_on_restart,
-                sync_timeout=self.sync_timeout)
-            self.tuples_restored += stats.restored
-            self.tuples_reclaimed += stats.reclaimed
-            self._recovered.append(instance)
-            self.registry[name] = instance
-            self.restarts += 1
+        """Bring a crashed instance back, recovering from its backend."""
+        if name in self.registry or name not in self._down:
             return
-        stored = self._snapshots.pop(name, None)
-        if stored is None or name in self.registry:
-            return
-        snapshot, crashed_at = stored
-        downtime = max(0.0, self.sim.now - crashed_at)
-        if self.charge_downtime:
-            survivors = []
-            for item in snapshot["entries"]:
-                remaining = item.get("remaining")
-                if remaining is None:
-                    survivors.append(item)
-                    continue
-                left = remaining - downtime
-                if left > 0:
-                    survivors.append({**item, "remaining": left})
-                else:
-                    self.tuples_reclaimed += 1
-            snapshot = {**snapshot, "entries": survivors}
+        crashed_at, backend = self._down.pop(name)
         instance = self.factory(name)
-        restored = restore_space(instance.space, snapshot)
-        self.tuples_restored += restored
+        stats = instance.recover_from(
+            backend,
+            downtime=max(0.0, self.sim.now - crashed_at),
+            charge_downtime=self.charge_downtime,
+            sync=self.sync_on_restart and name in self.backends,
+            sync_timeout=self.sync_timeout)
+        self.tuples_restored += stats.restored
+        self.tuples_reclaimed += stats.reclaimed
+        self._recovered.append(instance)
         self.registry[name] = instance
         self.restarts += 1
 

@@ -316,11 +316,11 @@ class Network:
         if verdict.dropped:
             self._drop(message, verdict.drop_reason)
             return False
-        first = True
-        for delivery in verdict.deliveries:
-            copy = message if first else message.copy_for(message.dst,
-                                                          message.sent_at)
-            first = False
+        # Every copy is cut from the intact frame before any is damaged: a
+        # duplicate of a corrupted frame is the frame, not the corruption.
+        copies = [message] + [message.copy_for(message.dst, message.sent_at)
+                              for _ in verdict.deliveries[1:]]
+        for copy, delivery in zip(copies, verdict.deliveries):
             if delivery.corrupt:
                 copy.corrupt()
             self._schedule_delivery(copy, delivery.extra_delay)

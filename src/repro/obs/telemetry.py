@@ -12,9 +12,9 @@ for the ``repro top`` CLI.
 Telemetry is **opt-in** (``TiamatConfig.telemetry_enabled``): the
 publisher schedules simulator events and negotiates leases, so unlike
 the flight recorder it perturbs seeded schedules.  The ``_telemetry``
-tag is skip-listed by the durable storage backends, the persistence
-snapshots, and the exactly-once oracle — health rows are ephemeral
-operational data, not application state.
+tag is skip-listed by the durable storage backends and the exactly-once
+oracle — health rows are ephemeral operational data, not application
+state.
 """
 
 from __future__ import annotations
@@ -36,9 +36,9 @@ __all__ = [
 ]
 
 #: First field of every telemetry tuple.  The leading underscore keeps it
-#: out of ordinary application patterns; the skip-tag lists in
-#: :mod:`repro.tuples.storage.base` and :mod:`repro.tuples.persistence`
-#: keep it out of durable logs and snapshots.
+#: out of ordinary application patterns; the skip-tag list
+#: (:data:`repro.tuples.storage.base.DEFAULT_SKIP_TAGS`, the one copy)
+#: keeps it out of durable logs and power-down images.
 TELEMETRY_TAG = "_telemetry"
 
 HEALTH_OK = "ok"

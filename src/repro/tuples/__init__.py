@@ -23,12 +23,6 @@ from repro.tuples.model import ANY, Actual, Field, Formal, Pattern, Range, Tuple
 from repro.tuples.matching import matches
 from repro.tuples.store import StoredEntry, TupleStore
 from repro.tuples.space import LocalTupleSpace, Waiter
-from repro.tuples.persistence import (
-    load_space,
-    restore_space,
-    save_space,
-    snapshot_space,
-)
 from repro.tuples.serialization import (
     decode_pattern,
     decode_tuple,
@@ -54,9 +48,5 @@ __all__ = [
     "encode_pattern",
     "encode_tuple",
     "encoded_size",
-    "load_space",
     "matches",
-    "restore_space",
-    "save_space",
-    "snapshot_space",
 ]

@@ -38,10 +38,10 @@ from typing import Optional
 from repro.tuples.model import Tuple
 from repro.tuples.space import LocalTupleSpace
 
-#: Tuple tags excluded from durability by default (infrastructure tuples
-#: the owning instance recreates on every boot — see persistence.py — and
-#: the short-leased in-space telemetry rows of repro.obs.telemetry, which
-#: are ephemeral operational data a restarted node republishes itself).
+#: Tuple tags excluded from durability by default — the one copy of the
+#: list: the space-info tuple the owning instance recreates on every boot,
+#: and the short-leased in-space telemetry rows of repro.obs.telemetry,
+#: ephemeral operational data a restarted node republishes itself.
 DEFAULT_SKIP_TAGS: tuple = ("__space_info__", "_telemetry")
 
 
@@ -207,8 +207,8 @@ class MemoryBackend(StorageBackend):
     """The in-process dict backend: the trait's reference implementation.
 
     Durable against an *instance* crash (the backend object outlives the
-    space, exactly like the snapshot dict ``CrashRestartInjector`` kept
-    before this package existed), not against process death.
+    space; it is what ``CrashRestartInjector`` images a politely powered-
+    down node into), not against process death.
     """
 
     def __init__(self) -> None:
@@ -252,9 +252,9 @@ def attach_backend(space: LocalTupleSpace, backend: StorageBackend,
                    skip_tags: tuple = DEFAULT_SKIP_TAGS) -> StorageBackend:
     """Wire ``backend`` under ``space`` and return it.
 
-    Anything already resident in the space is snapshotted into the backend
-    first (one compaction), then deposits and removals stream into the
-    log.  Storage metrics register with the space's observability hub on
+    Anything already resident in the space is imaged into the backend
+    first (one compaction, an empty log — followed by ``detach()`` that is
+    a polite power-down), then deposits and removals stream into the log.  Storage metrics register with the space's observability hub on
     first attach; a run that never attaches a backend exports a
     bit-identical registry.
     """

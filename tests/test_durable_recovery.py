@@ -126,7 +126,7 @@ def crash_recover_pair(sim, net, tear):
     registry["client"] = factory("client")
     backend = attach_backend(registry["server"].space,
                              WALBackend("srv", fs=MemoryFS()))
-    injector = CrashRestartInjector(sim, registry, factory, durable=True,
+    injector = CrashRestartInjector(sim, registry, factory,
                                     backends={"server": backend})
 
     registry["server"].out(Tuple("keep", 0), requester=terms())

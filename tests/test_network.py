@@ -5,8 +5,9 @@ import json
 import pytest
 
 from repro.errors import SerializationError, UnknownNodeError
-from repro.net import Network
+from repro.net import CorruptPayload, DuplicateFrames, FaultPlan, Network
 from repro.net.message import Message
+from repro.net.stats import DROP_CORRUPT
 from repro.sim import Simulator
 from repro.tuples.serialization import BINARY_CODEC, JSON_CODEC
 
@@ -206,6 +207,15 @@ def test_copy_shares_pricing_but_not_damage(codec):
     # a duplicate made of a damaged frame stays damaged (recomputing the
     # checksum over the garbled payload used to bless it)
     assert not copy.copy_for("c", 2.0).verify()
+    # ...which is why dispatch cuts every duplicate from the intact frame
+    # before the verdict's damage lands on the copy it names
+    sim = Simulator(seed=5)
+    net, a, b, _, inbox_b = make_pair(sim, Network(sim, codec=codec))
+    net.use_faults(FaultPlan([CorruptPayload(1.0), DuplicateFrames(1.0)]))
+    a.unicast("b", PAYLOAD)
+    sim.run()
+    assert [m.payload for m in inbox_b] == [PAYLOAD]
+    assert net.stats.drops_by_reason == {DROP_CORRUPT: 1}
 
 
 def test_multicast_encodes_the_payload_once(sim, monkeypatch):

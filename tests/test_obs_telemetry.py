@@ -182,14 +182,13 @@ def test_epochs_strictly_increase():
 # Skip-tag plumbing: health rows are not application state
 # ----------------------------------------------------------------------
 def test_persistence_snapshot_skips_telemetry_rows():
-    from repro.tuples.persistence import snapshot_space
+    from repro.tuples.storage import MemoryBackend, attach_backend
 
     sim, net, a, b = _telemetry_world()
     a.out(Tuple("app", 1))
     sim.run(until=2.1)
-    snap = snapshot_space(a.space)
-    assert "_telemetry" not in json.dumps(snap)
-    assert "app" in json.dumps(snap)
+    image = attach_backend(a.space, MemoryBackend()).recover()
+    assert [tup.fields[0] for _, tup, _ in image.entries] == ["app"]
 
 
 def test_exactly_once_oracle_skips_telemetry():

@@ -2,10 +2,11 @@
 
 import pytest
 
-from repro.core import TiamatInstance
-from repro.errors import SerializationError
-from repro.leasing import LeaseTerms, SimpleLeaseRequester
+from repro.check.oracles import InvariantMonitor, LeaseConservationOracle
+from repro.core import TiamatConfig, TiamatInstance
+from repro.leasing import LeaseState, LeaseTerms, SimpleLeaseRequester
 from repro.net import (
+    CrashRestartInjector,
     MultiHopVisibilityDriver,
     Network,
     Position,
@@ -14,80 +15,266 @@ from repro.net import (
     WaypointTrace,
 )
 from repro.sim import Simulator
-from repro.tuples import (
-    LocalTupleSpace,
-    Pattern,
-    Tuple,
-    load_space,
-    restore_space,
-    save_space,
-    snapshot_space,
+from repro.tuples import LocalTupleSpace, Pattern, Tuple
+from repro.tuples.serialization import encoded_size
+from repro.tuples.storage import (
+    DEFAULT_SKIP_TAGS,
+    MemoryBackend,
+    MemoryFS,
+    SqliteBackend,
+    WALBackend,
+    attach_backend,
 )
 
 
-
 # ---------------------------------------------------------------------------
-# Persistence
+# Persistence: one power-cycle contract, whatever the log lives in
 # ---------------------------------------------------------------------------
-def test_snapshot_roundtrip_plain_tuples():
-    sim = Simulator()
-    space = LocalTupleSpace(sim, name="src")
-    space.out(Tuple("a", 1))
-    space.out(Tuple("b", 2.5, b"raw"))
-    snapshot = snapshot_space(space)
-    target = LocalTupleSpace(sim, name="dst")
-    assert restore_space(target, snapshot) == 2
-    assert target.snapshot() == space.snapshot()
+@pytest.fixture(params=["memory", "wal-memfs", "wal-file", "sqlite"])
+def reopen(request, tmp_path):
+    """Each call is one boot's handle on the device's durable state (for
+    ``memory`` the object itself is that state, so it is handed back)."""
+    if request.param == "memory":
+        backend = MemoryBackend()
+        return lambda: backend
+    if request.param == "wal-memfs":
+        fs = MemoryFS()
+        return lambda: WALBackend("dev", fs=fs)
+    if request.param == "wal-file":
+        return lambda: WALBackend(str(tmp_path / "dev"))
+    return lambda: SqliteBackend(str(tmp_path / "dev.sqlite"))
 
 
-def test_snapshot_preserves_remaining_lease_time():
-    sim = Simulator()
-    space = LocalTupleSpace(sim, name="src")
-    space.out(Tuple("mortal"), expires_at=30.0)
-    sim.run(until=10.0)  # 20s of lease left
-    snapshot = snapshot_space(space)
+@pytest.fixture
+def world():
+    sim = Simulator(seed=11)
+    return sim, Network(sim)
 
-    sim2 = Simulator(start_time=1000.0)
-    target = LocalTupleSpace(sim2, name="dst")
-    restore_space(target, snapshot)
-    sim2.run(until=1015.0)
-    assert target.count(Pattern("mortal")) == 1  # 15 < 20 remaining
-    sim2.run(until=1025.0)
-    assert target.count(Pattern("mortal")) == 0  # expired at +20
+
+def leased(duration):
+    return SimpleLeaseRequester(LeaseTerms(duration=duration))
+
+
+def power_down(instance, backend):
+    """A polite power-down: image the space, then cut the power."""
+    attach_backend(instance.space, backend).detach()
+    instance.shutdown()
+
+
+def residents(instance):
+    """The application's entries (the instance's own rows left out)."""
+    return [e for e in sorted(instance.space.store, key=lambda e: e.entry_id)
+            if e.visible and e.tuple[0] not in DEFAULT_SKIP_TAGS]
+
+
+def test_image_then_recover_yields_the_same_tuples(world, reopen):
+    sim, net = world
+    old = TiamatInstance(sim, net, "dev")
+    deposited = [Tuple("a", 1), Tuple("a", 1), Tuple("b", 2.5, b"\x00\xff"),
+                 Tuple("c", "text", Tuple("nested"))]
+    for tup in deposited:
+        old.out(tup, requester=leased(1000.0))
+    power_down(old, reopen())
+
+    reborn = TiamatInstance(sim, net, "dev")
+    stats = reborn.recover_from(reopen(), sync=False)
+    assert (stats.restored, stats.reclaimed) == (4, 0)
+    assert (sorted((e.tuple for e in residents(reborn)), key=repr)
+            == sorted(deposited, key=repr))
+
+
+@pytest.mark.parametrize("charge", [True, False])
+def test_outage_burns_lease_time_or_the_remainder_is_preserved(
+        world, reopen, charge):
+    sim, net = world
+    old = TiamatInstance(sim, net, "dev")
+    old.out(Tuple("short"), requester=leased(5.0))
+    old.out(Tuple("long"), requester=leased(100.0))
+    sim.run(until=1.0)
+    power_down(old, reopen())
+    sim.run(until=10.0)            # a 9 s outage
+
+    reborn = TiamatInstance(sim, net, "dev")
+    stats = reborn.recover_from(reopen(), downtime=9.0,
+                                charge_downtime=charge, sync=False)
+    count = reborn.space.count
+    if charge:
+        # the 5 s lease died in the dark; the 100 s one keeps its deadline
+        assert (stats.restored, stats.reclaimed) == (1, 1)
+        assert count(Pattern("short")) == 0
+        sim.run(until=99.0)
+        assert count(Pattern("long")) == 1
+        sim.run(until=101.0)
+        assert count(Pattern("long")) == 0
+    else:
+        # 4 s and 99 s were left at power-down, and are left at boot
+        assert (stats.restored, stats.reclaimed) == (2, 0)
+        sim.run(until=13.0)
+        assert count(Pattern("short")) == 1
+        sim.run(until=15.0)
+        assert count(Pattern("short")) == 0
+        sim.run(until=108.0)
+        assert count(Pattern("long")) == 1
+        sim.run(until=110.0)
+        assert count(Pattern("long")) == 0
+
+
+def test_infrastructure_rows_are_not_imaged(world, reopen):
+    sim, net = world
+    old = TiamatInstance(sim, net, "dev",
+                         config=TiamatConfig(telemetry_enabled=True))
+    old.out(Tuple("user-data", 1))
+    sim.run(until=2.1)
+    assert ({t[0] for t in old.space.snapshot()}
+            == {"__space_info__", "_telemetry", "user-data"})
+    power_down(old, reopen())
+    imaged = [tup for _, tup, _ in reopen().recover().entries]
+    assert imaged == [Tuple("user-data", 1)]
+
+
+def test_recovery_keeps_entry_ids_and_bumps_the_counter(world, reopen):
+    sim, net = world
+    old = TiamatInstance(sim, net, "dev")
+    for i in range(3):
+        old.out(Tuple("row", i))
+    old.space.inp(Pattern("row", 0))    # ids need not be dense
+    ids = {e.tuple: e.entry_id for e in residents(old)}
+    power_down(old, reopen())
+
+    reborn = TiamatInstance(sim, net, "dev")
+    reborn.recover_from(reopen(), sync=False)
+    assert {e.tuple: e.entry_id for e in residents(reborn)} == ids
+    assert reborn.out(Tuple("fresh")).entry_id > max(ids.values())
+
+
+def assert_residents_are_leased(instance):
+    """Every resident is funded by an ACTIVE lease that ends when it does,
+    and the manager's storage gauge is exactly their encoded size."""
+    entries = residents(instance)
+    for entry in entries:
+        lease = entry.meta["lease"]
+        assert lease.state is LeaseState.ACTIVE
+        assert instance.leases.active[lease.lease_id] is lease
+        assert lease.expires_at == entry.meta["expires_at"]
+    assert instance.leases.storage_used == sum(
+        encoded_size(e.tuple) for e in entries)
+    return entries
+
+
+def test_recovered_tuples_re_enter_lease_accounting(world, reopen):
+    sim, net = world
+    with InvariantMonitor(oracles=[LeaseConservationOracle()],
+                          stop_on_violation=False) as monitor:
+        old = TiamatInstance(sim, net, "dev")
+        for i in range(5):
+            old.out(Tuple("item", i), requester=leased(300.0))
+        before = old.leases.storage_used
+        sim.run(until=1.0)
+        power_down(old, reopen())
+        sim.run(until=3.0)
+
+        reborn = TiamatInstance(sim, net, "dev")
+        reborn.recover_from(reopen(), sync=False)
+        assert len(assert_residents_are_leased(reborn)) == 5
+        assert reborn.leases.storage_used == before
+        assert residents(reborn)[0].meta["expires_at"] == 300.0
+        # a consume hands the bytes back, exactly as for a fresh deposit
+        assert reborn.space.inp(Pattern("item", 0)) == Tuple("item", 0)
+        assert len(assert_residents_are_leased(reborn)) == 4
+        # and the leases end with their tuples
+        sim.run(until=301.0)
+        assert reborn.leases.active_count == reborn.leases.storage_used == 0
+        monitor.check_managers([old.leases, reborn.leases])
+    assert not monitor.violations
+
+
+def test_a_refused_re_lease_reclaims_the_tuple(world):
+    sim, net = world
+    old = TiamatInstance(sim, net, "dev")
+    for i in range(3):
+        old.out(Tuple("item", i), requester=leased(300.0))
+    backend = MemoryBackend()
+    power_down(old, backend)
+    # the replacement device has room for two of the three
+    room = 2 * encoded_size(Tuple("item", 0))
+    reborn = TiamatInstance(sim, net, "dev", storage_capacity=room)
+    stats = reborn.recover_from(backend, sync=False)
+    assert (stats.restored, stats.reclaimed) == (2, 1)
+    assert reborn.leases.storage_used == room
+    assert len(backend) == 2            # the refused one left the log too
+
+
+def injected_world(logged):
+    """n + peer under a CrashRestartInjector; ``logged`` gives n a WAL."""
+    sim = Simulator(seed=21)
+    net = Network(sim)
+    registry = {}
+
+    def factory(name):
+        inst = TiamatInstance(sim, net, name)
+        for peer in registry:
+            net.visibility.set_visible(name, peer)
+        return inst
+
+    for name in ("n", "peer"):
+        registry[name] = factory(name)
+    backends = {}
+    if logged:
+        backends["n"] = attach_backend(registry["n"].space,
+                                       WALBackend("n", fs=MemoryFS()))
+    return sim, registry, CrashRestartInjector(sim, registry, factory,
+                                               backends=backends)
+
+
+@pytest.mark.parametrize("logged", [False, True], ids=["imaged", "wal"])
+def test_injector_power_cycle_conserves_leases(logged):
+    with InvariantMonitor(oracles=[LeaseConservationOracle()],
+                          stop_on_violation=False) as monitor:
+        sim, registry, injector = injected_world(logged)
+        old = registry["n"]
+        for i in range(4):
+            old.out(Tuple("item", i), requester=leased(300.0))
+        injector.power_cycle("n", crash_time=1.0, restart_time=3.0)
+        sim.run(until=10.0)             # restart + (for the WAL) the rejoin
+        revived = registry["n"]
+        assert revived is not old
+        assert revived.rejoins_completed == (1 if logged else 0)
+        assert len(assert_residents_are_leased(revived)) == 4
+        # the peer takes one over the wire: its bytes come back too
+        op = registry["peer"].in_(Pattern("item", 1))
+        sim.run(until=20.0)
+        assert op.result == Tuple("item", 1)
+        assert len(assert_residents_are_leased(revived)) == 3
+        monitor.check_managers(
+            [old.leases, revived.leases, registry["peer"].leases])
+    assert not monitor.violations
 
 
 def test_snapshot_excludes_held_entries():
-    sim = Simulator()
-    space = LocalTupleSpace(sim, name="src")
-    space.out(Tuple("held"))
-    space.out(Tuple("free"))
-    entry = space.hold_match(Pattern("held"))
-    assert entry is not None
-    snapshot = snapshot_space(space)
-    assert len(snapshot["entries"]) == 1
+    """The injector's own image skips the rejoin, so nothing would ever
+    settle a claim that was in flight at power-down: it is left out."""
+    sim, registry, injector = injected_world(logged=False)
+    n = registry["n"]
+    n.out(Tuple("held"))
+    n.out(Tuple("free"))
+    assert n.space.hold_match(Pattern("held")) is not None
+    injector.crash("n")
+    injector.restart("n")
+    assert injector.tuples_restored == 1
+    assert [e.tuple for e in residents(registry["n"])] == [Tuple("free")]
 
 
-def test_snapshot_excludes_space_info_tuple():
-    sim = Simulator()
-    net = Network(sim)
-    inst = TiamatInstance(sim, net, "dev")
-    inst.out(Tuple("user-data", 1))
-    snapshot = inst.snapshot_space()
-    assert len(snapshot["entries"]) == 1
-
-
-def test_instance_power_cycle_via_snapshot():
-    """A device snapshots, 'reboots' as a new instance, and restores."""
-    sim = Simulator(seed=11)
-    net = Network(sim)
+def test_instance_power_cycle_via_snapshot(world):
+    """A device images its space, 'reboots' as a new instance, and a peer
+    finds the recovered tuple."""
+    sim, net = world
     old = TiamatInstance(sim, net, "dev")
-    old.out(Tuple("kept", 42),
-            requester=SimpleLeaseRequester(LeaseTerms(duration=1000.0)))
-    snapshot = old.snapshot_space()
-    old.shutdown()
+    old.out(Tuple("kept", 42), requester=leased(1000.0))
+    backend = MemoryBackend()
+    power_down(old, backend)
 
     reborn = TiamatInstance(sim, net, "dev2")
-    assert reborn.restore_space(snapshot) == 1
+    assert reborn.recover_from(backend, sync=False).restored == 1
     peer = TiamatInstance(sim, net, "peer")
     net.visibility.set_visible("dev2", "peer")
     op = peer.rd(Pattern("kept", int))
@@ -95,113 +282,34 @@ def test_instance_power_cycle_via_snapshot():
     assert op.result == Tuple("kept", 42)
 
 
-def test_save_and_load_file(tmp_path):
-    sim = Simulator()
-    space = LocalTupleSpace(sim, name="src")
+def test_save_and_load_file(world, tmp_path):
+    """On disk an image is a compaction with an empty log."""
+    sim, net = world
+    old = TiamatInstance(sim, net, "dev")
     for i in range(5):
-        space.out(Tuple("row", i))
-    path = str(tmp_path / "space.json")
-    assert save_space(space, path) == 5
-    target = LocalTupleSpace(sim, name="dst")
-    assert load_space(target, path) == 5
-    assert target.count(Pattern("row", int)) == 5
+        old.out(Tuple("row", i))
+    base = str(tmp_path / "space")
+    power_down(old, WALBackend(base))
+    assert (tmp_path / "space.snap").stat().st_size > 0
+    assert (tmp_path / "space.wal").stat().st_size == 0
+
+    reborn = TiamatInstance(sim, net, "dev")
+    assert reborn.recover_from(WALBackend(base), sync=False).restored == 5
+    assert reborn.space.count(Pattern("row", int)) == 5
 
 
-def test_restore_rejects_bad_snapshots():
-    sim = Simulator()
-    space = LocalTupleSpace(sim, name="dst")
-    with pytest.raises(SerializationError):
-        restore_space(space, {"version": 99, "entries": []})
-    with pytest.raises(SerializationError):
-        restore_space(space, {"version": 1, "entries": [{"tuple": ["??"]}]})
-    with pytest.raises(SerializationError):
-        restore_space(space, "not-a-dict")
+def test_save_load_binary_codec_file(world, tmp_path):
+    sim, net = world
+    old = TiamatInstance(sim, net, "dev")
+    old.out(Tuple("blob", b"\x01\x02", 2.5, Tuple("nested")))
+    base = str(tmp_path / "space")
+    power_down(old, WALBackend(base, codec="binary"))
 
-
-def test_snapshot_roundtrip_binary_codec():
-    sim = Simulator()
-    space = LocalTupleSpace(sim, name="src")
-    space.out(Tuple("a", 1, 2.5, b"\x00\xff", Tuple("nested")))
-    space.out(Tuple("b"), expires_at=40.0)
-    snapshot = snapshot_space(space, codec="binary")
-    assert snapshot["codec"] == "binary"
-    # The binary form stays JSON-representable (hex strings on the wire).
-    import json as _json
-    reparsed = _json.loads(_json.dumps(snapshot))
-    target = LocalTupleSpace(sim, name="dst")
-    assert restore_space(target, reparsed) == 2
-    assert target.snapshot() == space.snapshot()
-
-
-def test_snapshot_rejects_unknown_codec():
-    sim = Simulator()
-    space = LocalTupleSpace(sim, name="src")
-    with pytest.raises(SerializationError):
-        snapshot_space(space, codec="msgpack")
-    with pytest.raises(SerializationError):
-        restore_space(space, {"version": 1, "codec": "msgpack",
-                              "entries": []})
-    with pytest.raises(SerializationError):
-        # Binary snapshots carry hex strings, not raw JSON lists.
-        restore_space(space, {"version": 1, "codec": "binary",
-                              "entries": [{"tuple": ["s", "oops"]}]})
-
-
-def test_restore_is_all_or_nothing():
-    sim = Simulator()
-    space = LocalTupleSpace(sim, name="dst")
-    space.out(Tuple("preexisting"))
-    good = snapshot_space(space)["entries"][0]
-    snapshot = {"version": 1, "name": "src",
-                "entries": [good, {"tuple": ["??"]}, good]}
-    with pytest.raises(SerializationError):
-        restore_space(space, snapshot)
-    # The malformed entry mid-stream deposited *nothing*, not one tuple.
-    assert space.count() == 1
-
-
-def test_unsupported_snapshot_error_truncates_repr():
-    sim = Simulator()
-    space = LocalTupleSpace(sim, name="dst")
-    huge = {"version": 99, "entries": [{"tuple": "x" * 100}] * 1000}
-    with pytest.raises(SerializationError) as err:
-        restore_space(space, huge)
-    assert len(str(err.value)) < 300
-    assert "..." in str(err.value)
-
-
-def test_save_space_is_atomic(tmp_path, monkeypatch):
-    sim = Simulator()
-    space = LocalTupleSpace(sim, name="src")
-    space.out(Tuple("row", 1))
-    path = str(tmp_path / "space.json")
-    assert save_space(space, path) == 1
-
-    # A crash mid-dump (os.replace never runs) leaves the previous file
-    # intact and no temp litter in the directory.
-    space.out(Tuple("row", 2))
-    import repro.tuples.persistence as persistence
-    monkeypatch.setattr(persistence.os, "replace",
-                        lambda *a: (_ for _ in ()).throw(OSError("disk")))
-    with pytest.raises(OSError):
-        save_space(space, path)
-    monkeypatch.undo()
-    target = LocalTupleSpace(sim, name="dst")
-    assert load_space(target, path) == 1        # the old snapshot survived
-    leftovers = [p for p in tmp_path.iterdir()
-                 if p.name.startswith(".tmp-snapshot-")]
-    assert leftovers == []
-
-
-def test_save_load_binary_codec_file(tmp_path):
-    sim = Simulator()
-    space = LocalTupleSpace(sim, name="src")
-    space.out(Tuple("blob", b"\x01\x02"))
-    path = str(tmp_path / "space.json")
-    assert save_space(space, path, codec="binary") == 1
-    target = LocalTupleSpace(sim, name="dst")
-    assert load_space(target, path) == 1
-    assert target.count(Pattern("blob", bytes)) == 1
+    reborn = TiamatInstance(sim, net, "dev")
+    stats = reborn.recover_from(WALBackend(base, codec="binary"), sync=False)
+    assert stats.restored == 1
+    assert (reborn.space.rdp(Pattern("blob", bytes, float, Tuple))
+            == Tuple("blob", b"\x01\x02", 2.5, Tuple("nested")))
 
 
 # ---------------------------------------------------------------------------

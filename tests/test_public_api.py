@@ -14,7 +14,11 @@ Three kinds of guarantees:
 Run in CI as its own step (see ``.github/workflows/ci.yml``).
 """
 
+import ast
 import inspect
+import os
+import subprocess
+import sys
 import warnings
 
 import pytest
@@ -63,8 +67,7 @@ EXPECTED_TUPLES = {
     "ANY", "Actual", "Field", "Formal", "LocalTupleSpace", "Pattern",
     "Range", "StoredEntry", "Tuple", "TupleStore", "Waiter",
     "decode_pattern", "decode_tuple", "encode_pattern", "encode_tuple",
-    "encoded_size", "load_space", "matches", "restore_space",
-    "save_space", "snapshot_space",
+    "encoded_size", "matches",
 }
 
 EXPECTED_STORAGE = {
@@ -159,8 +162,26 @@ def test_version_is_pep440ish():
     parts = repro.__version__.split(".")
     assert len(parts) >= 2
     assert all(p.isdigit() for p in parts[:2])
-    # the pre-connect shims were removed in 2.0
-    assert tuple(int(p) for p in parts[:2]) >= (2, 0)
+    # the pre-connect shims were removed in 2.0, the snapshot persistence
+    # module (repro.tuples.persistence) in 3.0
+    assert tuple(int(p) for p in parts[:2]) >= (3, 0)
+
+
+def test_import_set_does_not_grow():
+    """``import repro`` is what every runtime's ``setup_s`` and
+    ``peak_rss_mb`` pay before the first operation: count it in a fresh
+    interpreter.  Storage stays lazy — only a node that recovers or an
+    injector that crashes one imports it, and sqlite3 only with it."""
+    code = ("import sys, repro; "
+            "print(sorted(n for n in sys.modules if n == 'sqlite3' "
+            "or n.partition('.')[0] == 'repro'))")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    loaded = ast.literal_eval(out)
+    assert len(loaded) == 56, loaded
+    assert not [n for n in loaded if n == "sqlite3" or "storage" in n
+                or "persistence" in n]
 
 
 # ---------------------------------------------------------------------------

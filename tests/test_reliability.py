@@ -6,7 +6,7 @@ Three layers of coverage:
   (retransmit-until-ack, deadline bounding, dedup, epoch separation) and
   for the :mod:`repro.net.faults` injectors;
 * scenario tests for :class:`repro.net.faults.CrashRestartInjector`
-  (the §2.4 power-cycle story through :mod:`repro.tuples.persistence`)
+  (the §2.4 power-cycle story through :mod:`repro.tuples.storage`)
   and for :class:`repro.core.serving.QueryServer` cleanup;
 * a Hypothesis property: a destructive ``in`` consumes each tuple
   **exactly once** under combined loss, duplication, and visibility

@@ -8,14 +8,11 @@ from hypothesis import strategies as st
 
 from repro.runtime import ThreadSafeTupleSpace
 from repro.runtime.node import ThreadedNodeRegistry, ThreadedTiamatNode
+from repro.core import TiamatInstance
+from repro.net import Network
 from repro.sim import Simulator
-from repro.tuples import (
-    LocalTupleSpace,
-    Pattern,
-    Tuple,
-    restore_space,
-    snapshot_space,
-)
+from repro.tuples import Pattern, Tuple
+from repro.tuples.storage import DEFAULT_SKIP_TAGS, MemoryBackend, attach_backend
 from tests.test_matching import tuples as tuples_strategy
 
 
@@ -82,18 +79,29 @@ def test_threaded_unbounded_rd_blocks_until_signal():
 # ---------------------------------------------------------------------------
 # Persistence properties
 # ---------------------------------------------------------------------------
+def power_cycle(items):
+    """Image ``(tuple, expires_at)`` items on one device, recover on the next."""
+    sim = Simulator()
+    net = Network(sim)
+    old = TiamatInstance(sim, net, "dev")
+    for tup, expires_at in items:
+        old.space.out(tup, expires_at=expires_at)
+    backend = attach_backend(old.space, MemoryBackend())
+    backend.detach()
+    old.shutdown()
+    reborn = TiamatInstance(sim, net, "dev")
+    stats = reborn.recover_from(backend, sync=False)
+    return stats, [e for e in reborn.space.store
+                   if e.tuple[0] not in DEFAULT_SKIP_TAGS]
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.lists(tuples_strategy, max_size=10))
 def test_snapshot_restore_roundtrip_property(tuples):
-    sim = Simulator()
-    source = LocalTupleSpace(sim, name="src")
-    for tup in tuples:
-        source.out(tup)
-    snapshot = snapshot_space(source)
-    target = LocalTupleSpace(sim, name="dst")
-    restored = restore_space(target, snapshot)
-    assert restored == len(tuples)
-    assert sorted(target.snapshot(), key=repr) == sorted(tuples, key=repr)
+    stats, entries = power_cycle([(tup, None) for tup in tuples])
+    assert stats.restored == len(tuples)
+    assert (sorted((e.tuple for e in entries), key=repr)
+            == sorted(tuples, key=repr))
 
 
 @settings(max_examples=20, deadline=None)
@@ -102,13 +110,8 @@ def test_snapshot_restore_roundtrip_property(tuples):
                                     st.floats(min_value=1.0, max_value=100.0))),
                 max_size=8))
 def test_snapshot_preserves_lease_structure(items):
-    sim = Simulator()
-    source = LocalTupleSpace(sim, name="src")
-    for tup, remaining in items:
-        expires_at = None if remaining is None else sim.now + remaining
-        source.out(tup, expires_at=expires_at)
-    snapshot = snapshot_space(source)
-    bounded = sum(1 for _, r in items if r is not None)
-    unbounded = sum(1 for _, r in items if r is None)
-    assert sum(1 for e in snapshot["entries"] if e["remaining"] is not None) == bounded
-    assert sum(1 for e in snapshot["entries"] if e["remaining"] is None) == unbounded
+    _, entries = power_cycle(items)
+    # A bounded tuple keeps its deadline; an unbounded one is re-leased for
+    # whatever the policy grants an open-ended request (3600 s by default).
+    assert (sorted(e.meta["expires_at"] for e in entries)
+            == sorted(3600.0 if exp is None else exp for _, exp in items))
