@@ -134,7 +134,9 @@ def measure_scan(population: int = 2000) -> dict:
 
     ``scan_mixed_w<P>_ns`` is ns per operation of a loop in which P % of
     the operations replace a resident tuple (evenly spaced, so each write
-    strands the memo for the reads behind it) and the rest ``find``.
+    strands the memo for the reads behind it) and the rest ``find``, all with
+    a ``Range`` no index narrows; ``scan_range_after_write_ns`` is one write
+    and a ``Range`` covering 10 entries — the ordered index's bisect.
     """
     from repro.tuples.model import Pattern, Range, Tuple
     from repro.tuples.store import TupleStore
@@ -164,6 +166,12 @@ def measure_scan(population: int = 2000) -> dict:
                     store.find(pattern)
         return bench_ns(ten_ops) / 10
 
+    narrow = Pattern(str, Range(1000, 1009), float)
+
+    def range_after_write():
+        write()
+        store.find(narrow)
+
     store.find(pattern)  # warm the cache for the cached loop
     return {
         "scan_uncached_ns": bench_ns(uncached),
@@ -171,6 +179,7 @@ def measure_scan(population: int = 2000) -> dict:
         "scan_mixed_w0_ns": mixed(0),
         "scan_mixed_w10_ns": mixed(10),
         "scan_mixed_w50_ns": mixed(2),
+        "scan_range_after_write_ns": bench_ns(range_after_write),
     }
 
 

@@ -381,6 +381,9 @@ class TiamatInstance:
             self.ops_satisfied_local += 1
         else:
             self.ops_satisfied_remote += 1
+        if not op.contacted:
+            self._ops.pop(op.op_id, None)   # no peer saw its op_id: no late offer
+            return
         # Keep the record around briefly so late offers get clean rejects.
         linger = self.config.claim_timeout + self.config.peer_timeout
         self.sim.schedule(linger, self._ops.pop, op.op_id, None)

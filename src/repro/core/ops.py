@@ -11,9 +11,9 @@ records which instance supplied the tuple, enabling the reply-to-origin
 Operation shapes:
 
 * **probes** (``rdp``/``inp``) sample the *current* logical space: the local
-  space first, then known peers contacted sequentially from the top of the
-  visibility list, then (if still unsatisfied) a discovery multicast and
-  the fresh responders — each contact gated on the lease's remote budget.
+  space first, in the call, then known peers contacted in turn from the top
+  of the visibility list, then (if still unsatisfied) a discovery multicast
+  and the fresh responders — each contact gated on the lease's remote budget.
 * **blocking** (``rd``/``in``) register a local waiter *and* fan the query
   out to peers, which register waiters of their own; the first match wins.
   For destructive ``in`` the remote match is *held* and offered; the origin
@@ -87,10 +87,18 @@ class Operation:
         """Kick off the operation (called by the instance)."""
         if self.target is not None:
             self._start_directed()
+            return
+        # The local space first, in the call: a hit schedules nothing but
+        # this operation's event; only a miss goes on to the peers.
+        space = self.instance.space
+        take = self.kind in (OperationKind.INP, OperationKind.IN)
+        local = space.inp(self.pattern) if take else space.rdp(self.pattern)
+        if local is not None:
+            self._finalize(local, self.instance.name)
         elif self.kind in (OperationKind.INP, OperationKind.RDP):
             self.instance.sim.spawn(self._probe_process())
         else:
-            self._start_blocking()
+            self._start_blocking(take)
 
     def _start_directed(self) -> None:
         """Handle-directed variant: only the named remote space is used.
@@ -160,17 +168,8 @@ class Operation:
     # ------------------------------------------------------------------
     # Probe engine (rdp / inp)
     # ------------------------------------------------------------------
-    def _probe_local(self) -> Optional[Tuple]:
-        space = self.instance.space
-        if self.kind is OperationKind.RDP:
-            return space.rdp(self.pattern)
-        return space.inp(self.pattern)
-
     def _probe_process(self):
-        local = self._probe_local()
-        if local is not None:
-            self._finalize(local, self.instance.name)
-            return
+        """The remote half of a probe, after :meth:`start`'s local miss."""
         fabric = self.instance.fabric
         if fabric is not None and fabric.active() and fabric.routes(self.pattern):
             # Fabric routing: contact the shard's O(k) owner set (or the
@@ -237,15 +236,9 @@ class Operation:
     # ------------------------------------------------------------------
     # Blocking engine (rd / in)
     # ------------------------------------------------------------------
-    def _start_blocking(self) -> None:
-        space = self.instance.space
-        if self.kind is OperationKind.RD:
-            waiter = space.rd(self.pattern)
-        else:
-            waiter = space.in_(self.pattern)
-        if waiter.satisfied:
-            self._finalize(waiter.event.value, self.instance.name)
-            return
+    def _start_blocking(self, take: bool) -> None:
+        """The rest of an rd/in after :meth:`start`'s local miss."""
+        waiter = self.instance.space.wait(self.pattern, remove=take)
         self._local_waiter = waiter
         waiter.event.add_callback(self._on_local_match)
         fabric = self.instance.fabric

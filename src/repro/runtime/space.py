@@ -99,7 +99,7 @@ class ThreadSafeTupleSpace:
             self._reap()
             if pattern is None:
                 return self._store.visible_count
-            return len(self._store.find_all(pattern))
+            return self._store.count(pattern)
 
     def snapshot(self) -> list[Tuple]:
         """All live tuples, oldest first."""

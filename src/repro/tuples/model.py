@@ -225,7 +225,7 @@ class Range(Field):
 
     A wire-serializable predicate formal (arbitrary Python predicates cannot
     be propagated to remote instances; ranges can).  Either bound may be
-    ``None`` for open-ended ranges.
+    ``None`` for open-ended ranges.  NaN is in no range.
     """
 
     __slots__ = ("lo", "hi")
@@ -243,7 +243,8 @@ class Range(Field):
         self.hi = hi
 
     def admits(self, value: FieldValue) -> bool:
-        if type(value) is bool or not isinstance(value, (int, float)):
+        if (type(value) is bool or not isinstance(value, (int, float))
+                or value != value):
             return False
         if self.lo is not None and value < self.lo:
             return False
@@ -333,18 +334,20 @@ class Pattern:
 
     @property
     def index_plan(self) -> tuple:
-        """``(signature, actuals)``: how a store's indexes can serve this pattern.
+        """``(signature, actuals, ranges)``: how a store's indexes serve this pattern.
 
         ``signature`` is the one tuple of concrete field types the pattern
         can match (matching is exact-type), or None when some spec admits
         several types (:data:`ANY`, :class:`Range`, ``Formal(Tuple)``, a
         custom :class:`Field`).  ``actuals`` are the ``(position, value)``
-        pairs of its actual fields.  Computed once per pattern.
+        pairs of its actual fields, ``ranges`` the ``(position, lo, hi)``
+        of its :class:`Range` fields.  Computed once per pattern.
         """
         plan = self._plan
         if plan is None:
             types: Optional[list] = []
             actuals = []
+            ranges: tuple = ()
             for pos, spec in enumerate(self._specs):
                 kind = type(spec)
                 if kind is Actual:
@@ -353,12 +356,14 @@ class Pattern:
                 elif kind is Formal and spec.type is not Tuple:
                     field_type = spec.type
                 else:
+                    if kind is Range:
+                        ranges += ((pos, spec.lo, spec.hi),)
                     types = None
                     continue
                 if types is not None:
                     types.append(field_type)
             plan = self._plan = (None if types is None else tuple(types),
-                                 tuple(actuals))
+                                 tuple(actuals), ranges)
         return plan
 
     def __eq__(self, other: object) -> bool:

@@ -208,6 +208,12 @@ class LocalTupleSpace:
         """Blocking take: returns a waiter whose event yields the tuple."""
         return self._blocking(pattern, remove=True)
 
+    def wait(self, pattern: Pattern, remove: bool) -> Waiter:
+        """A waiter for the next match, after an ``rdp``/``inp`` that missed."""
+        waiter = Waiter(self, pattern, remove)
+        self._waiters.append(waiter)
+        return waiter
+
     # ------------------------------------------------------------------
     # Two-phase destructive match (for the distributed `in` protocol)
     # ------------------------------------------------------------------
@@ -255,7 +261,7 @@ class LocalTupleSpace:
         """Number of visible tuples (matching ``pattern`` when given)."""
         if pattern is None:
             return self.store.visible_count
-        return len(self.store.find_all(pattern))
+        return self.store.count(pattern)
 
     def snapshot(self) -> list[Tuple]:
         """All visible tuples, oldest first (for assertions and figures)."""
@@ -276,19 +282,11 @@ class LocalTupleSpace:
     # Internals
     # ------------------------------------------------------------------
     def _blocking(self, pattern: Pattern, remove: bool) -> Waiter:
+        found = self.inp(pattern) if remove else self.rdp(pattern)
+        if found is None:
+            return self.wait(pattern, remove)
         waiter = Waiter(self, pattern, remove)
-        existing = self.store.find(pattern, self.rng)
-        if existing is not None:
-            if remove:
-                self.store.remove(existing.entry_id)
-                self.consumed += 1
-                if probes.SINK is not None:
-                    probes.emit("space.consume", space=self.name,
-                                tup=existing.tuple)
-                self._notify_removed(existing, "consumed")
-            waiter.event.succeed(existing.tuple)
-            return waiter
-        self._waiters.append(waiter)
+        waiter.event.succeed(found)
         return waiter
 
     def _offer_to_waiters(self, tup: Tuple) -> bool:

@@ -31,22 +31,26 @@ pattern leans on.
 **Everything else** (``ANY``, ``Range``, ``Formal(Tuple)``, several actuals
 sharing a bucket, held entries) is a filtered walk, oldest entry first,
 over the smallest bucket of each signature of the pattern's arity — and
-only that walk is memoized.  ``_scan`` keeps its result per pattern, keyed
-to a **store version** that every visibility-changing mutation (add,
-remove, hold, release) bumps, so a hit is provably identical to a fresh
-scan.  The memo is kept because polling with a non-exact pattern against a
-mostly unchanged store is real (the e2e ``store_poll`` workload's ``Range``
-read would otherwise rescan 2000 notes per call); exact patterns never
-enter it.  Hits and misses are counted (``scan_cache_hits`` /
-``scan_cache_misses``) and surface in the metrics registry via
-``Observability.observe_space``; an exact pick is neither.
+only that walk is memoized.  A ``Range`` narrows it by **ordered index**
+(a sorted ``(value, seq, entry)`` list per ``int``/``float`` position of a
+signature, built on the first ``Range`` query naming it, then kept by
+``add``/``remove``; NaN is in no range, so never in the list): the walk
+visits the bisected slice, oldest first, when it beats the bucket.
+``_scan`` keeps its result per pattern, keyed to a **store version** that
+every visibility-changing mutation (add, remove, hold, release) bumps, so
+a hit is provably identical to a fresh scan.  The memo still serves
+``ANY``, ``Formal(Tuple)``, a ``Range`` wider than its bucket, shared
+buckets and held entries; exact patterns never enter it.  Hits and misses
+(``scan_cache_hits`` / ``scan_cache_misses``) reach the metrics registry
+via ``Observability.observe_space``; an exact pick is neither.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
-from operator import attrgetter
+from bisect import bisect_left, bisect_right, insort
+from operator import attrgetter, itemgetter
 from typing import Iterator, Optional
 
 from repro.check import probes
@@ -56,6 +60,8 @@ from repro.tuples.matching import matches
 from repro.tuples.model import Pattern, Tuple
 
 _EMPTY: dict = {}
+_INF = float("inf")
+_seq = itemgetter(1)
 
 
 class StoredEntry:
@@ -114,6 +120,8 @@ class TupleStore:
         # (signature, position, value) -> dict of entry_id -> StoredEntry;
         # the signature keeps 1 / True / 1.0 apart.
         self._by_actual: dict[tuple, dict[int, StoredEntry]] = {}
+        # signature -> {position: sorted [(value, seq, entry)]} for Range
+        self._ordered: dict[tuple, dict[int, list]] = {}
         self._held = 0
         # Monotone version, bumped by every visibility-changing mutation;
         # the scan cache keys its entries to it (see module docstring).
@@ -162,6 +170,12 @@ class TupleStore:
         self._by_sig.setdefault(sig, {})[entry_id] = entry
         for pos, value in enumerate(tup.fields):
             self._by_actual.setdefault((sig, pos, value), {})[entry_id] = entry
+        ordered = self._ordered.get(sig)
+        if ordered:
+            for pos, keys in ordered.items():
+                value = tup.fields[pos]
+                if value == value:
+                    insort(keys, (value, entry.seq, entry))
         if probes.SINK is not None:
             probes.emit("store.add", store=id(self), entry=entry.entry_id)
         return entry
@@ -194,6 +208,12 @@ class TupleStore:
         del bucket[entry_id]
         if not bucket:
             del self._by_sig[sig]
+        ordered = self._ordered.get(sig)
+        if ordered:
+            for pos, keys in ordered.items():
+                value = entry.tuple.fields[pos]
+                if value == value:
+                    del keys[bisect_left(keys, (value, entry.seq))]
         for pos, value in enumerate(entry.tuple.fields):
             key = (sig, pos, value)
             bucket = self._by_actual[key]
@@ -242,7 +262,8 @@ class TupleStore:
         """Visible entries that *may* match, oldest first, via the cheapest index.
 
         Per signature the pattern can match, uses the smallest bucket among
-        the pattern's actual-field indexes and the signature bucket.
+        the pattern's actual-field indexes and the signature bucket — or
+        the slice of an ordered index its ``Range``\\ s bisect, when smaller.
 
         Iteration is **lazy** over the live index buckets — no per-scan
         copy of a potentially huge bucket.  Callers that mutate the store
@@ -250,13 +271,16 @@ class TupleStore:
         pass ``snapshot=True``, which materialises the walk first;
         read-only consumers (``_scan`` and friends) pay nothing.
         """
-        sig, actuals = pattern.index_plan
+        sig, actuals, ranges = pattern.index_plan
         if sig is not None:
             sigs = [sig]
         else:
             sigs = [s for s in self._by_sig if len(s) == pattern.arity]
-        buckets = [self._smallest(s, actuals) for s in sigs]
-        sources = [bucket.values() for bucket in buckets if bucket]
+        if ranges:
+            sources = [self._ranged(s, actuals, ranges) for s in sigs]
+        else:
+            buckets = [self._smallest(s, actuals) for s in sigs]
+            sources = [bucket.values() for bucket in buckets if bucket]
         if len(sources) > 1:
             source = heapq.merge(*sources, key=attrgetter("seq"))
         else:
@@ -280,6 +304,28 @@ class TupleStore:
                 bucket = narrowed
         return bucket
 
+    def _ranged(self, sig: tuple, actuals: tuple, ranges: tuple):
+        """``_smallest``'s bucket or a narrower Range slice, oldest first."""
+        bucket = self._smallest(sig, actuals)
+        best = None
+        for pos, lo, hi in ranges:
+            if sig[pos] is not int and sig[pos] is not float:
+                return ()   # a Range admits no other type
+            keys = self._ordered.get(sig, _EMPTY).get(pos)
+            if keys is None:    # the first Range query naming this position
+                keys = self._ordered.setdefault(sig, {})[pos] = sorted(
+                    (entry.tuple.fields[pos], entry.seq, entry)
+                    for entry in self._by_sig[sig].values()
+                    if entry.tuple.fields[pos] == entry.tuple.fields[pos])
+            i = 0 if lo is None else bisect_left(keys, (lo,))
+            j = len(keys) if hi is None else bisect_right(keys, (hi, _INF))
+            if j - i < len(bucket if best is None else best):
+                best = keys[i:j]
+        if best is None:
+            return bucket.values()
+        best.sort(key=_seq)
+        return [key[2] for key in best]
+
     def _exact_bucket(self, pattern: Pattern) -> Optional[dict]:
         """The bucket holding exactly ``pattern``'s matches, all visible.
 
@@ -287,7 +333,7 @@ class TupleStore:
         """
         if self._held or self._canary_ghost or probes.SINK is not None:
             return None
-        sig, actuals = pattern.index_plan
+        sig, actuals, _ = pattern.index_plan
         if sig is None:
             return None
         for _, value in actuals:
@@ -329,14 +375,19 @@ class TupleStore:
 
     def find_all(self, pattern: Pattern) -> list[StoredEntry]:
         """All visible entries matching ``pattern`` (oldest first)."""
+        return sorted(self._matching(pattern), key=lambda e: e.entry_id)
+
+    def count(self, pattern: Pattern) -> int:
+        """``len(find_all(pattern))`` without the list: O(1) when exact."""
+        return len(self._matching(pattern))
+
+    def _matching(self, pattern: Pattern):
+        """The visible matches, unordered, counted as one scan."""
         bucket = self._exact_bucket(pattern)
         if bucket is None:
-            found = self._scan(pattern)
-        else:
-            self._count_scan(len(bucket))
-            found = list(bucket.values())
-        found.sort(key=lambda e: e.entry_id)
-        return found
+            return self._scan(pattern)
+        self._count_scan(len(bucket))
+        return bucket.values()
 
     def _count_scan(self, examined: int) -> None:
         self.scans += 1

@@ -159,6 +159,27 @@ def test_late_reply_to_finished_op_gets_rejected(sim):
     sim.run(until=10.0)
     # Origin sent a CLAIM_REJECT; server ignores it (no such serving).
     assert inst["origin"].ops_unsatisfied >= 1
+    # A probe that misses locally and asks a peer lingers: an offer naming
+    # it, during the linger or after the purge, is rejected all the same.
+    rejects = []
+    net.on_frame(lambda phase, msg: rejects.append(msg.payload["op_id"])
+                 if phase == "send" and msg.kind == protocol.CLAIM_REJECT
+                 else None)
+    probe = inst["origin"].inp(Pattern("absent"))
+    while not probe.done:
+        sim.step()
+    assert probe.contacted == ["server"]
+    offer = {"kind": protocol.QUERY_REPLY, "op_id": probe.op_id, "found": True,
+             "tuple": ["t", [["s", "absent"]]], "entry_id": 998}
+    net.unicast("server", "origin", offer)
+    sim.run(until=sim.now + 0.1)
+    assert probe.op_id in inst["origin"]._ops           # lingering
+    assert rejects == [probe.op_id]
+    sim.run(until=sim.now + 1.0)
+    assert probe.op_id not in inst["origin"]._ops       # purged
+    net.unicast("server", "origin", offer)
+    sim.run(until=sim.now + 1.0)
+    assert rejects == [probe.op_id] * 2
 
 
 def test_rd_serving_sends_copy_and_closes(sim):

@@ -18,7 +18,7 @@ from repro.runtime.api import (
     TiamatRuntime,
     connect,
 )
-from repro.tuples.model import Pattern, Tuple
+from repro.tuples.model import Pattern, Range, Tuple
 
 pytestmark = pytest.mark.timeout(120)
 
@@ -96,6 +96,16 @@ def test_common_contract_eval_deposits(kind):
         # eval's return shape is runtime-specific (see API.md); the
         # contract is the deposited result, observable via blocking read
         assert a.rd(Pattern("made", int), timeout=10.0) == Tuple("made", 7)
+
+
+@pytest.mark.parametrize("kind", RUNTIME_KINDS)
+def test_common_contract_range_admits_no_nan(kind):
+    with connect(runtime=kind) as rt:
+        a = rt.node("a")
+        a.out(Tuple("load", float("nan")))
+        assert a.rdp(Pattern("load", Range(0.0, 0.5))) is None
+        a.out(Tuple("load", 0.25))
+        assert a.rdp(Pattern("load", Range(0.0, 0.5))) == Tuple("load", 0.25)
 
 
 def test_runtime_protocols_are_runtime_checkable():

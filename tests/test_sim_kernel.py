@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 import repro
 from repro.core import TiamatInstance
+from repro.core.monitoring import AppMonitor
 from repro.errors import SimulationError
 from repro.leasing import GenerousPolicy, LeaseTerms, SimpleLeaseRequester
 from repro.net.network import Network, default_latency
@@ -218,6 +219,33 @@ def test_consumed_tuples_and_released_leases_do_not_pin_timers():
         assert sizes[1][1] <= 2 * Simulator.COMPACT_FLOOR   # dead ones: swept
     finally:
         rt.close()
+
+
+@pytest.mark.parametrize("kind", ["rdp", "inp", "rd", "in_"])
+def test_a_local_hit_schedules_only_its_event_flush(kind):
+    """A locally satisfied operation finishes inside the call: one live
+    timer (the operation event's flush), no process, no linger, no record
+    left — and every observer still sees it."""
+    sim = Simulator(seed=4)
+    inst = TiamatInstance(sim, Network(sim), "a")
+    monitor = AppMonitor(sim)
+    monitor.attach(inst)
+    inst.space.out(Tuple("x", 1))       # no lease, no expiry timer
+    sim.run()
+    pending, leases = sim.pending, inst.leases.active_count
+    op = getattr(inst, kind)(Pattern("x", int))
+    assert op.done and (op.result, op.source) == (Tuple("x", 1), "a")
+    assert sim.pending == pending + 1
+    assert inst._ops == {}
+    assert inst.leases.active_count == leases
+    assert sim.step() and sim.pending == pending
+    assert [e["event"] for e in inst.flight_ring.events()
+            if e.get("op_id") == op.op_id] == ["op_start", "op_end"]
+    [sample] = sim.obs.registry.snapshot()["slo_op_latency_seconds"]["samples"]
+    assert (sample["labels"]["kind"], sample["count"]) == (op.kind.value, 1)
+    [record] = monitor.history
+    assert (record.kind, record.satisfied, record.finished_at) == (
+        op.kind.value, True, sim.now)
 
 
 def test_compaction_leaves_the_schedule_unchanged():

@@ -1,17 +1,19 @@
 """``TupleStore.find`` picks the same entry, with the same draws, on every path.
 
-The store answers a signature-exact pattern straight from an index bucket
-and everything else by a filtered walk.  Both must behave like the
-reference below — filter every entry by ``visible`` and ``matches``,
-oldest first, ``rng.choice`` when more than one — down to the state the
-random stream is left in, or seeded experiments would drift.
+The store answers a signature-exact pattern straight from an index bucket,
+a ``Range`` from a bisected ordered index, and everything else by a
+filtered walk.  All must behave like the reference below — filter every
+entry by ``visible`` and ``matches``, oldest first, ``rng.choice`` when
+more than one — down to the state the random stream is left in, or seeded
+experiments would drift.
 """
 
 import random
 
 from hypothesis import settings
 from hypothesis import strategies as st
-from hypothesis.stateful import RuleBasedStateMachine, precondition, rule
+from hypothesis.stateful import (RuleBasedStateMachine, invariant,
+                                 precondition, rule)
 
 from repro.check import probes
 from repro.check.oracles import InvariantMonitor
@@ -20,8 +22,10 @@ from repro.tuples import ANY, Formal, Pattern, Range, Tuple, TupleStore, matches
 
 NAN = float("nan")
 #: Values whose hashes and ``==`` collide across types (1 / True / 1.0,
-#: 0.0 / -0.0), a value equal to nothing, bytes and nested tuples.
-SCALARS = [1, True, 1.0, 0.0, -0.0, 0, False, NAN, "a", "1", b"a", b""]
+#: 0.0 / -0.0), a value equal to nothing, bytes and nested tuples, and a
+#: few more numbers for ranges to cut between.
+SCALARS = [1, True, 1.0, 0.0, -0.0, 0, False, NAN, "a", "1", b"a", b"",
+           2, -3, 2.5, float("inf")]
 NESTED = [Tuple(1), Tuple(True), Tuple(1.0), Tuple("a", Tuple(0.0)), Tuple(NAN)]
 
 values = st.sampled_from(SCALARS + NESTED)
@@ -99,12 +103,29 @@ class PickMachine(RuleBasedStateMachine):
         entry = self.store.add(tup)
         self.ref.entries.append([entry.entry_id, tup, False])
 
+    @rule(values=st.lists(st.sampled_from([-3, 0, 1, 2, True, False, -0.0, 0.0,
+                                           1.0, 2.5, NAN, float("inf")]),
+                          min_size=1, max_size=8))
+    def add_readings(self, values):
+        """Dense buckets of ints, floats and bools at one position, out of
+        value order, for ``Range`` slices to cut."""
+        for value in values:
+            self.add(Tuple("n", value))
+
     @rule(tup=tuples, quarantine=st.booleans())
     def restore(self, tup, quarantine):
         entry = self.store.add(tup, entry_id=next(self.pinned))
         if quarantine:
             self.store.hold(entry.entry_id)
         self.ref.entries.append([entry.entry_id, tup, quarantine])
+
+    @rule(tup=tuples)
+    def recover(self, tup):
+        """Recovery bumps the counter past the pinned ids, then restores one
+        under its original (lower) id: insertion order is not id order."""
+        self.store.bump_ids(100_000)
+        entry = self.store.add(tup, entry_id=next(self.pinned))
+        self.ref.entries.append([entry.entry_id, tup, False])
 
     @precondition(lambda self: self.ref.entries)
     @rule(data=st.data())
@@ -151,6 +172,39 @@ class PickMachine(RuleBasedStateMachine):
         got = [e.entry_id for e in self.store.find_all(pattern)]
         assert got == sorted(self.ref.found(pattern))
         assert all(self.store.get(i).visible for i in got)
+        assert self.store.count(pattern) == len(got)
+
+    @rule(data=st.data(), take=st.booleans())
+    def find_range(self, data, take):
+        """A pattern built around a resident, with a ``Range`` at one of its
+        positions whose bounds are resident numbers (a bound can equal a
+        resident; either may be open)."""
+        residents = [e[1] for e in self.ref.entries] or [Tuple(1, 2.5)]
+        numbers = [f for tup in residents for f in tup.fields
+                   if type(f) in (int, float)] or [0, 1.5]
+        bound = st.one_of(st.none(), st.sampled_from(numbers))
+        lo, hi = data.draw(bound), data.draw(bound)
+        if lo is None and hi is None:
+            hi = numbers[0]
+        elif lo is not None and hi is not None and lo > hi:
+            lo, hi = hi, lo
+        like = data.draw(st.sampled_from(residents))
+        specs = [data.draw(st.sampled_from([ANY, f, Formal(type(f)), Range(lo, hi)]))
+                 if not isinstance(f, Tuple) else Formal(Tuple) for f in like]
+        specs[data.draw(st.integers(0, len(specs) - 1))] = Range(lo, hi)
+        pattern = Pattern.of(specs)
+        self.find_oldest(pattern)
+        self.find_all(pattern)
+        self.find_seeded(pattern, take)
+
+    @invariant()
+    def ordered_indexes_match_their_buckets(self):
+        for sig, by_pos in self.store._ordered.items():
+            bucket = self.store._by_sig.get(sig, {})
+            for pos, keys in by_pos.items():
+                assert keys == sorted(
+                    (e.tuple[pos], e.seq, e) for e in bucket.values()
+                    if e.tuple[pos] == e.tuple[pos])
 
 
 TestStorePick = PickMachine.TestCase
@@ -166,6 +220,48 @@ def test_nan_actuals_never_match_through_the_index():
     assert store.find(Pattern(str, NESTED[-1])) is None
     assert store.find(Pattern(float)).tuple.fields[0] is NAN
     assert store.find(Pattern("x", Formal(Tuple))) is not None
+
+
+def test_range_narrows_by_bisect_and_never_admits_nan():
+    store = TupleStore()
+    for i in range(2000):
+        store.add(Tuple("note", i, float(i)))
+    store.add(Tuple("note", 5, NAN))
+    store.add(Tuple("note", 5.0, 5.0))              # another signature
+    p = Pattern("note", Range(5, 14), ANY)
+    assert [e.tuple[1] for e in store.find_all(p)] == list(range(5, 15)) + [5, 5.0]
+    assert store.find(Pattern("note", int, Range(0.0, 0.5))).tuple[2] == 0.0
+    store.add(Tuple("note", 7, 7.5))                # a write strands the memo
+    before = store.entries_scanned
+    assert store.count(p) == 13
+    assert store.entries_scanned - before == 13     # the slices, not 2000 notes
+    assert store.find(Pattern("note", int, Range(hi=-1.0))) is None
+    assert store.count(Pattern("note", int, float)) == 2002  # exact: len(bucket)
+
+
+def test_a_ghost_stays_in_the_ordered_index(monkeypatch):
+    """The ``ghost`` canary's removed-but-unindexed entry is still found
+    through a ``Range`` — the index must not hide the planted bug."""
+    monkeypatch.setenv("REPRO_CHECK_CANARY", "ghost")
+    store = TupleStore()
+    ghost = store.add(Tuple("n", 3))
+    store.find(Pattern("n", Range(0, 9)))           # builds the index
+    store.remove(ghost.entry_id)
+    assert store.find(Pattern("n", Range(1, 5))) is ghost
+
+
+def test_count_is_find_all_without_the_list():
+    counted, listed = TupleStore(), TupleStore()
+    for store in (counted, listed):
+        for i in range(50):
+            store.add(Tuple("t", i % 7, float(i)))
+    for p in (Pattern("t", int, float), Pattern("t", 3, float),
+              Pattern("t", Range(2, 4), float), Pattern(str, ANY, ANY)):
+        for store in (counted, listed):
+            store.add(Tuple("t", 3, 0.5))           # strand the memo
+        assert counted.count(p) == len(listed.find_all(p))
+        assert (counted.scans, counted.entries_scanned) == (
+            listed.scans, listed.entries_scanned)
 
 
 def test_oldest_first_across_signatures_is_insertion_order_not_id_order():

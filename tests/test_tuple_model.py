@@ -109,6 +109,12 @@ def test_range_open_ended():
     assert not Range(hi=10).admits(11)
 
 
+def test_range_admits_no_nan():
+    nan = float("nan")
+    assert not Range(0, 1).admits(nan)
+    assert not Range(lo=0).admits(nan) and not Range(hi=0).admits(nan)
+
+
 def test_range_validation():
     with pytest.raises(MalformedPatternError):
         Range()
