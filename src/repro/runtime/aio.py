@@ -13,6 +13,15 @@ their admission gates, blocking operations poll the opportunistic
 logical space until match or deadline, ``eval`` runs the active tuple on
 a worker and deposits its result locally.
 
+Threads of a sync call
+----------------------
+The synchronous facade runs :class:`~repro.runtime.base.RuntimeNode`'s
+one operation loop on the *caller's* thread, as the threaded runtime
+does; only the datagram exchange crosses to the event loop
+(:meth:`AioTiamatNode._exchange`), so concurrent sync callers run side by
+side.  A sync ``out`` touches the loop only while a loop-side
+``a_rd``/``a_in`` is parked.
+
 Transport shape
 ---------------
 * **Frames are codec payload dicts** — the same binary LEB128 payload
@@ -46,6 +55,7 @@ pool lifecycle.
 from __future__ import annotations
 
 import asyncio
+import concurrent.futures
 import hashlib
 import itertools
 import json
@@ -53,10 +63,12 @@ import random
 import socket
 import struct
 import threading
+import time
 from typing import (
     TYPE_CHECKING,
     Any,
     Dict,
+    Iterator,
     List,
     Optional,
     Tuple as PyTuple,
@@ -106,6 +118,18 @@ def multicast_group_for(space: str) -> PyTuple[str, int]:
     b1, b2, b3 = digest[0] & 0x03, digest[1], digest[2]
     port = 30000 + int.from_bytes(digest[3:5], "big") % 4000
     return f"239.{192 + b1}.{b2}.{b3}", port
+
+
+def _expire(fut: "asyncio.Future") -> None:
+    """A request's wait ran out: wake its awaiter with ``None``."""
+    if not fut.done():
+        fut.set_result(None)
+
+
+def _answer_tuple(answer: Optional[dict]) -> Optional[Tuple]:
+    """The tuple an answer frame carries, if any."""
+    result = None if answer is None else answer.get("t")
+    return result if isinstance(result, Tuple) else None
 
 
 class BufferPool:
@@ -233,8 +257,8 @@ class AioNodeRegistry(NodeRegistry["AioTiamatNode"]):
     The visibility relation hands out *addresses only*
     (:meth:`visible_peers`); every probe, answer and discovery exchange
     travels through the nodes' UDP sockets.  One event loop on a
-    daemon thread drives every member node, so the synchronous facade
-    (``node.rdp(...)`` from test or application threads) and the native
+    daemon thread drives every member node's socket, so the synchronous
+    facade (``node.rdp(...)`` on the calling thread) and the native
     ``async`` API (``await node.a_rdp(...)`` from loop code) coexist.
 
     ``loss_rate``/``loss_seed`` inject seeded, deterministic datagram
@@ -273,16 +297,23 @@ class AioNodeRegistry(NodeRegistry["AioTiamatNode"]):
     def loop(self) -> asyncio.AbstractEventLoop:
         return self._loop
 
-    def submit(self, coro) -> "asyncio.Future":
-        """Run a coroutine on the registry loop from any other thread."""
+    def _check_caller(self) -> None:
+        """Refuse a synchronous wait on the loop that could never end:
+        after :meth:`close`, or on the loop thread (waiting on itself)."""
         if self._closed:
-            coro.close()
             raise RuntimeError("registry is closed")
         if threading.current_thread() is self._thread:
-            coro.close()
             raise RuntimeError(
                 "the synchronous facade must not be called from the "
                 "event-loop thread; use the async (a_*) API instead")
+
+    def submit(self, coro) -> "concurrent.futures.Future":
+        """Run a coroutine on the registry loop from any other thread."""
+        try:
+            self._check_caller()
+        except RuntimeError:
+            coro.close()
+            raise
         return asyncio.run_coroutine_threadsafe(coro, self._loop)
 
     def lose_frame(self) -> bool:
@@ -331,10 +362,11 @@ class AioNodeRegistry(NodeRegistry["AioTiamatNode"]):
 class AioTiamatNode(RuntimeNode):
     """One aio node: a local space plus opportunistic ops over UDP.
 
-    Synchronous methods (``out``/``rdp``/``inp``/``rd``/``in_``/``eval``)
-    mirror :class:`~repro.runtime.node.ThreadedTiamatNode` and may be
-    called from any thread except the event-loop thread; each has a
-    native ``a_``-prefixed coroutine twin for asyncio applications.
+    The synchronous methods are :class:`~repro.runtime.base.RuntimeNode`'s
+    loop on the caller's thread, with a datagram exchange as its transport
+    (:meth:`_probe_peer`); one that needs the wire may be called from any
+    thread except the event-loop thread.  Each has a native ``a_``-prefixed
+    coroutine twin for asyncio applications.
     """
 
     registry: AioNodeRegistry
@@ -349,12 +381,18 @@ class AioTiamatNode(RuntimeNode):
         super().__init__(registry, name,
                          max_concurrent_serves=max_concurrent_serves)
         self._req_ids = itertools.count(1)
-        self._pending: Dict[int, asyncio.Future] = {}
+        # request id -> waiter: an asyncio future for loop-side requests,
+        # a concurrent.futures one for a sync caller's exchange
+        self._pending: Dict[int, Any] = {}
         # (origin, request id) -> committed destructive answer, oldest first
         self._served_cache: Dict[PyTuple[str, int], dict] = {}
         self._send_queues: Dict[Addr, List[dict]] = {}
         self._flush_scheduled = False
-        self._local_event: Optional[asyncio.Event] = None
+        # Loop-side ops inside _a_blocking (which a_rdp/a_inp run with a
+        # zero lease), and the event the next local deposit sets (then
+        # replaces).
+        self._loop_waiters = 0
+        self._local_event = asyncio.Event()
         self.pool = BufferPool()
         # wire counters (cheap ints, read back by stats())
         self.frames_sent = 0
@@ -381,7 +419,6 @@ class AioTiamatNode(RuntimeNode):
     # ------------------------------------------------------------------
     async def _a_start(self, port: int) -> None:
         loop = asyncio.get_running_loop()
-        self._local_event = asyncio.Event()
         # Bind the socket ourselves and hand it to asyncio: the transport's
         # get_extra_info("socket") is a TransportSocket proxy that forbids
         # sendto, and the zero-copy send path needs the real one.
@@ -438,7 +475,9 @@ class AioTiamatNode(RuntimeNode):
                 pass
             self._mcast_sock.close()
             self._mcast_sock = None
-        for fut in self._pending.values():
+        # A snapshot: sync callers add waiters from their own threads.  One
+        # added after it finds the registry closed and raises instead.
+        for fut in list(self._pending.values()):
             if not fut.done():
                 fut.cancel()
         self._pending.clear()
@@ -455,6 +494,11 @@ class AioTiamatNode(RuntimeNode):
         if not self._flush_scheduled:
             self._flush_scheduled = True
             self.registry.loop.call_soon(self._flush_all)
+
+    def _resend(self, addr: Addr, frame: dict) -> None:
+        """Queue a retransmission, counted here on the loop thread."""
+        self.retransmits += 1
+        self._queue_frame(addr, frame)
 
     def _flush_all(self) -> None:
         self._flush_scheduled = False
@@ -582,75 +626,119 @@ class AioTiamatNode(RuntimeNode):
     # ------------------------------------------------------------------
     # Request plane: retransmit until answered or out of budget
     # ------------------------------------------------------------------
+    def _waits(self, budget: float) -> Iterator[float]:
+        """How long to wait after each send of one request: the capped
+        exponential ``config.retry_*`` schedule, clipped to ``budget``.
+        Both request paths walk it on one clock (``loop.time()`` is
+        ``time.monotonic()``), as they share ``_peer_backoff``."""
+        config = self.registry.config
+        deadline = time.monotonic() + budget
+        interval = config.retry_initial
+        remaining = budget
+        while remaining > 0:
+            yield min(interval, remaining)
+            interval = min(interval * config.retry_backoff,
+                           config.retry_max_interval)
+            remaining = deadline - time.monotonic()
+
     async def _request(self, addr: Addr, frame: dict,
                        budget: float) -> Optional[dict]:
-        """Send ``frame`` and await its answer, retransmitting on a capped
-        exponential schedule.  Returns the answer frame or ``None`` if the
-        peer never answered within ``budget`` seconds."""
+        """Send ``frame`` and await its answer, retransmitting on the
+        :meth:`_waits` schedule.  Returns the answer frame or ``None`` if
+        the peer never answered within ``budget`` seconds."""
         loop = asyncio.get_running_loop()
-        config = self.registry.config
         req_id = frame["id"]
-        deadline = loop.time() + budget
-        interval = config.retry_initial
-        first = True
-        while True:
-            fut: asyncio.Future = loop.create_future()
+        for sends, wait in enumerate(self._waits(budget)):
+            fut = loop.create_future()
             self._pending[req_id] = fut
-            if not first:
-                self.retransmits += 1
-            first = False
-            self._queue_frame(addr, frame)
-            remaining = deadline - loop.time()
-            if remaining <= 0:
-                self._pending.pop(req_id, None)
-                return None
+            (self._resend if sends else self._queue_frame)(addr, frame)
+            # One timer that resolves the future itself: no wait_for task.
+            timer = loop.call_later(wait, _expire, fut)
+            answer = await fut
+            timer.cancel()
+            if answer is not None:
+                return answer
+            self._pending.pop(req_id, None)
+        return None
+
+    def _exchange(self, addr: Addr, frame: dict,
+                  budget: float) -> Optional[dict]:
+        """:meth:`_request` on the caller's own thread: it registers a
+        ``concurrent.futures.Future`` (a dict store is atomic) and hands the
+        frame to the loop with one ``call_soon_threadsafe``; :meth:`_dispatch`
+        resolves the future there.  Nothing else runs on the loop."""
+        registry = self.registry
+        req_id = frame["id"]
+        for sends, wait in enumerate(self._waits(budget)):
+            waiter = concurrent.futures.Future()
+            self._pending[req_id] = waiter
             try:
-                return await asyncio.wait_for(
-                    fut, timeout=min(interval, remaining))
-            except asyncio.TimeoutError:
+                # After the register: close() cancels each waiter it finds.
+                registry._check_caller()
+                registry.loop.call_soon_threadsafe(
+                    self._resend if sends else self._queue_frame, addr, frame)
+                return waiter.result(timeout=wait)
+            except concurrent.futures.TimeoutError:
+                pass
+            finally:
                 self._pending.pop(req_id, None)
-                if loop.time() >= deadline:
-                    return None
-                interval = min(interval * config.retry_backoff,
-                               config.retry_max_interval)
+        return None
 
-    async def _probe(self, peer: str, addr: Addr, pattern: Pattern,
-                     remove: bool,
-                     req_id: Optional[int] = None,
-                     ) -> Union[Optional[Tuple], _ShedType]:
-        """Probe one peer through its serving gate, honouring backoff.
-
-        ``req_id`` lets a blocking operation reuse one id across its poll
-        rounds: combined with the server's destructive-hit cache, a take
-        whose answer was lost in flight is recovered on the next round
-        instead of silently consuming the tuple into the void.
-        """
-        loop = asyncio.get_running_loop()
-        if self._backing_off(peer, loop.time()):
+    def _query(self, peer: str, pattern: Pattern, remove: bool,
+               req_ids: Dict[str, int]) -> Optional[dict]:
+        """The QUERY frame for one probe of ``peer``, or ``None`` while it
+        backs this node off.  One request id per peer per operation: with
+        the server's destructive-hit cache, a take whose answer was lost is
+        recovered on the next round instead of consumed into the void."""
+        if self._backing_off(peer, time.monotonic()):
             return None
-        frame = {"k": QUERY,
-                 "id": next(self._req_ids) if req_id is None else req_id,
-                 "op": "inp" if remove else "rdp",
-                 "p": pattern, "o": self.name}
-        answer = await self._request(addr, frame, budget=self.PROBE_TIMEOUT)
+        req_id = req_ids.get(peer)
+        if req_id is None:
+            req_id = req_ids[peer] = next(self._req_ids)
+        return {"k": QUERY, "id": req_id, "op": "inp" if remove else "rdp",
+                "p": pattern, "o": self.name}
+
+    def _verdict(self, peer: str, answer: Optional[dict]
+                 ) -> Union[Optional[Tuple], _ShedType]:
+        """What a probe's answer means: a tuple, ``None`` (a miss, or no
+        answer in budget) or :data:`SHED`; an answer moves the back-off."""
         if answer is None:
             return None
         shed = answer.get("st") == "shed"
-        self._note_answer(peer, shed, loop.time())
+        self._note_answer(peer, shed, time.monotonic())
         if shed:
             return SHED
-        if answer.get("st") == "hit":
-            result = answer.get("t")
-            return result if isinstance(result, Tuple) else None
-        return None
+        return _answer_tuple(answer) if answer.get("st") == "hit" else None
+
+    async def _probe(self, peer: str, addr: Addr, pattern: Pattern,
+                     remove: bool, req_ids: Dict[str, int],
+                     ) -> Union[Optional[Tuple], _ShedType]:
+        """Probe one peer from the loop (see :meth:`_query`)."""
+        frame = self._query(peer, pattern, remove, req_ids)
+        if frame is None:
+            return None
+        return self._verdict(peer, await self._request(
+            addr, frame, budget=self.PROBE_TIMEOUT))
+
+    def _probe_peer(self, peer: "AioTiamatNode", pattern: Pattern,
+                    remove: bool, req_ids: Dict[str, int]
+                    ) -> Union[Optional[Tuple], _ShedType]:
+        """The sync loop's transport: an exchange with ``peer.addr``."""
+        frame = self._query(peer.name, pattern, remove, req_ids)
+        if frame is None:
+            return None
+        return self._verdict(peer.name, self._exchange(
+            peer.addr, frame, budget=self.PROBE_TIMEOUT))
 
     # ------------------------------------------------------------------
     # The six operations: async core
     # ------------------------------------------------------------------
     def _notify_local(self) -> None:
-        event = self._local_event
-        if event is not None:
-            event.set()
+        """Wake every loop-side parker (on the loop only).  The event is
+        set and replaced, never cleared, so one op's next round cannot
+        swallow a wake-up another op has yet to see."""
+        event, self._local_event = self._local_event, asyncio.Event()
+        event.set()
 
     async def a_out(self, tup: Tuple,
                     lease_duration: Optional[float] = None) -> None:
@@ -658,69 +746,58 @@ class AioTiamatNode(RuntimeNode):
         self.ops_started += 1
         self.space.out(tup, lease_duration)
         self._count("out", "ok")
-        self._notify_local()
-
-    async def _a_poll(self, op: str, pattern: Pattern,
-                      remove: bool) -> Optional[Tuple]:
-        self.ops_started += 1
-        local = self.space.inp(pattern) if remove else self.space.rdp(pattern)
-        if local is not None:
-            self._count(op, "hit")
-            return local
-        for peer, addr in self.registry.visible_peers(self.name):
-            found = await self._probe(peer, addr, pattern, remove)
-            if found is not None and found is not SHED:
-                self._count(op, "hit")
-                return found
-        self._count(op, "miss")
-        self.ops_unsatisfied += 1
-        return None
+        if self._loop_waiters:
+            self._notify_local()
 
     async def a_rdp(self, pattern: Pattern) -> Optional[Tuple]:
-        """Non-blocking read over the current logical space."""
-        return await self._a_poll("rdp", pattern, remove=False)
+        """Non-blocking read: a zero lease, so one local check, one round."""
+        return await self._a_blocking("rdp", pattern, remove=False,
+                                      timeout=0.0)
 
     async def a_inp(self, pattern: Pattern) -> Optional[Tuple]:
-        """Non-blocking take over the current logical space."""
-        return await self._a_poll("inp", pattern, remove=True)
+        """Non-blocking take: a zero lease, so one local check, one round."""
+        return await self._a_blocking("inp", pattern, remove=True,
+                                      timeout=0.0)
 
     async def _a_blocking(self, op: str, pattern: Pattern, remove: bool,
                           timeout: float) -> Optional[Tuple]:
+        """The async twin of :class:`RuntimeNode`'s blocking loop."""
         self.ops_started += 1
         loop = asyncio.get_running_loop()
         deadline = loop.time() + timeout
-        event = self._local_event
         req_ids: Dict[str, int] = {}
-        while True:
-            if event is not None:
-                # Arm before the local check: an ``out`` that lands while a
-                # probe is awaited stays set and the park returns at once.
-                event.clear()
-            local = (self.space.inp(pattern) if remove
-                     else self.space.rdp(pattern))
-            if local is not None:
-                self._count(op, "hit")
-                return local
-            for peer, addr in self.registry.visible_peers(self.name):
-                if peer not in req_ids:
-                    req_ids[peer] = next(self._req_ids)
-                found = await self._probe(peer, addr, pattern, remove,
-                                          req_id=req_ids[peer])
-                if found is not None and found is not SHED:
+        # Counted before the first local check: a sync ``out`` that reads
+        # zero landed before it, and needs to wake nobody on the loop.
+        self._loop_waiters += 1
+        try:
+            while True:
+                # Captured before the local check: an ``out`` that lands
+                # while a probe is awaited sets it, and the park returns.
+                event = self._local_event
+                local = (self.space.inp(pattern) if remove
+                         else self.space.rdp(pattern))
+                if local is not None:
                     self._count(op, "hit")
-                    return found
-            remaining = deadline - loop.time()
-            if remaining <= 0:
-                self._count(op, "miss")
-                self.ops_unsatisfied += 1
-                return None
-            if event is not None:
+                    return local
+                for peer, addr in self.registry.visible_peers(self.name):
+                    found = await self._probe(peer, addr, pattern, remove,
+                                              req_ids)
+                    if found is not None and found is not SHED:
+                        self._count(op, "hit")
+                        return found
+                remaining = deadline - loop.time()
+                if remaining <= 0:
+                    self._count(op, "miss")
+                    self.ops_unsatisfied += 1
+                    return None
                 try:
                     await asyncio.wait_for(
                         event.wait(),
                         timeout=min(self.POLL_INTERVAL, remaining))
                 except asyncio.TimeoutError:
                     pass
+        finally:
+            self._loop_waiters -= 1
 
     async def a_rd(self, pattern: Pattern,
                    timeout: float = 5.0) -> Optional[Tuple]:
@@ -744,18 +821,18 @@ class AioTiamatNode(RuntimeNode):
             raise TypeError(f"eval returned {result!r}, not a Tuple")
         self.space.out(result, lease_duration)
         self._count("eval", "ok")
-        self._notify_local()
+        if self._loop_waiters:
+            self._notify_local()
         return result
+
+    def _echo_frame(self, tup: Tuple) -> dict:
+        return {"k": ECHO, "id": next(self._req_ids), "t": tup}
 
     async def a_echo(self, addr: Addr, tup: Tuple,
                      budget: float = 1.0) -> Optional[Tuple]:
         """Round-trip ``tup`` off a peer; the CLI smoke and bench core."""
-        frame = {"k": ECHO, "id": next(self._req_ids), "t": tup}
-        answer = await self._request(addr, frame, budget=budget)
-        if answer is None:
-            return None
-        result = answer.get("t")
-        return result if isinstance(result, Tuple) else None
+        return _answer_tuple(await self._request(
+            addr, self._echo_frame(tup), budget=budget))
 
     async def a_discover(self, window: float = 0.1) -> Dict[str, Addr]:
         """Multicast DISCOVER and collect unicast answers for ``window``."""
@@ -774,35 +851,18 @@ class AioTiamatNode(RuntimeNode):
                 if isinstance(host, str) and isinstance(port, int)}
 
     # ------------------------------------------------------------------
-    # Synchronous facade (mirrors ThreadedTiamatNode)
+    # Synchronous facade: RuntimeNode's loop on the caller's thread
     # ------------------------------------------------------------------
     def out(self, tup: Tuple, lease_duration: Optional[float] = None) -> None:
-        """Deposit into the local space (thread-safe; wakes loop waiters)."""
-        self.ops_started += 1
-        self.space.out(tup, lease_duration)
-        self._count("out", "ok")
-        try:
-            self.registry.loop.call_soon_threadsafe(self._notify_local)
-        except RuntimeError:  # pragma: no cover - loop already closed
-            pass
-
-    def rdp(self, pattern: Pattern) -> Optional[Tuple]:
-        """Non-blocking read over the current logical space."""
-        return self.registry.submit(self.a_rdp(pattern)).result()
-
-    def inp(self, pattern: Pattern) -> Optional[Tuple]:
-        """Non-blocking take over the current logical space."""
-        return self.registry.submit(self.a_inp(pattern)).result()
-
-    def rd(self, pattern: Pattern, timeout: float = 5.0) -> Optional[Tuple]:
-        """Blocking read: polls the logical space until match or timeout."""
-        return self.registry.submit(
-            self.a_rd(pattern, timeout=timeout)).result()
-
-    def in_(self, pattern: Pattern, timeout: float = 5.0) -> Optional[Tuple]:
-        """Blocking take: polls the logical space until match or timeout."""
-        return self.registry.submit(
-            self.a_in(pattern, timeout=timeout)).result()
+        """Deposit into the local space (thread-safe).  Sync parkers wake
+        on the space's condition variable; the loop is touched only while
+        a loop-side ``a_rd``/``a_in`` is parked."""
+        super().out(tup, lease_duration)
+        if self._loop_waiters:
+            try:
+                self.registry.loop.call_soon_threadsafe(self._notify_local)
+            except RuntimeError:  # pragma: no cover - loop already closed
+                pass
 
     def eval(self, fn, *args, lease_duration: Optional[float] = None):
         """Run ``fn(*args)`` as an active tuple; returns a waitable future."""
@@ -811,9 +871,9 @@ class AioTiamatNode(RuntimeNode):
 
     def echo(self, addr: Addr, tup: Tuple,
              budget: float = 1.0) -> Optional[Tuple]:
-        """Synchronous :meth:`a_echo`."""
-        return self.registry.submit(self.a_echo(addr, tup,
-                                                budget=budget)).result()
+        """Synchronous :meth:`a_echo`, exchanged from the caller's thread."""
+        return _answer_tuple(self._exchange(addr, self._echo_frame(tup),
+                                            budget=budget))
 
     def discover(self, window: float = 0.1) -> Dict[str, Addr]:
         """Synchronous :meth:`a_discover`."""

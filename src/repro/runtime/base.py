@@ -5,9 +5,10 @@ The two real-substrate runtimes differ only in how a probe reaches a peer
 :class:`NodeRegistry` (who exists, who sees whom, config, codec, obs hub)
 and :class:`RuntimeNode` (a local space, the admission-controlled serving
 plane and its :data:`SHED` verdict, the origin's capped per-peer back-off,
-the counters and metric families both export).  :mod:`repro.runtime.node`
-and :mod:`repro.runtime.aio` subclass these and add their transport and
-their blocking loop.
+the counters and metric families both export, the tracer plumbing, and
+the one synchronous operation loop).  :mod:`repro.runtime.node` and
+:mod:`repro.runtime.aio` subclass these and add their transport
+(:meth:`RuntimeNode._probe_peer`); aio adds the loop's async twin.
 """
 
 from __future__ import annotations
@@ -123,15 +124,19 @@ class NodeRegistry(Generic[N]):
 
 
 class RuntimeNode:
-    """One node: a local space, a gated serving plane, shed back-off.
-    Subclasses add the transport and ``registry.register(self)`` once
-    peers can reach them.
+    """One node: a local space, a gated serving plane, shed back-off, and
+    the synchronous operations, run on the caller's thread.  Subclasses
+    add the transport — :meth:`_probe_peer`, how one probe reaches one
+    peer — and ``registry.register(self)`` once peers can reach them.
 
-    A blocking ``rd``/``in_`` runs, on both runtimes: (1) a non-blocking
-    local check; (2) one round over the currently visible peers, through
-    their gates and this node's back-off; (3) the deadline check; (4) a
-    park of ``min(POLL_INTERVAL, remaining)`` that a local ``out`` ends
-    early; (5) repeat.  A tuple already in reach never waits on a timer."""
+    A blocking ``rd``/``in_`` runs, on both runtimes, this one loop:
+    (1) a non-blocking local check; (2) one round over the currently
+    visible peers, through their gates and this node's back-off; (3) the
+    deadline check; (4) a park of ``min(POLL_INTERVAL, remaining)`` on the
+    local space's condition variable, which a local ``out`` ends early;
+    (5) repeat.  ``rdp``/``inp`` are steps (1) and (2).  A tuple already in
+    reach never waits on a timer.  The aio ``a_rd``/``a_in`` coroutines
+    are the loop's async twin (``AioTiamatNode._a_blocking``)."""
 
     #: How long a *parked* blocking operation sleeps before it re-samples
     #: visibility and probes again; it delays neither the first round nor
@@ -165,9 +170,128 @@ class RuntimeNode:
             "runtime_serve_total",
             help="Remote probes served or shed by each node.",
             labels=("node", "outcome"))
+        self._wait_hist = reg.histogram(
+            "runtime_blocking_wait_seconds",
+            help="Wall-clock wait of blocking rd/in operations.",
+            labels=("node",)).labels(node=name)
+        self._op_lock = threading.Lock()
+        self._op_seq = 0
 
     def _count(self, op: str, outcome: str) -> None:
         self._ops_metric.labels(node=self.name, op=op, outcome=outcome).inc()
+
+    # ------------------------------------------------------------------
+    # Tracing plane: wall-clock op timelines for ``repro trace --chrome``
+    # ------------------------------------------------------------------
+    def _trace_start(self, kind: str):
+        """Mint an op id and record op_start when a tracer is installed.
+
+        The registry's hub owns the tracer (``registry.obs.start_trace``,
+        thread-safe, clocked by ``time.monotonic``); with none installed
+        this is two attribute reads and no allocation.
+        """
+        self.ops_started += 1
+        tracer = self.registry.obs.tracer
+        if tracer is None:
+            return None, None
+        with self._op_lock:
+            self._op_seq += 1
+            op_id = f"{self.name}@{self._op_seq}"
+        tracer.op_started(op_id, self.name, kind)
+        return op_id, tracer
+
+    def _trace_end(self, tracer, op_id: Optional[str],
+                   result: Optional[Tuple], source: Optional[str]) -> None:
+        if result is None:
+            self.ops_unsatisfied += 1
+        if tracer is not None:
+            tracer.op_finished(op_id, self.name, result is not None, source)
+
+    # ------------------------------------------------------------------
+    # The synchronous operations, on the caller's thread
+    # ------------------------------------------------------------------
+    def _probe_peer(self, peer: Any, pattern: Pattern, remove: bool,
+                    req_ids: Dict[str, int]
+                    ) -> Union[Optional[Tuple], _ShedType]:
+        """The transport: probe one peer (a node of this runtime) through
+        its serving gate unless it is backing this node off; a tuple,
+        ``None`` or :data:`SHED`.  ``req_ids`` lives as long as the
+        operation (aio keeps one request id per peer in it)."""
+        raise NotImplementedError
+
+    def _probe_peers(self, pattern: Pattern, remove: bool,
+                     op_id: Optional[str], tracer,
+                     req_ids: Dict[str, int]):
+        """One round over the currently visible peers: ``(tuple, source)``.
+
+        With a tracer installed, each verdict is recorded against the
+        peer's span so the waterfall and Chrome export show who shed or
+        answered.
+        """
+        for peer in self.registry.visible_nodes(self.name):
+            found = self._probe_peer(peer, pattern, remove, req_ids)
+            if found is SHED:
+                if tracer is not None:
+                    tracer.note(op_id, peer.name, "serve", outcome="shed")
+            elif found is not None:
+                if tracer is not None:
+                    tracer.note(op_id, peer.name, "serve",
+                                outcome="hit", remove=remove)
+                return found, peer.name
+        return None, None
+
+    def out(self, tup: Tuple, lease_duration: Optional[float] = None) -> None:
+        """Deposit into the local space (default scope, section 2.2)."""
+        op_id, tracer = self._trace_start("out")
+        self.space.out(tup, lease_duration)
+        self._count("out", "ok")
+        self._trace_end(tracer, op_id, tup, "local")
+
+    def rdp(self, pattern: Pattern) -> Optional[Tuple]:
+        """Non-blocking read: a zero lease, so one local check, one round."""
+        return self._blocking("rdp", pattern, remove=False, timeout=0.0)
+
+    def inp(self, pattern: Pattern) -> Optional[Tuple]:
+        """Non-blocking take: a zero lease, so one local check, one round."""
+        return self._blocking("inp", pattern, remove=True, timeout=0.0)
+
+    def rd(self, pattern: Pattern, timeout: float = 5.0) -> Optional[Tuple]:
+        """Blocking read: local, then peers, then park; until lease end."""
+        return self._blocking("rd", pattern, remove=False, timeout=timeout)
+
+    def in_(self, pattern: Pattern, timeout: float = 5.0) -> Optional[Tuple]:
+        """Blocking take: local, then peers, then park; until lease end."""
+        return self._blocking("in", pattern, remove=True, timeout=timeout)
+
+    def _blocking(self, op: str, pattern: Pattern, remove: bool,
+                  timeout: float) -> Optional[Tuple]:
+        """The blocking loop of the class docstring."""
+        op_id, tracer = self._trace_start(op)
+        space = self.space
+        started = time.monotonic()
+        deadline = started + timeout
+        req_ids: Dict[str, int] = {}
+        found = space.inp(pattern) if remove else space.rdp(pattern)
+        source: Optional[str] = "local"
+        while found is None:
+            # Through the serving gates, so a saturated peer sheds us into
+            # a per-peer backoff instead of being hammered.
+            found, source = self._probe_peers(pattern, remove, op_id, tracer,
+                                              req_ids)
+            remaining = deadline - time.monotonic()
+            if found is not None or remaining <= 0:
+                break
+            # The park re-checks the store under the space lock before it
+            # waits, so it is also the next round's local check.
+            wait = min(self.POLL_INTERVAL, remaining)
+            found = (space.in_(pattern, timeout=wait) if remove
+                     else space.rd(pattern, timeout=wait))
+            source = "local"
+        if timeout > 0:     # a zero lease never waits
+            self._wait_hist.observe(time.monotonic() - started)
+        self._count(op, "hit" if found is not None else "miss")
+        self._trace_end(tracer, op_id, found, source)
+        return found
 
     # ------------------------------------------------------------------
     # Serving plane: how *peers* enter this node

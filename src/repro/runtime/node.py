@@ -14,12 +14,13 @@ through its serving plane (:meth:`~repro.runtime.base.RuntimeNode.serve_rdp`
 one step under the target space's lock — there is no hold/confirm phase
 to lose, so exactly-once consumption holds under real concurrency.
 
-The registry, the admission-controlled serving gate (``SHED``) and the
-origin's per-peer shed back-off are the ones :mod:`repro.runtime.base`
-shares with the aio runtime.  This module adds what only threads have:
-the tracing plane, leased telemetry rows, and a blocking loop that probes
-first (local space, then the visible peers) and only then parks the
-calling thread on the local space's condition variable until the next round.
+The registry, the admission-controlled serving gate (``SHED``), the
+origin's per-peer shed back-off, the tracing plane and the one
+synchronous operation loop (probe first — local space, then the visible
+peers — and only then park the calling thread on the local space's
+condition variable) are the ones :mod:`repro.runtime.base` shares with
+the aio runtime.  This module adds what only threads have: the
+method-call transport, ``eval`` on a thread and leased telemetry rows.
 """
 
 from __future__ import annotations
@@ -27,10 +28,10 @@ from __future__ import annotations
 import json
 import threading
 import time
-from typing import Optional
+from typing import Dict, Optional, Union
 
 from repro.obs.telemetry import TELEMETRY_TAG
-from repro.runtime.base import SHED, NodeRegistry, RuntimeNode
+from repro.runtime.base import SHED, NodeRegistry, RuntimeNode, _ShedType
 from repro.tuples.model import Pattern, Tuple
 
 
@@ -47,16 +48,10 @@ class ThreadedTiamatNode(RuntimeNode):
         super().__init__(registry, name,
                          max_concurrent_serves=max_concurrent_serves)
         self.telemetry_published = 0
-        self._op_lock = threading.Lock()
-        self._op_seq = 0
         self._telemetry_epoch = 0
         self._telemetry_last: dict[str, int] = {}
         self._telemetry_stop: Optional[threading.Event] = None
         reg = registry.obs.registry
-        self._wait_hist = reg.histogram(
-            "runtime_blocking_wait_seconds",
-            help="Wall-clock wait of blocking rd/in operations.",
-            labels=("node",)).labels(node=name)
         space = self.space
 
         def space_events():
@@ -72,105 +67,16 @@ class ThreadedTiamatNode(RuntimeNode):
                      labels=("node",), key=id(self))
         registry.register(self)
 
-    # ------------------------------------------------------------------
-    # Tracing plane: wall-clock op timelines for ``repro trace --chrome``
-    # ------------------------------------------------------------------
-    def _trace_start(self, kind: str):
-        """Mint an op id and record op_start when a tracer is installed.
-
-        The registry's hub owns the tracer (``registry.obs.start_trace``,
-        thread-safe, clocked by ``time.monotonic``); with none installed
-        this is two attribute reads and no allocation.
-        """
-        self.ops_started += 1
-        tracer = self.registry.obs.tracer
-        if tracer is None:
-            return None, None
-        with self._op_lock:
-            self._op_seq += 1
-            op_id = f"{self.name}@{self._op_seq}"
-        tracer.op_started(op_id, self.name, kind)
-        return op_id, tracer
-
-    def _trace_end(self, tracer, op_id: Optional[str],
-                   result: Optional[Tuple], source: Optional[str]) -> None:
-        if result is None:
-            self.ops_unsatisfied += 1
-        if tracer is not None and op_id is not None:
-            tracer.op_finished(op_id, self.name, result is not None, source)
-
-    # ------------------------------------------------------------------
-    # Transport: a probe is a call into the peer's serving plane
-    # ------------------------------------------------------------------
-    def _peer_probe(self, peer: RuntimeNode, pattern: Pattern,
-                    remove: bool, op_id: Optional[str] = None,
-                    tracer=None) -> Optional[Tuple]:
-        """Probe one peer through its serving gate, honouring backoff.
-
-        A shed answer is treated as a miss.  With a tracer installed, the
-        verdict is recorded against the peer's span so the waterfall and
-        Chrome export show who shed or answered.
-        """
+    def _probe_peer(self, peer: RuntimeNode, pattern: Pattern, remove: bool,
+                    req_ids: Dict[str, int]
+                    ) -> Union[Optional[Tuple], _ShedType]:
+        """The transport: a call into the peer's serving plane."""
         now = time.monotonic()
         if self._backing_off(peer.name, now):
             return None
         result = peer._serve(pattern, remove)
-        shed = result is SHED
-        self._note_answer(peer.name, shed, now)
-        if tracer is not None and op_id is not None:
-            if shed:
-                tracer.note(op_id, peer.name, "serve", outcome="shed")
-            elif result is not None:
-                tracer.note(op_id, peer.name, "serve",
-                            outcome="hit", remove=remove)
-        return None if shed else result
-
-    def _probe_peers(self, pattern: Pattern, remove: bool,
-                     op_id: Optional[str], tracer):
-        """One round over the currently visible peers: ``(tuple, source)``."""
-        for peer in self.registry.visible_nodes(self.name):
-            found = self._peer_probe(peer, pattern, remove, op_id, tracer)
-            if found is not None:
-                return found, peer.name
-        return None, None
-
-    # ------------------------------------------------------------------
-    # The six operations
-    # ------------------------------------------------------------------
-    def out(self, tup: Tuple, lease_duration: Optional[float] = None) -> None:
-        """Deposit into the local space (default scope, section 2.2)."""
-        op_id, tracer = self._trace_start("out")
-        self.space.out(tup, lease_duration)
-        self._count("out", "ok")
-        self._trace_end(tracer, op_id, tup, "local")
-
-    def _poll(self, op: str, pattern: Pattern, remove: bool) -> Optional[Tuple]:
-        op_id, tracer = self._trace_start(op)
-        found = self.space.inp(pattern) if remove else self.space.rdp(pattern)
-        source: Optional[str] = "local"
-        if found is None:
-            found, source = self._probe_peers(pattern, remove, op_id, tracer)
-        self._count(op, "hit" if found is not None else "miss")
-        self._trace_end(tracer, op_id, found, source)
-        return found
-
-    def rdp(self, pattern: Pattern) -> Optional[Tuple]:
-        """Non-blocking read over the current logical space."""
-        return self._poll("rdp", pattern, remove=False)
-
-    def inp(self, pattern: Pattern) -> Optional[Tuple]:
-        """Non-blocking take over the current logical space."""
-        return self._poll("inp", pattern, remove=True)
-
-    def rd(self, pattern: Pattern, timeout: float = 5.0) -> Optional[Tuple]:
-        """Blocking read: local, then peers, then park; until lease end."""
-        return self._timed_blocking("rd", pattern, remove=False,
-                                    timeout=timeout)
-
-    def in_(self, pattern: Pattern, timeout: float = 5.0) -> Optional[Tuple]:
-        """Blocking take: local, then peers, then park; until lease end."""
-        return self._timed_blocking("in", pattern, remove=True,
-                                    timeout=timeout)
+        self._note_answer(peer.name, result is SHED, now)
+        return result
 
     def eval(self, fn, *args, lease_duration: Optional[float] = None) -> threading.Thread:
         """Active tuple: run ``fn(*args)`` on a thread, deposit its result."""
@@ -250,39 +156,6 @@ class ThreadedTiamatNode(RuntimeNode):
         if self._telemetry_stop is not None:
             self._telemetry_stop.set()
             self._telemetry_stop = None
-
-    # ------------------------------------------------------------------
-    def _timed_blocking(self, op: str, pattern: Pattern, remove: bool,
-                        timeout: float) -> Optional[Tuple]:
-        op_id, tracer = self._trace_start(op)
-        started = time.monotonic()
-        result, source = self._blocking(pattern, remove=remove,
-                                        timeout=timeout, op_id=op_id,
-                                        tracer=tracer)
-        self._wait_hist.observe(time.monotonic() - started)
-        self._count(op, "hit" if result is not None else "miss")
-        self._trace_end(tracer, op_id, result, source)
-        return result
-
-    def _blocking(self, pattern: Pattern, remove: bool, timeout: float,
-                  op_id: Optional[str] = None, tracer=None):
-        """The :class:`RuntimeNode` blocking order; ``(tuple, source)``."""
-        space = self.space
-        deadline = time.monotonic() + timeout
-        local = space.inp(pattern) if remove else space.rdp(pattern)
-        while local is None:
-            # Through the serving gates, so a saturated peer sheds us into
-            # a per-peer backoff instead of being hammered.
-            found, source = self._probe_peers(pattern, remove, op_id, tracer)
-            remaining = deadline - time.monotonic()
-            if found is not None or remaining <= 0:
-                return found, source
-            # The park re-checks the store under the space lock before it
-            # waits, so it is also the next round's local check.
-            wait = min(self.POLL_INTERVAL, remaining)
-            local = (space.in_(pattern, timeout=wait) if remove
-                     else space.rd(pattern, timeout=wait))
-        return local, "local"
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<ThreadedTiamatNode {self.name}>"

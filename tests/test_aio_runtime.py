@@ -6,6 +6,9 @@ test is the one exception — it skips when the kernel refuses group
 membership (common in minimal containers).
 """
 
+import asyncio
+import concurrent.futures
+import sys
 import threading
 import time
 
@@ -85,8 +88,28 @@ def test_blocking_take_wakes_on_late_remote_deposit(cluster):
 
 
 def test_local_out_during_a_probe_is_not_a_lost_wakeup(cluster):
+    """Sync ``rd``: the deposit lands while the caller's thread is inside
+    the aio transport hook; the park re-checks the store and returns."""
     _, a, _ = cluster
     a.POLL_INTERVAL = 1.0       # one instance; a slept poll would be obvious
+    real_probe_peer = a._probe_peer
+
+    def probe_peer_with_a_deposit_in_flight(*args, **kwargs):
+        a._probe_peer = real_probe_peer     # only the first round's probe
+        a.out(Tuple("mid", 1))
+        return real_probe_peer(*args, **kwargs)
+
+    a._probe_peer = probe_peer_with_a_deposit_in_flight
+    start = time.monotonic()
+    assert a.rd(Pattern("mid", int), timeout=3.0) == Tuple("mid", 1)
+    assert time.monotonic() - start < 0.5
+
+
+def test_async_local_out_during_a_probe_is_not_a_lost_wakeup(cluster):
+    """The async twin: ``a_rd`` parked on the loop after a probe during
+    which ``a_out`` deposited its tuple."""
+    registry, a, _ = cluster
+    a.POLL_INTERVAL = 1.0
     real_probe = a._probe
 
     async def probe_with_a_deposit_in_flight(*args, **kwargs):
@@ -96,8 +119,147 @@ def test_local_out_during_a_probe_is_not_a_lost_wakeup(cluster):
 
     a._probe = probe_with_a_deposit_in_flight
     start = time.monotonic()
-    assert a.rd(Pattern("mid", int), timeout=3.0) == Tuple("mid", 1)
+    got = registry.submit(a.a_rd(Pattern("mid", int),
+                                 timeout=3.0)).result(timeout=10.0)
+    assert got == Tuple("mid", 1)
     assert time.monotonic() - start < 0.5
+
+
+def test_a_second_async_op_does_not_swallow_the_first_ones_wakeup(cluster):
+    """Two loop-side blocking ops on one node: op X's tuple is deposited
+    while X probes a peer, then a second ``a_rd`` starts its first round.
+    X must still return at once, not after a full ``POLL_INTERVAL``."""
+    registry, a, _ = cluster
+    a.POLL_INTERVAL = 1.0
+    real_probe = a._probe
+    others = []
+
+    async def probe_then_start_a_second_op(*args, **kwargs):
+        a._probe = real_probe
+        await a.a_out(Tuple("mid", 1))
+        others.append(asyncio.ensure_future(
+            a.a_rd(Pattern("other", int), timeout=0.2)))
+        await asyncio.sleep(0)          # the second op runs its first round
+        return await real_probe(*args, **kwargs)
+
+    async def x_then_the_other():
+        loop = asyncio.get_running_loop()
+        start = loop.time()
+        got = await a.a_rd(Pattern("mid", int), timeout=3.0)
+        elapsed = loop.time() - start
+        await others[0]
+        return got, elapsed
+
+    a._probe = probe_then_start_a_second_op
+    got, elapsed = registry.submit(x_then_the_other()).result(timeout=10.0)
+    assert got == Tuple("mid", 1)
+    assert elapsed < 0.5
+
+
+def test_sync_out_leaves_the_loop_alone_unless_a_loop_op_is_parked(
+        cluster, monkeypatch):
+    registry, a, _ = cluster
+    loop = registry.loop
+    scheduled = []
+    real = loop.call_soon_threadsafe
+
+    def spy(callback, *args, **kwargs):
+        scheduled.append(callback)
+        return real(callback, *args, **kwargs)
+
+    monkeypatch.setattr(loop, "call_soon_threadsafe", spy)
+    a.out(Tuple("quiet", 1))
+    assert scheduled == []
+    monkeypatch.undo()
+
+    # With an a_rd parked on the loop, the sync out wakes it at once.
+    a.POLL_INTERVAL = 1.0
+    parked = registry.submit(a.a_rd(Pattern("wake", int), timeout=3.0))
+    deadline = time.monotonic() + 5.0
+    while not a._loop_waiters and time.monotonic() < deadline:
+        time.sleep(0.001)
+    time.sleep(0.05)                    # past the first round's peer probe
+    start = time.monotonic()
+    a.out(Tuple("wake", 1))
+    assert parked.result(timeout=5.0) == Tuple("wake", 1)
+    assert time.monotonic() - start < 0.5
+
+
+def test_concurrent_sync_takes_under_loss_are_exactly_once():
+    """Four application threads take 40 remote tuples over a lossy wire.
+    They run side by side on their own threads; every tuple is taken
+    exactly once."""
+    with AioNodeRegistry(loss_rate=0.2, loss_seed=11) as registry:
+        a = AioTiamatNode(registry, "a")
+        b = AioTiamatNode(registry, "b")
+        registry.set_visible("a", "b")
+        for i in range(40):
+            b.out(Tuple("job", i))
+        taken = [[] for _ in range(4)]
+
+        def worker(mine):
+            for _ in range(10):
+                mine.append(a.in_(Pattern("job", int), timeout=20.0))
+
+        threads = [threading.Thread(target=worker, args=(mine,))
+                   for mine in taken]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)     # interleave the callers' bytecode
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=50.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        got = [tup for mine in taken for tup in mine]
+        assert None not in got
+        assert sorted(got, key=lambda t: t[1]) == [Tuple("job", i)
+                                                  for i in range(40)]
+        assert b.space.count() == 0
+        assert registry.frames_dropped > 0
+        assert a.retransmits > 0
+
+
+def test_tracer_and_wait_histogram_see_sync_calls(cluster):
+    registry, a, b = cluster
+    tracer = registry.obs.start_trace()
+    b.out(Tuple("seen", 1))
+    assert a.rd(Pattern("seen", int), timeout=1.0) == Tuple("seen", 1)
+    (op_id,) = [op for op in tracer.op_ids() if op.startswith("a@")]
+    events = tracer.events_for(op_id)
+    assert [e.event for e in events] == ["op_start", "note", "op_end"]
+    assert events[-1].detail == {"satisfied": True, "source": "b"}
+    waits = registry.obs.registry.snapshot()["runtime_blocking_wait_seconds"]
+    counts = {s["labels"]["node"]: s["count"] for s in waits["samples"]}
+    assert counts["a"] == 1
+
+
+def test_close_mid_probe_unblocks_the_sync_caller():
+    registry = AioNodeRegistry()
+    a = AioTiamatNode(registry, "a")
+    b = AioTiamatNode(registry, "b")
+    registry.set_visible("a", "b")
+    b._serve_query = lambda frame, addr: None      # b never answers
+    outcome = []
+
+    def call():
+        try:
+            outcome.append(a.rd(Pattern("x", int), timeout=10.0))
+        except BaseException as exc:  # noqa: BLE001 - the type is the point
+            outcome.append(exc)
+
+    caller = threading.Thread(target=call, daemon=True)
+    caller.start()
+    deadline = time.monotonic() + 5.0
+    while not a._pending and time.monotonic() < deadline:
+        time.sleep(0.001)
+    registry.close()
+    caller.join(timeout=1.0)
+    assert not caller.is_alive()
+    assert len(outcome) == 1
+    assert isinstance(outcome[0], concurrent.futures.CancelledError)
 
 
 def test_blocking_read_times_out_cleanly(cluster):
