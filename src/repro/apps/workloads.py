@@ -10,8 +10,6 @@ per-node storage fall out of the run.
 
 from __future__ import annotations
 
-from typing import Callable
-
 from repro.baselines.base import SpaceNode
 from repro.sim.kernel import Simulator
 from repro.sim.rng import RngStream
@@ -99,10 +97,3 @@ class RequestResponseWorkload:
                 self.stats.latency_sum += self.sim.now - issued
             else:
                 self.stats.timeouts += 1
-
-
-def make_driver(fn: Callable, *args) -> Callable:
-    """Tiny helper: wrap a generator function for deferred spawning."""
-    def factory(sim: Simulator):
-        return sim.spawn(fn(*args))
-    return factory

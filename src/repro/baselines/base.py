@@ -41,11 +41,6 @@ class SimpleOp:
         self.error = error
         self.event.succeed(result)
 
-    @property
-    def satisfied(self) -> bool:
-        """True when the operation finished with a match."""
-        return self.done and self.result is not None
-
 
 class SpaceNode:
     """Protocol: one participant in a distributed tuple-space system.

@@ -125,10 +125,6 @@ class LimboNode(SpaceNode):
     def stored_tuples(self) -> int:
         return self.space.count()
 
-    def stored_bytes(self) -> int:
-        """Replica storage burden in bytes."""
-        return self.space.stored_bytes()
-
     # ------------------------------------------------------------------
     # Take machinery
     # ------------------------------------------------------------------

@@ -93,10 +93,6 @@ class OverloadSweep:
     capacity: float              # serve_workers / serve_cost, queries/s
     points: list = field(default_factory=list)
 
-    @property
-    def peak_goodput(self) -> float:
-        return max((p.goodput for p in self.points), default=0.0)
-
     def goodput_at(self, multiplier: float) -> float:
         """Goodput at the point whose offered load is ``multiplier`` x
         capacity (nearest match)."""

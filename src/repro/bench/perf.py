@@ -14,9 +14,8 @@ It measures five hot paths:
 * **flight append** — amortised ns per flight-recorder ring append
   (``repro.obs.flight``), the per-event tax of the always-on black box;
 * **wire** — frames/op and bytes/op for the T1 MRU probe workload (the
-  paper's §3.1.3 cached-visibility scenario) under the *baseline* wire
-  configuration (JSON, one frame per send, dedicated acks) and the *fast*
-  configuration (binary codec + frame batching + piggybacked acks);
+  paper's §3.1.3 cached-visibility scenario) on the default wire (JSON,
+  one frame per send, one ``REL_ACK`` per reliable frame);
 * **aio frame path** — the zero-copy codec path the asyncio runtime runs
   (:mod:`repro.bench.aio`), plus its ungated loopback throughput.
 
@@ -183,19 +182,14 @@ def measure_scan(population: int = 2000) -> dict:
     }
 
 
-def run_mru_workload(fast: bool, seed: int = 4, n_peers: int = 8,
+def run_mru_workload(seed: int = 4, n_peers: int = 8,
                      n_ops: int = 40) -> dict:
     """The T1 MRU probe workload; returns frames/op and bytes/op.
 
     The origin repeatedly ``in``s a tuple that a consistently visible
     holder keeps replenishing — the paper's §3.1.3 cached-visibility-list
     scenario, made destructive so the claim-resolution frames travel the
-    reliable sublayer (where ack piggybacking earns its keep).
-
-    ``fast=False`` is the baseline wire configuration (JSON codec, one
-    frame per send, dedicated acks); ``fast=True`` enables the binary
-    codec, frame batching, and piggybacked acks.  Both runs use the same
-    seed; the simulation is deterministic.
+    reliable sublayer.  The simulation is seeded and deterministic.
     """
     from repro.core.config import TiamatConfig
     from repro.core.instance import TiamatInstance
@@ -205,9 +199,8 @@ def run_mru_workload(fast: bool, seed: int = 4, n_peers: int = 8,
     from repro.tuples.model import Pattern, Tuple
 
     sim = Simulator(seed=seed)
-    net = Network(sim, codec="binary" if fast else "json", batching=fast)
-    config = TiamatConfig(comms_strategy="mru", ack_piggyback=fast,
-                          wire_codec="binary" if fast else "json")
+    net = Network(sim)
+    config = TiamatConfig(comms_strategy="mru")
     names = ["origin", "holder"] + [f"peer{i}" for i in range(n_peers)]
     instances = {n: TiamatInstance(sim, net, n, config=config) for n in names}
     net.visibility.connect_clique(names)
@@ -215,20 +208,16 @@ def run_mru_workload(fast: bool, seed: int = 4, n_peers: int = 8,
     holder_terms = SimpleLeaseRequester(LeaseTerms(duration=100_000.0))
     instances["holder"].out(Tuple("wanted", 0), requester=holder_terms)
 
-    satisfied = 0
     frames_before = net.stats.total_messages
     bytes_before = net.stats.total_bytes
 
     def driver():
-        nonlocal satisfied
         for i in range(n_ops):
             op = instances["origin"].in_(
                 Pattern("wanted", int),
                 requester=SimpleLeaseRequester(
                     LeaseTerms(duration=5.0, max_remotes=n_peers + 2)))
-            result = yield op.event
-            if result is not None:
-                satisfied += 1
+            yield op.event
             instances["holder"].out(Tuple("wanted", i + 1),
                                     requester=holder_terms)
             yield sim.timeout(1.0)
@@ -239,7 +228,6 @@ def run_mru_workload(fast: bool, seed: int = 4, n_peers: int = 8,
     return {
         "frames_per_op": (net.stats.total_messages - frames_before) / n_ops,
         "bytes_per_op": (net.stats.total_bytes - bytes_before) / n_ops,
-        "satisfied": satisfied,
     }
 
 
@@ -267,18 +255,11 @@ def measure_flight() -> dict:
 
 
 def measure_wire() -> dict:
-    """Baseline vs fast wire configuration on the T1 MRU workload."""
-    base = run_mru_workload(fast=False)
-    fast = run_mru_workload(fast=True)
-    if base["satisfied"] != fast["satisfied"]:  # pragma: no cover - invariant
-        raise RuntimeError(
-            "fast wire path changed operation outcomes: "
-            f"{base['satisfied']} vs {fast['satisfied']} satisfied")
+    """Frames/op and bytes/op of the default wire on the T1 MRU workload."""
+    wire = run_mru_workload()
     return {
-        "mru_frames_per_op_baseline": base["frames_per_op"],
-        "mru_frames_per_op_fast": fast["frames_per_op"],
-        "mru_bytes_per_op_baseline": base["bytes_per_op"],
-        "mru_bytes_per_op_fast": fast["bytes_per_op"],
+        "mru_frames_per_op_baseline": wire["frames_per_op"],
+        "mru_bytes_per_op_baseline": wire["bytes_per_op"],
     }
 
 

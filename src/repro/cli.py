@@ -337,7 +337,7 @@ def cmd_perf(args: argparse.Namespace) -> int:
 
     The same ``repro.bench.perf.collect()`` run that
     ``benchmarks/perf_baseline.py --check`` gates against
-    ``BENCH_micro.json`` in CI (all 17 names plus the ungated loopback
+    ``BENCH_micro.json`` in CI (all 15 names plus the ungated loopback
     line); this subcommand prints it and never fails.
     """
     from repro.bench import perf

@@ -85,13 +85,6 @@ class TiamatConfig:
     dedup_window:
         How many recently-seen sequence numbers the receive-side dedup
         window keeps per (peer, epoch).
-    ack_piggyback:
-        Whether reliable-delivery acknowledgements ride outgoing data
-        frames (``"racks"`` payload key) instead of each costing a
-        dedicated ``REL_ACK`` frame.  Queued acks that find no data frame
-        to ride within the current simulation tick are flushed as one
-        consolidated ``REL_ACK``.  Off (the default) reproduces the
-        original one-ack-frame-per-reliable-frame behaviour bit for bit.
     wire_codec:
         Which wire codec prices (and conceptually carries) frames sent by
         this instance's network: ``"json"`` (tag-first JSON, the default)
@@ -132,13 +125,10 @@ class TiamatConfig:
         capacity one origin may consume in a burst before its refill rate
         throttles it.
     admission_retry_floor:
-        Minimum ``retry_after`` hint attached to a shed refusal.
-    backoff_on_refusal:
-        Whether blocking operations whose QUERY was refused *with a
-        ``retry_after`` hint* re-contact the refusing peer after a capped
-        exponential backoff (+ jitter, honouring the hint) instead of
-        writing the peer off.  Only admission-enabled servers send hints,
-        so this is inert against uncontrolled peers.
+        Minimum ``retry_after`` hint attached to a shed refusal.  A blocking
+        operation refused with a hint re-contacts the refusing peer after a
+        capped exponential backoff that honours it; only admission-enabled
+        servers send hints, so uncontrolled peers are never re-contacted.
     telemetry_enabled:
         Whether this instance periodically ``out``s a leased
         ``("_telemetry", node, epoch, payload)`` health row into its own
@@ -176,7 +166,6 @@ class TiamatConfig:
     retry_max_interval: float = 1.0
     retry_jitter: float = 0.3
     dedup_window: int = 256
-    ack_piggyback: bool = False
     wire_codec: str = "json"
     serve_cost: float = 0.0
     serve_workers: int = 4
@@ -186,7 +175,6 @@ class TiamatConfig:
     admission_fairness: bool = True
     admission_burst: float = 0.25
     admission_retry_floor: float = 0.05
-    backoff_on_refusal: bool = True
     telemetry_enabled: bool = False
     telemetry_period: float = 1.0
     telemetry_lease: float = 2.5

@@ -69,11 +69,6 @@ class EvalTask:
         if self.result is None and not self.halted and self._process.alive:
             self._process.interrupt("eval lease ended")
 
-    @property
-    def finished(self) -> bool:
-        """True once the computation produced its tuple or was halted."""
-        return self.event.triggered
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "halted" if self.halted else ("done" if self.result else "running")
         return f"<EvalTask {state} compute_time={self.compute_time}>"

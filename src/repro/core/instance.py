@@ -413,21 +413,9 @@ class TiamatInstance:
     # Internals: network plumbing
     # ==================================================================
     def send(self, peer: str, payload: dict) -> bool:
-        """Unicast a protocol frame; False if the peer was not visible.
-
-        With ``config.ack_piggyback`` on, any reliability acks queued for
-        ``peer`` are drained onto this frame as a ``"racks"`` list (the
-        payload is copied, never mutated — retransmission state must keep
-        its original payload).  Dedicated ``REL_ACK`` frames never take
-        riders; they *are* the fallback flush.
-        """
+        """Unicast a protocol frame; False if the peer was not visible."""
         if self._detached:
             return False  # a crashed/shut-down instance sends nothing
-        if (self.config.ack_piggyback
-                and payload.get("kind") != protocol.REL_ACK):
-            racks = self.reliability.take_piggyback(peer)
-            if racks is not None:
-                payload = {**payload, "racks": racks}
         if (self.fabric is not None
                 and payload.get("kind") not in (protocol.REL_ACK,
                                                 protocol.FABRIC_MAP)):
@@ -457,10 +445,6 @@ class TiamatInstance:
         if kind == protocol.REL_ACK:
             self.reliability.on_ack(src, payload)
             return
-        if "racks" in payload:
-            # Piggybacked acks ride data frames; process them before the
-            # frame itself (even a duplicate frame carries valid acks).
-            self.reliability.on_piggyback(src, payload["racks"])
         if ("rseq" in payload and self.config.reliability_enabled
                 and not self.reliability.on_receive(src, payload)):
             return  # duplicate of an already-dispatched reliable frame

@@ -396,7 +396,6 @@ class Operation:
         """
         if (self.done or refusal.retry_after is None
                 or self.kind not in (OperationKind.RD, OperationKind.IN)
-                or not self.instance.config.backoff_on_refusal
                 or not self.lease.active):
             return
         config = self.instance.config

@@ -28,16 +28,8 @@ This module adds an ack/retransmit/dedup sublayer for exactly those frames:
 The sublayer is transparent to handlers: payloads gain ``rseq``/``repoch``
 fields on the wire, which handlers ignore.  ``REL_ACK`` frames themselves
 are never reliable — a lost ack just causes one more retransmission, which
-the dedup window absorbs.
-
-**Piggybacked acks** (``config.ack_piggyback``, off by default): instead of
-answering every reliable frame with a dedicated ``REL_ACK``, the channel
-queues ``[seq, epoch]`` pairs per peer.  The instance's :meth:`send` drains
-the queue onto the next outgoing data frame as a ``"racks"`` list; any acks
-still queued at the end of the simulation tick are flushed as a single
-consolidated ``REL_ACK`` carrying the whole list.  Either way the acks
-reach the peer within the same tick they would have as dedicated frames,
-so retransmission behaviour is unchanged — only the frame count drops.
+the dedup window absorbs.  Every reliable frame is answered by its own
+``REL_ACK`` naming one ``(rseq, repoch)``.
 """
 
 from __future__ import annotations
@@ -108,9 +100,6 @@ class ReliableChannel:
         self._next_seq: dict[str, "itertools.count"] = {}
         self._pending: dict[tuple, PendingFrame] = {}
         self._windows: dict[str, dict[int, _PeerWindow]] = {}
-        #: Per-peer ``[seq, epoch]`` pairs awaiting a ride on a data frame
-        #: (only populated when ``config.ack_piggyback`` is on).
-        self._pending_acks: dict[str, list] = {}
         # statistics
         self.sent = 0
         self.retransmits = 0
@@ -118,7 +107,6 @@ class ReliableChannel:
         self.expired = 0
         self.duplicates_dropped = 0
         self.acks_sent = 0
-        self.acks_piggybacked = 0
         #: Optional ``fn(delay_seconds)`` fed each chosen backoff delay
         #: (installed by ``Observability.observe_reliability``).
         self.backoff_observer = None
@@ -199,40 +187,10 @@ class ReliableChannel:
     # Receiving
     # ------------------------------------------------------------------
     def on_ack(self, peer: str, payload: dict) -> None:
-        """A ``REL_ACK`` arrived: stop retransmitting the named frame(s).
-
-        Handles both wire forms: the classic single-frame ack
-        (``rseq``/``repoch``) and the consolidated list form (``racks``,
-        a list of ``[seq, epoch]`` pairs) produced by the piggyback flush.
-        """
-        racks = payload.get("racks")
-        if racks is not None:
-            self.on_piggyback(peer, racks)
-            return
+        """A ``REL_ACK`` arrived: stop retransmitting the named frame."""
         if payload.get("repoch") != self.epoch:
             return  # ack addressed to a previous incarnation
-        self._ack_one(peer, payload.get("rseq"))
-
-    def on_piggyback(self, peer: str, racks) -> None:
-        """Process a ``racks`` list of ``[seq, epoch]`` ack pairs.
-
-        Called both for dedicated consolidated ``REL_ACK`` frames and for
-        data frames carrying piggybacked acks.  Entries addressed to a
-        previous incarnation (epoch mismatch) are ignored, exactly like
-        classic acks.
-        """
-        if not isinstance(racks, (list, tuple)):
-            return
-        for entry in racks:
-            if not isinstance(entry, (list, tuple)) or len(entry) != 2:
-                continue
-            seq, epoch = entry
-            if epoch != self.epoch:
-                continue
-            self._ack_one(peer, seq)
-
-    def _ack_one(self, peer: str, seq) -> None:
-        pending = self._pending.pop((peer, seq), None)
+        pending = self._pending.pop((peer, payload.get("rseq")), None)
         if pending is not None:
             self.acked += 1
             if pending.timer is not None:
@@ -248,12 +206,9 @@ class ReliableChannel:
         """
         seq = payload.get("rseq")
         epoch = payload.get("repoch")
-        if self.config.ack_piggyback:
-            self._queue_ack(peer, seq, epoch)
-        else:
-            self.acks_sent += 1
-            self.instance.send(peer, {"kind": protocol.REL_ACK,
-                                      "rseq": seq, "repoch": epoch})
+        self.acks_sent += 1
+        self.instance.send(peer, {"kind": protocol.REL_ACK,
+                                  "rseq": seq, "repoch": epoch})
         epochs = self._windows.setdefault(peer, {})
         window = epochs.get(epoch)
         if window is None:
@@ -280,43 +235,6 @@ class ReliableChannel:
         return False
 
     # ------------------------------------------------------------------
-    # Ack piggybacking
-    # ------------------------------------------------------------------
-    def _queue_ack(self, peer: str, seq, epoch) -> None:
-        """Queue an ack to ride the next data frame to ``peer``.
-
-        The first ack queued in a tick schedules an end-of-tick flush
-        (delay 0 runs after every event already queued at the current
-        time), so acks never wait longer than they would as dedicated
-        frames.
-        """
-        queue = self._pending_acks.get(peer)
-        if queue is None:
-            queue = self._pending_acks[peer] = []
-            self.instance.sim.schedule(0.0, self._flush_acks, peer)
-        queue.append([seq, epoch])
-
-    def take_piggyback(self, peer: str) -> Optional[list]:
-        """Drain queued acks for ``peer`` onto an outgoing data frame.
-
-        Called by the instance's ``send`` just before transmission.
-        Returns the ``[seq, epoch]`` list to attach as ``"racks"``, or
-        ``None`` when nothing is queued.
-        """
-        queue = self._pending_acks.pop(peer, None)
-        if queue:
-            self.acks_piggybacked += len(queue)
-        return queue or None
-
-    def _flush_acks(self, peer: str) -> None:
-        """End-of-tick fallback: no data frame took the queued acks."""
-        queue = self._pending_acks.pop(peer, None)
-        if not queue:
-            return  # drained by a piggyback ride in the meantime
-        self.acks_sent += len(queue)
-        self.instance.send(peer, {"kind": protocol.REL_ACK, "racks": queue})
-
-    # ------------------------------------------------------------------
     @property
     def pending_count(self) -> int:
         """Reliable frames still awaiting acknowledgement."""
@@ -329,7 +247,6 @@ class ReliableChannel:
                 pending.timer.cancel()
                 pending.timer = None
         self._pending.clear()
-        self._pending_acks.clear()
 
     def stats(self) -> dict:
         """Plain-dict counters for reports and the CLI."""
@@ -340,7 +257,6 @@ class ReliableChannel:
             "expired": self.expired,
             "duplicates_dropped": self.duplicates_dropped,
             "acks_sent": self.acks_sent,
-            "acks_piggybacked": self.acks_piggybacked,
             "pending": self.pending_count,
         }
 

@@ -748,14 +748,6 @@ class FabricManager:
         for peer in targets:
             self._push_map(peer)
 
-    # ==================================================================
-    @property
-    def scatter_width_mean(self) -> float:
-        """Mean peers contacted per fabric-planned operation."""
-        if self.scatter_ops == 0:
-            return 0.0
-        return self.scatter_width_sum / self.scatter_ops
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"<FabricManager {self.instance.name} "
                 f"primaries={len(self._primaries)} "

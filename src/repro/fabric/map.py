@@ -51,14 +51,6 @@ class ShardMap:
         self.version += 1
         return True
 
-    def drop(self, name: str) -> bool:
-        """Remove a member outright (local sweep of a lapsed lease)."""
-        if name not in self.members:
-            return False
-        del self.members[name]
-        self.version += 1
-        return True
-
     def sweep(self, now: float) -> List[str]:
         """Drop every lapsed member; returns the names dropped."""
         lapsed = [n for n, exp in self.members.items() if exp <= now]

@@ -67,8 +67,5 @@ class HashRing:
                     break
         return chosen
 
-    def __len__(self) -> int:
-        return len(self.members)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<HashRing members={len(self.members)} vnodes={self.vnodes}>"

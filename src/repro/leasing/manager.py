@@ -224,9 +224,8 @@ class LeaseManager:
         lease = self.active.get(lease_id)
         if lease is None or not lease.active:
             return
-        if lease.expires_at is not None and self.sim.now >= lease.expires_at:
-            self.expirations += 1
-            lease._end(LeaseState.EXPIRED)
+        self.expirations += 1
+        lease._end(LeaseState.EXPIRED)
 
     def _storage_fits(self, needed: int) -> bool:
         if self.storage_capacity is None:

@@ -44,10 +44,6 @@ class ChurnInjector:
         """Take ``node`` down immediately."""
         self._set(node, False)
 
-    def revive(self, node: str) -> None:
-        """Bring ``node`` up immediately."""
-        self._set(node, True)
-
     # ------------------------------------------------------------------
     # Stochastic churn
     # ------------------------------------------------------------------

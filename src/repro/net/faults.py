@@ -241,11 +241,6 @@ class FaultPlan:
         self.frames_seen = 0
         self.frames_dropped = 0
 
-    def add(self, injector: FaultInjector) -> "FaultPlan":
-        """Append an injector; returns self for chaining."""
-        self.injectors.append(injector)
-        return self
-
     def bind(self, network) -> None:
         """Called by the network when the plan is installed."""
         if self.rng is None:

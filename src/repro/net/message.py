@@ -18,15 +18,6 @@ network models that by letting fault injectors :meth:`corrupt` a frame in
 flight, after which :meth:`verify` fails and the network drops the frame at
 delivery time (drop reason ``corrupt``) instead of handing garbage to a
 protocol handler.
-
-**Batch envelopes** (kind :data:`BATCH`) coalesce every unicast frame
-queued to the same destination within one simulation tick into a single
-physical frame: ``{"kind": "batch", "frames": [payload, ...]}``.  The
-envelope is what flies (one loss/fault/latency decision, one stats entry);
-the network unpacks it at delivery and hands each logical sub-frame to the
-handler in queue order, so per-destination FIFO ordering is preserved.
-Sub-frames are rebuilt with :meth:`Message.sub_frame`, which skips the
-checksum (the envelope was already verified) — they never travel alone.
 """
 
 from __future__ import annotations
@@ -37,10 +28,7 @@ import zlib
 from typing import Optional
 
 from repro.errors import SerializationError
-from repro.tuples.serialization import WireCodec, encoded_size
-
-#: Network-layer frame kind for batch envelopes (not a Tiamat protocol kind).
-BATCH = "batch"
+from repro.tuples.serialization import WireCodec
 
 _ids = itertools.count(1)
 
@@ -101,26 +89,6 @@ class Message:
         msg.checksum = self.checksum
         return msg
 
-    @classmethod
-    def sub_frame(cls, envelope: "Message", payload: dict) -> "Message":
-        """A logical frame unpacked from a delivered batch envelope.
-
-        The envelope's checksum was already verified, so the sub-frame
-        skips checksum computation (:meth:`verify` reports True); its size
-        is priced by the same codec so per-frame accounting stays honest.
-        """
-        msg = object.__new__(cls)
-        msg.msg_id = next(_ids)
-        msg.src = envelope.src
-        msg.dst = envelope.dst
-        msg.payload = payload
-        msg.codec = envelope.codec
-        msg.size = (encoded_size(payload) if envelope.codec is None
-                    else envelope.codec.encoded_size(payload))
-        msg.sent_at = envelope.sent_at
-        msg.checksum = None
-        return msg
-
     # ------------------------------------------------------------------
     # Integrity
     # ------------------------------------------------------------------
@@ -129,24 +97,15 @@ class Message:
         checksum computed at send time, so :meth:`verify` fails."""
         self.payload = {"kind": self.payload.get("kind", "?"),
                         "__garbled__": True}
-        if self.checksum is None:  # a sub-frame: force the mismatch anyway
-            self.checksum = -1
 
     def verify(self) -> bool:
         """True iff the payload still matches the send-time checksum."""
-        if self.checksum is None:
-            return True  # sub-frame of an already-verified envelope
         return payload_checksum(self.payload) == self.checksum
 
     @property
     def is_multicast(self) -> bool:
         """True for frames addressed to every visible neighbour."""
         return self.dst is None
-
-    @property
-    def is_batch(self) -> bool:
-        """True for batch envelopes carrying multiple logical frames."""
-        return self.payload.get("kind") == BATCH
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         target = "*" if self.dst is None else self.dst

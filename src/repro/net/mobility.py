@@ -78,10 +78,6 @@ class StaticPlacement(MobilityModel):
         }
         return cls(positions)
 
-    def place(self, node: str, x: float, y: float) -> None:
-        """Set or move a node's fixed position."""
-        self._positions[node] = Position(x, y)
-
     def position_of(self, node: str) -> Optional[Position]:
         return self._positions.get(node)
 

@@ -15,19 +15,10 @@ an elaborate radio model:
   behaviour of real radios at these timescales.  Frames addressed to a node
   that is *down* at delivery time are dropped.
 
-Two hot-path options keep heavy workloads cheap (both off by default so
-seeded experiments are unperturbed unless requested):
-
-* ``codec`` selects the wire encoding that prices every frame —
-  ``"json"`` (the default) or the compact ``"binary"`` codec
-  (:mod:`repro.tuples.serialization`);
-* ``batching`` coalesces every unicast frame queued to the same
-  destination within one simulation tick into a single **batch envelope**
-  (one latency/loss/fault decision, one stats entry), unpacked at delivery
-  in queue order so per-destination FIFO ordering — and, with the codec
-  fixed, operation outcomes — are preserved (see
-  ``tests/test_perf_paths.py``).  Frame listeners observe the *logical*
-  frames on both ends, so tracing stays causally exact.
+Every frame flies alone: one send, one loss/fault/latency decision and
+one delivery per frame (per copy, for a multicast).  ``codec`` selects the
+wire encoding that prices every frame — ``"json"`` (the default) or the
+compact ``"binary"`` codec (:mod:`repro.tuples.serialization`).
 
 Richer failure modes — burst loss, duplication, reordering, corruption,
 one-way links — are layered on via :meth:`Network.use_faults` and a
@@ -46,7 +37,7 @@ from __future__ import annotations
 from typing import Callable, Optional, Union
 
 from repro.errors import UnknownNodeError
-from repro.net.message import BATCH, Message
+from repro.net.message import Message
 from repro.net.stats import (
     DROP_CORRUPT,
     DROP_INVISIBLE,
@@ -121,24 +112,17 @@ class Network:
                  visibility: Optional[VisibilityGraph] = None,
                  loss_rate: float = 0.0,
                  latency_factory: Optional[Callable[["Network"], LatencyModel]] = None,
-                 codec: Union[str, WireCodec, None] = None,
-                 batching: bool = False) -> None:
+                 codec: Union[str, WireCodec, None] = None) -> None:
         self.sim = sim
         self.visibility = visibility if visibility is not None else VisibilityGraph()
         self.loss_rate = loss_rate
         self.codec: WireCodec = get_codec(codec)
-        self.batching = batching
         self.stats = NetworkStats()
         self.faults = None  # Optional[FaultPlan]
         self._handlers: dict[str, Handler] = {}
         self._loss_rng = sim.rng("net/loss")
         self._drop_listeners: list[DropListener] = []
         self._frame_listeners: list[FrameListener] = []
-        # (src, dst) -> logical frames queued this tick, awaiting a flush
-        self._batch_queues: dict[tuple, list[Message]] = {}
-        # batching statistics (physical envelopes vs logical frames coalesced)
-        self.batch_envelopes = 0
-        self.batched_frames = 0
         factory = latency_factory if latency_factory is not None else default_latency()
         self._latency: LatencyModel = factory(self)
         sim.obs.observe_network(self)
@@ -186,9 +170,6 @@ class Network:
         The listener is invoked as ``listener(phase, message)`` with phase
         ``"send"`` (one call per in-flight copy, i.e. per destination for
         multicasts) and ``"deliver"`` (the frame reached its handler).
-        On a batching network, listeners see the *logical* frames — one
-        ``send`` per queued frame, one ``deliver`` per unpacked sub-frame —
-        never the envelope, so causal tracing is unaffected by coalescing.
         Drops are reported through :meth:`on_drop`.  With no listeners the
         notification is a single falsy check — observationally free.
         """
@@ -204,19 +185,6 @@ class Network:
         flight = self._flight
         if not self._drop_listeners and not flight.enabled:
             return
-        frames = message.payload.get("frames") if message.is_batch else None
-        if frames:
-            # Report the logical frames the envelope carried, not the
-            # envelope itself: tracers reason about per-operation frames.
-            for payload in frames:
-                sub = Message.sub_frame(message, payload)
-                flight.frame("drop", sub, reason)
-                for listener in list(self._drop_listeners):
-                    listener(sub, reason)
-            return
-        # Plain frame — or a batch envelope damaged beyond recognition
-        # (corruption garbles the payload, so the logical frames are
-        # unrecoverable): report the physical frame once.
         flight.frame("drop", message, reason)
         for listener in list(self._drop_listeners):
             listener(message, reason)
@@ -231,8 +199,6 @@ class Network:
         if not self.visibility.visible(src, dst):
             self._drop(message, DROP_INVISIBLE)
             return False
-        if self.batching:
-            return self._enqueue(message)
         self.stats.record_send(src, message.size, multicast=False, kind=message.kind)
         self._dispatch(message)
         return True  # dispatched (even if lost in flight)
@@ -251,61 +217,13 @@ class Network:
         return dispatched
 
     # ------------------------------------------------------------------
-    # Frame batching
+    # Internals
     # ------------------------------------------------------------------
-    def _enqueue(self, message: Message) -> bool:
-        """Queue a unicast frame for this tick's flush to its destination."""
-        key = (message.src, message.dst)
-        queue = self._batch_queues.get(key)
-        if queue is None:
-            queue = self._batch_queues[key] = []
-            # End-of-tick flush: same virtual time, after every handler
-            # that is already scheduled for this instant has run, so all
-            # same-tick frames to this destination coalesce.
-            self.sim.schedule(0.0, self._flush_batch, key)
-        queue.append(message)
+    def _dispatch(self, message: Message) -> bool:
+        """Run loss + fault decisions for one frame; True if any copy flies."""
         if self._frame_listeners:
             self._notify_frame("send", message)
         self._flight.frame("send", message)
-        return True
-
-    def _flush_batch(self, key: tuple) -> None:
-        queue = self._batch_queues.pop(key, None)
-        if not queue:
-            return
-        src, dst = key
-        if src not in self._handlers:
-            # The sender detached (crash/shutdown) with frames still in its
-            # TX queue; they die with it.
-            for message in queue:
-                self._drop(message, DROP_NODE_DOWN)
-            return
-        if len(queue) == 1:
-            message = queue[0]
-        else:
-            message = Message(src, dst,
-                              {"kind": BATCH,
-                               "frames": [m.payload for m in queue]},
-                              self.sim.now, codec=self.codec)
-            self.batch_envelopes += 1
-            self.batched_frames += len(queue)
-        self.stats.record_send(src, message.size, multicast=False,
-                               kind=message.kind)
-        self._dispatch(message, notify=False)
-
-    # ------------------------------------------------------------------
-    # Internals
-    # ------------------------------------------------------------------
-    def _dispatch(self, message: Message, notify: bool = True) -> bool:
-        """Run loss + fault decisions for one frame; True if any copy flies.
-
-        ``notify`` is False for frames whose ``send`` notification already
-        happened at enqueue time (the batching path).
-        """
-        if notify:
-            if self._frame_listeners:
-                self._notify_frame("send", message)
-            self._flight.frame("send", message)
         if self._lost():
             self._drop(message, DROP_LOSS)
             return False  # silently lost in flight
@@ -335,23 +253,12 @@ class Network:
         if handler is None or not self.visibility.is_up(message.dst):
             self._drop(message, DROP_NODE_DOWN)
             return
-        if ((self.faults is not None or message.is_batch)
-                and not message.verify()):
-            # The receiver's frame checksum rejects damaged payloads.
-            # Batch envelopes are always checked — a damaged envelope must
-            # drop every logical frame it carried, never half-deliver.
+        if self.faults is not None and not message.verify():
+            # The receiver's frame checksum rejects damaged payloads; only
+            # a fault plan damages frames in flight.
             self._drop(message, DROP_CORRUPT)
             return
         self.stats.record_receive(message.dst, message.size)
-        if message.is_batch:
-            # Unpack in queue order: per-destination FIFO is preserved.
-            for payload in message.payload.get("frames", ()):
-                sub = Message.sub_frame(message, payload)
-                if self._frame_listeners:
-                    self._notify_frame("deliver", sub)
-                self._flight.frame("deliver", sub)
-                handler(sub)
-            return
         if self._frame_listeners:
             self._notify_frame("deliver", message)
         self._flight.frame("deliver", message)

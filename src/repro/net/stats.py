@@ -51,11 +51,6 @@ class NodeStats:
         return self.sent_unicast + self.sent_multicast
 
     @property
-    def dropped(self) -> int:
-        """Total frames that never arrived, any reason."""
-        return sum(self.drops.values())
-
-    @property
     def dropped_invisible(self) -> int:
         """Drops because the destination was unreachable (legacy rollup).
 

@@ -48,8 +48,7 @@ class ProtocolTrace:
 
     The tracer subscribes to the network's ``on_frame`` listener and
     records each ``deliver`` — the point a frame reaches its node's
-    handler, one entry per logical sub-frame on a batching network — so it
-    sees exactly what the nodes see, including nodes attached (or
+    handler — so it sees exactly what the nodes see, including nodes attached (or
     re-attached after a crash) once the tracer is running.  With
     ``capture_drops`` (the default) it also subscribes to the drop
     listener, so lost/faulted frames appear in the timeline with their

@@ -157,16 +157,6 @@ class Observability:
                      help="Total frames originated on this network.",
                      kind="counter", key=key)
 
-        def batching():
-            yield ("envelopes",), network.batch_envelopes
-            yield ("frames",), network.batched_frames
-
-        reg.callback("net_batch_total", batching,
-                     help="Frame batching: physical envelopes sent and "
-                          "logical frames coalesced into them (zero "
-                          "unless the network batches).",
-                     labels=("unit",), kind="counter", key=key)
-
     def observe_lease_manager(self, manager, node: str) -> None:
         """Grant/refusal/revocation accounting for one lease manager."""
         reg = self.registry
@@ -207,7 +197,6 @@ class Observability:
             yield (node, "expired"), channel.expired
             yield (node, "dedup_drop"), channel.duplicates_dropped
             yield (node, "ack_sent"), channel.acks_sent
-            yield (node, "ack_piggybacked"), channel.acks_piggybacked
 
         reg.callback("reliability_events_total", events,
                      help="Reliable-sublayer events by node "

@@ -325,10 +325,6 @@ class MetricsRegistry:
     # ------------------------------------------------------------------
     # Introspection and export
     # ------------------------------------------------------------------
-    def get(self, name: str) -> Optional[MetricFamily]:
-        """The family with this name, or None."""
-        return self._families.get(name)
-
     def families(self) -> list[MetricFamily]:
         """All declared families, sorted by name."""
         with self._lock:

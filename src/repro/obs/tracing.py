@@ -208,13 +208,6 @@ class Tracer:
                                 dst=message.dst, kind=message.kind,
                                 detail=detail, drop_reason=reason))
 
-    def clear(self) -> None:
-        """Forget everything captured so far."""
-        self.events.clear()
-        self._by_op.clear()
-        self._reliable_seen.clear()
-        self.truncated = 0
-
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------

@@ -27,17 +27,13 @@ Quick taste::
 from repro.sim.events import AllOf, AnyOf, Event, Timeout
 from repro.sim.kernel import Simulator, Timer
 from repro.sim.process import Process
-from repro.sim.resources import Gate, SimResource, SimStore
 from repro.sim.rng import RngStream
 
 __all__ = [
     "AllOf",
     "AnyOf",
     "Event",
-    "Gate",
     "Process",
-    "SimResource",
-    "SimStore",
     "RngStream",
     "Simulator",
     "Timeout",

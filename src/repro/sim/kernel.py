@@ -206,8 +206,11 @@ class Simulator:
         """
         if delay < 0:
             raise SimulationError(f"cannot schedule into the past (delay={delay})")
+        return self._push(self._now + delay, callback, args)
+
+    def _push(self, time: float, callback: Callable[..., Any], args: tuple) -> Timer:
         tiebreak = 0.0 if self._tiebreak_hook is None else self._tiebreak_hook()
-        time, seq = self._now + delay, next(self._seq)
+        seq = next(self._seq)
         timer = Timer(time, seq, callback, args, tiebreak)
         heapq.heappush(self._queue, (time, tiebreak, seq, timer))
         if len(self._queue) >= self._compact_at:
@@ -228,8 +231,13 @@ class Simulator:
         self._compact_at = max(self.COMPACT_FLOOR, 2 * len(self._queue))
 
     def schedule_at(self, time: float, callback: Callable[..., Any], *args: Any) -> Timer:
-        """Run ``callback(*args)`` at absolute virtual time ``time``."""
-        return self.schedule(max(0.0, time - self._now), callback, *args)
+        """Run ``callback(*args)`` at absolute virtual time ``time``.
+
+        The timer is queued at ``time`` itself (or now, if ``time`` has
+        passed), so the callback sees ``now == time`` exactly: a deadline
+        reached by ``now + (time - now)`` can round one ulp short of it.
+        """
+        return self._push(max(time, self._now), callback, args)
 
     # ------------------------------------------------------------------
     # Processes and events (thin wrappers; real logic in sibling modules)

@@ -66,9 +66,5 @@ class RngStream:
         """In-place Fisher-Yates shuffle."""
         self._random.shuffle(seq)
 
-    def gauss(self, mu: float, sigma: float) -> float:
-        """Normally distributed float."""
-        return self._random.gauss(mu, sigma)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<RngStream {self.name} seed={self.seed}>"

@@ -63,22 +63,6 @@ class Tuple:
         """Build a tuple from an iterable of field values."""
         return cls(*fields)
 
-    @classmethod
-    def _from_trusted(cls, fields: "tuple") -> "Tuple":
-        """Construct without per-field validation.
-
-        Internal fast path for decoders that *prove* field validity by
-        construction (the binary wire decoder admits only field-value tags
-        inside a tuple), so re-validating every field would only re-spend
-        the time the compact codec exists to save.  ``fields`` must be a
-        non-empty plain tuple of valid field values.
-        """
-        self = object.__new__(cls)
-        self._fields = fields
-        self._hash = None
-        self._wire = None
-        return self
-
     @property
     def fields(self) -> tuple:
         """The field values, in order."""

@@ -479,8 +479,8 @@ def _read_tuple_fast(data, pos: int, length: int) -> "tuple[Tuple, int]":
     """Decode a tuple body (after its tag byte) via the trusted fast path.
 
     Only *field-value* tags are admitted inside a tuple, which proves field
-    validity by construction and licenses :meth:`Tuple._from_trusted` —
-    skipping the per-field re-validation of the public constructor.
+    validity by construction and licenses building the :class:`Tuple`
+    without the per-field re-validation of the public constructor.
 
     This is the hottest loop on a binary wire, hand-inlined accordingly:
     ``data`` may be ``bytes``, ``bytearray`` or ``memoryview`` (indexing
@@ -571,11 +571,6 @@ def _read_tuple_fast(data, pos: int, length: int) -> "tuple[Tuple, int]":
 
 
 _T_new = object.__new__
-
-
-def _read_tuple(data, pos: int) -> "tuple[Tuple, int]":
-    """Compatibility wrapper: decode a tuple body at ``pos``."""
-    return _read_tuple_fast(data, pos, len(data))
 
 
 def _read_dict_fast(data, pos: int, length: int) -> "tuple[dict, int]":
@@ -756,26 +751,6 @@ def decode_tuple_binary(data: Buffer) -> Tuple:
                 _nested_intern.clear()
             _nested_intern[data] = value
     return value
-
-
-def decode_tuple_buffer(data: Buffer, pos: int = 0) -> "tuple[Tuple, int]":
-    """Decode one tuple at ``pos`` inside a larger buffer.
-
-    Returns ``(tuple, end)`` where ``end`` is the offset one past the
-    tuple's wire form, so frame parsers can walk a receive buffer without
-    slicing it per value.  Strict: malformation raises
-    :class:`SerializationError`.
-    """
-    try:
-        if data[pos] != _B_TUPLE:
-            raise SerializationError(
-                f"expected a tuple at offset {pos} "
-                f"(tag 0x{data[pos]:02x})")
-        return _read_tuple_fast(data, pos + 1, len(data))
-    except SerializationError:
-        raise
-    except Exception as exc:
-        raise SerializationError(f"malformed binary tuple: {exc}") from exc
 
 
 def encode_pattern_binary(pattern: Pattern) -> bytes:

@@ -338,9 +338,6 @@ class LocalTupleSpace:
         entry = self.store.get(entry_id)
         if entry is None or entry.removed:
             return
-        expires_at = entry.meta.get("expires_at")
-        if expires_at is None or self.sim.now < expires_at:
-            return  # lease was renewed
         if entry.held:
             return  # reclaimed on release (see `release`)
         self.store.remove(entry_id)

@@ -104,12 +104,6 @@ class MemoryFS:
         if data is not None:
             del data[size:]
 
-    def delete(self, path: str) -> None:
-        self.files.pop(path, None)
-
-    def exists(self, path: str) -> bool:
-        return path in self.files
-
     def size(self, path: str) -> int:
         data = self.files.get(path)
         return 0 if data is None else len(data)

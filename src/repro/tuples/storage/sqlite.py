@@ -110,6 +110,3 @@ class SqliteBackend(StorageBackend):
 
     def close(self) -> None:
         self._conn.close()
-
-    def __len__(self) -> int:
-        return self._conn.execute("SELECT COUNT(*) FROM entries").fetchone()[0]

@@ -358,28 +358,6 @@ def test_backoff_retry_honours_retry_after_and_succeeds(sim):
         assert all(r.retry_after is not None for r in op.refusals)
 
 
-def test_backoff_disabled_means_no_retry(sim):
-    config_server = TiamatConfig(admission_enabled=True, serve_cost=0.05,
-                                 serve_workers=1, admission_burst=0.05)
-    net = Network(sim)
-    server = TiamatInstance(sim, net, "server", config=config_server)
-    client = TiamatInstance(sim, net, "client",
-                            config=TiamatConfig(backoff_on_refusal=False))
-    net.visibility.set_visible("server", "client")
-    server.out(Tuple("item", 1), requester=SimpleLeaseRequester(
-        LeaseTerms(duration=300.0)))
-    ops = [client.rd_at(server.handle(), Pattern("item", int),
-                        requester=SimpleLeaseRequester(
-                            LeaseTerms(duration=5.0, max_remotes=8)))
-           for _ in range(3)]
-    sim.run(until=20.0)
-    shed_ops = [op for op in ops if op.refusals]
-    assert shed_ops, "expected sheds"
-    for op in shed_ops:
-        assert not op.satisfied           # never retried
-        assert op.contacted == ["server"]  # one contact, no re-send
-
-
 def test_admission_metrics_families_registered(sim):
     config = TiamatConfig(admission_enabled=True, serve_cost=0.1,
                           serve_workers=1, admission_queue_bound=1)

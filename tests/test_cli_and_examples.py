@@ -54,6 +54,29 @@ def test_cli_chaos(capsys):
     assert "rel_ack" in out  # the sublayer is visible in the trace
 
 
+def test_cli_wal_inspect(tmp_path, capsys):
+    from repro.tuples import Tuple
+    from repro.tuples.storage import WALBackend
+
+    base = str(tmp_path / "node")
+    wal = WALBackend(base, compact_every=0)
+    for i in (1, 2, 3):
+        wal.record_out(i, Tuple("note", i), expires_at=50.0, at=0.1 * i)
+    wal.compact(at=1.0)
+    wal.record_out(4, Tuple("note", 4), expires_at=None, at=1.5)
+    wal.record_remove(2, "consumed", at=2.0)
+    with open(wal.wal_path, "ab") as f:
+        f.write(b"\x07\x00\x00")              # a torn, half-written header
+    assert main(["wal", "inspect", base]) == 0
+    out = capsys.readouterr().out
+    assert f"wal:  {base}.wal (" in out and " bytes, 2 records)" in out
+    assert f"snap: {base}.snap (3 entries, taken at t=1.0)" in out
+    assert "torn tail: 3 trailing bytes do not frame" in out
+    assert "live entries after replay: 3" in out     # #1 and #3 snapped, #4
+    assert "  out  #4 at t=1.5 exp=None tup=" in out
+    assert "  rm   #2 at t=2.0 why=consumed" in out
+
+
 def test_cli_parser_requires_command():
     with pytest.raises(SystemExit):
         build_parser().parse_args([])

@@ -61,7 +61,7 @@ def test_collect_measures_exactly_the_committed_names(monkeypatch):
     monkeypatch.setattr(aio, "bench_ns", run_once)
     current = perf.collect()
     assert sorted(current["metrics"]) == sorted(BASELINE["metrics"])
-    assert len(current["metrics"]) == 17
+    assert len(current["metrics"]) == 15
     assert sorted(current["info"]) == sorted(BASELINE["info"])
 
 
@@ -69,7 +69,7 @@ def test_check_exits_1_against_a_halved_baseline(tmp_path):
     doctored = json.loads(json.dumps(BASELINE))
     # A seeded wire figure: the run reads exactly 2x its halved baseline,
     # so the verdict does not depend on how noisy this box is.
-    doctored["metrics"]["mru_frames_per_op_fast"] /= 2
+    doctored["metrics"]["mru_frames_per_op_baseline"] /= 2
     path = tmp_path / "halved.json"
     path.write_text(json.dumps(doctored))
     proc = subprocess.run(
@@ -77,4 +77,4 @@ def test_check_exits_1_against_a_halved_baseline(tmp_path):
          "--check", "--baseline", str(path)],
         capture_output=True, text=True)
     assert proc.returncode == 1, proc.stdout + proc.stderr
-    assert "mru_frames_per_op_fast: 28.25 vs baseline 14.12 (+100.0%" in proc.stdout
+    assert "mru_frames_per_op_baseline: 30.25 vs baseline 15.12 (+100.0%" in proc.stdout

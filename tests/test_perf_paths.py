@@ -1,15 +1,11 @@
 """The hot-path optimisations must be observationally passive.
 
-Three opt-in fast paths exist: the binary wire codec, frame batching, and
-piggybacked reliability acks.  Each changes *how* frames travel, never
-*what* operations conclude — this module proves it in the PR-2 passivity
-style (run the same seeded workload under both configurations, compare
-operation outcomes value by value) and pins down the mechanics:
+The binary wire codec changes *how* frames are priced, never *what*
+operations conclude — this module proves it in the PR-2 passivity style
+(run the same seeded workload under both codecs, compare operation
+outcomes value by value) and pins down the mechanics:
 
-* batching preserves per-destination FIFO order and coalesces same-tick
-  frames into one physical envelope;
-* a corrupted batch envelope drops every logical frame it carried;
-* piggybacked acks stop retransmissions exactly like dedicated acks;
+* every reliable frame is acknowledged under either codec;
 * the store's scan cache serves hits only while the store is untouched
   (any add/remove/hold/release invalidates) and its counters reconcile;
 * ``candidates`` iterates lazily without materialising the bucket.
@@ -20,21 +16,19 @@ from __future__ import annotations
 from repro.core import TiamatConfig, TiamatInstance
 from repro.errors import CodecMismatchError
 from repro.net import Network
-from repro.net.message import BATCH, Message
 from repro.sim import Simulator
 from repro.tuples import ANY, Pattern, Range, Tuple
 from repro.tuples.store import TupleStore
 
 
 # ---------------------------------------------------------------------------
-# Passivity: fast wire paths change no operation outcome
+# Passivity: the binary codec changes no operation outcome
 # ---------------------------------------------------------------------------
-def _run_workload(fast: bool, seed: int = 11):
+def _run_workload(binary: bool, seed: int = 11):
     """A mixed destructive/read workload; returns (outcomes, wire stats)."""
     sim = Simulator(seed=seed)
-    net = Network(sim, codec="binary" if fast else None, batching=fast)
-    config = TiamatConfig(ack_piggyback=fast,
-                          wire_codec="binary" if fast else "json")
+    net = Network(sim, codec="binary" if binary else None)
+    config = TiamatConfig(wire_codec="binary" if binary else "json")
     names = ["a", "b", "c"]
     inst = {n: TiamatInstance(sim, net, n, config=config) for n in names}
     net.visibility.connect_clique(names)
@@ -71,20 +65,16 @@ def _run_workload(fast: bool, seed: int = 11):
 
 
 def test_fast_wire_paths_are_outcome_passive():
-    base_outcomes, base_stats = _run_workload(fast=False)
-    fast_outcomes, fast_stats = _run_workload(fast=True)
+    base_outcomes, base_stats = _run_workload(binary=False)
+    fast_outcomes, fast_stats = _run_workload(binary=True)
     # Bit-identical operation outcomes: same values, same sources, same order.
     assert base_outcomes == fast_outcomes
     assert len(base_outcomes) == 24
     assert all(r is not None for _, r, _ in base_outcomes)
-    # Same residual state...
+    # Same residual state, for fewer bytes on the same number of frames.
     assert base_stats["tuples_left"] == fast_stats["tuples_left"]
-    # ...for strictly less wire: piggybacked acks replace dedicated frames.
-    assert fast_stats["messages"] < base_stats["messages"]
+    assert fast_stats["messages"] == base_stats["messages"]
     assert fast_stats["bytes"] < base_stats["bytes"]
-    saved = sum(s["acks_piggybacked"] for s in fast_stats["rel"].values())
-    assert saved > 0
-    assert all(s["acks_piggybacked"] == 0 for s in base_stats["rel"].values())
 
 
 def test_wire_codec_config_must_match_network():
@@ -104,112 +94,14 @@ def test_wire_codec_config_must_match_network():
     TiamatInstance(bnet.sim, bnet, "y", config=TiamatConfig(wire_codec="binary"))
 
 
-def test_reliability_counters_balance_under_piggyback():
-    _, stats = _run_workload(fast=True)
-    for node_stats in stats["rel"].values():
-        # Every reliable frame got acknowledged; nothing expired or pends.
-        assert node_stats["acked"] == node_stats["sent"]
-        assert node_stats["expired"] == 0
-        assert node_stats["pending"] == 0
-
-
-# ---------------------------------------------------------------------------
-# Batching mechanics
-# ---------------------------------------------------------------------------
-def _batch_net(seed: int = 3):
-    sim = Simulator(seed=seed)
-    net = Network(sim, batching=True)
-    return sim, net
-
-
-def test_batching_coalesces_same_tick_frames():
-    sim, net = _batch_net()
-    got = []
-    net.attach("dst", lambda m: got.append(m.payload["i"]))
-    iface = net.attach("src", lambda m: None)
-    net.visibility.set_visible("src", "dst", True)
-    sim.run(until=0.1)
-    for i in range(6):
-        iface.unicast("dst", {"kind": "x", "i": i})
-    sim.run(until=1.0)
-    assert got == list(range(6))            # FIFO preserved
-    assert net.batch_envelopes == 1         # one physical frame...
-    assert net.batched_frames == 6          # ...carrying six logical ones
-    assert net.stats.total_messages == 1
-
-
-def test_batching_separates_destinations_and_ticks():
-    sim, net = _batch_net()
-    got = {"d1": [], "d2": []}
-    net.attach("d1", lambda m: got["d1"].append(m.payload["i"]))
-    net.attach("d2", lambda m: got["d2"].append(m.payload["i"]))
-    iface = net.attach("src", lambda m: None)
-    for d in ("d1", "d2"):
-        net.visibility.set_visible("src", d, True)
-    sim.run(until=0.1)
-
-    def tick(offset, base):
-        iface.unicast("d1", {"kind": "x", "i": base})
-        iface.unicast("d1", {"kind": "x", "i": base + 1})
-        iface.unicast("d2", {"kind": "x", "i": base + 2})
-
-    sim.schedule(0.0, tick, 0, 0)
-    sim.schedule(0.5, tick, 1, 10)
-    sim.run(until=2.0)
-    assert got["d1"] == [0, 1, 10, 11]
-    assert got["d2"] == [2, 12]
-    # d1 got two 2-frame envelopes; d2's singletons fly unwrapped.
-    assert net.batch_envelopes == 2
-    assert net.batched_frames == 4
-
-
-def test_single_frame_ticks_are_not_enveloped():
-    sim, net = _batch_net()
-    kinds = []
-    net.attach("dst", lambda m: kinds.append(m.kind))
-    iface = net.attach("src", lambda m: None)
-    net.visibility.set_visible("src", "dst", True)
-    sim.run(until=0.1)
-    iface.unicast("dst", {"kind": "solo"})
-    sim.run(until=1.0)
-    assert kinds == ["solo"]
-    assert net.batch_envelopes == 0
-
-
-def test_corrupt_envelope_drops_all_logical_frames():
-    sim, net = _batch_net()
-    delivered = []
-    dropped = []
-    net.attach("dst", lambda m: delivered.append(m.payload.get("i")))
-    iface = net.attach("src", lambda m: None)
-    net.visibility.set_visible("src", "dst", True)
-    net.on_drop(lambda m, reason: dropped.append((m.payload.get("i"), reason)))
-    original_dispatch = net._dispatch
-
-    def corrupting_dispatch(message, notify=True):
-        if message.is_batch:
-            message.corrupt()
-        return original_dispatch(message, notify=notify)
-
-    net._dispatch = corrupting_dispatch
-    sim.run(until=0.1)
-    iface.unicast("dst", {"kind": "x", "i": 0})
-    iface.unicast("dst", {"kind": "x", "i": 1})
-    sim.run(until=1.0)
-    assert delivered == []
-    assert [reason for _, reason in dropped] == ["corrupt"]
-
-
-def test_sub_frames_are_priced_individually():
-    sim = Simulator(seed=0)
-    net = Network(sim, codec="binary")
-    envelope = Message("a", "b", {"kind": BATCH, "frames": [
-        {"kind": "x", "i": 1}, {"kind": "y", "i": 2}]},
-        sent_at=0.0, codec=net.codec)
-    sub = Message.sub_frame(envelope, {"kind": "x", "i": 1})
-    assert sub.size == net.codec.encoded_size({"kind": "x", "i": 1})
-    assert sub.size < envelope.size
-    assert sub.verify()  # checksum-exempt: the envelope was verified
+def test_reliability_counters_balance_on_both_codecs():
+    for binary in (False, True):
+        _, stats = _run_workload(binary=binary)
+        for node_stats in stats["rel"].values():
+            # Every reliable frame got acknowledged; nothing expired or pends.
+            assert node_stats["acked"] == node_stats["sent"]
+            assert node_stats["expired"] == 0
+            assert node_stats["pending"] == 0
 
 
 # ---------------------------------------------------------------------------

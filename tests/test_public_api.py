@@ -5,8 +5,10 @@ Three kinds of guarantees:
 * **exports** — every package's ``__all__`` is pinned exactly; adding or
   removing a name is a deliberate, reviewed act that edits this file;
 * **shape** — the blessed constructors are keyword-only for their
-  optional arguments (inspected, not just documented), and
-  :func:`repro.connect` is the one-call entry point (v1.2);
+  optional arguments (inspected, not just documented), the
+  ``Network`` keywords and ``TiamatConfig`` fields are pinned exactly (a
+  new switch is a reviewed diff), and :func:`repro.connect` is the
+  one-call entry point (v1.2);
 * **removal** — the pre-``connect`` shims are gone in 2.0: optionals
   passed positionally are a plain :class:`TypeError`, and nothing in the
   keyword form warns.
@@ -15,6 +17,7 @@ Run in CI as its own step (see ``.github/workflows/ci.yml``).
 """
 
 import ast
+import dataclasses
 import inspect
 import os
 import subprocess
@@ -59,8 +62,8 @@ EXPECTED_RUNTIME = {
 }
 
 EXPECTED_SIM = {
-    "AllOf", "AnyOf", "Event", "Gate", "Process", "SimResource",
-    "SimStore", "RngStream", "Simulator", "Timeout", "Timer",
+    "AllOf", "AnyOf", "Event", "Process", "RngStream", "Simulator",
+    "Timeout", "Timer",
 }
 
 EXPECTED_TUPLES = {
@@ -143,8 +146,25 @@ def test_instance_ctor_optionals_are_keyword_only():
 
 def test_network_ctor_optionals_are_keyword_only():
     kw = _keyword_only_names(repro.Network.__init__)
-    assert {"visibility", "loss_rate", "latency_factory", "codec",
-            "batching"} <= kw
+    assert kw == {"visibility", "loss_rate", "latency_factory", "codec"}
+
+
+EXPECTED_CONFIG_FIELDS = {
+    "admission_burst", "admission_enabled", "admission_fairness",
+    "admission_price_curve", "admission_queue_bound",
+    "admission_retry_floor", "claim_timeout", "comms_strategy",
+    "dedup_window", "default_lease_terms", "discover_window", "fabric",
+    "peer_timeout", "persistent_space", "propagate_mode", "relay_ttl",
+    "reliability_enabled", "retry_backoff", "retry_initial", "retry_jitter",
+    "retry_max_interval", "serve_cost", "serve_max_duration",
+    "serve_workers", "telemetry_enabled", "telemetry_lease",
+    "telemetry_period", "wire_codec",
+}
+
+
+def test_config_fields_are_pinned():
+    fields = {f.name for f in dataclasses.fields(repro.TiamatConfig)}
+    assert fields == EXPECTED_CONFIG_FIELDS
 
 
 def test_connect_is_the_front_door():
@@ -163,8 +183,9 @@ def test_version_is_pep440ish():
     assert len(parts) >= 2
     assert all(p.isdigit() for p in parts[:2])
     # the pre-connect shims were removed in 2.0, the snapshot persistence
-    # module (repro.tuples.persistence) in 3.0
-    assert tuple(int(p) for p in parts[:2]) >= (3, 0)
+    # module (repro.tuples.persistence) in 3.0, the sim's frame batching,
+    # ack piggybacking and repro.sim.resources in 4.0
+    assert tuple(int(p) for p in parts[:2]) >= (4, 0)
 
 
 def test_import_set_does_not_grow():
@@ -179,7 +200,7 @@ def test_import_set_does_not_grow():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     loaded = ast.literal_eval(out)
-    assert len(loaded) == 56, loaded
+    assert len(loaded) == 55, loaded
     assert not [n for n in loaded if n == "sqlite3" or "storage" in n
                 or "persistence" in n]
 

@@ -4,7 +4,7 @@ import hashlib
 import struct
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 import repro
@@ -15,7 +15,7 @@ from repro.leasing import GenerousPolicy, LeaseTerms, SimpleLeaseRequester
 from repro.net.network import Network, default_latency
 from repro.sim import Simulator
 from repro.sim.kernel import Timer
-from repro.tuples import Pattern, Tuple
+from repro.tuples import LocalTupleSpace, Pattern, Tuple
 
 
 def test_clock_starts_at_zero():
@@ -165,6 +165,29 @@ def test_schedule_at_in_past_clamps_to_now():
     sim.schedule(2.0, cb)
     sim.run()
     assert seen == [2.0]
+
+
+@given(st.floats(min_value=0.0, max_value=1e6),
+       st.floats(min_value=0.0, max_value=1e6))
+@example(2.001, 6.001)   # 2.001 + (6.001 - 2.001) == 6.0009999999999994
+def test_schedule_at_fires_exactly_at_its_time(a, b):
+    now, t = sorted((a, b))
+    sim = Simulator()
+    sim.run(until=now)
+    seen = []
+    sim.schedule_at(t, lambda: seen.append(sim.now))
+    sim.run()
+    assert seen == [t]
+
+
+def test_a_tuple_expires_when_its_deadline_rounds_below_now_plus_delay():
+    sim = Simulator(seed=1)
+    sim.run(until=2.001)
+    space = LocalTupleSpace(sim, "s")
+    space.out(Tuple("x", 1), expires_at=6.001)
+    sim.run(until=20.0)
+    assert space.count() == 0
+    assert space.expirations == 1
 
 
 def test_pending_and_peek():
