@@ -225,7 +225,7 @@ DURABILITY_CYCLES = 100        # crash/restart cycles per arm
 DURABILITY_ARMS = [("json", 11)]
 
 # The nightly durability soak (REPRO_CHAOS_DURABLE=1) widens the sweep:
-# the binary wire codec on the same log format, plus a fresh seed.
+# the binary storage codec on the same log format, plus a fresh seed.
 if os.environ.get("REPRO_CHAOS_DURABLE"):
     DURABILITY_ARMS += [("binary", 23), ("json", 37)]
 

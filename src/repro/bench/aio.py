@@ -2,11 +2,9 @@
 
 Two planes, gated differently; :func:`repro.bench.perf.collect` runs both:
 
-* **Codec hot path** (gated, lower-is-better ns): the zero-copy frame
-  path the aio runtime actually runs — pooled-buffer encode
-  (:func:`repro.tuples.serialization.encode_tuple_into` /
-  ``encode_payload_into``) and buffer-aware decode straight off the
-  received datagram, no intermediate ``bytes`` copies.
+* **Frame codec** (gated, lower-is-better ns): the JSON frame encode
+  into a pooled buffer and the decode of a received datagram, through
+  the codec object the runtime itself calls (``registry.frames``).
 * **Loopback throughput** (informational, *not* gated): sustained echo
   round-trips/s over real UDP sockets on 127.0.0.1.  Higher is better,
   and wildly runner-dependent — which is exactly why it lives in the
@@ -16,64 +14,41 @@ Two planes, gated differently; :func:`repro.bench.perf.collect` runs both:
 
 from __future__ import annotations
 
-from repro.bench.perf import bench_ns, sample_tuples
+from repro.bench.perf import bench_ns
 
 
 # ----------------------------------------------------------------------
-# Gated: the zero-copy codec hot path
+# Gated: the frame codec
 # ----------------------------------------------------------------------
 def measure_aio_codec() -> dict:
-    """ns/op for the pooled encode, buffer decode, and full round-trip.
+    """ns to encode one query-response frame and to decode it back.
 
-    The round-trip mirrors one datagram's life: append the tuple's wire
-    form to a reused (pooled) buffer, then decode it back from a
-    ``memoryview`` of that buffer — the exact code path
-    ``AioTiamatNode._flush_to`` and ``_on_datagram`` execute, including
-    the encode-once memoization that makes re-sending a tuple a memcpy.
+    Both go through the frame codec the runtime holds in
+    ``registry.frames``, the calls ``AioTiamatNode._flush_to`` (encode
+    into a pooled buffer) and ``_on_datagram`` (decode the datagram's
+    bytes) make once per datagram.
     """
+    from repro.runtime.aio import AioNodeRegistry
     from repro.tuples.model import Tuple
-    from repro.tuples.serialization import (
-        decode_payload_binary,
-        decode_tuple_binary,
-        encode_payload_into,
-        encode_tuple_into,
-    )
 
-    tuples = sample_tuples()
-    n = len(tuples)
-    buf = bytearray()
-
-    def roundtrip():
-        # bytes(buf) is the arriving datagram: asyncio hands the receive
-        # side a fresh bytes object, which is what the decoder walks.
-        for tup in tuples:
-            del buf[:]
-            encode_tuple_into(buf, tup)
-            decode_tuple_binary(bytes(buf))
-
-    def encode_only():
-        for tup in tuples:
-            del buf[:]
-            encode_tuple_into(buf, tup)
-
-    # A representative query-response frame pair, as the wire carries it.
+    with AioNodeRegistry() as registry:
+        frames = registry.frames
+    # A representative hit answer, as the wire carries it.
     response = {"k": "r", "id": 7, "st": "hit",
                 "t": Tuple("result", 42, True, 3.14159, "body " * 8)}
-    frame_buf = bytearray()
-    encode_payload_into(frame_buf, response)
+    buf = bytearray()
+    frames.encode_into(buf, response)
     # asyncio delivers each datagram as a fresh bytes object; decode that.
-    frame_bytes = bytes(frame_buf)
-
-    def frame_decode():
-        decode_payload_binary(frame_bytes)
+    frame_bytes = bytes(buf)
 
     def frame_encode():
-        fresh = bytearray()
-        encode_payload_into(fresh, response)
+        del buf[:]      # what BufferPool.release does between sends
+        frames.encode_into(buf, response)
+
+    def frame_decode():
+        frames.decode(frame_bytes)
 
     return {
-        "aio_codec_roundtrip_ns": bench_ns(roundtrip) / n,
-        "aio_codec_encode_ns": bench_ns(encode_only) / n,
         "aio_frame_decode_ns": bench_ns(frame_decode),
         "aio_frame_encode_ns": bench_ns(frame_encode),
     }

@@ -3,9 +3,10 @@
 The one timing gate below the end-to-end benchmark (``BENCHMARK.json``).
 It measures five hot paths:
 
-* **codec** — encode+decode round-trip ns/op for the tag-first JSON codec
-  and the compact binary codec, over a representative tuple mix (nested
-  tuples, bytes fields, unicode strings, big ints);
+* **codec** — encode+decode round-trip ns/op for a tuple's tag-first JSON
+  form and for the binary storage codec (sqlite blobs, binary WAL
+  records), over a representative tuple mix (nested tuples, bytes fields,
+  unicode strings, big ints);
 * **store scan** — ns per ``find`` by a filtered walk (a ``Range`` pattern;
   signature-exact patterns pick from their bucket and never scan) against a
   populated store: uncached (a mutation before every call), cached (repeat
@@ -16,8 +17,9 @@ It measures five hot paths:
 * **wire** — frames/op and bytes/op for the T1 MRU probe workload (the
   paper's §3.1.3 cached-visibility scenario) on the default wire (JSON,
   one frame per send, one ``REL_ACK`` per reliable frame);
-* **aio frame path** — the zero-copy codec path the asyncio runtime runs
-  (:mod:`repro.bench.aio`), plus its ungated loopback throughput.
+* **aio frame codec** — the frame encode and decode the asyncio runtime
+  runs per datagram (:mod:`repro.bench.aio`), plus its ungated loopback
+  throughput.
 
 Every gated metric is **lower-is-better**.  :func:`collect` returns
 ``{"metrics": {...}, "info": {...}}``; ``benchmarks/perf_baseline.py``
@@ -93,13 +95,13 @@ def sample_tuples():
 
 
 def measure_codec() -> dict:
-    """Encode+decode round-trip ns/op for both wire codecs.
+    """Encode+decode round-trip ns/op for both tuple encodings.
 
-    Both sides measure the full structure→wire-bytes→structure path: the
-    JSON codec's tag lists still have to pass through ``json.dumps`` /
-    ``json.loads`` to become bytes on a real wire (that is exactly what
-    the network's byte accounting prices), while the binary codec's output
-    already *is* the wire format.
+    Both sides measure the full structure→bytes→structure path: the JSON
+    form's tag lists still have to pass through ``json.dumps`` /
+    ``json.loads`` to become bytes (that is exactly what the network's
+    byte accounting prices), while the binary storage codec's output
+    already *is* the stored format.
     """
     import json as _json
 

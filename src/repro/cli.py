@@ -337,7 +337,7 @@ def cmd_perf(args: argparse.Namespace) -> int:
 
     The same ``repro.bench.perf.collect()`` run that
     ``benchmarks/perf_baseline.py --check`` gates against
-    ``BENCH_micro.json`` in CI (all 15 names plus the ungated loopback
+    ``BENCH_micro.json`` in CI (all 13 names plus the ungated loopback
     line); this subcommand prints it and never fails.
     """
     from repro.bench import perf
@@ -650,8 +650,8 @@ def cmd_aio_echo(args: argparse.Namespace) -> int:
 
     Builds an :mod:`repro.runtime.aio` cluster on 127.0.0.1 (ephemeral
     ports), echoes ``--count`` tuples off a peer, and performs one remote
-    take — proving that sockets, the frame codec, the zero-copy send
-    path, and the request/response machinery all work on this host.
+    take — proving that sockets, the frame codec, the pooled send path,
+    and the request/response machinery all work on this host.
     """
     import repro
     from repro.tuples import Pattern, Tuple

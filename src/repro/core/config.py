@@ -15,6 +15,9 @@ object pins each one explicitly so experiments can ablate them:
     ``"multicast"`` performs a discovery multicast for every operation —
     the naive alternative the paper argues against, kept for the T1
     comparison bench.
+
+The frame encoding is not a tunable: frames are JSON on every runtime
+(``docs/PROTOCOL.md`` §8).
 """
 
 from __future__ import annotations
@@ -85,13 +88,6 @@ class TiamatConfig:
     dedup_window:
         How many recently-seen sequence numbers the receive-side dedup
         window keeps per (peer, epoch).
-    wire_codec:
-        Which wire codec prices (and conceptually carries) frames sent by
-        this instance's network: ``"json"`` (tag-first JSON, the default)
-        or ``"binary"`` (compact length-prefixed binary).  Consumed by
-        harnesses that build the :class:`~repro.net.network.Network`;
-        kept here so experiment configs can ablate the codec alongside
-        protocol behaviour.
     serve_cost:
         Virtual worker-seconds one inbound QUERY costs to dispatch.  ``0``
         (the default) keeps the original inline serving path — a QUERY is
@@ -166,7 +162,6 @@ class TiamatConfig:
     retry_max_interval: float = 1.0
     retry_jitter: float = 0.3
     dedup_window: int = 256
-    wire_codec: str = "json"
     serve_cost: float = 0.0
     serve_workers: int = 4
     admission_enabled: bool = False
@@ -189,8 +184,6 @@ class TiamatConfig:
             raise ValueError("retry_initial must be > 0 and retry_backoff >= 1")
         if self.dedup_window < 1:
             raise ValueError("dedup_window must be >= 1")
-        if self.wire_codec not in ("json", "binary"):
-            raise ValueError(f"bad wire_codec {self.wire_codec!r}")
         if self.serve_cost < 0:
             raise ValueError("serve_cost must be >= 0")
         if self.serve_workers < 1:

@@ -47,12 +47,7 @@ from repro.net.network import Network
 from repro.sim.events import Event
 from repro.sim.kernel import Simulator
 from repro.tuples import LocalTupleSpace, Pattern, Tuple
-from repro.tuples.serialization import (
-    decode_tuple,
-    encode_tuple,
-    encoded_size,
-    ensure_codec_match,
-)
+from repro.tuples.serialization import decode_tuple, encode_tuple, encoded_size
 
 _rids = itertools.count(1)
 
@@ -80,13 +75,6 @@ class TiamatInstance:
         self.network = network
         self.name = name
         self.config = config if config is not None else TiamatConfig()
-        # The wire codec is a property of the *network* (every attached node
-        # must speak it); an instance configured for a different codec is a
-        # deployment error, caught here rather than as garbled frames
-        # later.  Symmetric across runtimes: the threaded registry and aio
-        # cluster run the same check at construction.
-        ensure_codec_match(self.config.wire_codec, network.codec,
-                           transport="Network")
         self.leases = LeaseManager(sim, policy=policy,
                                    storage_capacity=storage_capacity,
                                    thread_capacity=thread_capacity)

@@ -36,18 +36,6 @@ class StorageError(TupleError):
     """A durable storage backend was misconfigured or its data unusable."""
 
 
-class CodecMismatchError(TupleError, ValueError):
-    """A node's ``config.wire_codec`` disagrees with its transport's codec.
-
-    Raised at construction time by every runtime (sim network, threaded
-    registry, aio cluster) through one shared check
-    (:func:`repro.tuples.serialization.ensure_codec_match`), so a
-    deployment error surfaces as the same exception everywhere instead of
-    as garbled frames later.  Subclasses :class:`ValueError` for backward
-    compatibility with callers that caught the old inline check.
-    """
-
-
 class LeaseError(ReproError):
     """Base class for leasing-subsystem errors."""
 

@@ -4,20 +4,18 @@ A :class:`Message` is what the simulated network moves between nodes: a
 source, a destination (``None`` marks a multicast), and a JSON-representable
 payload dict.  The payload convention throughout the repository is
 ``{"kind": <str>, ...}`` — each protocol (Tiamat, Limbo, LIME, ...) defines
-its own kinds.  Size is computed once from the encoded payload — priced by
-the network's configured :class:`~repro.tuples.serialization.WireCodec`
-(tag-first JSON by default, the compact binary codec when selected) — and
+its own kinds.  Size is computed once from the payload's compact JSON
+encoding (frames are JSON on every runtime, ``docs/PROTOCOL.md`` §8) and
 used for both latency (per-byte transmission delay) and byte accounting.
 
 Every frame also carries a **checksum** over its encoded payload, computed
-at send time — on a JSON-codec network from the same canonical encoding
-that gave the size (sorting keys does not change a length), and carried,
-with the size, to every multicast copy instead of being recomputed.  Real
-link layers discard damaged frames; the simulated
-network models that by letting fault injectors :meth:`corrupt` a frame in
-flight, after which :meth:`verify` fails and the network drops the frame at
-delivery time (drop reason ``corrupt``) instead of handing garbage to a
-protocol handler.
+at send time from the same canonical encoding that gave the size (sorting
+keys does not change a length), and carried, with the size, to every
+multicast copy instead of being recomputed.  Real link layers discard
+damaged frames; the simulated network models that by letting fault
+injectors :meth:`corrupt` a frame in flight, after which :meth:`verify`
+fails and the network drops the frame at delivery time (drop reason
+``corrupt``) instead of handing garbage to a protocol handler.
 """
 
 from __future__ import annotations
@@ -28,7 +26,6 @@ import zlib
 from typing import Optional
 
 from repro.errors import SerializationError
-from repro.tuples.serialization import WireCodec
 
 _ids = itertools.count(1)
 
@@ -44,28 +41,23 @@ class Message:
     """A frame in flight (or delivered) on the simulated network."""
 
     __slots__ = ("msg_id", "src", "dst", "payload", "size", "sent_at",
-                 "checksum", "codec")
+                 "checksum")
 
     def __init__(self, src: str, dst: Optional[str], payload: dict,
-                 sent_at: float, codec: Optional[WireCodec] = None) -> None:
+                 sent_at: float) -> None:
         self.msg_id = next(_ids)
         self.src = src
         self.dst = dst
         self.payload = payload
-        self.codec = codec
         self.sent_at = sent_at
-        if codec is None or codec.name == "json":
-            try:
-                encoded = json.dumps(payload, separators=(",", ":"),
-                                     sort_keys=True)
-            except TypeError as exc:
-                raise SerializationError(
-                    f"payload is not JSON-representable: {exc}") from exc
-            self.size = len(encoded)
-            self.checksum = zlib.crc32(encoded.encode("utf-8"))
-        else:
-            self.size = codec.encoded_size(payload)
-            self.checksum = payload_checksum(payload)
+        try:
+            encoded = json.dumps(payload, separators=(",", ":"),
+                                 sort_keys=True)
+        except TypeError as exc:
+            raise SerializationError(
+                f"payload is not JSON-representable: {exc}") from exc
+        self.size = len(encoded)
+        self.checksum = zlib.crc32(encoded.encode("utf-8"))
 
     @property
     def kind(self) -> str:
@@ -83,7 +75,6 @@ class Message:
         msg.src = self.src
         msg.dst = dst
         msg.payload = self.payload
-        msg.codec = self.codec
         msg.size = self.size
         msg.sent_at = sent_at
         msg.checksum = self.checksum

@@ -16,9 +16,8 @@ an elaborate radio model:
   that is *down* at delivery time are dropped.
 
 Every frame flies alone: one send, one loss/fault/latency decision and
-one delivery per frame (per copy, for a multicast).  ``codec`` selects the
-wire encoding that prices every frame — ``"json"`` (the default) or the
-compact ``"binary"`` codec (:mod:`repro.tuples.serialization`).
+one delivery per frame (per copy, for a multicast).  Every frame is
+priced by its compact JSON encoding (:class:`~repro.net.message.Message`).
 
 Richer failure modes — burst loss, duplication, reordering, corruption,
 one-way links — are layered on via :meth:`Network.use_faults` and a
@@ -34,7 +33,7 @@ Handlers attached via :meth:`Network.attach` are invoked with the delivered
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Union
+from typing import Callable, Optional
 
 from repro.errors import UnknownNodeError
 from repro.net.message import Message
@@ -47,7 +46,6 @@ from repro.net.stats import (
 )
 from repro.net.visibility import VisibilityGraph
 from repro.sim.kernel import Simulator
-from repro.tuples.serialization import WireCodec, get_codec
 
 Handler = Callable[[Message], None]
 LatencyModel = Callable[[str, str, int], float]
@@ -111,12 +109,11 @@ class Network:
     def __init__(self, sim: Simulator, *,
                  visibility: Optional[VisibilityGraph] = None,
                  loss_rate: float = 0.0,
-                 latency_factory: Optional[Callable[["Network"], LatencyModel]] = None,
-                 codec: Union[str, WireCodec, None] = None) -> None:
+                 latency_factory: Optional[Callable[["Network"], LatencyModel]] = None
+                 ) -> None:
         self.sim = sim
         self.visibility = visibility if visibility is not None else VisibilityGraph()
         self.loss_rate = loss_rate
-        self.codec: WireCodec = get_codec(codec)
         self.stats = NetworkStats()
         self.faults = None  # Optional[FaultPlan]
         self._handlers: dict[str, Handler] = {}
@@ -195,7 +192,7 @@ class Network:
     def unicast(self, src: str, dst: str, payload: dict) -> bool:
         """Deliver ``payload`` from src to dst if visible; True if dispatched."""
         self._require(src)
-        message = Message(src, dst, payload, self.sim.now, codec=self.codec)
+        message = Message(src, dst, payload, self.sim.now)
         if not self.visibility.visible(src, dst):
             self._drop(message, DROP_INVISIBLE)
             return False
@@ -207,7 +204,7 @@ class Network:
         """Deliver a copy of ``payload`` to each visible neighbour of src."""
         self._require(src)
         neighbors = self.visibility.neighbors(src)
-        probe = Message(src, None, payload, self.sim.now, codec=self.codec)
+        probe = Message(src, None, payload, self.sim.now)
         self.stats.record_send(src, probe.size, multicast=True, kind=probe.kind)
         dispatched = 0
         for dst in neighbors:

@@ -24,20 +24,19 @@ side.  A sync ``out`` touches the loop only while a loop-side
 
 Transport shape
 ---------------
-* **Frames are codec payload dicts** — the same binary LEB128 payload
-  encoding (or the JSON codec, per ``TiamatConfig.wire_codec``) the
-  simulated network prices, so the wire format is shared across all
-  three runtimes rather than reinvented here.
+* **Frames are JSON payload dicts**, tuples and patterns in their
+  tag-first forms — the one frame encoding the simulated network prices,
+  so the wire format is shared across all three runtimes rather than
+  reinvented here.  A field that does not decode is kept as received,
+  and the dispatcher's type checks answer it (a bad pattern is a miss).
 * **Per-peer send queues with same-tick coalescing**: frames queued for
   a peer within one event-loop tick are flushed together, as one
   datagram per peer per tick (a ``{"k": "b"}`` batch envelope when more
   than one frame rode the tick) — one wakeup, one syscall.
-* **Zero-copy hot path**: frames are encoded straight into pooled
-  ``bytearray`` buffers (:class:`BufferPool`) and handed to the kernel
-  as a ``memoryview`` via the socket's own ``sendto`` — no intermediate
-  ``bytes`` object per send; receive-side decode is buffer-aware
-  (:func:`repro.tuples.serialization.decode_payload_binary` walks the
-  datagram without copying it first).
+* **Pooled send buffers**: frames are encoded into pooled ``bytearray``
+  buffers (:class:`BufferPool`) and handed to the kernel as a
+  ``memoryview`` via the socket's own ``sendto`` — no intermediate
+  ``bytes`` object per send.
 * **Reliability**: every query carries a request id; the origin
   retransmits on a capped exponential schedule (``config.retry_*``)
   until answered or out of budget, and the serving side keeps a bounded
@@ -75,15 +74,13 @@ from typing import (
     Union,
 )
 
+from repro.errors import SerializationError
 from repro.runtime.base import SHED, NodeRegistry, RuntimeNode, _ShedType
 from repro.tuples.model import Pattern, Tuple
 from repro.tuples.serialization import (
-    WireCodec,
     decode_pattern,
-    decode_payload_binary,
     decode_tuple,
     encode_pattern,
-    encode_payload_into,
     encode_tuple,
 )
 
@@ -171,10 +168,10 @@ class BufferPool:
 
 
 # ---------------------------------------------------------------------------
-# Frame codecs: TiamatConfig.wire_codec applied to aio datagrams
+# The frame codec: JSON datagrams
 # ---------------------------------------------------------------------------
-_TUPLE_KEYS = ("t",)
-_PATTERN_KEYS = ("p",)
+#: Frame keys whose values travel in a tag-first form, and their decoders.
+_FIELD_DECODERS = {"t": decode_tuple, "p": decode_pattern}
 
 
 def _frame_to_jsonable(frame: dict) -> dict:
@@ -192,35 +189,26 @@ def _frame_to_jsonable(frame: dict) -> dict:
 
 
 def _frame_from_jsonable(frame: dict) -> dict:
+    """Decode a frame field by field.  A field that does not decode, and a
+    batch member that is not a dict, is kept as received: the dispatcher's
+    type checks skip or answer it, and the rest of the datagram stands."""
     out: dict = {}
     for key, value in frame.items():
-        if key in _TUPLE_KEYS:
-            out[key] = decode_tuple(value)
-        elif key in _PATTERN_KEYS:
-            out[key] = decode_pattern(value)
+        decode = _FIELD_DECODERS.get(key)
+        if decode is not None:
+            try:
+                value = decode(value)
+            except SerializationError:
+                pass
         elif key == "f":
-            out[key] = [_frame_from_jsonable(sub) for sub in value]
-        else:
-            out[key] = value
+            value = [_frame_from_jsonable(sub) if isinstance(sub, dict)
+                     else sub for sub in value]
+        out[key] = value
     return out
 
 
-class _BinaryFrames:
-    """Binary frame codec: payload dicts carry tuples/patterns natively."""
-
-    name = "binary"
-
-    @staticmethod
-    def encode_into(buf: bytearray, frame: dict) -> None:
-        encode_payload_into(buf, frame)
-
-    @staticmethod
-    def decode(data: Union[bytes, memoryview]) -> dict:
-        return decode_payload_binary(data)
-
-
 class _JsonFrames:
-    """JSON frame codec: tuples/patterns ride in their tag-first forms."""
+    """The frame codec: tuples/patterns ride in their tag-first forms."""
 
     name = "json"
 
@@ -266,18 +254,14 @@ class AioNodeRegistry(NodeRegistry["AioTiamatNode"]):
     the T10-style smoke lean on.
     """
 
-    transport = "cluster"
-
     def __init__(self, *, host: str = "127.0.0.1",
                  config: Optional["TiamatConfig"] = None,
-                 codec: Union[str, WireCodec, None] = None,
                  loss_rate: float = 0.0, loss_seed: int = 0,
                  multicast: Optional[PyTuple[str, int]] = None) -> None:
         if not 0.0 <= loss_rate < 1.0:
             raise ValueError("loss_rate must be in [0, 1)")
-        super().__init__(config=config, codec=codec)
-        self.frames = (_BinaryFrames if self.codec.name == "binary"
-                       else _JsonFrames)
+        super().__init__(config=config)
+        self.frames = _JsonFrames
         self.host = host
         self.loss_rate = loss_rate
         self._loss_rng = random.Random(loss_seed)

@@ -181,10 +181,7 @@ class SimRuntime(_RuntimeBase):
         self.config = config if config is not None else TiamatConfig()
         self.sim = Simulator(seed=seed)
         self.visibility = VisibilityGraph()
-        codec = (self.config.wire_codec
-                 if self.config.wire_codec != "json" else None)
         self.network = Network(self.sim, visibility=self.visibility,
-                               codec=codec,
                                latency_factory=default_latency(per_byte=0.0))
         self.op_timeout = op_timeout
         self._handles: dict = {}
@@ -283,10 +280,7 @@ def connect(runtime: str = "sim", *,
         threads, in-process), or ``"aio"`` (real UDP sockets on an
         asyncio event loop).
     config:
-        A :class:`~repro.core.TiamatConfig` applied to every node; the
-        configured ``wire_codec`` flows into the runtime's transport
-        identically for all three kinds (mismatches raise
-        :class:`~repro.errors.CodecMismatchError` at construction).
+        A :class:`~repro.core.TiamatConfig` applied to every node.
     options:
         Kind-specific keywords — ``seed``/``op_timeout`` for sim;
         ``host``/``loss_rate``/``loss_seed``/``multicast`` for aio.

@@ -2,7 +2,7 @@
 
 The two real-substrate runtimes differ only in how a probe reaches a peer
 (a method call, or a UDP datagram).  What is *not* transport lives here:
-:class:`NodeRegistry` (who exists, who sees whom, config, codec, obs hub)
+:class:`NodeRegistry` (who exists, who sees whom, config, obs hub)
 and :class:`RuntimeNode` (a local space, the admission-controlled serving
 plane and its :data:`SHED` verdict, the origin's capped per-peer back-off,
 the counters and metric families both export, the tracer plumbing, and
@@ -22,7 +22,6 @@ from repro.obs import Observability
 from repro.obs.telemetry import NodeHealth, collect_cluster_health
 from repro.runtime.space import ThreadSafeTupleSpace
 from repro.tuples.model import Pattern, Tuple
-from repro.tuples.serialization import WireCodec, ensure_codec_match
 
 if TYPE_CHECKING:  # pragma: no cover - type hint only, no runtime import
     from repro.core.config import TiamatConfig
@@ -54,21 +53,12 @@ class NodeRegistry(Generic[N]):
 
     Owns the :class:`~repro.obs.hub.Observability` hub (``registry.obs``):
     a **thread-safe** metrics registry clocked by wall time, which every
-    member node feeds.  ``config.wire_codec`` flows in exactly as it does
-    into the sim network: the resolved codec is ``registry.codec``, and an
-    explicit ``codec`` that disagrees with the config raises the shared
-    :class:`~repro.errors.CodecMismatchError` at construction.
+    member node feeds.
     """
 
-    #: How codec-mismatch errors name this transport.
-    transport = "registry"
-
-    def __init__(self, *, config: Optional["TiamatConfig"] = None,
-                 codec: Union[str, WireCodec, None] = None) -> None:
+    def __init__(self, *, config: Optional["TiamatConfig"] = None) -> None:
         from repro.core.config import TiamatConfig
         self.config = config if config is not None else TiamatConfig()
-        self.codec = ensure_codec_match(self.config.wire_codec, codec,
-                                        transport=self.transport)
         self.obs = Observability(clock=time.monotonic, thread_safe=True)
         self._lock = threading.Lock()
         self._nodes: Dict[str, N] = {}

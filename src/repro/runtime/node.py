@@ -36,8 +36,7 @@ from repro.tuples.model import Pattern, Tuple
 
 
 class ThreadedNodeRegistry(NodeRegistry["ThreadedTiamatNode"]):
-    """In-process 'network' (the in-process transport never serialises;
-    byte *accounting* and conformance harnesses read ``registry.codec``)."""
+    """In-process 'network' (the in-process transport never serialises)."""
 
 
 class ThreadedTiamatNode(RuntimeNode):

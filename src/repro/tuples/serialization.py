@@ -1,16 +1,14 @@
-"""Wire codecs for tuples, patterns, and whole frame payloads.
+"""Encodings for tuples, patterns, frame payloads and storage records.
 
 Tiamat instances exchange tuples and antituples over the (simulated)
 network; this module defines the encodings plus :func:`encoded_size`,
 which the network layer uses for byte accounting and the lease manager
 uses for storage accounting.
 
-Two codecs are provided, selected by name (``get_codec``):
-
-``json`` (the original, and the default)
-    A tag-first, JSON-representable encoding — human-readable and
-    loosely-coupled, at the price of base64 for bytes fields and JSON
-    framing overhead on every frame::
+Frames (``docs/PROTOCOL.md`` §8)
+    Every runtime's frames are JSON, with tuples and patterns in a
+    tag-first, JSON-representable form — human-readable and
+    loosely-coupled, at the price of base64 for bytes fields::
 
         field:   ["b", true] | ["i", 5] | ["f", 2.5] | ["s", "x"]
                  | ["y", "<base64>"] | ["t", [field, ...]]
@@ -18,19 +16,13 @@ Two codecs are provided, selected by name (``get_codec``):
         spec:    ["A", field] | ["F", "int"] | ["*"] | ["R", lo, hi]
         pattern: ["p", [spec, ...]]
 
-``binary``
-    A compact length-prefixed binary encoding (one tag byte per value,
-    LEB128 varints for lengths and integers, raw UTF-8/byte runs, IEEE-754
-    doubles).  It covers the full payload model — tuples, patterns, and the
-    JSON-shaped frame dicts the protocols exchange — and round-trips
-    bit-identically with the JSON codec over every value in the tuple
-    model (property-tested in ``tests/test_codec_cross.py``).  See
-    ``docs/PROTOCOL.md`` §6 for the byte-level layout.
-
-Both codecs expose the same trio used by the stack: ``encode_tuple`` /
-``decode_tuple`` (and pattern equivalents) plus :meth:`WireCodec.encoded_size`
-so byte accounting is always consistent with the wire representation the
-network was configured with.
+Storage (``docs/PROTOCOL.md`` §10.1)
+    A compact length-prefixed binary encoding of tuples and of the
+    record dicts a storage backend writes (one tag byte per value, LEB128
+    varints for lengths and integers, raw UTF-8/byte runs, IEEE-754
+    doubles): sqlite blobs and ``WALBackend(codec="binary")`` records.
+    It round-trips bit-identically with the JSON form over every value in
+    the tuple model (property-tested in ``tests/test_codec_cross.py``).
 """
 
 from __future__ import annotations
@@ -40,7 +32,7 @@ import json
 import struct
 from typing import Any, Union
 
-from repro.errors import CodecMismatchError, SerializationError
+from repro.errors import SerializationError
 from repro.tuples.model import ANY, Actual, Field, Formal, Pattern, Range, Tuple
 
 _FORMAL_TYPES = {
@@ -164,22 +156,30 @@ def decode_pattern(data: Any) -> Pattern:
 
 
 def encoded_size(value: Any) -> int:
-    """Wire size in bytes of a tuple, pattern, or already-encoded payload.
-
-    This is the *JSON* codec's accounting (the historical default); the
-    network layer asks its configured :class:`WireCodec` instead, so frames
-    on a binary-codec network are charged the binary size.
-    """
-    return JSON_CODEC.encoded_size(value)
+    """Wire size in bytes of a tuple, pattern, or already-encoded payload:
+    the length of its compact JSON encoding, what a frame costs."""
+    if isinstance(value, Tuple):
+        payload: Any = encode_tuple(value)
+    elif isinstance(value, Pattern):
+        payload = encode_pattern(value)
+    else:
+        payload = value
+    try:
+        return len(json.dumps(payload, separators=(",", ":")))
+    except TypeError as exc:
+        raise SerializationError(
+            f"payload is not JSON-representable: {exc}") from exc
 
 
 # ===========================================================================
-# The binary codec: compact length-prefixed encoding
+# The binary storage codec: compact length-prefixed encoding
 # ===========================================================================
 # One tag byte per value; LEB128 varints for all lengths/counts and for
 # integers (zigzag-mapped); IEEE-754 big-endian doubles for floats; raw
-# UTF-8 / byte runs (no base64).  Tag values are part of the wire format —
-# see docs/PROTOCOL.md §6 before renumbering anything.
+# UTF-8 / byte runs (no base64).  Tag values are part of the on-disk format
+# — see docs/PROTOCOL.md §10.1 before renumbering anything.  Tags 0x10-0x14
+# (pattern specs and patterns) are retired: no storage record carries a
+# pattern.  They are never reused.
 
 _B_NONE = 0x00
 _B_FALSE = 0x01
@@ -191,16 +191,6 @@ _B_BYTES = 0x06
 _B_LIST = 0x07
 _B_DICT = 0x08
 _B_TUPLE = 0x09
-_B_SPEC_ACTUAL = 0x10
-_B_SPEC_FORMAL = 0x11
-_B_SPEC_ANY = 0x12
-_B_SPEC_RANGE = 0x13
-_B_PATTERN = 0x14
-
-#: Formal type indexes for the one-byte ``SPEC_FORMAL`` operand.
-_FORMAL_INDEX = {"bool": 0, "int": 1, "float": 2, "str": 3, "bytes": 4,
-                 "Tuple": 5}
-_FORMAL_BY_INDEX = {i: _FORMAL_TYPES[name] for name, i in _FORMAL_INDEX.items()}
 
 _pack_double = struct.Struct(">d").pack
 _unpack_double = struct.Struct(">d").unpack_from
@@ -280,14 +270,6 @@ def _append_value(buf: bytearray, value: Any) -> None:
             _append_varint(buf, len(encoded))
             buf += encoded
             _append_value(buf, item)
-    elif isinstance(value, Field):
-        _append_spec(buf, value)
-    elif isinstance(value, Pattern):
-        buf.append(_B_PATTERN)
-        specs = value.specs
-        _append_varint(buf, len(specs))
-        for spec in specs:
-            _append_spec(buf, spec)
     else:
         raise SerializationError(f"cannot binary-encode {value!r}")
 
@@ -335,23 +317,6 @@ def _append_tuple(buf: bytearray, value: Tuple) -> None:
             buf += field
         else:  # nested Tuple (possibly a subclass)
             _append_tuple(buf, field)
-
-
-def _append_spec(buf: bytearray, spec: Field) -> None:
-    if isinstance(spec, Actual):
-        buf.append(_B_SPEC_ACTUAL)
-        _append_value(buf, spec.value)
-    elif isinstance(spec, Formal):
-        buf.append(_B_SPEC_FORMAL)
-        buf.append(_FORMAL_INDEX[spec.type.__name__])
-    elif spec == ANY:
-        buf.append(_B_SPEC_ANY)
-    elif isinstance(spec, Range):
-        buf.append(_B_SPEC_RANGE)
-        _append_value(buf, spec.lo)
-        _append_value(buf, spec.hi)
-    else:
-        raise SerializationError(f"cannot binary-encode pattern spec {spec!r}")
 
 
 def _read_value(data: bytes, pos: int) -> "tuple[Any, int]":
@@ -411,15 +376,6 @@ def _read_value(data: bytes, pos: int) -> "tuple[Any, int]":
                 _nested_intern[key] = value
             return value, end
         return _read_tuple_fast(data, start, end)
-    if tag == _B_PATTERN:
-        n, pos = _read_varint(data, pos)
-        specs = []
-        for _ in range(n):
-            spec, pos = _read_spec(data, pos)
-            specs.append(spec)
-        return Pattern(*specs), pos
-    if tag in (_B_SPEC_ACTUAL, _B_SPEC_FORMAL, _B_SPEC_ANY, _B_SPEC_RANGE):
-        return _read_spec(data, pos - 1)
     raise SerializationError(f"unknown binary tag 0x{tag:02x}")
 
 
@@ -482,10 +438,10 @@ def _read_tuple_fast(data, pos: int, length: int) -> "tuple[Tuple, int]":
     validity by construction and licenses building the :class:`Tuple`
     without the per-field re-validation of the public constructor.
 
-    This is the hottest loop on a binary wire, hand-inlined accordingly:
+    This is the binary codec's hottest loop, hand-inlined accordingly:
     ``data`` may be ``bytes``, ``bytearray`` or ``memoryview`` (indexing
-    yields ints and ``str(slice, "utf-8")`` works on all three, so frames
-    decode straight out of a receive buffer with no intermediate copy);
+    yields ints and ``str(slice, "utf-8")`` works on all three, so a
+    record decodes with no intermediate copy);
     varints take the one-byte fast path inline; tuples are built through
     ``object.__new__`` with direct slot stores.  Truncations surface as
     ``IndexError``/``struct.error`` and are converted to
@@ -576,11 +532,10 @@ _T_new = object.__new__
 def _read_dict_fast(data, pos: int, length: int) -> "tuple[dict, int]":
     """Decode a dict body (after its ``_B_DICT`` tag byte), hand-inlined.
 
-    Frame payloads are dicts — one per received datagram on a binary
-    wire — so the dict walk gets the same treatment as the tuple walk:
-    inline one-byte varint fast paths, inline decode of the common value
-    shapes (short strings, ints, bools, interned tuples), and a fallback
-    to :func:`_read_value` for everything rarer.
+    Storage records are dicts, so the dict walk gets the same treatment
+    as the tuple walk: inline one-byte varint fast paths, inline decode
+    of the common value shapes (short strings, ints, bools, interned
+    tuples), and a fallback to :func:`_read_value` for everything rarer.
     """
     n = data[pos]
     pos += 1
@@ -645,36 +600,11 @@ def _read_dict_fast(data, pos: int, length: int) -> "tuple[dict, int]":
     return out, pos
 
 
-def _read_spec(data: bytes, pos: int) -> "tuple[Field, int]":
-    if pos >= len(data):
-        raise SerializationError("truncated spec")
-    tag = data[pos]
-    pos += 1
-    if tag == _B_SPEC_ACTUAL:
-        value, pos = _read_value(data, pos)
-        return Actual(value), pos
-    if tag == _B_SPEC_FORMAL:
-        if pos >= len(data):
-            raise SerializationError("truncated formal spec")
-        type_ = _FORMAL_BY_INDEX.get(data[pos])
-        if type_ is None:
-            raise SerializationError(f"unknown formal index {data[pos]}")
-        return Formal(type_), pos + 1
-    if tag == _B_SPEC_ANY:
-        return ANY, pos
-    if tag == _B_SPEC_RANGE:
-        lo, pos = _read_value(data, pos)
-        hi, pos = _read_value(data, pos)
-        return Range(lo, hi), pos
-    raise SerializationError(f"unknown spec tag 0x{tag:02x}")
-
-
 def encode_tuple_binary(tup: Tuple) -> bytes:
-    """Encode a tuple to the compact binary wire form.
+    """Encode a tuple to the compact binary form.
 
     The result is memoized on the (immutable) tuple, so encoding the same
-    tuple again — the relay, retransmit, and multi-peer fan-out paths —
-    returns the cached bytes without re-walking the fields.
+    tuple again returns the cached bytes without re-walking the fields.
     """
     if not isinstance(tup, Tuple):
         raise SerializationError(f"not a tuple: {tup!r}")
@@ -686,45 +616,15 @@ def encode_tuple_binary(tup: Tuple) -> bytes:
     return wire
 
 
-def encode_tuple_into(buf: bytearray, tup: Tuple) -> None:
-    """Append ``tup``'s binary wire form to a caller-owned buffer.
-
-    The zero-copy encode path: callers that assemble whole frames in a
-    pooled ``bytearray`` (see :mod:`repro.runtime.aio`) skip the
-    intermediate ``bytes`` object entirely; a memoized tuple appends as
-    one memcpy.
-    """
-    wire = tup._wire
-    if wire is not None:
-        buf += wire
-    else:
-        mark = len(buf)
-        _append_tuple(buf, tup)
-        tup._wire = bytes(memoryview(buf)[mark:])
-
-
-def encode_payload_into(buf: bytearray, payload: dict) -> None:
-    """Append a whole frame payload dict to a caller-owned buffer.
-
-    Same contract as :func:`encode_payload_binary` minus the terminal
-    ``bytes()`` copy: the aio runtime encodes frames straight into pooled
-    send buffers and hands the kernel a ``memoryview`` of the result.
-    """
-    if not isinstance(payload, dict):
-        raise SerializationError(f"payload must be a dict, got {payload!r}")
-    _append_value(buf, payload)
-
-
 Buffer = Union[bytes, bytearray, memoryview]
 
 
 def decode_tuple_binary(data: Buffer) -> Tuple:
-    """Decode a tuple from the binary wire form (strict; see module doc).
+    """Decode a tuple from the binary form (strict; see module doc).
 
     Accepts ``bytes``, ``bytearray`` or ``memoryview`` and decodes in
-    place — no intermediate copy of ``data`` is made.  Whole datagrams
-    repeat on retransmit and replay paths, so top-level decodes go
-    through the same bounded intern table as nested tuples: a second
+    place — no intermediate copy of ``data`` is made.  Top-level decodes
+    go through the same bounded intern table as nested tuples: a second
     decode of identical bytes is one dict lookup.
     """
     if type(data) is bytes and data and data[0] == _B_TUPLE \
@@ -753,30 +653,8 @@ def decode_tuple_binary(data: Buffer) -> Tuple:
     return value
 
 
-def encode_pattern_binary(pattern: Pattern) -> bytes:
-    """Encode a pattern (antituple) to the binary wire form."""
-    if not isinstance(pattern, Pattern):
-        raise SerializationError(f"not a pattern: {pattern!r}")
-    buf = bytearray()
-    _append_value(buf, pattern)
-    return bytes(buf)
-
-
-def decode_pattern_binary(data: Buffer) -> Pattern:
-    """Decode a pattern from the binary wire form (strict)."""
-    try:
-        value, pos = _read_value(data, 0)
-    except SerializationError:
-        raise
-    except Exception as exc:
-        raise SerializationError(f"malformed binary pattern: {exc}") from exc
-    if not isinstance(value, Pattern) or pos != len(data):
-        raise SerializationError("encoded value is not exactly one pattern")
-    return value
-
-
 def encode_payload_binary(payload: dict) -> bytes:
-    """Encode a whole frame payload dict to the binary wire form."""
+    """Encode a storage record dict to the binary form."""
     if not isinstance(payload, dict):
         raise SerializationError(f"payload must be a dict, got {payload!r}")
     buf = bytearray()
@@ -785,10 +663,7 @@ def encode_payload_binary(payload: dict) -> bytes:
 
 
 def decode_payload_binary(data: Buffer) -> dict:
-    """Decode a frame payload dict from the binary wire form (strict).
-
-    Buffer-aware: a ``memoryview`` over a pooled receive buffer decodes
-    with no intermediate ``bytes`` copy of the frame."""
+    """Decode a storage record dict from the binary form (strict)."""
     try:
         if data[0] == _B_DICT:
             value, pos = _read_dict_fast(data, 1, len(data))
@@ -801,103 +676,3 @@ def decode_payload_binary(data: Buffer) -> dict:
     if not isinstance(value, dict) or pos != len(data):
         raise SerializationError("encoded value is not exactly one payload dict")
     return value
-
-
-# ===========================================================================
-# Codec objects: the network/lease layers' uniform view
-# ===========================================================================
-class WireCodec:
-    """A named wire encoding with consistent byte accounting.
-
-    ``encoded_size`` accepts a :class:`Tuple`, a :class:`Pattern`, or an
-    already-encoded payload (a JSON-representable dict/list), so the same
-    codec prices frames for latency, network byte counters, and lease
-    storage accounting — one source of truth per wire.
-    """
-
-    name: str = "?"
-
-    def encoded_size(self, value: Any) -> int:  # pragma: no cover - abstract
-        raise NotImplementedError
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<WireCodec {self.name}>"
-
-
-class JsonWireCodec(WireCodec):
-    """The tag-first JSON encoding (the repository's original wire)."""
-
-    name = "json"
-
-    def encoded_size(self, value: Any) -> int:
-        if isinstance(value, Tuple):
-            payload: Any = encode_tuple(value)
-        elif isinstance(value, Pattern):
-            payload = encode_pattern(value)
-        else:
-            payload = value
-        try:
-            return len(json.dumps(payload, separators=(",", ":")))
-        except TypeError as exc:
-            raise SerializationError(
-                f"payload is not JSON-representable: {exc}") from exc
-
-
-class BinaryWireCodec(WireCodec):
-    """The compact length-prefixed binary encoding."""
-
-    name = "binary"
-
-    def encoded_size(self, value: Any) -> int:
-        buf = bytearray()
-        _append_value(buf, value)
-        return len(buf)
-
-
-JSON_CODEC = JsonWireCodec()
-BINARY_CODEC = BinaryWireCodec()
-
-_CODECS: "dict[str, WireCodec]" = {
-    "json": JSON_CODEC,
-    "binary": BINARY_CODEC,
-}
-
-
-def get_codec(name: Union[str, WireCodec, None]) -> WireCodec:
-    """Resolve a codec by name (``"json"``/``"binary"``); instances pass
-    through; ``None`` selects the JSON default."""
-    if name is None:
-        return JSON_CODEC
-    if isinstance(name, WireCodec):
-        return name
-    codec = _CODECS.get(name)
-    if codec is None:
-        raise SerializationError(
-            f"unknown wire codec {name!r}; available: {sorted(_CODECS)}")
-    return codec
-
-
-def ensure_codec_match(wire_codec: str,
-                       transport_codec: Union[str, WireCodec, None],
-                       *, transport: str = "network") -> WireCodec:
-    """Resolve and validate the codec a runtime transport will speak.
-
-    The one shared construction-time check for ``TiamatConfig.wire_codec``
-    across all three runtimes (sim network, threaded registry, aio
-    cluster).  ``transport_codec`` is what the transport was explicitly
-    built with (``None`` means "inherit from the config"); a disagreement
-    between an explicit transport codec and the config is a deployment
-    error and raises :class:`~repro.errors.CodecMismatchError` — the same
-    error, with the same shape, from every runtime.  Returns the resolved
-    :class:`WireCodec` the transport must use.
-    """
-    if transport_codec is None:
-        return get_codec(wire_codec)
-    codec = get_codec(transport_codec)
-    if codec.name != wire_codec:
-        raise CodecMismatchError(
-            f"config.wire_codec={wire_codec!r} but the {transport} encodes "
-            f"with {codec.name!r}; construct the {transport} with "
-            f"codec={wire_codec!r} (or drop its codec argument to inherit "
-            f"the config's)")
-    return codec

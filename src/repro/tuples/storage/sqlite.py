@@ -3,8 +3,8 @@
 Every deposit and removal is applied directly to an ``entries`` table and
 committed, so the database *is* the compact representation — there is no
 log to replay and :meth:`SqliteBackend.compact` is a no-op.  Tuples are
-stored as binary-codec blobs (the PR 3 LEB128 wire form), which round-trips
-every field type including raw ``bytes``.
+stored as binary-codec blobs (the LEB128 storage form, ``docs/PROTOCOL.md``
+§10.1), which round-trips every field type including raw ``bytes``.
 
 Sqlite's own journal provides the torn-write protection the WAL backend
 implements by hand; what this module adds is the same

@@ -13,7 +13,7 @@ Record framing (see ``docs/PROTOCOL.md`` section 10)::
     u32 length (LE) | u32 crc32(payload) (LE) | payload bytes
 
 The payload is a codec-encoded dict — JSON (``codec="json"``) or the
-binary LEB128 wire codec (``codec="binary"``)::
+binary LEB128 storage codec (``codec="binary"``, section 10.1)::
 
     {"op": "out",  "id": N, "tup": <tuple>, "exp": T|null, "at": T}
     {"op": "rm",   "id": N, "why": "consumed|expired|reconciled", "at": T}

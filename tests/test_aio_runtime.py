@@ -8,6 +8,8 @@ membership (common in minimal containers).
 
 import asyncio
 import concurrent.futures
+import json
+import socket
 import sys
 import threading
 import time
@@ -23,7 +25,6 @@ from repro.runtime.aio import (
     multicast_group_for,
 )
 from repro.tuples.model import Pattern, Tuple
-from repro.tuples.serialization import CodecMismatchError
 
 pytestmark = pytest.mark.timeout(60)
 
@@ -467,24 +468,59 @@ def test_pool_is_exercised_by_traffic(cluster):
 
 
 # ----------------------------------------------------------------------
-# Codec symmetry
+# The frame codec: JSON, and outside input that does not decode
 # ----------------------------------------------------------------------
-def test_codec_mismatch_is_rejected():
-    config = TiamatConfig(wire_codec="json")
-    with pytest.raises(CodecMismatchError):
-        AioNodeRegistry(config=config, codec="binary")
-
-
 def test_json_codec_cluster_interoperates():
-    config = TiamatConfig(wire_codec="json")
-    with AioNodeRegistry(config=config) as registry:
-        assert registry.codec.name == "json"
+    with AioNodeRegistry(config=TiamatConfig()) as registry:
         a = AioTiamatNode(registry, "a")
         b = AioTiamatNode(registry, "b")
         registry.set_visible("a", "b")
         b.out(Tuple("json", 1, 2.5, True))
         assert a.inp(Pattern("json", int, float, bool)) == \
             Tuple("json", 1, 2.5, True)
+
+
+@pytest.fixture()
+def raw_socket():
+    sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+    sock.bind(("127.0.0.1", 0))
+    sock.settimeout(5.0)
+    yield sock
+    sock.close()
+
+
+def _exchange_raw(sock, node, frame):
+    """Send one raw datagram to ``node`` and read back its one answer."""
+    sock.sendto(json.dumps(frame).encode("utf-8"), node.addr)
+    data, _ = sock.recvfrom(65536)
+    return json.loads(data)
+
+
+ECHO = {"k": "e", "id": 41, "t": ["t", [["s", "ping"]]]}
+
+
+def test_junk_datagram_is_a_transport_error(cluster, raw_socket):
+    _, a, _ = cluster
+    raw_socket.sendto(b"\xff not json", a.addr)
+    assert _exchange_raw(raw_socket, a, ECHO)["id"] == 41
+    assert a.transport_errors == 1
+
+
+def test_batch_with_a_non_dict_member_keeps_the_rest(cluster, raw_socket):
+    _, a, _ = cluster
+    answer = _exchange_raw(raw_socket, a, {"k": "b", "f": [7, ECHO]})
+    assert (answer["k"], answer["id"]) == ("er", 41)
+    assert answer["t"] == ECHO["t"]
+    assert a.transport_errors == 0
+
+
+def test_query_with_a_malformed_pattern_is_a_miss(cluster, raw_socket):
+    _, a, _ = cluster
+    a.out(Tuple("job", 1))
+    answer = _exchange_raw(raw_socket, a, {"k": "q", "id": 9, "op": "inp",
+                                           "p": "junk", "o": "x"})
+    assert answer == {"k": "r", "id": 9, "st": "miss"}
+    assert a.space.count() == 1 and a.transport_errors == 0
 
 
 # ----------------------------------------------------------------------

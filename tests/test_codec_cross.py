@@ -1,15 +1,19 @@
-"""Cross-codec property tests: the binary and JSON codecs must agree.
+"""Property tests for the encodings: the JSON forms and the binary
+storage codec must agree.
 
 Hypothesis generates arbitrary tuples and patterns from the value model
 (nested tuples, bytes fields, unicode strings, huge ints, Range specs,
 ANY wildcards) and asserts that
 
-* each codec round-trips to an **equal** value (type-strict Tuple/Pattern
-  equality, so ``1`` vs ``True`` vs ``1.0`` confusions are caught);
-* the two codecs agree with each other (decode(binary) == decode(json));
-* ``encoded_size`` is exactly ``len(encoded bytes)`` for the binary codec
-  (the number the network prices latency and leases price storage with);
-* protocol payload dicts survive the binary payload codec.
+* each encoding round-trips to an **equal** value (type-strict
+  Tuple/Pattern equality, so ``1`` vs ``True`` vs ``1.0`` confusions are
+  caught);
+* the JSON form and the binary storage codec agree on tuples
+  (decode(binary) == decode(json));
+* ``encoded_size`` is exactly the compact JSON length (the number the
+  network prices latency and leases price storage with), and a frame's
+  size and checksum come from that one encoding;
+* storage record dicts survive the binary record codec.
 
 Floats are restricted to finite values: the JSON wire cannot carry
 NaN/Infinity portably, so the model's codecs never need to agree there.
@@ -26,18 +30,15 @@ from hypothesis import strategies as st
 from repro.net.message import Message, payload_checksum
 from repro.tuples.model import ANY, Actual, Formal, Pattern, Range, Tuple
 from repro.tuples.serialization import (
-    BINARY_CODEC,
-    JSON_CODEC,
     decode_pattern,
-    decode_pattern_binary,
     decode_payload_binary,
     decode_tuple,
     decode_tuple_binary,
     encode_pattern,
-    encode_pattern_binary,
     encode_payload_binary,
     encode_tuple,
     encode_tuple_binary,
+    encoded_size,
 )
 
 # ----------------------------------------------------------------------
@@ -100,10 +101,8 @@ def test_tuple_roundtrip_agreement(tup):
 @settings(max_examples=200, deadline=None)
 @given(tuples)
 def test_tuple_encoded_size_matches_wire(tup):
-    wire = encode_tuple_binary(tup)
-    assert BINARY_CODEC.encoded_size(tup) == len(wire)
-    # The JSON size is the canonical compact-JSON length of the tag lists.
-    assert JSON_CODEC.encoded_size(tup) == len(
+    # The size is the canonical compact-JSON length of the tag lists.
+    assert encoded_size(tup) == len(
         json.dumps(encode_tuple(tup), separators=(",", ":"),
                    sort_keys=True, default=str).encode("utf-8"))
 
@@ -130,29 +129,24 @@ def test_tuple_field_types_preserved(tup):
 @given(patterns)
 def test_pattern_roundtrip_agreement(pattern):
     via_json = decode_pattern(json.loads(json.dumps(encode_pattern(pattern))))
-    via_binary = decode_pattern_binary(encode_pattern_binary(pattern))
     assert via_json == pattern
-    assert via_binary == pattern
-    assert via_binary == via_json
 
 
 @settings(max_examples=100, deadline=None)
 @given(patterns, tuples)
 def test_codecs_agree_on_matching(pattern, tup):
-    # The decisive property: a pattern shipped over either wire admits
-    # exactly the same tuples as the original.
+    # The decisive property: a pattern shipped over the wire admits
+    # exactly the same tuples as the original, stored ones included.
     from repro.tuples.matching import matches
 
     p_json = decode_pattern(json.loads(json.dumps(encode_pattern(pattern))))
-    p_bin = decode_pattern_binary(encode_pattern_binary(pattern))
     t_bin = decode_tuple_binary(encode_tuple_binary(tup))
     expected = matches(pattern, tup)
     assert matches(p_json, t_bin) == expected
-    assert matches(p_bin, t_bin) == expected
 
 
 # ----------------------------------------------------------------------
-# Protocol payloads
+# Storage records and frame payloads
 # ----------------------------------------------------------------------
 json_values = st.recursive(
     st.one_of(st.none(), st.booleans(),
@@ -179,7 +173,7 @@ def test_payload_binary_roundtrip(payload):
 
 
 # ----------------------------------------------------------------------
-# Frames: one encoding prices and checksums what the codec would
+# Frames: one encoding gives the size and the checksum
 # ----------------------------------------------------------------------
 frame_payloads = st.dictionaries(
     st.text(min_size=1, max_size=10),
@@ -189,10 +183,10 @@ frame_payloads = st.dictionaries(
 
 
 @settings(max_examples=150, deadline=None)
-@given(frame_payloads, st.sampled_from([None, JSON_CODEC, BINARY_CODEC]))
-def test_frame_size_and_checksum_agree_with_the_codec(payload, codec):
-    msg = Message("a", "b", payload, 0.0, codec=codec)
-    assert msg.size == (codec or JSON_CODEC).encoded_size(payload)
+@given(frame_payloads)
+def test_frame_size_and_checksum_agree_with_the_codec(payload):
+    msg = Message("a", "b", payload, 0.0)
+    assert msg.size == encoded_size(payload)
     assert msg.checksum == payload_checksum(payload)
     copy = msg.copy_for("c", 0.0)
     assert (copy.size, copy.checksum) == (msg.size, msg.checksum)

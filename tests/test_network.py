@@ -9,7 +9,7 @@ from repro.net import CorruptPayload, DuplicateFrames, FaultPlan, Network
 from repro.net.message import Message
 from repro.net.stats import DROP_CORRUPT
 from repro.sim import Simulator
-from repro.tuples.serialization import BINARY_CODEC, JSON_CODEC
+from repro.tuples.serialization import encoded_size
 
 
 @pytest.fixture()
@@ -182,22 +182,28 @@ def test_larger_messages_take_longer(sim):
 
 # ----------------------------------------------------------------------
 # Frame pricing: size and checksum from one encoding (the equivalence
-# with the codec is the Hypothesis test in test_codec_cross.py)
+# with encoded_size is the Hypothesis test in test_codec_cross.py)
 # ----------------------------------------------------------------------
 PAYLOAD = {"kind": "query", "op_id": "a#1", "z": [1, 2.5, None], "a": {"k": True}}
 
 
-@pytest.mark.parametrize("codec", [None, JSON_CODEC])
+@pytest.mark.parametrize("codec", [None, pytest.param(encoded_size, id="codec1")])
 def test_raw_bytes_on_a_json_network_are_refused(codec):
+    # both JSON pricings refuse raw bytes: the frame's own (None) and
+    # encoded_size, which prices a payload before a frame is cut (the
+    # case ids are the ones these cases had under the old codec table)
+    payload = {"kind": "x", "blob": b"\x00raw"}
     with pytest.raises(SerializationError):
-        Message("a", "b", {"kind": "x", "blob": b"\x00raw"}, 0.0, codec=codec)
+        if codec is None:
+            Message("a", "b", payload, 0.0)
+        else:
+            codec(payload)
 
 
-@pytest.mark.parametrize("codec", [JSON_CODEC, BINARY_CODEC])
-def test_copy_shares_pricing_but_not_damage(codec):
-    original = Message("a", None, PAYLOAD, 0.0, codec=codec)
+def test_copy_shares_pricing_but_not_damage():
+    original = Message("a", None, PAYLOAD, 0.0)
     copy = original.copy_for("b", 1.0)
-    assert (copy.dst, copy.sent_at, copy.codec) == ("b", 1.0, codec)
+    assert (copy.dst, copy.sent_at) == ("b", 1.0)
     assert copy.msg_id != original.msg_id
     assert (copy.size, copy.checksum) == (original.size, original.checksum)
     assert copy.verify()
@@ -210,7 +216,7 @@ def test_copy_shares_pricing_but_not_damage(codec):
     # ...which is why dispatch cuts every duplicate from the intact frame
     # before the verdict's damage lands on the copy it names
     sim = Simulator(seed=5)
-    net, a, b, _, inbox_b = make_pair(sim, Network(sim, codec=codec))
+    net, a, b, _, inbox_b = make_pair(sim, Network(sim))
     net.use_faults(FaultPlan([CorruptPayload(1.0), DuplicateFrames(1.0)]))
     a.unicast("b", PAYLOAD)
     sim.run()
@@ -233,4 +239,4 @@ def test_multicast_encodes_the_payload_once(sim, monkeypatch):
     monkeypatch.undo()
     sim.run()
     sizes = {m.size for name in "bcdefghi" for m in inboxes[name]}
-    assert sizes == {JSON_CODEC.encoded_size(PAYLOAD)}
+    assert sizes == {encoded_size(PAYLOAD)}

@@ -61,7 +61,7 @@ def test_collect_measures_exactly_the_committed_names(monkeypatch):
     monkeypatch.setattr(aio, "bench_ns", run_once)
     current = perf.collect()
     assert sorted(current["metrics"]) == sorted(BASELINE["metrics"])
-    assert len(current["metrics"]) == 15
+    assert len(current["metrics"]) == 13
     assert sorted(current["info"]) == sorted(BASELINE["info"])
 
 

@@ -1,11 +1,6 @@
-"""The hot-path optimisations must be observationally passive.
+"""The store's hot paths, and the reliable sublayer's books, pinned down:
 
-The binary wire codec changes *how* frames are priced, never *what*
-operations conclude — this module proves it in the PR-2 passivity style
-(run the same seeded workload under both codecs, compare operation
-outcomes value by value) and pins down the mechanics:
-
-* every reliable frame is acknowledged under either codec;
+* every reliable frame of a seeded workload is acknowledged;
 * the store's scan cache serves hits only while the store is untouched
   (any add/remove/hold/release invalidates) and its counters reconcile;
 * ``candidates`` iterates lazily without materialising the bucket.
@@ -14,7 +9,6 @@ outcomes value by value) and pins down the mechanics:
 from __future__ import annotations
 
 from repro.core import TiamatConfig, TiamatInstance
-from repro.errors import CodecMismatchError
 from repro.net import Network
 from repro.sim import Simulator
 from repro.tuples import ANY, Pattern, Range, Tuple
@@ -22,13 +16,14 @@ from repro.tuples.store import TupleStore
 
 
 # ---------------------------------------------------------------------------
-# Passivity: the binary codec changes no operation outcome
+# Reliability: every reliable frame is acknowledged
 # ---------------------------------------------------------------------------
-def _run_workload(binary: bool, seed: int = 11):
-    """A mixed destructive/read workload; returns (outcomes, wire stats)."""
-    sim = Simulator(seed=seed)
-    net = Network(sim, codec="binary" if binary else None)
-    config = TiamatConfig(wire_codec="binary" if binary else "json")
+def test_reliability_counters_balance():
+    """A mixed destructive/read workload: every op concludes with a hit,
+    and every reliable frame got acknowledged; nothing expired or pends."""
+    sim = Simulator(seed=11)
+    net = Network(sim)
+    config = TiamatConfig()
     names = ["a", "b", "c"]
     inst = {n: TiamatInstance(sim, net, n, config=config) for n in names}
     net.visibility.connect_clique(names)
@@ -38,70 +33,22 @@ def _run_workload(binary: bool, seed: int = 11):
         inst["b"].out(Tuple("item", i))
         inst["c"].out(Tuple("note", i, float(i)))
 
-    outcomes = []
+    results = []
 
     def driver():
         for i in range(12):
-            op = inst["a"].in_(Pattern("item", int))
-            result = yield op.event
-            outcomes.append(("in", None if result is None else result.fields,
-                             op.source))
-            rop = inst["a"].rdp(Pattern("note", i, float))
-            rresult = yield rop.event
-            outcomes.append(("rdp",
-                             None if rresult is None else rresult.fields,
-                             rop.source))
+            results.append((yield inst["a"].in_(Pattern("item", int)).event))
+            results.append(
+                (yield inst["a"].rdp(Pattern("note", i, float)).event))
 
     sim.spawn(driver())
     sim.run(until=200.0)
-    rel_stats = {n: inst[n].reliability.stats() for n in names}
-    return outcomes, {
-        "now": sim.now,
-        "messages": net.stats.total_messages,
-        "bytes": net.stats.total_bytes,
-        "rel": rel_stats,
-        "tuples_left": {n: inst[n].space.count() for n in names},
-    }
-
-
-def test_fast_wire_paths_are_outcome_passive():
-    base_outcomes, base_stats = _run_workload(binary=False)
-    fast_outcomes, fast_stats = _run_workload(binary=True)
-    # Bit-identical operation outcomes: same values, same sources, same order.
-    assert base_outcomes == fast_outcomes
-    assert len(base_outcomes) == 24
-    assert all(r is not None for _, r, _ in base_outcomes)
-    # Same residual state, for fewer bytes on the same number of frames.
-    assert base_stats["tuples_left"] == fast_stats["tuples_left"]
-    assert fast_stats["messages"] == base_stats["messages"]
-    assert fast_stats["bytes"] < base_stats["bytes"]
-
-
-def test_wire_codec_config_must_match_network():
-    import pytest
-
-    sim = Simulator(seed=0)
-    net = Network(sim)                       # JSON-priced network
-    with pytest.raises(ValueError, match="wire_codec"):
-        TiamatInstance(sim, net, "x", config=TiamatConfig(wire_codec="binary"))
-    # The check is symmetric (the old default-config leniency is gone): a
-    # json config on a binary network is the same deployment error, and
-    # every runtime raises the one shared CodecMismatchError.
-    bnet = Network(Simulator(seed=0), codec="binary")
-    with pytest.raises(CodecMismatchError, match="wire_codec"):
-        TiamatInstance(bnet.sim, bnet, "z", config=TiamatConfig())
-    # Matching codecs on both sides are fine.
-    TiamatInstance(bnet.sim, bnet, "y", config=TiamatConfig(wire_codec="binary"))
-
-
-def test_reliability_counters_balance_on_both_codecs():
-    for binary in (False, True):
-        _, stats = _run_workload(binary=binary)
-        for node_stats in stats["rel"].values():
-            # Every reliable frame got acknowledged; nothing expired or pends.
-            assert node_stats["acked"] == node_stats["sent"]
-            assert node_stats["expired"] == 0
-            assert node_stats["pending"] == 0
+    assert len(results) == 24 and all(r is not None for r in results)
+    for n in names:
+        node_stats = inst[n].reliability.stats()
+        assert node_stats["acked"] == node_stats["sent"]
+        assert node_stats["expired"] == 0
+        assert node_stats["pending"] == 0
 
 
 # ---------------------------------------------------------------------------

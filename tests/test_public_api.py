@@ -146,7 +146,15 @@ def test_instance_ctor_optionals_are_keyword_only():
 
 def test_network_ctor_optionals_are_keyword_only():
     kw = _keyword_only_names(repro.Network.__init__)
-    assert kw == {"visibility", "loss_rate", "latency_factory", "codec"}
+    assert kw == {"visibility", "loss_rate", "latency_factory"}
+
+
+def test_registries_take_no_codec():
+    from repro.runtime.aio import AioNodeRegistry
+    from repro.runtime.node import ThreadedNodeRegistry
+
+    for registry in (ThreadedNodeRegistry, AioNodeRegistry):
+        assert "codec" not in inspect.signature(registry.__init__).parameters
 
 
 EXPECTED_CONFIG_FIELDS = {
@@ -158,7 +166,7 @@ EXPECTED_CONFIG_FIELDS = {
     "reliability_enabled", "retry_backoff", "retry_initial", "retry_jitter",
     "retry_max_interval", "serve_cost", "serve_max_duration",
     "serve_workers", "telemetry_enabled", "telemetry_lease",
-    "telemetry_period", "wire_codec",
+    "telemetry_period",
 }
 
 
@@ -184,8 +192,9 @@ def test_version_is_pep440ish():
     assert all(p.isdigit() for p in parts[:2])
     # the pre-connect shims were removed in 2.0, the snapshot persistence
     # module (repro.tuples.persistence) in 3.0, the sim's frame batching,
-    # ack piggybacking and repro.sim.resources in 4.0
-    assert tuple(int(p) for p in parts[:2]) >= (4, 0)
+    # ack piggybacking and repro.sim.resources in 4.0, the wire-codec
+    # choice (frames are JSON) in 5.0
+    assert tuple(int(p) for p in parts[:2]) >= (5, 0)
 
 
 def test_import_set_does_not_grow():

@@ -55,9 +55,9 @@ def test_unknown_runtime_is_rejected():
 
 
 def test_connect_threads_config_flows_through():
-    config = TiamatConfig(wire_codec="json")
+    config = TiamatConfig(retry_initial=0.05)
     with connect(runtime="aio", config=config) as rt:
-        assert rt.registry.codec.name == "json"
+        assert rt.registry.config is config
 
 
 # ----------------------------------------------------------------------
