@@ -45,7 +45,7 @@ from repro.net import (
 )
 from repro.sim import Simulator
 from repro.tuples import Pattern, Tuple
-from repro.tuples.serialization import decode_tuple, decode_tuple_binary
+from repro.tuples.serialization import decode_tuple
 from repro.tuples.storage import WALBackend, attach_backend
 
 ITEMS = 40                    # destructive in ops per run
@@ -222,16 +222,15 @@ def test_t10_fault_tolerance(benchmark, report):
 #   must never be observable again.
 
 DURABILITY_CYCLES = 100        # crash/restart cycles per arm
-DURABILITY_ARMS = [("json", 11)]
+DURABILITY_ARMS = [11]         # seeds
 
-# The nightly durability soak (REPRO_CHAOS_DURABLE=1) widens the sweep:
-# the binary storage codec on the same log format, plus a fresh seed.
+# The nightly durability soak (REPRO_CHAOS_DURABLE=1) widens the sweep
+# with two more seeds.
 if os.environ.get("REPRO_CHAOS_DURABLE"):
-    DURABILITY_ARMS += [("binary", 23), ("json", 37)]
+    DURABILITY_ARMS += [23, 37]
 
 
-def run_durability(codec: str, seed: int,
-                   cycles: int = DURABILITY_CYCLES) -> dict:
+def run_durability(seed: int, cycles: int = DURABILITY_CYCLES) -> dict:
     """One crash/restart soak; returns exact-conservation counters."""
     sim = Simulator(seed=seed)
     net = Network(sim)
@@ -249,12 +248,10 @@ def run_durability(codec: str, seed: int,
     registry["client"] = factory("client")
 
     wal_dir = tempfile.mkdtemp(prefix="repro-t10-durable-")
-    backend = WALBackend(os.path.join(wal_dir, "server"), codec=codec,
-                         compact_every=32)
+    backend = WALBackend(os.path.join(wal_dir, "server"), compact_every=32)
     attach_backend(registry["server"].space, backend)
     injector = CrashRestartInjector(sim, registry, factory,
                                     backends={"server": backend})
-    dec = decode_tuple_binary if codec == "binary" else decode_tuple
 
     # Chaos schedule rng: deliberately NOT the sim's stream, so the kill
     # schedule is a property of the arm, not of message timing.
@@ -319,7 +316,7 @@ def run_durability(codec: str, seed: int,
                         # Torn mid-append: never durable, loss allowed.
                         # (After a mid-compaction kill the snapshot
                         # already holds it, so it survives regardless.)
-                        acked.discard(dec(torn["tup"]).fields[1])
+                        acked.discard(decode_tuple(torn["tup"]).fields[1])
                 elif torn is not None and torn.get("op") == "rm":
                     counts["torn_rms"] += 1
             yield sim.timeout(0.1 + rng.random() * 0.4)
@@ -348,33 +345,32 @@ def run_durability(codec: str, seed: int,
 
 def test_t10_durability(benchmark, report):
     arms = benchmark.pedantic(
-        lambda: [(codec, seed, run_durability(codec, seed))
-                 for codec, seed in DURABILITY_ARMS],
+        lambda: [(seed, run_durability(seed)) for seed in DURABILITY_ARMS],
         rounds=1, iterations=1)
-    report.metrics(arms[-1][2].pop("registry"))
+    report.metrics(arms[-1][1].pop("registry"))
 
     table = Table(
         "T10 durability: WAL crash/restart soak - exact conservation",
-        ["codec", "seed", "cycles", "deposits", "consumes", "torn outs",
+        ["seed", "cycles", "deposits", "consumes", "torn outs",
          "torn rms", "mid-compact kills", "ghosts purged", "lost acked",
          "resurrected"],
         caption=f"{DURABILITY_CYCLES} kill/recover cycles per arm over a "
                 "real on-disk WAL; torn outs were never durable (loss "
                 "allowed), torn rms are healed by the anti-entropy rejoin",
     )
-    for codec, seed, arm in arms:
+    for seed, arm in arms:
         arm.pop("registry", None)
-        table.add_row(codec, seed, arm["cycles"], arm["deposits"],
+        table.add_row(seed, arm["cycles"], arm["deposits"],
                       arm["consumes"], arm["torn_outs"], arm["torn_rms"],
                       arm["mid_compaction_kills"], arm["ghosts"],
                       arm["lost_acked"], arm["resurrected"])
     report.table(table)
 
-    for codec, seed, arm in arms:
+    for seed, arm in arms:
         # The headline claims: nothing durably acknowledged is ever lost,
         # nothing consumed ever comes back.
-        assert arm["lost_acked"] == 0, (codec, seed, arm)
-        assert arm["resurrected"] == 0, (codec, seed, arm)
+        assert arm["lost_acked"] == 0, (seed, arm)
+        assert arm["resurrected"] == 0, (seed, arm)
         # The soak genuinely exercised the machinery it audits.
         assert arm["crashes"] == arm["cycles"] == arm["restarts"]
         assert arm["mid_compaction_kills"] > 0

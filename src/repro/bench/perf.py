@@ -4,9 +4,9 @@ The one timing gate below the end-to-end benchmark (``BENCHMARK.json``).
 It measures five hot paths:
 
 * **codec** — encode+decode round-trip ns/op for a tuple's tag-first JSON
-  form and for the binary storage codec (sqlite blobs, binary WAL
-  records), over a representative tuple mix (nested tuples, bytes fields,
-  unicode strings, big ints);
+  form and for the binary storage codec (sqlite blobs), over a
+  representative tuple mix (nested tuples, bytes fields, unicode strings,
+  big ints);
 * **store scan** — ns per ``find`` by a filtered walk (a ``Range`` pattern;
   signature-exact patterns pick from their bucket and never scan) against a
   populated store: uncached (a mutation before every call), cached (repeat

@@ -543,7 +543,10 @@ def cmd_wal(args: argparse.Namespace) -> int:
     for ext in (".wal", ".snap"):
         if base.endswith(ext):
             base = base[:-len(ext)]
-    info = inspect_wal(base, codec=args.codec, max_records=args.max_records)
+    info = inspect_wal(base, max_records=args.max_records)
+    if info["refused"] is not None:
+        print(f"refused: {info['refused']}")
+        return 1
     print(f"wal:  {info['wal_path']} ({info['wal_bytes']} bytes, "
           f"{info['wal_records']} records)")
     if info["snapshot_entries"] is None:
@@ -726,9 +729,6 @@ def build_parser() -> argparse.ArgumentParser:
     wal_inspect.add_argument("path",
                              help="WAL base path (with or without the "
                                   ".wal/.snap extension)")
-    wal_inspect.add_argument("--codec", choices=("json", "binary"),
-                             default="json",
-                             help="record payload codec (default json)")
     wal_inspect.add_argument("--max-records", type=int, default=200,
                              help="record lines to print (default 200)")
 

@@ -46,9 +46,10 @@ class Tuple:
     used as dict keys, and asserted on in tests.
     """
 
-    #: ``_wire`` caches the tuple's binary wire form (tuples are immutable,
-    #: so the encoding can never go stale); re-sending a tuple — relays,
-    #: retransmits, fan-out to several peers — degenerates to one memcpy.
+    #: ``_wire`` caches the tuple's binary storage form (tuples are
+    #: immutable, so the encoding can never go stale): a sqlite backend
+    #: that writes the same tuple again — on a rebind's rewrite, say —
+    #: reuses the bytes instead of re-walking the fields.
     __slots__ = ("_fields", "_hash", "_wire")
 
     def __init__(self, *fields: FieldValue) -> None:

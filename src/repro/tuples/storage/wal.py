@@ -12,8 +12,7 @@ Record framing (see ``docs/PROTOCOL.md`` section 10)::
 
     u32 length (LE) | u32 crc32(payload) (LE) | payload bytes
 
-The payload is a codec-encoded dict — JSON (``codec="json"``) or the
-binary LEB128 storage codec (``codec="binary"``, section 10.1)::
+The payload is a compact JSON dict, tuples in their tag-first form::
 
     {"op": "out",  "id": N, "tup": <tuple>, "exp": T|null, "at": T}
     {"op": "rm",   "id": N, "why": "consumed|expired|reconciled", "at": T}
@@ -28,6 +27,11 @@ the first short, oversized, or CRC-failing frame, truncates the file at
 the last good boundary (counting ``torn_truncations``/``torn_bytes``),
 and keeps everything before it.  :meth:`WALBackend.tear_tail` injects
 exactly that damage for chaos tests, clamped to the final record.
+
+A frame that passes its CRC but does not decode to a JSON record is not
+a torn write: it is a log in another format (a binary-record log from
+5.x) or deep rot.  Recovery refuses it with :class:`StorageError`, naming
+the file and byte offset, and leaves both files as they are.
 
 Replay is **idempotent by durable id**: the snapshot is authoritative for
 every id at or below its high-water mark (``next``), so stale pre-snapshot
@@ -44,18 +48,11 @@ from __future__ import annotations
 import json
 import struct
 import zlib
-from typing import Any, Optional
+from typing import Optional
 
 from repro.errors import StorageError
 from repro.tuples.model import Tuple
-from repro.tuples.serialization import (
-    decode_payload_binary,
-    decode_tuple,
-    decode_tuple_binary,
-    encode_payload_binary,
-    encode_tuple,
-    encode_tuple_binary,
-)
+from repro.tuples.serialization import decode_tuple, encode_tuple
 from repro.tuples.storage.base import RecoveredState, StorageBackend
 from repro.tuples.storage.fs import OsFS
 
@@ -66,20 +63,97 @@ _HEADER = struct.Struct("<II")
 MAX_RECORD_BYTES = 1 << 26
 
 
+def _encode(record: dict) -> bytes:
+    return json.dumps(record, separators=(",", ":"),
+                      sort_keys=True).encode("utf-8")
+
+
+def _frame(payload: bytes) -> bytes:
+    return _HEADER.pack(len(payload), zlib.crc32(payload)) + payload
+
+
+def _scan(data: bytes, path: str) -> "tuple[list[dict], int]":
+    """Decode frames until the first torn one; returns (records, offset).
+
+    A frame that passes its CRC but is not a JSON record raises
+    :class:`StorageError`: a torn write cannot produce one.
+    """
+    records: list[dict] = []
+    offset = 0
+    size = len(data)
+    while offset + _HEADER.size <= size:
+        length, crc = _HEADER.unpack_from(data, offset)
+        start = offset + _HEADER.size
+        if length > MAX_RECORD_BYTES or start + length > size:
+            break  # short or oversized frame: torn tail
+        payload = data[start:start + length]
+        if zlib.crc32(payload) != crc:
+            break  # damaged in flight
+        try:
+            record = json.loads(payload.decode("utf-8"))
+        except (ValueError, RecursionError):
+            record = None
+        if not isinstance(record, dict):
+            raise StorageError(
+                f"{path}: the frame at byte {offset} passes its CRC but is "
+                "not a JSON record (a log in another format, or deep "
+                "corruption); refusing to recover from it")
+        records.append(record)
+        offset = start + length
+    return records, offset
+
+
+def _replay(snapshot: Optional[dict],
+            records: "list[dict]") -> "tuple[dict[int, dict], int, Optional[float]]":
+    """The replay rule :meth:`WALBackend.recover` and :func:`inspect_wal`
+    share: returns ``(live, high_water, last_time)``, where ``live`` maps
+    each surviving durable id to its snapshot entry or ``out`` record
+    (tuple still encoded)."""
+    live: dict[int, dict] = {}
+    high = 0
+    last_time: Optional[float] = None
+    if snapshot is not None:
+        for item in snapshot["entries"]:
+            live[item["id"]] = item
+            high = max(high, item["id"])
+        high = max(high, snapshot.get("next", 0))
+        last_time = snapshot.get("at")
+    snap_next = high
+    for record in records:
+        op = record.get("op")
+        entry_id = record.get("id", 0)
+        if op == "out":
+            # Idempotent over a stale post-compaction WAL: the snapshot
+            # is authoritative for every id at or below its high-water
+            # mark, so a pre-snapshot `out` is never re-applied — the
+            # entry either sits in the snapshot already or was removed
+            # before the snapshot was cut (and must stay removed, even
+            # if its own `rm` record was later torn off the tail).
+            if entry_id > snap_next:
+                live.setdefault(entry_id, record)
+        elif op == "rm":
+            # Removals are always applied: a post-snapshot `rm` may
+            # target an entry the snapshot holds, and a pre-snapshot
+            # one pops an id the snapshot already excludes (no-op).
+            live.pop(entry_id, None)
+        high = max(high, entry_id)
+        at = record.get("at")
+        if at is not None:
+            last_time = at if last_time is None else max(last_time, at)
+    return live, high, last_time
+
+
 class WALBackend(StorageBackend):
     """Append-only write-ahead log with periodic atomic compaction."""
 
     def __init__(self, base_path: str, fs: Optional[object] = None,
-                 codec: str = "json", compact_every: int = 256) -> None:
+                 compact_every: int = 256) -> None:
         super().__init__()
-        if codec not in ("json", "binary"):
-            raise StorageError(f"unknown WAL codec {codec!r}")
         if compact_every < 0:
             raise StorageError("compact_every must be >= 0")
         self.fs = fs if fs is not None else OsFS()
         self.wal_path = f"{base_path}.wal"
         self.snap_path = f"{base_path}.snap"
-        self.codec = codec
         #: Records between automatic compactions (0 disables auto-compact).
         self.compact_every = compact_every
         self._mirror: dict[int, tuple] = {}
@@ -89,39 +163,11 @@ class WALBackend(StorageBackend):
         self.snapshot_corrupt = 0
 
     # ------------------------------------------------------------------
-    # Encoding
-    # ------------------------------------------------------------------
-    def _enc_tuple(self, tup: Tuple) -> Any:
-        if self.codec == "binary":
-            return encode_tuple_binary(tup)
-        return encode_tuple(tup)
-
-    def _dec_tuple(self, data: Any) -> Tuple:
-        if self.codec == "binary":
-            return decode_tuple_binary(data)
-        return decode_tuple(data)
-
-    def _encode(self, record: dict) -> bytes:
-        if self.codec == "binary":
-            return encode_payload_binary(record)
-        return json.dumps(record, separators=(",", ":"),
-                          sort_keys=True).encode("utf-8")
-
-    def _decode(self, payload: bytes) -> dict:
-        if self.codec == "binary":
-            return decode_payload_binary(payload)
-        return json.loads(payload.decode("utf-8"))
-
-    @staticmethod
-    def _frame(payload: bytes) -> bytes:
-        return _HEADER.pack(len(payload), zlib.crc32(payload)) + payload
-
-    # ------------------------------------------------------------------
     # The durable contract
     # ------------------------------------------------------------------
     def record_out(self, entry_id: int, tup: Tuple,
                    expires_at: Optional[float], at: float) -> None:
-        record = {"op": "out", "id": entry_id, "tup": self._enc_tuple(tup),
+        record = {"op": "out", "id": entry_id, "tup": encode_tuple(tup),
                   "exp": expires_at, "at": at}
         self._append(record)
         self._mirror[entry_id] = (tup, expires_at)
@@ -138,7 +184,7 @@ class WALBackend(StorageBackend):
         self._maybe_compact(at)
 
     def _append(self, record: dict) -> None:
-        frame = self._frame(self._encode(record))
+        frame = _frame(_encode(record))
         self.fs.append(self.wal_path, frame)
         self.bytes_appended += len(frame)
         self._last_time = record.get("at")
@@ -158,11 +204,11 @@ class WALBackend(StorageBackend):
         steps, simulating a kill after the snapshot landed but before the
         WAL was reset — the window idempotent replay exists for.
         """
-        entries = [{"id": entry_id, "tup": self._enc_tuple(tup), "exp": exp}
+        entries = [{"id": entry_id, "tup": encode_tuple(tup), "exp": exp}
                    for entry_id, (tup, exp) in sorted(self._mirror.items())]
         snapshot = {"op": "snap", "at": at, "next": self._high_water,
                     "entries": entries}
-        self.fs.replace(self.snap_path, self._frame(self._encode(snapshot)))
+        self.fs.replace(self.snap_path, _frame(_encode(snapshot)))
         self.compactions += 1
         if _crash_after_snapshot:
             return
@@ -174,92 +220,48 @@ class WALBackend(StorageBackend):
     # ------------------------------------------------------------------
     def recover(self) -> RecoveredState:
         """Snapshot + WAL replay with torn-tail detection and truncation."""
-        mirror: dict[int, tuple] = {}
-        high = 0
-        last_time: Optional[float] = None
-        snapshot = self._read_snapshot()
-        snap_next = 0
-        if snapshot is not None:
-            for item in snapshot["entries"]:
-                mirror[item["id"]] = (self._dec_tuple(item["tup"]),
-                                      item.get("exp"))
-                high = max(high, item["id"])
-            snap_next = max(high, snapshot.get("next", 0))
-            high = snap_next
-            last_time = snapshot.get("at")
-        data = self.fs.read(self.wal_path) or b""
-        records, good_offset = self._scan(data)
+        snapshot, records, data, good_offset = self._load()
         if good_offset < len(data):
             self.torn_truncations += 1
             self.torn_bytes += len(data) - good_offset
             self.fs.truncate(self.wal_path, good_offset)
-        for record in records:
-            op = record.get("op")
-            entry_id = record.get("id", 0)
-            if op == "out":
-                # Idempotent over a stale post-compaction WAL: the snapshot
-                # is authoritative for every id at or below its high-water
-                # mark, so a pre-snapshot `out` is never re-applied — the
-                # entry either sits in the snapshot already or was removed
-                # before the snapshot was cut (and must stay removed, even
-                # if its own `rm` record was later torn off the tail).
-                if entry_id > snap_next and entry_id not in mirror:
-                    mirror[entry_id] = (self._dec_tuple(record["tup"]),
-                                        record.get("exp"))
-            elif op == "rm":
-                # Removals are always applied: a post-snapshot `rm` may
-                # target an entry the snapshot holds, and a pre-snapshot
-                # one pops an id the snapshot already excludes (no-op).
-                mirror.pop(entry_id, None)
-            high = max(high, entry_id)
-            at = record.get("at")
-            if at is not None:
-                last_time = at if last_time is None else max(last_time, at)
-        self._mirror = mirror
+        live, high, last_time = _replay(snapshot, records)
+        self._mirror = {entry_id: (decode_tuple(item["tup"]), item.get("exp"))
+                        for entry_id, item in sorted(live.items())}
         self._high_water = max(self._high_water, high)
         self._last_time = last_time
         self._since_compact = 0
         self.recoveries += 1
         self.records_replayed += len(records)
         entries = [(entry_id, tup, exp)
-                   for entry_id, (tup, exp) in sorted(mirror.items())]
+                   for entry_id, (tup, exp) in self._mirror.items()]
         return RecoveredState(entries, self._high_water, last_time)
 
-    def _read_snapshot(self) -> Optional[dict]:
-        data = self.fs.read(self.snap_path)
-        if not data:
-            return None
-        records, good_offset = self._scan(data)
-        # The snapshot is written atomically, so damage here means
-        # external corruption, not a torn write; salvage what the WAL
-        # holds rather than refusing to boot.
-        if not records or records[0].get("op") != "snap":
-            self.snapshot_corrupt += 1
-            return None
-        return records[0]
+    def _load(self) -> "tuple[Optional[dict], list[dict], bytes, int]":
+        """Read the snapshot and scan the WAL, changing neither file.
 
-    def _scan(self, data: bytes) -> "tuple[list[dict], int]":
-        """Decode frames until the first damaged one; returns (records, offset)."""
-        records: list[dict] = []
-        offset = 0
-        size = len(data)
-        while offset + _HEADER.size <= size:
-            length, crc = _HEADER.unpack_from(data, offset)
-            start = offset + _HEADER.size
-            if length > MAX_RECORD_BYTES or start + length > size:
-                break  # short or oversized frame: torn tail
-            payload = data[start:start + length]
-            if zlib.crc32(payload) != crc:
-                break  # damaged in flight
-            try:
-                record = self._decode(payload)
-            except Exception:
-                break  # CRC-passing garbage (wrong codec / deep rot)
-            if not isinstance(record, dict):
-                break
-            records.append(record)
-            offset = start + length
-        return records, offset
+        Returns ``(snapshot, wal_records, wal_data, good_offset)``.  The
+        snapshot is written atomically, so a snapshot that fails its CRC
+        means external corruption, not a torn write: it is counted in
+        ``snapshot_corrupt`` and recovery salvages what the WAL holds
+        rather than refusing to boot.  A CRC-valid frame that is not a
+        record raises :class:`StorageError` (see the module doc).
+        """
+        snapshot = None
+        snap = self.fs.read(self.snap_path)
+        if snap:
+            found, _ = _scan(snap, self.snap_path)
+            if not found:
+                self.snapshot_corrupt += 1
+            elif found[0].get("op") != "snap":
+                raise StorageError(f"{self.snap_path}: the frame at byte 0 "
+                                   "passes its CRC but is not a snapshot "
+                                   "record; refusing to recover from it")
+            else:
+                snapshot = found[0]
+        data = self.fs.read(self.wal_path) or b""
+        records, good_offset = _scan(data, self.wal_path)
+        return snapshot, records, data, good_offset
 
     def _rewrite(self, mirror: dict, at: float) -> None:
         self._mirror = dict(mirror)
@@ -283,7 +285,7 @@ class WALBackend(StorageBackend):
         if nbytes <= 0:
             return None
         data = self.fs.read(self.wal_path) or b""
-        records, good_offset = self._scan(data)
+        records, good_offset = _scan(data, self.wal_path)
         if not records or good_offset == 0:
             return None
         # Find the final record's start offset by rescanning lengths.
@@ -303,36 +305,31 @@ class WALBackend(StorageBackend):
 
 
 def inspect_wal(base_path: str, fs: Optional[object] = None,
-                codec: str = "json", max_records: int = 200) -> dict:
-    """Read-only diagnosis of a WAL + snapshot pair (``repro wal inspect``)."""
-    backend = WALBackend(base_path, fs=fs, codec=codec, compact_every=0)
-    snapshot = backend._read_snapshot()
-    data = backend.fs.read(backend.wal_path) or b""
-    records, good_offset = backend._scan(data)
+                max_records: int = 200) -> dict:
+    """Read-only diagnosis of a WAL + snapshot pair (``repro wal inspect``).
+
+    A pair recovery would refuse reports the reason, with the file and
+    byte offset, under ``"refused"`` (otherwise None).
+    """
+    backend = WALBackend(base_path, fs=fs, compact_every=0)
+    info: dict = {"wal_path": backend.wal_path,
+                  "snap_path": backend.snap_path, "refused": None}
+    try:
+        snapshot, records, data, good_offset = backend._load()
+    except StorageError as exc:
+        info["refused"] = str(exc)
+        return info
+    live, _, _ = _replay(snapshot, records)
     torn_bytes = len(data) - good_offset
-    live: dict[int, dict] = {}
-    snap_next = 0
-    if snapshot is not None:
-        for item in snapshot["entries"]:
-            live[item["id"]] = item
-            snap_next = max(snap_next, item["id"])
-        snap_next = max(snap_next, snapshot.get("next", 0))
-    for record in records:
-        if record.get("op") == "out":
-            if record["id"] > snap_next:
-                live.setdefault(record["id"], record)
-        elif record.get("op") == "rm":
-            live.pop(record.get("id", 0), None)
-    return {
-        "wal_path": backend.wal_path,
-        "snap_path": backend.snap_path,
-        "wal_bytes": len(data),
-        "wal_records": len(records),
-        "records": records[:max_records],
-        "snapshot_entries": (len(snapshot["entries"])
-                             if snapshot is not None else None),
-        "snapshot_at": snapshot.get("at") if snapshot is not None else None,
-        "torn_bytes": torn_bytes,
-        "torn": torn_bytes > 0,
-        "live_entries": len(live),
-    }
+    info.update(
+        wal_bytes=len(data),
+        wal_records=len(records),
+        records=records[:max_records],
+        snapshot_entries=(len(snapshot["entries"])
+                          if snapshot is not None else None),
+        snapshot_at=snapshot.get("at") if snapshot is not None else None,
+        torn_bytes=torn_bytes,
+        torn=torn_bytes > 0,
+        live_entries=len(live),
+    )
+    return info

@@ -3,6 +3,7 @@
 import pathlib
 import runpy
 import sys
+import zlib
 
 import pytest
 
@@ -56,7 +57,9 @@ def test_cli_chaos(capsys):
 
 def test_cli_wal_inspect(tmp_path, capsys):
     from repro.tuples import Tuple
+    from repro.tuples.serialization import encode_tuple_binary
     from repro.tuples.storage import WALBackend
+    from repro.tuples.storage.wal import _HEADER
 
     base = str(tmp_path / "node")
     wal = WALBackend(base, compact_every=0)
@@ -75,6 +78,13 @@ def test_cli_wal_inspect(tmp_path, capsys):
     assert "live entries after replay: 3" in out     # #1 and #3 snapped, #4
     assert "  out  #4 at t=1.5 exp=None tup=" in out
     assert "  rm   #2 at t=2.0 why=consumed" in out
+
+    # A CRC-valid frame that is not a JSON record: refused, exit status 1.
+    payload = encode_tuple_binary(Tuple("note", 1))
+    with open(wal.snap_path, "wb") as f:
+        f.write(_HEADER.pack(len(payload), zlib.crc32(payload)) + payload)
+    assert main(["wal", "inspect", base]) == 1
+    assert f"refused: {base}.snap: the frame at byte 0 " in capsys.readouterr().out
 
 
 def test_cli_parser_requires_command():

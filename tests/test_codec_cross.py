@@ -13,7 +13,7 @@ ANY wildcards) and asserts that
 * ``encoded_size`` is exactly the compact JSON length (the number the
   network prices latency and leases price storage with), and a frame's
   size and checksum come from that one encoding;
-* storage record dicts survive the binary record codec.
+* the sqlite blob format is pinned by blobs 5.x wrote.
 
 Floats are restricted to finite values: the JSON wire cannot carry
 NaN/Infinity portably, so the model's codecs never need to agree there.
@@ -24,6 +24,7 @@ from __future__ import annotations
 import json
 import math
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -31,11 +32,9 @@ from repro.net.message import Message, payload_checksum
 from repro.tuples.model import ANY, Actual, Formal, Pattern, Range, Tuple
 from repro.tuples.serialization import (
     decode_pattern,
-    decode_payload_binary,
     decode_tuple,
     decode_tuple_binary,
     encode_pattern,
-    encode_payload_binary,
     encode_tuple,
     encode_tuple_binary,
     encoded_size,
@@ -158,20 +157,6 @@ json_values = st.recursive(
     max_leaves=10,
 )
 
-payloads = st.dictionaries(st.text(min_size=1, max_size=10), json_values,
-                           min_size=1, max_size=6)
-
-
-@settings(max_examples=150, deadline=None)
-@given(payloads)
-def test_payload_binary_roundtrip(payload):
-    decoded = decode_payload_binary(encode_payload_binary(payload))
-    assert decoded == payload
-    # Equality above is not enough for bool/int confusion; spot-check types.
-    assert json.dumps(decoded, sort_keys=True, default=str) == \
-        json.dumps(payload, sort_keys=True, default=str)
-
-
 # ----------------------------------------------------------------------
 # Frames: one encoding gives the size and the checksum
 # ----------------------------------------------------------------------
@@ -191,3 +176,33 @@ def test_frame_size_and_checksum_agree_with_the_codec(payload):
     copy = msg.copy_for("c", 0.0)
     assert (copy.size, copy.checksum) == (msg.size, msg.checksum)
     assert copy.verify()
+
+
+# ----------------------------------------------------------------------
+# The sqlite blob format, pinned by bytes 5.x's encoder wrote
+# ----------------------------------------------------------------------
+SQLITE_BLOBS = [
+    (Tuple("nested", Tuple("inner", 1, Tuple("deep", True))),
+     "090205066e657374656409030505696e6e65720302090205046465657002"),
+    (Tuple("blob", b"\x00\xff\x10"), "09020504626c6f62060300ff10"),
+    (Tuple("unicode", "h\u00e9llo \u2713"),
+     "09020507756e69636f6465050a68c3a96c6c6f20e29c93"),
+    (Tuple("big", 2 ** 64, 2 ** 70 + 5),
+     "090305036269670380808080808080808004"
+     "038a80808080808080808002"),
+    (Tuple("neg", -1, -300), "090305036e6567030103d704"),
+    (Tuple("float", 2.5, -0.0),
+     "09030505666c6f6174044004000000000000048000000000000000"),
+    (Tuple("bool", True, False), "09030504626f6f6c0201"),
+    (Tuple("long", "x" * 200, b"y" * 130),       # two-byte varint lengths
+     "090305046c6f6e6705c801" + "78" * 200 + "068201" + "79" * 130),
+]
+
+
+@pytest.mark.parametrize("tup, blob", SQLITE_BLOBS,
+                         ids=[t.fields[0] for t, _ in SQLITE_BLOBS])
+def test_sqlite_blob_format_is_pinned(tup, blob):
+    data = bytes.fromhex(blob)
+    assert decode_tuple_binary(data) == tup
+    assert decode_tuple_binary(bytearray(data)) == tup   # no intern hit
+    assert encode_tuple_binary(Tuple.of(tup.fields)) == data

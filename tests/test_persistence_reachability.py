@@ -298,20 +298,6 @@ def test_save_and_load_file(world, tmp_path):
     assert reborn.space.count(Pattern("row", int)) == 5
 
 
-def test_save_load_binary_codec_file(world, tmp_path):
-    sim, net = world
-    old = TiamatInstance(sim, net, "dev")
-    old.out(Tuple("blob", b"\x01\x02", 2.5, Tuple("nested")))
-    base = str(tmp_path / "space")
-    power_down(old, WALBackend(base, codec="binary"))
-
-    reborn = TiamatInstance(sim, net, "dev")
-    stats = reborn.recover_from(WALBackend(base, codec="binary"), sync=False)
-    assert stats.restored == 1
-    assert (reborn.space.rdp(Pattern("blob", bytes, float, Tuple))
-            == Tuple("blob", b"\x01\x02", 2.5, Tuple("nested")))
-
-
 # ---------------------------------------------------------------------------
 # Multi-hop visibility
 # ---------------------------------------------------------------------------

@@ -152,9 +152,11 @@ def test_network_ctor_optionals_are_keyword_only():
 def test_registries_take_no_codec():
     from repro.runtime.aio import AioNodeRegistry
     from repro.runtime.node import ThreadedNodeRegistry
+    from repro.tuples.storage import WALBackend, inspect_wal
 
-    for registry in (ThreadedNodeRegistry, AioNodeRegistry):
-        assert "codec" not in inspect.signature(registry.__init__).parameters
+    for fn in (ThreadedNodeRegistry.__init__, AioNodeRegistry.__init__,
+               WALBackend.__init__, inspect_wal):
+        assert "codec" not in inspect.signature(fn).parameters
 
 
 EXPECTED_CONFIG_FIELDS = {
@@ -193,8 +195,9 @@ def test_version_is_pep440ish():
     # the pre-connect shims were removed in 2.0, the snapshot persistence
     # module (repro.tuples.persistence) in 3.0, the sim's frame batching,
     # ack piggybacking and repro.sim.resources in 4.0, the wire-codec
-    # choice (frames are JSON) in 5.0
-    assert tuple(int(p) for p in parts[:2]) >= (5, 0)
+    # choice (frames are JSON) in 5.0, the WAL record-codec choice (logs
+    # are JSON) in 6.0
+    assert tuple(int(p) for p in parts[:2]) >= (6, 0)
 
 
 def test_import_set_does_not_grow():

@@ -1,16 +1,20 @@
-"""Fuzzing the wire codec: hostile inputs must fail cleanly.
+"""Fuzzing the codecs: hostile inputs must fail cleanly.
 
 A Tiamat instance decodes patterns and tuples that arrive from arbitrary
-remote peers; a malformed frame must raise :class:`SerializationError`
-(which the dispatcher can contain), never an arbitrary exception and never
-a silently-wrong value.
+remote peers, and a sqlite backend decodes blobs from a file on disk; a
+malformed input must raise :class:`SerializationError` (which the caller
+can contain), never an arbitrary exception and never a silently-wrong
+value.
 """
 
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.errors import ReproError, SerializationError
-from repro.tuples import decode_pattern, decode_tuple, encode_tuple
+from repro.tuples import Tuple, decode_pattern, decode_tuple, encode_tuple
+from repro.tuples.serialization import decode_tuple_binary, encode_tuple_binary
+from tests.test_codec_cross import tuples
 
 # Arbitrary JSON-like structures, the shape of anything a peer could send.
 json_like = st.recursive(
@@ -53,3 +57,20 @@ def test_decode_tuple_rejects_wrong_tags(fields):
     except SerializationError:
         return
     raise AssertionError("unknown tag was accepted")
+
+
+@given(st.binary(max_size=64))
+def test_decode_tuple_binary_never_crashes_unexpectedly(data):
+    try:
+        tup = decode_tuple_binary(data)
+    except SerializationError:
+        return
+    assert isinstance(tup, Tuple)
+
+
+@given(tuples)
+def test_decode_tuple_binary_refuses_every_truncation(tup):
+    blob = encode_tuple_binary(tup)
+    for cut in range(len(blob)):
+        with pytest.raises(SerializationError):
+            decode_tuple_binary(blob[:cut])

@@ -9,6 +9,8 @@ and bit-flipping; the hypothesis layer varies the record sequence that
 precedes the damage.
 """
 
+import zlib
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,6 +18,7 @@ from hypothesis import strategies as st
 from repro.errors import StorageError, TupleError
 from repro.sim import Simulator
 from repro.tuples import LocalTupleSpace, Pattern, Tuple
+from repro.tuples.serialization import encode_tuple_binary
 from repro.tuples.storage import (
     MemoryBackend,
     MemoryFS,
@@ -24,6 +27,7 @@ from repro.tuples.storage import (
     attach_backend,
     inspect_wal,
 )
+from repro.tuples.storage.wal import _HEADER
 
 
 @pytest.fixture
@@ -36,9 +40,8 @@ def space(sim):
     return LocalTupleSpace(sim, name="dev")
 
 
-def wal(fs=None, codec="json", compact_every=0):
-    return WALBackend("dev", fs=fs or MemoryFS(), codec=codec,
-                      compact_every=compact_every)
+def wal(fs=None, compact_every=0):
+    return WALBackend("dev", fs=fs or MemoryFS(), compact_every=compact_every)
 
 
 def contents(state):
@@ -52,7 +55,7 @@ def contents(state):
 @pytest.mark.parametrize("make", [
     MemoryBackend,
     lambda: wal(),
-    lambda: wal(codec="binary"),
+    lambda: wal(compact_every=2),       # compacts mid-lifecycle
     lambda: SqliteBackend(":memory:"),
 ])
 def test_backend_mirrors_space_lifecycle(space, make):
@@ -108,23 +111,20 @@ def test_rebind_does_not_double_log(sim, space):
 # ---------------------------------------------------------------------------
 # WAL: framing, compaction, recovery
 # ---------------------------------------------------------------------------
-@pytest.mark.parametrize("codec", ["json", "binary"])
-def test_wal_roundtrip_survives_reopen(space, codec):
+def test_wal_roundtrip_survives_reopen(space):
     fs = MemoryFS()
-    backend = attach_backend(space, wal(fs, codec=codec))
+    backend = attach_backend(space, wal(fs))
     space.out(Tuple("a", 1, 2.5, b"\x00\xff"))
     space.out(Tuple("b", "text"), expires_at=99.0)
     space.inp(Pattern("a", int, float, bytes))
 
-    reopened = wal(fs, codec=codec)     # a fresh process over the files
+    reopened = wal(fs)                  # a fresh process over the files
     live = contents(reopened.recover())
     assert live == {2: (Tuple("b", "text"), 99.0)}
     assert reopened.recoveries == 1
 
 
 def test_wal_rejects_bad_config():
-    with pytest.raises(StorageError):
-        WALBackend("dev", fs=MemoryFS(), codec="msgpack")
     with pytest.raises(StorageError):
         WALBackend("dev", fs=MemoryFS(), compact_every=-1)
 
@@ -188,6 +188,44 @@ def test_wal_corrupt_snapshot_salvages_wal(space):
     assert [t for t, _ in live.values()] == [Tuple("b")]
 
 
+def _non_record_frame():
+    """A frame whose CRC checks but whose payload is not a JSON record: a
+    5.x binary-record log, or deep rot — never a torn write."""
+    payload = encode_tuple_binary(Tuple("not", "json"))
+    return _HEADER.pack(len(payload), zlib.crc32(payload)) + payload
+
+
+def test_wal_refuses_a_crc_valid_frame_that_is_not_a_record(space):
+    fs = MemoryFS()
+    attach_backend(space, wal(fs))
+    space.out(Tuple("a"))
+    good = fs.size("dev.wal")
+    fs.append("dev.wal", _non_record_frame())
+    space.out(Tuple("b"))
+    before = fs.read("dev.wal")
+
+    with pytest.raises(StorageError, match=rf"dev\.wal: the frame at byte {good} "):
+        wal(fs).recover()
+    assert fs.read("dev.wal") == before             # nothing truncated
+    assert f"dev.wal: the frame at byte {good} " in inspect_wal("dev", fs=fs)["refused"]
+
+    # The same frame as the snapshot: refused, not salvaged as corrupt.
+    fs.replace("dev.snap", _non_record_frame())
+    fs.truncate("dev.wal", good)
+    reopened = wal(fs)
+    with pytest.raises(StorageError, match=r"dev\.snap: the frame at byte 0 "):
+        reopened.recover()
+    assert reopened.snapshot_corrupt == 0
+    assert fs.read("dev.snap") == _non_record_frame()
+    assert fs.size("dev.wal") == good
+    assert "dev.snap: the frame at byte 0 " in inspect_wal("dev", fs=fs)["refused"]
+
+    # A JSON record that is not a snapshot, in the snapshot file: refused.
+    fs.replace("dev.snap", fs.read("dev.wal"))
+    with pytest.raises(StorageError, match=r"dev\.snap: the frame at byte 0 "):
+        wal(fs).recover()
+
+
 def test_tear_tail_clamps_to_final_record(space):
     fs = MemoryFS()
     backend = attach_backend(space, wal(fs))
@@ -207,30 +245,29 @@ def test_tear_tail_on_empty_wal_returns_none():
 # ---------------------------------------------------------------------------
 # Torn-tail tolerance: every byte offset of the final record
 # ---------------------------------------------------------------------------
-def _build_wal(fs, codec, rows):
+def _build_wal(fs, rows):
     sim = Simulator()
     space = LocalTupleSpace(sim, name="dev")
-    backend = attach_backend(space, wal(fs, codec=codec))
+    backend = attach_backend(space, wal(fs))
     for i in range(rows):
         space.out(Tuple("row", i, "x" * (i % 5)))
     return backend
 
 
-@pytest.mark.parametrize("codec", ["json", "binary"])
-def test_truncation_at_every_byte_offset_of_final_record(codec):
+def test_truncation_at_every_byte_offset_of_final_record():
     pristine = MemoryFS()
-    backend = _build_wal(pristine, codec, rows=4)
+    backend = _build_wal(pristine, rows=4)
     total = pristine.size(backend.wal_path)
     # Find where the final record starts: rebuild with one fewer row.
     shorter = MemoryFS()
-    _build_wal(shorter, codec, rows=3)
+    _build_wal(shorter, rows=3)
     final_start = shorter.size("dev.wal")
 
     for cut in range(1, total - final_start + 1):
         fs = MemoryFS()
         fs.files["dev.wal"] = bytearray(pristine.read("dev.wal"))
         fs.chop("dev.wal", cut)
-        reopened = wal(fs, codec=codec)
+        reopened = wal(fs)
         live = contents(reopened.recover())
         # Rows 0..2 were durable before the final append began: intact.
         assert {t for t, _ in live.values()} == {
@@ -243,17 +280,16 @@ def test_truncation_at_every_byte_offset_of_final_record(codec):
             # The cut landed exactly on the frame boundary: clean file.
             assert reopened.torn_truncations == 0
         # The truncation repaired the file: a second boot is clean.
-        again = wal(fs, codec=codec)
+        again = wal(fs)
         assert contents(again.recover()) == live
         assert again.torn_truncations == 0
 
 
-@pytest.mark.parametrize("codec", ["json", "binary"])
-def test_bitflip_at_every_byte_offset_of_final_record(codec):
+def test_bitflip_at_every_byte_offset_of_final_record():
     pristine = MemoryFS()
-    _build_wal(pristine, codec, rows=4)
+    _build_wal(pristine, rows=4)
     shorter = MemoryFS()
-    _build_wal(shorter, codec, rows=3)
+    _build_wal(shorter, rows=3)
     final_start = shorter.size("dev.wal")
     total = pristine.size("dev.wal")
     survivors = {Tuple("row", i, "x" * (i % 5)) for i in range(3)}
@@ -262,7 +298,7 @@ def test_bitflip_at_every_byte_offset_of_final_record(codec):
         fs = MemoryFS()
         fs.files["dev.wal"] = bytearray(pristine.read("dev.wal"))
         assert fs.flip_bit("dev.wal", offset, bit=offset % 8)
-        live = contents(wal(fs, codec=codec).recover())
+        live = contents(wal(fs).recover())
         # The damaged final record is dropped (CRC or framing catches
         # it); everything before it is untouched.  A flip in the length
         # field may make the frame claim fewer bytes than written — if
@@ -276,14 +312,13 @@ def test_bitflip_at_every_byte_offset_of_final_record(codec):
 @settings(max_examples=25, deadline=None)
 @given(ops=st.lists(st.tuples(st.booleans(), st.integers(0, 7)),
                     min_size=1, max_size=12),
-       chop=st.integers(1, 64),
-       codec=st.sampled_from(["json", "binary"]))
-def test_torn_tail_property_random_histories(ops, chop, codec):
+       chop=st.integers(1, 64))
+def test_torn_tail_property_random_histories(ops, chop):
     """Whatever the history, a tear loses at most the final record."""
     sim = Simulator()
     space = LocalTupleSpace(sim, name="dev")
     fs = MemoryFS()
-    backend = attach_backend(space, wal(fs, codec=codec))
+    backend = attach_backend(space, wal(fs))
     deposited = []
     for is_out, val in ops:
         if is_out or not deposited:
@@ -294,7 +329,10 @@ def test_torn_tail_property_random_histories(ops, chop, codec):
             assert taken is not None
     before = contents(backend.recover())
     torn = backend.tear_tail(chop)
-    live = contents(wal(fs, codec=codec).recover())
+    # The read-only diagnosis replays by the same rule as recovery.
+    predicted = inspect_wal("dev", fs=fs)["live_entries"]
+    live = contents(wal(fs).recover())
+    assert predicted == len(live)
     if torn is None:
         assert live == before
     else:
