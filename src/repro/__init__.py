@@ -56,7 +56,7 @@ from repro.runtime.api import (
 from repro.sim import Simulator
 from repro.tuples import ANY, Formal, Pattern, Range, Tuple
 
-__version__ = "6.0.0"
+__version__ = "7.0.0"
 
 __all__ = [
     "ANY",

@@ -24,7 +24,6 @@ Tuple vocabulary::
 
 from __future__ import annotations
 
-import itertools
 from typing import Callable
 
 from repro.core.instance import TiamatInstance
@@ -36,8 +35,6 @@ from repro.tuples import Formal, Pattern, Tuple
 ADVERT_TAG = "svc_advert"
 REQUEST_TAG = "svc_request"
 RESPONSE_TAG = "svc_response"
-
-_call_ids = itertools.count(1)
 
 
 def advert_pattern(service_type: str) -> Pattern:
@@ -124,6 +121,7 @@ class ServiceClient:
     def __init__(self, sim: Simulator, instance: TiamatInstance,
                  discover_lease: float = 2.0, call_timeout: float = 15.0) -> None:
         self.sim = sim
+        self._call_ids = sim.ids("service_call")
         self.instance = instance
         self.discover_lease = discover_lease
         self.call_timeout = call_timeout
@@ -150,7 +148,7 @@ class ServiceClient:
         the response is matched back by call id.  Returns the result
         string, or None if no provider answered within the timeout.
         """
-        call_id = next(_call_ids)
+        call_id = next(self._call_ids)
         self.calls += 1
         try:
             self.instance.out(

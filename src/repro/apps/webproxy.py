@@ -24,7 +24,6 @@ Tuple vocabulary::
 
 from __future__ import annotations
 
-import itertools
 from typing import Optional
 
 from repro.core.instance import TiamatInstance
@@ -35,8 +34,6 @@ from repro.tuples import Formal, Pattern, Tuple
 
 REQUEST_TAG = "web_request"
 RESPONSE_TAG = "web_response"
-
-_req_ids = itertools.count(1)
 
 
 class OriginFabric:
@@ -63,6 +60,7 @@ class WebClient:
     def __init__(self, sim: Simulator, instance: TiamatInstance,
                  request_lease: float = 60.0, response_wait: float = 60.0) -> None:
         self.sim = sim
+        self._req_ids = sim.ids("webproxy_req")
         self.instance = instance
         self.request_lease = request_lease
         self.response_wait = response_wait
@@ -77,7 +75,7 @@ class WebClient:
         Yields until the response tuple arrives (or the wait lease
         expires).  Returns the body string or None.
         """
-        req_id = next(_req_ids)
+        req_id = next(self._req_ids)
         started = self.sim.now
         self.issued += 1
         try:

@@ -13,8 +13,6 @@ waiter *at the server* until a match or the client-supplied timeout.
 
 from __future__ import annotations
 
-import itertools
-
 from repro.baselines.base import SimpleOp, SpaceNode
 from repro.net.message import Message
 from repro.net.network import Network
@@ -30,8 +28,6 @@ from repro.tuples.serialization import (
 _OUT = "cs_out"
 _OP = "cs_op"
 _REPLY = "cs_reply"
-
-_op_ids = itertools.count(1)
 
 
 class CentralServer:
@@ -88,6 +84,7 @@ class CentralClient(SpaceNode):
     def __init__(self, sim: Simulator, network: Network, name: str,
                  server: str = "server") -> None:
         self.sim = sim
+        self._op_ids = sim.ids("central_op")
         self.name = name
         self.server = server
         self.iface = network.attach(name, self._on_message)
@@ -120,7 +117,7 @@ class CentralClient(SpaceNode):
     # ------------------------------------------------------------------
     def _remote_op(self, op: str, pattern: Pattern, timeout: float) -> SimpleOp:
         handle = SimpleOp(self.sim)
-        op_id = next(_op_ids)
+        op_id = next(self._op_ids)
         sent = self.iface.unicast(self.server, {
             "kind": _OP, "op": op, "op_id": op_id,
             "pattern": encode_pattern(pattern), "timeout": timeout,

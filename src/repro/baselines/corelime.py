@@ -17,8 +17,6 @@ usable remote spaces is explicitly "placed on the application developer".
 
 from __future__ import annotations
 
-import itertools
-
 from repro.baselines.base import SimpleOp, SpaceNode
 from repro.net.message import Message
 from repro.net.network import Network
@@ -34,8 +32,6 @@ from repro.tuples.serialization import (
 _AGENT_GO = "cl_agent_go"
 _AGENT_BACK = "cl_agent_back"
 
-_agent_ids = itertools.count(1)
-
 #: Padding representing the serialized agent code shipped with each hop.
 _AGENT_CODE_SIZE = 2048
 
@@ -45,6 +41,7 @@ class CoreLimeHost(SpaceNode):
 
     def __init__(self, sim: Simulator, network: Network, name: str) -> None:
         self.sim = sim
+        self._agent_ids = sim.ids("corelime_agent")
         self.name = name
         self.space = LocalTupleSpace(sim, name=name)
         self.iface = network.attach(name, self._on_message)
@@ -105,7 +102,7 @@ class CoreLimeHost(SpaceNode):
         migration leg is impossible.
         """
         handle = SimpleOp(self.sim)
-        agent_id = next(_agent_ids)
+        agent_id = next(self._agent_ids)
         payload = {"kind": _AGENT_GO, "agent_id": agent_id, "op": op,
                    "home": self.name, "code": "x" * _AGENT_CODE_SIZE,
                    "timeout": timeout}

@@ -41,8 +41,6 @@ _TRANSFER_GRANT = "dts_transfer_grant"
 _SYNC_REQ = "dts_sync_req"
 _SYNC_DATA = "dts_sync_data"
 
-_transfer_ids = itertools.count(1)
-
 
 class LimboOracle:
     """Bench-side global truth used only for anomaly *measurement*.
@@ -62,6 +60,7 @@ class LimboNode(SpaceNode):
     def __init__(self, sim: Simulator, network: Network, name: str,
                  oracle: Optional[LimboOracle] = None) -> None:
         self.sim = sim
+        self._transfer_ids = sim.ids("limbo_transfer")
         self.network = network
         self.name = name
         self.oracle = oracle if oracle is not None else LimboOracle()
@@ -140,7 +139,7 @@ class LimboNode(SpaceNode):
             handle.finalize(entry.tuple)
             return
         # Need the owner to hand over ownership — direct communication only.
-        tid = next(_transfer_ids)
+        tid = next(self._transfer_ids)
         sent = self.iface.unicast(owner, {"kind": _TRANSFER_REQ, "uid": uid,
                                           "tid": tid})
         if not sent:

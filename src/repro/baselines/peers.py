@@ -23,8 +23,6 @@ Model:
 
 from __future__ import annotations
 
-import itertools
-
 from repro.baselines.base import SimpleOp, SpaceNode
 from repro.net.message import Message
 from repro.net.network import Network
@@ -42,8 +40,6 @@ _REPLY = "ps_reply"
 _ACCEPT = "ps_accept"
 _REJECT = "ps_reject"
 
-_query_ids = itertools.count(1)
-
 
 class PeerNode(SpaceNode):
     """One peer: a local space plus flooding search."""
@@ -51,6 +47,7 @@ class PeerNode(SpaceNode):
     def __init__(self, sim: Simulator, network: Network, name: str,
                  default_ttl: int = 4, claim_timeout: float = 2.0) -> None:
         self.sim = sim
+        self._query_ids = sim.ids("peers_query")
         self.name = name
         self.default_ttl = default_ttl
         self.claim_timeout = claim_timeout
@@ -93,7 +90,7 @@ class PeerNode(SpaceNode):
         if local is not None:
             handle.finalize(local)
             return handle
-        query_id = next(_query_ids)
+        query_id = next(self._query_ids)
         self._pending[query_id] = handle
         handle._ps_remove = remove
         self._flood(query_id, pattern, remove, self.default_ttl, exclude=None)
@@ -121,7 +118,7 @@ class PeerNode(SpaceNode):
                 return
             # Each round is a fresh search (receivers de-duplicate by id, so
             # re-using the old id would make later rounds no-ops).
-            query_id = next(_query_ids)
+            query_id = next(self._query_ids)
             self._pending[query_id] = handle
             self._flood(query_id, pattern, remove, self.default_ttl, exclude=None)
 

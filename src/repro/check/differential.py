@@ -225,68 +225,17 @@ def _final_snapshot(snapshots: dict) -> dict:
 # ----------------------------------------------------------------------
 # Drivers
 # ----------------------------------------------------------------------
-def run_sim(workload: ScriptedWorkload) -> RuntimeTranscript:
-    """Drive the workload through the deterministic simulation."""
-    from repro.core.instance import TiamatInstance
-    from repro.leasing import LeaseTerms, SimpleLeaseRequester
-    from repro.net.network import Network, default_latency
-    from repro.net.visibility import VisibilityGraph
-    from repro.sim.kernel import Simulator
-
-    transcript = RuntimeTranscript("sim")
-    sim = Simulator(seed=workload.seed)
-    vis = VisibilityGraph()
-    net = Network(sim, visibility=vis,
-                  latency_factory=default_latency(per_byte=0.0))
-    insts = {name: TiamatInstance(sim, net, name)
-             for name in workload.nodes}
-    vis.connect_clique(workload.nodes)
-    requester = SimpleLeaseRequester(LeaseTerms(duration=_LONG_LEASE))
-    errors: List[str] = []
-
-    def driver():
-        for index, step in enumerate(workload.steps):
-            inst = insts[step.node]
-            if step.kind == "out":
-                inst.out(step.tup, requester=requester)
-                continue
-            if step.kind == "eval":
-                task = inst.eval(_eval_square, step.tup.fields[1],
-                                 requester=requester)
-                result = yield task.event
-                if result != step.tup:
-                    errors.append(f"step {index}: eval produced {result!r}, "
-                                  f"expected {step.tup!r}")
-                continue
-            pattern = Pattern.for_tuple(step.tup)
-            op = getattr(inst, "in_" if step.kind == "in" else step.kind)(
-                pattern, requester=requester)
-            result = yield op.event
-            if step.kind in ("inp", "in"):
-                transcript.consumed.append(
-                    (index, step.kind, step.node, result))
-            else:
-                transcript.observed.append(
-                    (index, step.kind, step.node, result))
-            if result != step.tup:
-                errors.append(f"step {index}: {step.kind} @{step.node} got "
-                              f"{result!r}, expected {step.tup!r}")
-
-    sim.spawn(driver())
-    sim.run(until=120.0)
-    if errors:
-        raise AssertionError("sim driver mismatches: " + "; ".join(errors))
-    transcript.final = _final_snapshot(
-        {name: inst.space.snapshot() for name, inst in insts.items()})
-    return transcript
-
-
 def _await_eval(pending, timeout: float) -> Optional[str]:
     """Wait for a handle's ``eval``; returns what went wrong, if anything.
 
-    The one place the two handle kinds differ: threads hands back the
-    worker :class:`~threading.Thread`, aio a waitable future.
+    The one place the handle kinds differ: the sim hands back the eval's
+    tuple itself (``None`` if it did not finish), threads the worker
+    :class:`~threading.Thread`, aio a waitable future.
     """
+    if pending is None:
+        return "eval did not finish"
+    if isinstance(pending, Tuple):
+        return None
     if isinstance(pending, threading.Thread):
         pending.join(timeout)
         return "eval did not finish" if pending.is_alive() else None
@@ -302,16 +251,19 @@ def _run_handles(kind: str, workload: ScriptedWorkload,
     """Drive the workload through ``repro.connect(kind)`` node handles.
 
     Strictly sequential synchronous calls against the handle vocabulary;
-    on ``threads`` a probe is a method call under real locks, on ``aio``
-    every inter-node probe underneath travels as a real datagram (nodes
-    bind ephemeral ports on 127.0.0.1, so the run is CI-safe).
+    on ``sim`` each call drives the kernel of a simulation seeded with the
+    workload's seed, on ``threads`` a probe is a method call under real
+    locks, on ``aio`` every inter-node probe underneath travels as a real
+    datagram (nodes bind ephemeral ports on 127.0.0.1, so the run is
+    CI-safe).
     """
     from repro.runtime.api import connect
 
     label = "threaded" if kind == "threads" else kind
     transcript = RuntimeTranscript(label)
     errors: List[str] = []
-    with connect(kind) as rt:
+    options = {"seed": workload.seed} if kind == "sim" else {}
+    with connect(kind, **options) as rt:
         nodes = {node: rt.node(node) for node in workload.nodes}
         names = list(workload.nodes)
         for i, a in enumerate(names):
@@ -352,6 +304,7 @@ def _run_handles(kind: str, workload: ScriptedWorkload,
     return transcript
 
 
+run_sim = functools.partial(_run_handles, "sim")
 run_threaded = functools.partial(_run_handles, "threads")
 run_aio = functools.partial(_run_handles, "aio")
 

@@ -19,12 +19,14 @@ ablates them to find which one a violation actually needs):
 ``churn``
     Scheduled visibility-edge flips and node kill/revive during the run.
 
-Determinism note: exploration worlds use a **size-independent** latency
-model (``per_byte=0``).  Operation/lease identifiers come from process-wide
-counters, so their wire size varies between runs in one process; with
-size-priced latency that would shift delivery times and make replays
-diverge.  With flat per-frame pricing every replay of ``(template, seed,
-perturb, max_events)`` is bit-identical — the property shrinking rests on.
+Determinism note: every replay of ``(template, seed, perturb,
+max_events)`` is bit-identical — the property shrinking rests on — because
+a world draws its ids from its own :meth:`~repro.sim.kernel.Simulator.ids`
+and its randomness from its own named streams.  Exploration worlds use a
+**size-independent** latency model (``per_byte=0``): every recorded
+checker seed (the nightly's first violating schedule, the regression
+seeds in the tests) names a schedule explored under flat per-frame
+pricing, and pricing frames by size would re-map every seed.
 """
 
 from __future__ import annotations
@@ -574,8 +576,8 @@ def run_schedule(template_name: str, seed: int,
         tiebreak_rng = sim.rng("check/tiebreak")
         sim.set_tiebreak(tiebreak_rng.random)
     vis = VisibilityGraph()
-    # Size-independent latency: replays must not depend on process-global
-    # id counters leaking into payload sizes (see module docstring).
+    # Size-independent latency: the recorded seeds were explored under it
+    # (see module docstring).
     net = Network(sim, visibility=vis,
                   latency_factory=default_latency(per_byte=0.0))
     if perturb.faults:

@@ -20,7 +20,6 @@ process can ``yield``.
 
 from __future__ import annotations
 
-import itertools
 from typing import Callable, Optional
 
 from repro.core import protocol
@@ -49,8 +48,6 @@ from repro.sim.kernel import Simulator
 from repro.tuples import LocalTupleSpace, Pattern, Tuple
 from repro.tuples.serialization import decode_tuple, encode_tuple, encoded_size
 
-_rids = itertools.count(1)
-
 
 class TiamatInstance:
     """One node's Tiamat middleware.
@@ -75,6 +72,8 @@ class TiamatInstance:
         self.network = network
         self.name = name
         self.config = config if config is not None else TiamatConfig()
+        self._rids = sim.ids("rid")
+        self._op_ids = sim.ids("op")
         self.leases = LeaseManager(sim, policy=policy,
                                    storage_capacity=storage_capacity,
                                    thread_capacity=thread_capacity)
@@ -234,7 +233,7 @@ class TiamatInstance:
         the remote acknowledged the deposit, False when it refused or could
         not be reached within the peer timeout.
         """
-        rid = next(_rids)
+        rid = next(self._rids)
         event = self.sim.event()
         if handle.instance_name == self.name:
             try:
@@ -302,7 +301,7 @@ class TiamatInstance:
         if self.iface.is_visible(source):
             self.send_reliable(source, {
                 "kind": protocol.REMOTE_OUT,
-                "rid": next(_rids),
+                "rid": next(self._rids),
                 "tuple": encode_tuple(tup),
                 "duration": duration,
             }, deadline=self.sim.now + self.config.peer_timeout)
@@ -505,7 +504,7 @@ class TiamatInstance:
         if self.iface.is_visible(dst):
             self.relays_forwarded += 1
             self.send_reliable(dst, {"kind": protocol.REMOTE_OUT,
-                                     "rid": next(_rids),
+                                     "rid": next(self._rids),
                                      "tuple": payload["tuple"],
                                      "duration": payload.get("duration")},
                                deadline=self.sim.now + self.config.peer_timeout)
@@ -656,7 +655,7 @@ class TiamatInstance:
         if not peers or not durable_map:
             self._finish_rejoin()
             return
-        sid = next(_rids)
+        sid = next(self._rids)
         self._rejoin_sid = sid
         for peer in peers:
             self.sync_requests_sent += 1
@@ -682,7 +681,7 @@ class TiamatInstance:
         sid = payload.get("sid")
         if isinstance(sid, int) and sid < 0:
             # Negative sids namespace the fabric's promotion syncs away
-            # from rejoin sids (which come from the positive _rids stream).
+            # from rejoin sids (which come from the positive rid stream).
             if self.fabric is not None:
                 self.fabric.on_sync_response(src, payload)
             return

@@ -25,7 +25,6 @@ Operation shapes:
 
 from __future__ import annotations
 
-import itertools
 from typing import Optional
 
 from repro.check import probes
@@ -35,8 +34,6 @@ from repro.leasing import Lease, OperationKind
 from repro.sim.events import AnyOf, Event
 from repro.tuples import Pattern, Tuple, encode_pattern
 from repro.tuples.serialization import decode_tuple
-
-_op_seq = itertools.count(1)
 
 
 class Operation:
@@ -48,7 +45,7 @@ class Operation:
         self.kind = kind
         self.pattern = pattern
         self.lease = lease
-        self.op_id = f"{instance.name}#{next(_op_seq)}"
+        self.op_id = f"{instance.name}#{next(instance._op_ids)}"
         self.started_at: float = instance.sim.now
         self.target: Optional[str] = None  # set for handle-directed variants
         self.event: Event = instance.sim.event()

@@ -41,8 +41,6 @@ from typing import Optional
 from repro.check import probes
 from repro.core import protocol
 
-_epochs = itertools.count(1)
-
 
 class PendingFrame:
     """One reliable frame awaiting acknowledgement."""
@@ -95,7 +93,7 @@ class ReliableChannel:
     def __init__(self, instance) -> None:
         self.instance = instance
         self.config = instance.config
-        self.epoch = next(_epochs)
+        self.epoch = next(instance.sim.ids("epoch"))
         self._rng = instance.sim.rng(f"reliability/{instance.name}")
         self._next_seq: dict[str, "itertools.count"] = {}
         self._pending: dict[tuple, PendingFrame] = {}

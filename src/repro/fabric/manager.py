@@ -40,8 +40,7 @@ consume of a surviving copy — see PROTOCOL.md section 11.4.
 
 from __future__ import annotations
 
-import itertools
-from typing import Callable, Dict, List, Optional, Set, Tuple as Tup
+from typing import Callable, Dict, List, Set, Tuple as Tup
 
 from repro.core import protocol
 from repro.fabric.keys import (
@@ -55,8 +54,6 @@ from repro.fabric.ring import stable_hash
 from repro.obs.metrics import DEFAULT_COUNT_BUCKETS
 from repro.tuples import Pattern
 from repro.tuples.serialization import decode_tuple, encode_tuple
-
-_sids = itertools.count(1)
 
 #: Wire key for the piggybacked shard-map digest.
 DIGEST_KEY = "fmd"
@@ -73,6 +70,7 @@ class FabricManager:
         self.sim = instance.sim
         self.config = instance.config.fabric
         self.map = ShardMap(vnodes=self.config.vnodes)
+        self._sids = self.sim.ids("fabric_sid")
         #: Incarnation token: entry uids must never collide across a
         #: name's crash/restart cycles, so the uid's first half is
         #: name + construction time, not the bare name.
@@ -574,7 +572,7 @@ class FabricManager:
         if not peers:
             self._finish_promotion(dead, set(uids), own)
             return
-        sid = next(_sids)
+        sid = next(self._sids)
         timeout = 2 * self.instance.config.peer_timeout
         state = {
             "dead": dead,

@@ -10,7 +10,6 @@ machine.
 from __future__ import annotations
 
 import enum
-import itertools
 from typing import Callable, Optional
 
 from repro.errors import LeaseError
@@ -98,15 +97,15 @@ class LeaseState(enum.Enum):
 class Lease:
     """A granted lease: budgets, expiry, and revocation callbacks.
 
-    Created only by :class:`~repro.leasing.manager.LeaseManager`; holders
+    Created only by :class:`~repro.leasing.manager.LeaseManager`, which
+    draws ``lease_id`` from its simulation's ``ids("lease")``; holders
     interact with :meth:`use_remote`, :meth:`release`, and the ``on_end``
     callback hook.
     """
 
-    _ids = itertools.count(1)
-
-    def __init__(self, manager, terms: LeaseTerms, granted_at: float, operation: str) -> None:
-        self.lease_id = next(Lease._ids)
+    def __init__(self, lease_id: int, manager, terms: LeaseTerms,
+                 granted_at: float, operation: str) -> None:
+        self.lease_id = lease_id
         self.manager = manager
         self.terms = terms
         self.granted_at = granted_at

@@ -64,6 +64,7 @@ class LeaseManager:
         self.storage_used = 0
         self.threads = ResourceFactory("threads", thread_capacity)
         self.sockets = ResourceFactory("sockets", socket_capacity)
+        self._lease_ids = sim.ids("lease")
         # Planted bug for oracle validation (tests only): with the
         # `lease_leak` canary on, ended leases are never removed from the
         # active table — the lease-conservation oracle must notice that
@@ -188,7 +189,8 @@ class LeaseManager:
     # ------------------------------------------------------------------
     def _grant(self, terms: LeaseTerms, operation: OperationKind,
                storage_needed: int) -> Lease:
-        lease = Lease(self, terms, self.sim.now, operation.value)
+        lease = Lease(next(self._lease_ids), self, terms, self.sim.now,
+                      operation.value)
         self.active[lease.lease_id] = lease
         self.grants += 1
         if probes.SINK is not None:

@@ -14,7 +14,6 @@ genuinely shapes what leases get offered.
 
 from __future__ import annotations
 
-import itertools
 from typing import Optional
 
 from repro.errors import LeaseError
@@ -23,12 +22,9 @@ from repro.errors import LeaseError
 class ResourceToken:
     """A unit of a managed resource, returned to the pool on release."""
 
-    _ids = itertools.count(1)
-
-    __slots__ = ("token_id", "factory", "released")
+    __slots__ = ("factory", "released")
 
     def __init__(self, factory: "ResourceFactory") -> None:
-        self.token_id = next(ResourceToken._ids)
         self.factory = factory
         self.released = False
 
@@ -40,7 +36,7 @@ class ResourceToken:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "released" if self.released else "held"
-        return f"<ResourceToken #{self.token_id} {self.factory.name} {state}>"
+        return f"<ResourceToken {self.factory.name} {state}>"
 
 
 class ResourceFactory:

@@ -20,14 +20,11 @@ fails and the network drops the frame at delivery time (drop reason
 
 from __future__ import annotations
 
-import itertools
 import json
 import zlib
 from typing import Optional
 
 from repro.errors import SerializationError
-
-_ids = itertools.count(1)
 
 
 def payload_checksum(payload: dict) -> int:
@@ -40,12 +37,10 @@ def payload_checksum(payload: dict) -> int:
 class Message:
     """A frame in flight (or delivered) on the simulated network."""
 
-    __slots__ = ("msg_id", "src", "dst", "payload", "size", "sent_at",
-                 "checksum")
+    __slots__ = ("src", "dst", "payload", "size", "sent_at", "checksum")
 
     def __init__(self, src: str, dst: Optional[str], payload: dict,
                  sent_at: float) -> None:
-        self.msg_id = next(_ids)
         self.src = src
         self.dst = dst
         self.payload = payload
@@ -65,13 +60,12 @@ class Message:
         return self.payload.get("kind", "?")
 
     def copy_for(self, dst: Optional[str], sent_at: float) -> "Message":
-        """A fresh frame (new id) carrying the same payload to ``dst``.
+        """A fresh frame carrying the same payload to ``dst``.
 
         Size and checksum are those of the original: the payload is shared,
         and :meth:`corrupt` replaces it on one copy rather than mutating it.
         """
         msg = object.__new__(Message)
-        msg.msg_id = next(_ids)
         msg.src = self.src
         msg.dst = dst
         msg.payload = self.payload
@@ -100,4 +94,4 @@ class Message:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         target = "*" if self.dst is None else self.dst
-        return f"<Message #{self.msg_id} {self.src}->{target} {self.kind} {self.size}B>"
+        return f"<Message {self.src}->{target} {self.kind} {self.size}B>"

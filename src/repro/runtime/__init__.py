@@ -12,8 +12,8 @@ demonstrates that the model is not simulator-bound, twice over:
   wall-clock lease deadlines) and nodes linked by an in-process registry,
   exercising true concurrency while staying hermetic;
 * :mod:`repro.runtime.aio` — an **asyncio UDP** runtime: the same node
-  semantics over real datagram sockets (unicast + optional multicast
-  discovery), with a zero-copy encode/send path — the closest shape to
+  semantics over real unicast datagram sockets, with a zero-copy
+  encode/send path — the closest shape to
   the paper's prototype (threads + sockets on physical devices).
 
 :mod:`repro.runtime.api` fronts all substrates (including the sim) with

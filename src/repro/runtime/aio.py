@@ -42,10 +42,6 @@ Transport shape
   until answered or out of budget, and the serving side keeps a bounded
   cache of completed answers so a retransmitted destructive ``inp`` is
   answered *idempotently* — exactly-once consumption over a lossy wire.
-* **Multicast discovery** (opt-in): nodes additionally join a multicast
-  group derived from the cluster's space name
-  (:func:`multicast_group_for`) and answer ``DISCOVER`` datagrams with
-  their unicast address, mirroring the paper's discovery multicast.
 
 See ``docs/PROTOCOL.md`` §12 for the frame vocabulary and the buffer
 pool lifecycle.
@@ -55,12 +51,10 @@ from __future__ import annotations
 
 import asyncio
 import concurrent.futures
-import hashlib
 import itertools
 import json
 import random
 import socket
-import struct
 import threading
 import time
 from typing import (
@@ -95,26 +89,10 @@ RESPONSE = "r"         #: answer to a QUERY (hit/miss/shed)
 ECHO = "e"             #: echo request (CLI smoke + loopback bench)
 ECHO_REPLY = "er"      #: echo answer
 BATCH = "b"            #: same-tick coalescing envelope
-DISCOVER = "d"         #: multicast discovery probe
-DISCOVER_ACK = "da"    #: unicast discovery answer
 
 #: Frames coalesced into one datagram before the batch is force-flushed
 #: (keeps envelopes comfortably under the UDP payload ceiling).
 MAX_BATCH_FRAMES = 32
-
-
-def multicast_group_for(space: str) -> PyTuple[str, int]:
-    """Deterministic multicast (group, port) for a named space.
-
-    Groups land in the organisation-local 239.192.0.0/14 block (RFC 2365)
-    and ports in a fixed 30000-33999 window, both derived from a stable
-    hash of the space name — every device that knows the space name joins
-    the same group without coordination, the paper's discovery scheme.
-    """
-    digest = hashlib.sha256(space.encode("utf-8")).digest()
-    b1, b2, b3 = digest[0] & 0x03, digest[1], digest[2]
-    port = 30000 + int.from_bytes(digest[3:5], "big") % 4000
-    return f"239.{192 + b1}.{b2}.{b3}", port
 
 
 def _expire(fut: "asyncio.Future") -> None:
@@ -243,7 +221,7 @@ class AioNodeRegistry(NodeRegistry["AioTiamatNode"]):
     """A cluster of aio nodes: the shared registry plus an event loop.
 
     The visibility relation hands out *addresses only*
-    (:meth:`visible_peers`); every probe, answer and discovery exchange
+    (:meth:`visible_peers`); every probe and answer
     travels through the nodes' UDP sockets.  One event loop on a
     daemon thread drives every member node's socket, so the synchronous
     facade (``node.rdp(...)`` on the calling thread) and the native
@@ -256,8 +234,7 @@ class AioNodeRegistry(NodeRegistry["AioTiamatNode"]):
 
     def __init__(self, *, host: str = "127.0.0.1",
                  config: Optional["TiamatConfig"] = None,
-                 loss_rate: float = 0.0, loss_seed: int = 0,
-                 multicast: Optional[PyTuple[str, int]] = None) -> None:
+                 loss_rate: float = 0.0, loss_seed: int = 0) -> None:
         if not 0.0 <= loss_rate < 1.0:
             raise ValueError("loss_rate must be in [0, 1)")
         super().__init__(config=config)
@@ -266,7 +243,6 @@ class AioNodeRegistry(NodeRegistry["AioTiamatNode"]):
         self.loss_rate = loss_rate
         self._loss_rng = random.Random(loss_seed)
         self.frames_dropped = 0
-        self.multicast = multicast
         self._closed = False
         self._loop = asyncio.new_event_loop()
         self._thread = threading.Thread(target=self._run_loop,
@@ -390,7 +366,6 @@ class AioTiamatNode(RuntimeNode):
         self._protocol: Optional[_AioProtocol] = None
         self._transport: Optional[asyncio.DatagramTransport] = None
         self._sock: Optional[socket.socket] = None
-        self._mcast_sock: Optional[socket.socket] = None
         self.addr: Addr = ("", 0)
         fut = asyncio.run_coroutine_threadsafe(self._a_start(port),
                                                registry.loop)
@@ -418,47 +393,11 @@ class AioTiamatNode(RuntimeNode):
         self._protocol = protocol
         self._sock = sock
         self.addr = sock.getsockname()[:2]
-        if self.registry.multicast is not None:
-            self._join_multicast(loop)
-
-    def _join_multicast(self, loop) -> None:
-        """Join the cluster's discovery group (opt-in; see PROTOCOL §12)."""
-        group, port = self.registry.multicast  # type: ignore[misc]
-        sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
-        sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        if hasattr(socket, "SO_REUSEPORT"):  # pragma: no branch
-            try:
-                sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEPORT, 1)
-            except OSError:  # pragma: no cover - platform-dependent
-                pass
-        sock.bind(("", port))
-        mreq = struct.pack("4s4s", socket.inet_aton(group),
-                           socket.inet_aton(self.registry.host))
-        sock.setsockopt(socket.IPPROTO_IP, socket.IP_ADD_MEMBERSHIP, mreq)
-        sock.setsockopt(socket.IPPROTO_IP, socket.IP_MULTICAST_LOOP, 1)
-        sock.setblocking(False)
-        self._mcast_sock = sock
-
-        def _readable() -> None:
-            try:
-                data, addr = sock.recvfrom(65536)
-            except (BlockingIOError, OSError):
-                return
-            self._on_datagram(data, addr)
-
-        loop.add_reader(sock.fileno(), _readable)
 
     def _close_transports(self) -> None:
         if self._transport is not None:
             self._transport.close()
             self._transport = None
-        if self._mcast_sock is not None:
-            try:
-                self.registry.loop.remove_reader(self._mcast_sock.fileno())
-            except (OSError, ValueError):  # pragma: no cover
-                pass
-            self._mcast_sock.close()
-            self._mcast_sock = None
         # A snapshot: sync callers add waiters from their own threads.  One
         # added after it finds the registry closed and raises instead.
         for fut in list(self._pending.values()):
@@ -550,20 +489,7 @@ class AioTiamatNode(RuntimeNode):
         elif kind == ECHO:
             self._queue_frame(addr, {"k": ECHO_REPLY, "id": frame.get("id"),
                                      "t": frame.get("t")})
-        elif kind == DISCOVER:
-            host, port = frame.get("h"), frame.get("pt")
-            if isinstance(host, str) and isinstance(port, int):
-                self._queue_frame((host, port),
-                                  {"k": DISCOVER_ACK, "o": self.name,
-                                   "h": self.addr[0], "pt": self.addr[1]})
-        elif kind == DISCOVER_ACK:
-            self._discovered(frame)
         # unknown kinds are ignored (forward compatibility)
-
-    def _discovered(self, frame: dict) -> None:
-        peers = getattr(self, "_discover_bucket", None)
-        if peers is not None and isinstance(frame.get("o"), str):
-            peers[frame["o"]] = (frame.get("h"), frame.get("pt"))
 
     # ------------------------------------------------------------------
     # Serving plane: how peers enter this node (admission + idempotency)
@@ -818,22 +744,6 @@ class AioTiamatNode(RuntimeNode):
         return _answer_tuple(await self._request(
             addr, self._echo_frame(tup), budget=budget))
 
-    async def a_discover(self, window: float = 0.1) -> Dict[str, Addr]:
-        """Multicast DISCOVER and collect unicast answers for ``window``."""
-        if self.registry.multicast is None:
-            raise RuntimeError("registry was built without multicast=...")
-        bucket: Dict[str, Addr] = {}
-        self._discover_bucket = bucket
-        try:
-            self._queue_frame(self.registry.multicast,
-                              {"k": DISCOVER, "o": self.name,
-                               "h": self.addr[0], "pt": self.addr[1]})
-            await asyncio.sleep(window)
-        finally:
-            del self._discover_bucket
-        return {name: (host, port) for name, (host, port) in bucket.items()
-                if isinstance(host, str) and isinstance(port, int)}
-
     # ------------------------------------------------------------------
     # Synchronous facade: RuntimeNode's loop on the caller's thread
     # ------------------------------------------------------------------
@@ -858,10 +768,6 @@ class AioTiamatNode(RuntimeNode):
         """Synchronous :meth:`a_echo`, exchanged from the caller's thread."""
         return _answer_tuple(self._exchange(addr, self._echo_frame(tup),
                                             budget=budget))
-
-    def discover(self, window: float = 0.1) -> Dict[str, Addr]:
-        """Synchronous :meth:`a_discover`."""
-        return self.registry.submit(self.a_discover(window)).result()
 
     def stats(self) -> Dict[str, int]:
         """Wire and op counters for this node."""

@@ -250,11 +250,11 @@ class AioRuntime(_RuntimeBase):
 
     def __init__(self, *, config: Optional["TiamatConfig"] = None,
                  host: str = "127.0.0.1", loss_rate: float = 0.0,
-                 loss_seed: int = 0, multicast: Optional[tuple] = None) -> None:
+                 loss_seed: int = 0) -> None:
         from repro.runtime.aio import AioNodeRegistry
         self.registry = AioNodeRegistry(
             host=host, config=config, loss_rate=loss_rate,
-            loss_seed=loss_seed, multicast=multicast)
+            loss_seed=loss_seed)
         self.config = self.registry.config
 
     def node(self, name: str, **options: Any):
@@ -283,7 +283,7 @@ def connect(runtime: str = "sim", *,
         A :class:`~repro.core.TiamatConfig` applied to every node.
     options:
         Kind-specific keywords — ``seed``/``op_timeout`` for sim;
-        ``host``/``loss_rate``/``loss_seed``/``multicast`` for aio.
+        ``host``/``loss_rate``/``loss_seed`` for aio.
 
     Returns a :class:`TiamatRuntime`; use it as a context manager so the
     aio kind reliably releases its sockets and loop thread.

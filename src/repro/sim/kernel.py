@@ -100,6 +100,7 @@ class Simulator:
         self.seed = seed
         self._rng_root = RngStream(seed)
         self._rng_children: dict[str, RngStream] = {}
+        self._id_counters: dict[str, itertools.count] = {}
         self.events_processed = 0
         self._obs = None
         #: Optional ``fn() -> float`` returning the tiebreak subkey stamped
@@ -135,6 +136,20 @@ class Simulator:
             stream = self._rng_root.child(name)
             self._rng_children[name] = stream
         return stream
+
+    def ids(self, kind: str) -> itertools.count:
+        """Return this simulation's id counter for ``kind``, counting from 1.
+
+        Every id a simulated component draws (op, request, lease, epoch,
+        ...) comes from here, so a seeded run's ids — and through their
+        widths its frame sizes and timings — depend only on the seed, not
+        on what else ran in the process.  Owners bind the counter once and
+        call ``next`` on it.
+        """
+        counter = self._id_counters.get(kind)
+        if counter is None:
+            counter = self._id_counters[kind] = itertools.count(1)
+        return counter
 
     # ------------------------------------------------------------------
     # Observability

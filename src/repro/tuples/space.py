@@ -40,10 +40,7 @@ class Waiter:
     cancelled waiter's event never triggers.
     """
 
-    _ids = iter(range(1, 1 << 62))
-
     def __init__(self, space: "LocalTupleSpace", pattern: Pattern, remove: bool) -> None:
-        self.waiter_id = next(Waiter._ids)
         self.space = space
         self.pattern = pattern
         self.remove = remove
@@ -63,7 +60,7 @@ class Waiter:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         kind = "in" if self.remove else "rd"
-        return f"<Waiter #{self.waiter_id} {kind} {self.pattern!r}>"
+        return f"<Waiter {kind} {self.pattern!r}>"
 
 
 class LocalTupleSpace:

@@ -1,9 +1,7 @@
 """The asyncio UDP runtime: real datagrams on loopback, ephemeral ports.
 
 Everything here binds ``port=0`` sockets on 127.0.0.1, so the suite is
-CI-safe: no fixed ports, no external network.  The multicast discovery
-test is the one exception — it skips when the kernel refuses group
-membership (common in minimal containers).
+CI-safe: no fixed ports, no external network.
 """
 
 import asyncio
@@ -22,7 +20,6 @@ from repro.runtime.aio import (
     AioTiamatNode,
     BufferPool,
     MAX_BATCH_FRAMES,
-    multicast_group_for,
 )
 from repro.tuples.model import Pattern, Tuple
 
@@ -558,37 +555,3 @@ def test_registry_stats_roll_up_nodes(cluster):
     assert set(stats["nodes"]) == {"a", "b"}
     assert stats["frames_dropped"] == 0
     assert stats["nodes"]["a"]["frames_sent"] >= 1
-
-
-# ----------------------------------------------------------------------
-# Multicast discovery
-# ----------------------------------------------------------------------
-def test_multicast_group_scheme_is_deterministic():
-    g1 = multicast_group_for("analytics")
-    assert g1 == multicast_group_for("analytics")
-    host, port = g1
-    first, second = int(host.split(".")[0]), int(host.split(".")[1])
-    assert first == 239 and 192 <= second <= 195  # 239.192.0.0/14
-    assert 30000 <= port < 34000
-    assert g1 != multicast_group_for("billing")
-
-
-def test_discover_requires_multicast_config(cluster):
-    _, a, _ = cluster
-    with pytest.raises(RuntimeError, match="multicast"):
-        a.discover()
-
-
-def test_multicast_discovery_finds_peers():
-    group = multicast_group_for("pytest-discovery")
-    try:
-        with AioNodeRegistry(multicast=group) as registry:
-            a = AioTiamatNode(registry, "a")
-            b = AioTiamatNode(registry, "b")
-            found = {}
-            deadline = time.monotonic() + 5.0
-            while "b" not in found and time.monotonic() < deadline:
-                found = a.discover(window=0.2)
-    except OSError as exc:  # pragma: no cover - environment-dependent
-        pytest.skip(f"multicast unavailable in this environment: {exc}")
-    assert found.get("b") == b.addr

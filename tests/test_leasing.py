@@ -52,20 +52,20 @@ def test_terms_equality():
 # Lease object
 # ---------------------------------------------------------------------------
 def test_lease_expiry_time():
-    lease = Lease(None, LeaseTerms(duration=10), granted_at=5.0, operation="out")
+    lease = Lease(1, None, LeaseTerms(duration=10), granted_at=5.0, operation="out")
     assert lease.expires_at == 15.0
     assert lease.remaining_time(10.0) == 5.0
     assert lease.remaining_time(20.0) == 0.0
 
 
 def test_lease_unbounded_time():
-    lease = Lease(None, LeaseTerms(), granted_at=0.0, operation="out")
+    lease = Lease(1, None, LeaseTerms(), granted_at=0.0, operation="out")
     assert lease.expires_at is None
     assert lease.remaining_time(1e9) is None
 
 
 def test_lease_remote_budget():
-    lease = Lease(None, LeaseTerms(max_remotes=2), granted_at=0.0, operation="in")
+    lease = Lease(1, None, LeaseTerms(max_remotes=2), granted_at=0.0, operation="in")
     assert lease.use_remote() and lease.use_remote()
     assert not lease.use_remote()
     assert lease.remotes_remaining == 0
@@ -73,14 +73,14 @@ def test_lease_remote_budget():
 
 
 def test_lease_unbounded_remotes():
-    lease = Lease(None, LeaseTerms(), granted_at=0.0, operation="in")
+    lease = Lease(1, None, LeaseTerms(), granted_at=0.0, operation="in")
     for _ in range(100):
         assert lease.use_remote()
     assert lease.remotes_remaining is None
 
 
 def test_lease_release_fires_on_end_once():
-    lease = Lease(None, LeaseTerms(duration=10), granted_at=0.0, operation="out")
+    lease = Lease(1, None, LeaseTerms(duration=10), granted_at=0.0, operation="out")
     ends = []
     lease.on_end(lambda l, s: ends.append(s))
     lease.release()
@@ -90,7 +90,7 @@ def test_lease_release_fires_on_end_once():
 
 
 def test_ended_lease_refuses_remote_use():
-    lease = Lease(None, LeaseTerms(max_remotes=5), granted_at=0.0, operation="in")
+    lease = Lease(1, None, LeaseTerms(max_remotes=5), granted_at=0.0, operation="in")
     lease.release()
     assert not lease.use_remote()
 

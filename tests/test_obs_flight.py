@@ -12,6 +12,7 @@ Covers the PR's acceptance criteria for `repro.obs.flight`:
   and renderable by ``repro flight show``.
 """
 
+import hashlib
 import json
 
 import pytest
@@ -27,6 +28,7 @@ from repro.obs.flight import (
 )
 
 from tests.test_obs import _chaos_run
+from tests.test_sim_kernel import _schedule_digest
 
 
 # ----------------------------------------------------------------------
@@ -111,33 +113,17 @@ def test_flight_recording_is_passive(monkeypatch):
 
 
 def test_dump_is_deterministic_under_churn():
-    """Same seed, fresh process: byte-identical dump, twice.
+    """Same seed, same process: byte-identical dump and schedule, even
+    with an unrelated simulation run in between (ids are per simulation,
+    and their widths feed the size-dependent latency model)."""
+    def build():
+        sim, net, tracer, ops, consumed = _chaos_run(seed=5, traced=False)
+        blob = json.dumps(sim.obs.flight.dump("churn"), sort_keys=True)
+        return hashlib.sha256(blob.encode()).hexdigest(), _schedule_digest()
 
-    Run in subprocesses because id counters (op ids, request ids,
-    reliability epochs) are process-global and their string lengths feed
-    the size-dependent latency model — a fresh interpreter is the state
-    a reproduction actually starts from.
-    """
-    import pathlib
-    import subprocess
-    import sys
-
-    root = pathlib.Path(__file__).resolve().parents[1]
-    script = (
-        "import hashlib, json\n"
-        "from tests.test_obs import _chaos_run\n"
-        "sim, net, tracer, ops, consumed = _chaos_run(seed=5, traced=False)\n"
-        "blob = json.dumps(sim.obs.flight.dump('churn'), sort_keys=True)\n"
-        "print(hashlib.sha256(blob.encode()).hexdigest())\n"
-    )
-    digests = []
-    for _ in range(2):
-        proc = subprocess.run(
-            [sys.executable, "-c", script], cwd=root, text=True,
-            capture_output=True, check=True,
-            env={"PYTHONPATH": f"src:{root}", "PATH": "/usr/bin:/bin"})
-        digests.append(proc.stdout.strip())
-    assert digests[0] and digests[0] == digests[1]
+    first = build()
+    _chaos_run(seed=11, traced=False)
+    assert build() == first
 
 
 # ----------------------------------------------------------------------

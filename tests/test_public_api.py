@@ -159,6 +159,19 @@ def test_registries_take_no_codec():
         assert "codec" not in inspect.signature(fn).parameters
 
 
+def test_aio_has_no_multicast_discovery():
+    from repro.net.message import Message
+    from repro.runtime import aio
+    from repro.runtime.api import AioRuntime
+
+    for fn in (aio.AioNodeRegistry.__init__, AioRuntime.__init__):
+        assert "multicast" not in inspect.signature(fn).parameters
+    assert not hasattr(aio, "multicast_group_for")
+    assert not hasattr(aio.AioTiamatNode, "discover")
+    assert not hasattr(aio.AioTiamatNode, "a_discover")
+    assert "msg_id" not in Message.__slots__
+
+
 EXPECTED_CONFIG_FIELDS = {
     "admission_burst", "admission_enabled", "admission_fairness",
     "admission_price_curve", "admission_queue_bound",
@@ -196,8 +209,8 @@ def test_version_is_pep440ish():
     # module (repro.tuples.persistence) in 3.0, the sim's frame batching,
     # ack piggybacking and repro.sim.resources in 4.0, the wire-codec
     # choice (frames are JSON) in 5.0, the WAL record-codec choice (logs
-    # are JSON) in 6.0
-    assert tuple(int(p) for p in parts[:2]) >= (6, 0)
+    # are JSON) in 6.0, aio multicast discovery and Message.msg_id in 7.0
+    assert tuple(int(p) for p in parts[:2]) >= (7, 0)
 
 
 def test_import_set_does_not_grow():

@@ -297,9 +297,8 @@ def test_compaction_leaves_the_schedule_unchanged():
 # The total order (time, tiebreak, seq): pinned, and as a property
 # ----------------------------------------------------------------------
 #: SHA-256 over ``(time, seq)`` of every timer ``_schedule_digest`` fires,
-#: recorded at PR 21 (heap of ``Timer`` objects ordered by ``__lt__``).
-#: Size-independent latency keeps it exact whatever ran earlier in the
-#: process (ids are per process and an id's width prices a frame).
+#: recorded when the heap still ordered ``Timer`` objects by ``__lt__`` and
+#: unchanged since.
 SCHEDULE_SHA256 = ("edcd91437b19c59bc24141df062c4be6"
                    "08a2ebeb5871aebb21ba9a145618f763")
 
