@@ -64,7 +64,7 @@ def measure_loopback(count: int = 3000, concurrency: int = 32) -> dict:
     (one ``asyncio.gather`` wave at a time), so the number reflects the
     runtime's pipelined throughput rather than a single request's RTT.
     A second figure measures the synchronous facade (one blocking echo
-    at a time — every call crosses the thread boundary), which is the
+    at a time, sent and received on the calling thread), which is the
     floor an application using the sync API will see.
     """
     import asyncio
