@@ -24,8 +24,8 @@ def measure_aio_codec() -> dict:
     """ns to encode one query-response frame and to decode it back.
 
     Both go through the frame codec the runtime holds in
-    ``registry.frames``, the calls ``AioTiamatNode._flush_to`` (encode
-    into a pooled buffer) and ``_on_datagram`` (decode the datagram's
+    ``registry.frames``, the calls ``_Endpoint.send`` (encode into a
+    pooled buffer) and ``_Endpoint.receive`` (decode the datagram's
     bytes) make once per datagram.
     """
     from repro.runtime.aio import AioNodeRegistry

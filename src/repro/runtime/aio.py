@@ -73,10 +73,10 @@ from repro.errors import SerializationError
 from repro.runtime.base import SHED, NodeRegistry, RuntimeNode, _ShedType
 from repro.tuples.model import Pattern, Tuple
 from repro.tuples.serialization import (
+    _esc,
+    _value_json,
     decode_pattern,
     decode_tuple,
-    encode_pattern,
-    encode_tuple,
 )
 
 if TYPE_CHECKING:
@@ -150,40 +150,35 @@ class BufferPool:
 # The frame codec: JSON datagrams
 # ---------------------------------------------------------------------------
 #: Frame keys whose values travel in a tag-first form, and their decoders.
-_FIELD_DECODERS = {"t": decode_tuple, "p": decode_pattern}
+_FIELD_DECODERS = (("t", decode_tuple), ("p", decode_pattern))
 
 
-def _frame_to_jsonable(frame: dict) -> dict:
-    out: dict = {}
-    for key, value in frame.items():
-        if isinstance(value, Tuple):
-            out[key] = encode_tuple(value)
-        elif isinstance(value, Pattern):
-            out[key] = encode_pattern(value)
-        elif key == "f":
-            out[key] = [_frame_to_jsonable(sub) for sub in value]
-        else:
-            out[key] = value
-    return out
+def _frame_json(frame: dict) -> str:
+    """``json.dumps`` of a frame, its tuples and patterns in their tag-first
+    forms, written key by key in one pass: the same ASCII text."""
+    return "{" + ",".join([
+        _esc(key) + ":" + ("[" + ",".join(map(_frame_json, value)) + "]"
+                           if key == "f" else _value_json(value))
+        for key, value in frame.items()]) + "}"
 
 
-def _frame_from_jsonable(frame: dict) -> dict:
-    """Decode a frame field by field.  A field that does not decode, and a
-    batch member that is not a dict, is kept as received: the dispatcher's
-    type checks skip or answer it, and the rest of the datagram stands."""
-    out: dict = {}
-    for key, value in frame.items():
-        decode = _FIELD_DECODERS.get(key)
-        if decode is not None:
+def _decode_frame(frame: Any) -> dict:
+    """Decode a frame's fields in place.  A field that does not decode, and
+    a batch member that is not a dict, is kept as received: the
+    dispatcher's type checks skip or answer it, and the rest of the
+    datagram stands."""
+    if type(frame) is not dict:
+        raise SerializationError(f"a frame is a JSON object, not {frame!r}")
+    for key, decode in _FIELD_DECODERS:
+        if key in frame:
             try:
-                value = decode(value)
+                frame[key] = decode(frame[key])
             except SerializationError:
                 pass
-        elif key == "f":
-            value = [_frame_from_jsonable(sub) if isinstance(sub, dict)
-                     else sub for sub in value]
-        out[key] = value
-    return out
+    if "f" in frame:
+        frame["f"] = [_decode_frame(sub) if type(sub) is dict else sub
+                      for sub in frame["f"]]
+    return frame
 
 
 class _JsonFrames:
@@ -193,12 +188,13 @@ class _JsonFrames:
 
     @staticmethod
     def encode_into(buf: bytearray, frame: dict) -> None:
-        buf += json.dumps(_frame_to_jsonable(frame),
-                          separators=(",", ":")).encode("utf-8")
+        buf += _frame_json(frame).encode("ascii")
 
     @staticmethod
     def decode(data: Union[bytes, memoryview]) -> dict:
-        return _frame_from_jsonable(json.loads(bytes(data)))
+        # UTF-8 as RFC 8259 has it for JSON on a network, read with no copy
+        # and without json.loads' sniffing for the UTF-16/32 of files.
+        return _decode_frame(json.loads(str(data, "utf-8")))
 
 
 class _Endpoint(asyncio.DatagramProtocol):

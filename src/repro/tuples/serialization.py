@@ -16,6 +16,12 @@ Frames (``docs/PROTOCOL.md`` §8)
         spec:    ["A", field] | ["F", "int"] | ["*"] | ["R", lo, hi]
         pattern: ["p", [spec, ...]]
 
+    ``encode_tuple``/``encode_pattern`` build the form as lists; the
+    private writers (``_value_json``) write its JSON text in one pass, byte
+    for byte ``json.dumps(form, separators=(",", ":"))``.  The decoders are
+    strict and one-pass: exact JSON type per tag (``f`` takes a float only),
+    exact list lengths, canonical base64 — what decodes re-encodes as is.
+
 Storage (``docs/PROTOCOL.md`` §10.1)
     A compact length-prefixed binary encoding of tuples (one tag byte per
     field, LEB128 varints for lengths and integers, raw UTF-8/byte runs,
@@ -29,6 +35,7 @@ Storage (``docs/PROTOCOL.md`` §10.1)
 from __future__ import annotations
 
 import base64
+import binascii
 import json
 import struct
 from typing import Any, Union
@@ -36,49 +43,81 @@ from typing import Any, Union
 from repro.errors import SerializationError
 from repro.tuples.model import ANY, Actual, Field, Formal, Pattern, Range, Tuple
 
-_FORMAL_TYPES = {
-    "bool": bool,
-    "int": int,
-    "float": float,
-    "str": str,
-    "bytes": bytes,
-    "Tuple": Tuple,
-}
+#: Decoded formals are shared, as :data:`ANY` is.
+_FORMALS = {t.__name__: Formal(t) for t in (bool, int, float, str, bytes, Tuple)}
+#: The tags whose value is a JSON scalar of exactly this type.
+_SCALARS = {"b": bool, "i": int, "f": float, "s": str}
+#: ``json.dumps(value, separators=(",", ":"))`` without building an encoder
+#: per call; ``_esc`` is the C string escaper it uses.
+_dumps = json.JSONEncoder(separators=(",", ":")).encode
+_esc = json.encoder.encode_basestring_ascii
+_int_repr = int.__repr__
+_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+_b64 = binascii.b2a_base64
+_new = object.__new__
 
 
 def _encode_field(value: Any) -> list:
+    # A subclass value (an IntEnum, say) is written as its base type's, as
+    # json.dumps writes it, so the form decodes strictly.
     if isinstance(value, Tuple):
         return ["t", [_encode_field(f) for f in value.fields]]
     if isinstance(value, bool):
         return ["b", value]
     if isinstance(value, int):
-        return ["i", value]
+        return ["i", int.__int__(value)]
     if isinstance(value, float):
-        return ["f", value]
+        return ["f", float.__float__(value)]
     if isinstance(value, str):
-        return ["s", value]
+        return ["s", str.__str__(value)]
     if isinstance(value, bytes):
         return ["y", base64.b64encode(value).decode("ascii")]
     raise SerializationError(f"cannot encode field {value!r}")
 
 
+def _field_json(value: Any) -> str:
+    cls = type(value)
+    if cls is str:
+        return '["s",' + _esc(value) + "]"
+    if cls is int:
+        return '["i",' + _int_repr(value) + "]"
+    if cls is Tuple:
+        return _tuple_json(value)
+    if cls is float:
+        text = float.__repr__(value)
+        return '["f",' + _NON_FINITE.get(text, text) + "]"
+    if cls is bool:
+        return '["b",true]' if value else '["b",false]'
+    if cls is bytes:
+        return '["y","' + _b64(value, newline=False).decode("ascii") + '"]'
+    return _dumps(_encode_field(value))     # subclasses
+
+
+def _tuple_json(tup: Tuple) -> str:
+    """The compact JSON text of ``encode_tuple(tup)``, in one pass."""
+    return '["t",[' + ",".join([_field_json(f) for f in tup._fields]) + "]]"
+
+
 def _decode_field(data: Any) -> Any:
-    if not isinstance(data, list) or not data:
-        raise SerializationError(f"malformed field encoding: {data!r}")
-    tag = data[0]
-    if tag == "t":
-        return Tuple(*[_decode_field(f) for f in data[1]])
-    if tag == "b":
-        return bool(data[1])
-    if tag == "i":
-        return int(data[1])
-    if tag == "f":
-        return float(data[1])
-    if tag == "s":
-        return str(data[1])
-    if tag == "y":
-        return base64.b64decode(data[1])
-    raise SerializationError(f"unknown field tag {tag!r}")
+    match data:
+        case [tag, value] if type(value) is _SCALARS.get(tag):
+            return value
+        case ["t", fields]:
+            return _decode_fields(fields)
+        case ["y", str() as text]:
+            raw = base64.b64decode(text, validate=True)
+            if _b64(raw, newline=False) == text.encode("ascii"):
+                return raw
+    raise SerializationError(f"malformed field encoding: {data!r}")
+
+
+def _decode_fields(data: Any) -> Tuple:
+    if type(data) is not list or not data:
+        raise SerializationError(f"malformed tuple fields: {data!r}")
+    tup = _new(Tuple)
+    tup._fields = tuple(map(_decode_field, data))
+    tup._hash = tup._wire = None
+    return tup
 
 
 def encode_tuple(tup: Tuple) -> list:
@@ -89,20 +128,19 @@ def encode_tuple(tup: Tuple) -> list:
 def decode_tuple(data: Any) -> Tuple:
     """Decode a tuple from its JSON-representable form.
 
-    Any malformation — wrong tags, wrong value types, truncated lists,
-    invalid base64 — raises :class:`SerializationError`: frames arrive
-    from arbitrary peers and must never crash the dispatcher with an
-    untyped exception.
+    Any malformation — wrong tags, wrong value types, wrong list lengths,
+    non-canonical base64 — raises :class:`SerializationError`: frames
+    arrive from arbitrary peers and must never crash the dispatcher with
+    an untyped exception, nor decode to a value nobody encoded.
     """
     try:
-        value = _decode_field(data)
+        if type(data) is list and len(data) == 2 and data[0] == "t":
+            return _decode_fields(data[1])
     except SerializationError:
         raise
     except Exception as exc:
         raise SerializationError(f"malformed tuple encoding: {exc}") from exc
-    if not isinstance(value, Tuple):
-        raise SerializationError(f"encoded value is not a tuple: {data!r}")
-    return value
+    raise SerializationError(f"encoded value is not a tuple: {data!r}")
 
 
 def _encode_spec(spec: Field) -> list:
@@ -117,22 +155,49 @@ def _encode_spec(spec: Field) -> list:
     raise SerializationError(f"cannot encode pattern spec {spec!r}")
 
 
+def _spec_json(spec: Field) -> str:
+    cls = type(spec)
+    if cls is Actual:
+        return '["A",' + _field_json(spec.value) + "]"
+    if cls is Formal:
+        return '["F","' + spec.type.__name__ + '"]'
+    if spec is ANY:
+        return '["*"]'
+    return _dumps(_encode_spec(spec))       # Range, subclasses
+
+
+def _pattern_json(pattern: Pattern) -> str:
+    """The compact JSON text of ``encode_pattern(pattern)``, in one pass."""
+    return '["p",[' + ",".join([_spec_json(s) for s in pattern._specs]) + "]]"
+
+
+def _value_json(value: Any) -> str:
+    """Compact ``json.dumps`` of a value, tuples and patterns tag-first."""
+    cls = type(value)
+    if cls is str:
+        return _esc(value)
+    if cls is int:
+        return _int_repr(value)
+    if isinstance(value, Tuple):
+        return _tuple_json(value)
+    if isinstance(value, Pattern):
+        return _pattern_json(value)
+    return _dumps(value)
+
+
 def _decode_spec(data: Any) -> Field:
-    if not isinstance(data, list) or not data:
-        raise SerializationError(f"malformed spec encoding: {data!r}")
-    tag = data[0]
-    if tag == "A":
-        return Actual(_decode_field(data[1]))
-    if tag == "F":
-        type_ = _FORMAL_TYPES.get(data[1])
-        if type_ is None:
-            raise SerializationError(f"unknown formal type {data[1]!r}")
-        return Formal(type_)
-    if tag == "*":
-        return ANY
-    if tag == "R":
-        return Range(data[1], data[2])
-    raise SerializationError(f"unknown spec tag {tag!r}")
+    match data:
+        case ["A", field]:
+            spec = _new(Actual)
+            spec.value = _decode_field(field)
+            return spec
+        case ["F", name]:
+            return _FORMALS[name]
+        case ["*"]:
+            return ANY
+        case ["R", lo, hi]:
+            return Range(lo, hi)
+    raise SerializationError(f"malformed spec encoding: {data!r}")
 
 
 def encode_pattern(pattern: Pattern) -> list:
@@ -146,27 +211,25 @@ def decode_pattern(data: Any) -> Pattern:
     Malformed input raises :class:`SerializationError` (see
     :func:`decode_tuple` for why the conversion is strict).
     """
-    if not isinstance(data, list) or len(data) != 2 or data[0] != "p":
-        raise SerializationError(f"malformed pattern encoding: {data!r}")
     try:
-        return Pattern(*[_decode_spec(s) for s in data[1]])
+        if (type(data) is list and len(data) == 2 and data[0] == "p"
+                and type(data[1]) is list and data[1]):
+            pattern = _new(Pattern)
+            pattern._specs = tuple(map(_decode_spec, data[1]))
+            pattern._hash = pattern._plan = None
+            return pattern
     except SerializationError:
         raise
     except Exception as exc:
         raise SerializationError(f"malformed pattern encoding: {exc}") from exc
+    raise SerializationError(f"malformed pattern encoding: {data!r}")
 
 
 def encoded_size(value: Any) -> int:
     """Wire size in bytes of a tuple, pattern, or already-encoded payload:
     the length of its compact JSON encoding, what a frame costs."""
-    if isinstance(value, Tuple):
-        payload: Any = encode_tuple(value)
-    elif isinstance(value, Pattern):
-        payload = encode_pattern(value)
-    else:
-        payload = value
     try:
-        return len(json.dumps(payload, separators=(",", ":")))
+        return len(_value_json(value))
     except TypeError as exc:
         raise SerializationError(
             f"payload is not JSON-representable: {exc}") from exc
@@ -334,14 +397,12 @@ def _read_tuple_fast(data, pos: int, length: int) -> "tuple[Tuple, int]":
                 f"tag 0x{tag:02x} is not a tuple field value")
     if pos > length:
         raise SerializationError("truncated tuple")
-    tup = _T_new(Tuple)
+    tup = _new(Tuple)
     tup._fields = tuple(fields)
     tup._hash = None
     tup._wire = None
     return tup, pos
 
-
-_T_new = object.__new__
 
 
 #: Bounded intern table for decoded tuples keyed by their exact binary

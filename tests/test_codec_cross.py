@@ -13,6 +13,8 @@ ANY wildcards) and asserts that
 * ``encoded_size`` is exactly the compact JSON length (the number the
   network prices latency and leases price storage with), and a frame's
   size and checksum come from that one encoding;
+* the one-pass JSON writers, and the aio frame codec built on them,
+  write byte for byte what ``json.dumps`` writes for the list forms;
 * the sqlite blob format is pinned by blobs 5.x wrote.
 
 Floats are restricted to finite values: the JSON wire cannot carry
@@ -21,6 +23,7 @@ NaN/Infinity portably, so the model's codecs never need to agree there.
 
 from __future__ import annotations
 
+import enum
 import json
 import math
 
@@ -29,6 +32,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.net.message import Message, payload_checksum
+from repro.runtime.aio import _JsonFrames
 from repro.tuples.model import ANY, Actual, Formal, Pattern, Range, Tuple
 from repro.tuples.serialization import (
     decode_pattern,
@@ -37,6 +41,8 @@ from repro.tuples.serialization import (
     encode_pattern,
     encode_tuple,
     encode_tuple_binary,
+    _pattern_json,
+    _tuple_json,
     encoded_size,
 )
 
@@ -176,6 +182,111 @@ def test_frame_size_and_checksum_agree_with_the_codec(payload):
     copy = msg.copy_for("c", 0.0)
     assert (copy.size, copy.checksum) == (msg.size, msg.checksum)
     assert copy.verify()
+
+
+# ----------------------------------------------------------------------
+# The one-pass writers: json.dumps of the list forms, byte for byte
+# ----------------------------------------------------------------------
+# Unlike the round-trip strategies above, NaN and the infinities are in:
+# json.dumps writes them, so the writers must write them alike.
+wide_fields = st.recursive(
+    st.one_of(scalars, st.floats()),
+    lambda children: st.lists(children, min_size=1, max_size=4).map(Tuple.of),
+    max_leaves=12,
+)
+wide_tuples = st.lists(wide_fields, min_size=1, max_size=6).map(Tuple.of)
+wide_patterns = st.lists(st.one_of(specs, wide_fields.map(Actual)),
+                         min_size=1, max_size=6).map(Pattern.of)
+
+
+def _compact(value) -> str:
+    return json.dumps(value, separators=(",", ":"))
+
+
+@settings(max_examples=300, deadline=None)
+@given(wide_tuples, wide_patterns)
+def test_one_pass_writers_match_json_dumps(tup, pattern):
+    assert _tuple_json(tup) == _compact(encode_tuple(tup))
+    assert _pattern_json(pattern) == _compact(encode_pattern(pattern))
+
+
+@settings(max_examples=200, deadline=None)
+@given(wide_tuples, wide_patterns)
+def test_encoded_size_is_the_list_forms_length(tup, pattern):
+    assert encoded_size(tup) == len(_compact(encode_tuple(tup)))
+    assert encoded_size(pattern) == len(_compact(encode_pattern(pattern)))
+
+
+class _Code(enum.IntEnum):
+    SEVEN = 7
+
+
+class _Name(str):
+    pass
+
+
+class _Ratio(float):
+    pass
+
+
+class _Nested(Tuple):
+    pass
+
+
+def test_subclass_fields_are_written_as_their_base_type():
+    tup = Tuple(_Code.SEVEN, _Name("n\u00e9"), _Ratio(0.5), _Nested("x", 1))
+    pattern = Pattern(_Code.SEVEN, Actual(_Nested("x", 1)))
+    assert _tuple_json(tup) == _compact(encode_tuple(tup)) == (
+        '["t",[["i",7],["s","n\\u00e9"],["f",0.5],["t",[["s","x"],["i",1]]]]]')
+    assert _pattern_json(pattern) == _compact(encode_pattern(pattern))
+    # The list form holds the base types, so it decodes as it is.
+    decoded = decode_tuple(encode_tuple(tup))
+    assert [type(f) for f in decoded.fields] == [int, str, float, Tuple]
+    assert decoded == Tuple(7, "n\u00e9", 0.5, Tuple("x", 1))
+
+
+def _list_form(frame: dict) -> dict:
+    """The frame with its tuples and patterns as lists: the reference whose
+    ``json.dumps`` the frame codec's bytes must equal."""
+    out = {}
+    for key, value in frame.items():
+        if isinstance(value, Tuple):
+            out[key] = encode_tuple(value)
+        elif isinstance(value, Pattern):
+            out[key] = encode_pattern(value)
+        elif key == "f":
+            out[key] = [_list_form(sub) for sub in value]
+        else:
+            out[key] = value
+    return out
+
+
+request_ids = st.one_of(st.integers(0, 2 ** 40), st.text(max_size=12))
+single_frames = st.one_of(
+    st.fixed_dictionaries({"k": st.just("q"), "id": request_ids,
+                           "op": st.sampled_from(["rdp", "inp"]),
+                           "p": wide_patterns, "o": st.text(max_size=8)}),
+    st.fixed_dictionaries({"k": st.just("r"), "id": request_ids,
+                           "st": st.sampled_from(["hit", "miss", "shed"])},
+                          optional={"t": wide_tuples}),
+    # an echo reply carries back whatever the echo held, decoded or not
+    st.fixed_dictionaries({"k": st.sampled_from(["e", "er"]),
+                           "id": request_ids,
+                           "t": st.one_of(wide_tuples, json_values)}),
+)
+aio_frames = st.one_of(single_frames, st.lists(
+    single_frames, min_size=2, max_size=4).map(lambda fs: {"k": "b", "f": fs}))
+
+
+@settings(max_examples=300, deadline=None)
+@given(aio_frames)
+def test_aio_frames_are_json_dumps_of_the_list_form(frame):
+    buf = bytearray()
+    _JsonFrames.encode_into(buf, frame)
+    assert bytes(buf) == _compact(_list_form(frame)).encode("utf-8")
+    again = bytearray()
+    _JsonFrames.encode_into(again, _JsonFrames.decode(bytes(buf)))
+    assert again == buf
 
 
 # ----------------------------------------------------------------------
