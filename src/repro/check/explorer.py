@@ -590,7 +590,7 @@ def run_schedule(template_name: str, seed: int,
             DuplicateFrames(0.05),
             ReorderFrames(0.1, max_extra_delay=0.02),
         ]))
-    tracer = sim.obs.start_trace(net) if trace else None
+    tracer = sim.obs.start_trace() if trace else None
     scenario_rng = sim.rng("check/scenario")
     instances, horizon = TEMPLATES[template_name](sim, net, vis,
                                                   scenario_rng, perturb)

@@ -388,8 +388,6 @@ class InvariantMonitor:
         from repro.obs.flight import dump_to_env_dir
 
         recorder = self.sim.obs.flight
-        if not recorder.enabled:
-            return
         detail = violation.to_dict()
         self.flight_dump = recorder.dump(
             f"violation:{violation.oracle}", detail=detail)

@@ -106,17 +106,10 @@ class CheckReport:
     def from_outcome(cls, outcome: RunOutcome,
                      min_events: Optional[int] = None) -> "CheckReport":
         violation = outcome.first_violation
-        waterfalls: List[str] = []
-        if outcome.tracer is not None:
-            op_ids = []
-            for event in outcome.tracer.events:
-                if event.op_id is not None and event.op_id not in op_ids:
-                    op_ids.append(event.op_id)
-            for op_id in op_ids:
-                try:
-                    waterfalls.append(outcome.tracer.waterfall(op_id))
-                except Exception:  # pragma: no cover - partial spans
-                    pass
+        tracer = outcome.tracer
+        waterfalls: List[str] = ([tracer.waterfall(op_id)
+                                  for op_id in tracer.op_ids()]
+                                 if tracer is not None else [])
         return cls(outcome.template, outcome.seed, outcome.perturb,
                    min_events if min_events is not None else outcome.events,
                    outcome.schedule_hash,

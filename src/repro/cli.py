@@ -80,7 +80,6 @@ from repro.net import (
     FaultPlan,
     GilbertElliottLoss,
     Network,
-    ProtocolTrace,
 )
 from repro.sim import Simulator
 from repro.tuples import Pattern, Tuple
@@ -162,14 +161,13 @@ def cmd_trace(args: argparse.Namespace) -> int:
     b = TiamatInstance(sim, net, "b")
     c = TiamatInstance(sim, net, "c")
     net.visibility.connect_clique(["a", "b", "c"])
-    trace = ProtocolTrace(net).attach()
-    tracer = sim.obs.start_trace(net)
+    tracer = sim.obs.start_trace()
     b.out(Tuple("target", 1))
     c.out(Tuple("target", 2))
     op = a.in_(Pattern("target", int))
     sim.run(until=10.0)
     print(f"a consumed {op.result} from {op.source}\n")
-    print(trace.render())
+    print(tracer.timeline())
     print(f"\ncausal span tree for {op.op_id}:\n")
     print(tracer.waterfall(op.op_id))
     if args.chrome:
@@ -412,7 +410,7 @@ def cmd_chaos(args: argparse.Namespace) -> int:
 
     registry["server"] = factory("server")
     registry["client"] = factory("client")
-    trace = ProtocolTrace(net).attach()
+    tracer = sim.obs.start_trace()
 
     # One recovery path, two places for the log to live: an in-process
     # MemoryBackend by default, a WAL on disk under --durable.
@@ -460,7 +458,7 @@ def cmd_chaos(args: argparse.Namespace) -> int:
 
     print(f"chaos: {args.items} destructive in ops under burst loss + "
           "duplication + corruption + a server power-cycle\n")
-    print(trace.render())
+    print(tracer.timeline())
     print(f"\nconsumed {len(consumed)}/{args.items} items "
           f"(success rate {len(consumed) / max(1, args.items):.2f})")
     print(f"power cycle: crashes={boom.crashes} restarts={boom.restarts} "
@@ -684,6 +682,13 @@ def cmd_aio_echo(args: argparse.Namespace) -> int:
         return 0 if taken == Tuple("smoke", args.count) else 1
 
 
+def _non_negative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, not {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     """The CLI argument parser (exposed for testing)."""
     parser = argparse.ArgumentParser(
@@ -791,7 +796,8 @@ def build_parser() -> argparse.ArgumentParser:
     flight_show.add_argument("path", help="flight dump JSON path")
     flight_show.add_argument("--op", default=None, metavar="OP_ID",
                              help="merge all nodes' events for one op id")
-    flight_show.add_argument("--last", type=int, default=None, metavar="N",
+    flight_show.add_argument("--last", type=_non_negative_int, default=None,
+                             metavar="N",
                              help="show only the last N events per section")
 
     top = sub.add_parser(

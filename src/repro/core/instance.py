@@ -332,12 +332,9 @@ class TiamatInstance:
     def _start_op(self, kind: OperationKind, pattern: Pattern,
                   requester: Optional[LeaseRequester],
                   target: Optional[str] = None) -> Operation:
-        tracer = self.sim.obs.tracer
         try:
             lease = self.leases.negotiate(self._requester(kind, requester), kind)
         except LeaseError:
-            if tracer is not None:
-                tracer.lease_event(None, self.name, "refused", op=kind.value)
             self.flight_ring.append(self.sim.now, "lease_refused", None,
                                     kind.value)
             raise
@@ -346,12 +343,8 @@ class TiamatInstance:
             op.target = target
         self._ops[op.op_id] = op
         self.ops_started += 1
-        if tracer is not None:
-            tracer.op_started(op.op_id, self.name, kind.value,
-                              target=target,
-                              lease_expires=lease.expires_at)
         self.flight_ring.append(self.sim.now, "op_start", op.op_id,
-                                kind.value, target)
+                                kind.value, target, lease.expires_at)
         op.start()
         return op
 

@@ -149,16 +149,13 @@ class Operation:
                 self.instance.send(peer, {"kind": protocol.CANCEL, "op_id": self.op_id})
         if self.lease.active:
             self.lease.release()
-        obs = self.instance.sim.obs
-        if obs.tracer is not None:
-            obs.tracer.op_finished(self.op_id, self.instance.name,
-                                   result is not None, source)
         now = self.instance.sim.now
         self.instance.flight_ring.append(
             now, "op_end", self.op_id, self.kind.value, source,
             "ok" if result is not None else "miss")
-        obs.slo.record(self.kind.value, now - self.started_at, self.op_id,
-                       self.instance.name, ring=self.instance.flight_ring)
+        self.instance.sim.obs.slo.record(
+            self.kind.value, now - self.started_at, self.op_id,
+            self.instance.name, ring=self.instance.flight_ring)
         self.event.succeed(result)
         self.instance._operation_finished(self)
 

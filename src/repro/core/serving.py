@@ -137,10 +137,6 @@ class QueryServer:
                 deadline=payload.get("deadline"))
             if not decision.admitted:
                 self.sheds += 1
-                tracer = self.instance.sim.obs.tracer
-                if tracer is not None:
-                    tracer.lease_event(op_id, self.instance.name, "shed",
-                                       reason=decision.reason)
                 self.instance.flight_ring.append(
                     self.instance.sim.now, "shed", op_id,
                     payload.get("op"), origin, decision.reason)
@@ -176,9 +172,9 @@ class QueryServer:
             if (self.admission is not None and deadline is not None
                     and self.instance.sim.now >= arrived_at + deadline):
                 self.stale_dropped += 1
-                tracer = self.instance.sim.obs.tracer
-                if tracer is not None:
-                    tracer.note(op_id, self.instance.name, "stale_dropped")
+                self.instance.flight_ring.append(
+                    self.instance.sim.now, "stale_dropped", op_id,
+                    payload.get("op"), origin)
                 continue
             self._busy_workers += 1
             self.instance.sim.schedule(config.serve_cost,
@@ -211,15 +207,11 @@ class QueryServer:
         kind = OperationKind(payload["op"])
         pattern = decode_pattern(payload["pattern"])
         deadline = payload.get("deadline")
-        tracer = self.instance.sim.obs.tracer
         retry_hint = (self.instance.config.admission_retry_floor
                       if self.admission is not None else None)
         lease = self._negotiate_serving_lease(kind, deadline)
         if lease is None:
             self.refused += 1
-            if tracer is not None:
-                tracer.lease_event(op_id, self.instance.name, "refused",
-                                   reason=REFUSE_SERVING_LEASE)
             self.instance.flight_ring.append(
                 self.instance.sim.now, "refuse", op_id, kind.value,
                 origin, REFUSE_SERVING_LEASE)
@@ -231,18 +223,14 @@ class QueryServer:
         if thread_token is None:
             lease.release()
             self.refused += 1
-            if tracer is not None:
-                tracer.lease_event(op_id, self.instance.name, "refused",
-                                   reason=REFUSE_THREADS)
             self.instance.flight_ring.append(
                 self.instance.sim.now, "refuse", op_id, kind.value,
                 origin, REFUSE_THREADS)
             self._refuse(origin, op_id, REFUSE_THREADS, retry_hint)
             return
         self.served += 1
-        if tracer is not None:
-            tracer.note(op_id, self.instance.name, "serve_started",
-                        op=kind.value)
+        self.instance.flight_ring.append(
+            self.instance.sim.now, "serve_started", op_id, kind.value, origin)
         if kind in (OperationKind.RDP, OperationKind.INP):
             self._serve_probe(origin, op_id, kind, pattern, lease, thread_token)
         else:
@@ -378,19 +366,18 @@ class QueryServer:
         """No accept/reject arrived: the origin is gone; put the tuple back."""
         if serving.closed or serving.held_entry_id is None:
             return
-        tracer = self.instance.sim.obs.tracer
-        if tracer is not None:
-            tracer.note(serving.op_id, self.instance.name, "claim_timeout")
+        self.instance.flight_ring.append(
+            self.instance.sim.now, "claim_timeout", serving.op_id,
+            serving.kind.value, serving.origin)
         self._put_back(serving)
         self._close(serving)
 
     def _put_back(self, serving: Serving) -> None:
         if serving.held_entry_id is not None:
             self.offers_put_back += 1
-            tracer = self.instance.sim.obs.tracer
-            if tracer is not None:
-                tracer.note(serving.op_id, self.instance.name, "put_back",
-                            entry_id=serving.held_entry_id)
+            self.instance.flight_ring.append(
+                self.instance.sim.now, "put_back", serving.op_id,
+                serving.kind.value, serving.origin, serving.held_entry_id)
             self.instance.space.release(serving.held_entry_id)
             serving.held_entry_id = None
 

@@ -49,7 +49,6 @@ from repro.net.mobility import (
 from repro.net.churn import ChurnInjector
 from repro.net.stats import NetworkStats, NodeStats
 from repro.net.reachability import MultiHopVisibilityDriver
-from repro.net.trace import ProtocolTrace, TraceEntry
 
 __all__ = [
     "ChurnInjector",
@@ -61,10 +60,8 @@ __all__ = [
     "GilbertElliottLoss",
     "MultiHopVisibilityDriver",
     "OneWayLink",
-    "ProtocolTrace",
     "RandomLoss",
     "ReorderFrames",
-    "TraceEntry",
     "Message",
     "Network",
     "NetworkInterface",

@@ -24,8 +24,9 @@ one-way links — are layered on via :meth:`Network.use_faults` and a
 :class:`~repro.net.faults.FaultPlan`; the base network stays the simple
 i.i.d. model so seeded experiments are unperturbed unless a plan is
 installed.  Every drop is attributed to a reason in
-:class:`~repro.net.stats.NetworkStats`, and an optional ``drop listener``
-lets tracers record the dropped frames themselves.
+:class:`~repro.net.stats.NetworkStats`.  Every send, delivery and drop is
+also recorded in the flight recorder (:mod:`repro.obs.flight`), the
+stream a tracer reads.
 
 Handlers attached via :meth:`Network.attach` are invoked with the delivered
 :class:`~repro.net.message.Message`.
@@ -49,8 +50,6 @@ from repro.sim.kernel import Simulator
 
 Handler = Callable[[Message], None]
 LatencyModel = Callable[[str, str, int], float]
-DropListener = Callable[[Message, str], None]
-FrameListener = Callable[[str, Message], None]
 
 
 def default_latency(base: float = 0.002, per_byte: float = 2e-7,
@@ -118,8 +117,6 @@ class Network:
         self.faults = None  # Optional[FaultPlan]
         self._handlers: dict[str, Handler] = {}
         self._loss_rng = sim.rng("net/loss")
-        self._drop_listeners: list[DropListener] = []
-        self._frame_listeners: list[FrameListener] = []
         factory = latency_factory if latency_factory is not None else default_latency()
         self._latency: LatencyModel = factory(self)
         sim.obs.observe_network(self)
@@ -147,7 +144,7 @@ class Network:
         self.visibility.set_up(name, False)
 
     # ------------------------------------------------------------------
-    # Fault injection and drop observation
+    # Fault injection
     # ------------------------------------------------------------------
     def use_faults(self, plan) -> "Network":
         """Install (or clear, with ``None``) a fault plan; returns self."""
@@ -156,35 +153,9 @@ class Network:
             plan.bind(self)
         return self
 
-    def on_drop(self, listener: DropListener) -> Callable[[], None]:
-        """Subscribe to dropped frames; returns an unsubscribe callable."""
-        self._drop_listeners.append(listener)
-        return lambda: self._drop_listeners.remove(listener)
-
-    def on_frame(self, listener: FrameListener) -> Callable[[], None]:
-        """Subscribe to frame lifecycle events; returns an unsubscriber.
-
-        The listener is invoked as ``listener(phase, message)`` with phase
-        ``"send"`` (one call per in-flight copy, i.e. per destination for
-        multicasts) and ``"deliver"`` (the frame reached its handler).
-        Drops are reported through :meth:`on_drop`.  With no listeners the
-        notification is a single falsy check — observationally free.
-        """
-        self._frame_listeners.append(listener)
-        return lambda: self._frame_listeners.remove(listener)
-
-    def _notify_frame(self, phase: str, message: Message) -> None:
-        for listener in list(self._frame_listeners):
-            listener(phase, message)
-
     def _drop(self, message: Message, reason: str) -> None:
         self.stats.record_drop(message.src, reason=reason)
-        flight = self._flight
-        if not self._drop_listeners and not flight.enabled:
-            return
-        flight.frame("drop", message, reason)
-        for listener in list(self._drop_listeners):
-            listener(message, reason)
+        self._flight.frame("drop", message, reason)
 
     # ------------------------------------------------------------------
     # Sending
@@ -218,8 +189,6 @@ class Network:
     # ------------------------------------------------------------------
     def _dispatch(self, message: Message) -> bool:
         """Run loss + fault decisions for one frame; True if any copy flies."""
-        if self._frame_listeners:
-            self._notify_frame("send", message)
         self._flight.frame("send", message)
         if self._lost():
             self._drop(message, DROP_LOSS)
@@ -256,8 +225,6 @@ class Network:
             self._drop(message, DROP_CORRUPT)
             return
         self.stats.record_receive(message.dst, message.size)
-        if self._frame_listeners:
-            self._notify_frame("deliver", message)
         self._flight.frame("deliver", message)
         handler(message)
 

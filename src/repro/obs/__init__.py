@@ -6,13 +6,15 @@ Four pillars (see ``docs/OBSERVABILITY.md`` for when to reach for which):
   with labels, fed across the whole stack (network, leasing, reliability,
   tuple stores, serving, the simulation kernel), exported as Prometheus
   text and JSON snapshots.
-* :class:`Tracer` — opt-in causal tracing keyed on operation ids: the full
-  distributed span tree of one ``in()``/``rd()``/probe, including drops,
-  retransmits, and lease refusals, rendered as a text waterfall or Chrome
-  trace-event JSON (loadable in Perfetto).
 * :class:`FlightRecorder` — always-on fixed-size per-node ring buffers of
   recent protocol activity, dumped as a replayable JSON black box on
   invariant violations, post-crash recovery, or demand (``repro flight``).
+  It is the one event stream the protocol emits into.
+* :class:`Tracer` — opt-in causal tracing keyed on operation ids, a reader
+  of the recorder's stream: the full distributed span tree of one
+  ``in()``/``rd()``/probe, including drops, retransmits, and lease
+  refusals, rendered as a text waterfall or Chrome trace-event JSON
+  (loadable in Perfetto).
 * :class:`SLOTracker` — end-to-end per-op-kind latency histograms with
   exemplars and windowed burn-rate objectives; plus the opt-in in-space
   cluster telemetry of :mod:`repro.obs.telemetry` (``repro top``).

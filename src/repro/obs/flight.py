@@ -5,15 +5,22 @@ activity — frames sent/delivered/dropped, operation lifecycle,
 lease/admission verdicts, reliability retransmits.  Recording is
 passive by construction: an append is index arithmetic plus six field
 stores into preallocated slots, never allocates, never touches the
-simulator's RNG, and never schedules events, so seeded runs are
-bit-identical with the recorder enabled (the default) or disabled
-(``REPRO_FLIGHT=off``).
+simulator's RNG, and never schedules events, so a seeded run is the same
+whatever is recorded.
+
+The recorder is the simulation's one event stream.  While a trace runs
+(:meth:`repro.obs.hub.Observability.start_trace`), every ring append and
+every frame event is also handed to the recorder's ``tap``, the
+installed :class:`~repro.obs.tracing.Tracer`'s input; a frame arrives
+there with its payload, so a waterfall shows its reliability sequence
+number, offer verdict and entry id.
 
 The rings pay for themselves when something goes wrong: a dump is
 taken when :class:`repro.check.oracles.InvariantMonitor` records a
 violation, when :meth:`TiamatInstance.recover_from` runs after a
 crash, or on demand (``repro flight dump``).  Dumps are plain JSON and
-``repro flight show`` renders them as a Tracer-style waterfall.
+``repro flight show`` renders them with :func:`event_line`, the line
+renderer the tracer's waterfall uses too.
 """
 
 from __future__ import annotations
@@ -27,6 +34,7 @@ __all__ = [
     "FlightRecorder",
     "FlightRing",
     "dump_to_env_dir",
+    "event_line",
     "load_flight_dump",
     "render_flight",
 ]
@@ -42,25 +50,45 @@ DEFAULT_CAPACITY = 512
 #   send / deliver / drop  — logical frame lifecycle (network layer)
 #   op_start / op_end      — operation lifecycle (ops layer)
 #   lease_refused / shed / refuse — admission & serving verdicts
+#   serve_started / stale_dropped / claim_timeout / put_back — serving
 #   retransmit / rexpire   — reliable-channel retries and give-ups
 #   slo_breach             — SLO burn-rate breach (repro.obs.slo)
 #   recover / note         — recovery bookmarks and free-form marks
 
 _GLYPHS = {
-    "send": "→",          # →
-    "deliver": "✓",       # ✓
-    "drop": "✗",          # ✗
-    "retransmit": "↻",    # ↻
-    "rexpire": "✕",       # ✕
-    "op_start": "▶",      # ▶
-    "op_end": "■",        # ■
-    "lease_refused": "§", # §
+    "send": "→",
+    "deliver": "✓",
+    "drop": "✗",
+    "retransmit": "↻",
+    "rexpire": "✕",
+    "op_start": "▶",
+    "op_end": "■",
+    "lease_refused": "§",
     "shed": "§",
     "refuse": "§",
-    "slo_breach": "⚠",    # ⚠
-    "recover": "⚙",       # ⚙
-    "note": "·",          # ·
+    "serve_started": "§",
+    "stale_dropped": "§",
+    "claim_timeout": "§",
+    "put_back": "§",
+    "slo_breach": "⚠",
+    "recover": "⚙",
+    "note": "·",
 }
+
+#: What a scalar detail means, by code (the renderer's label for it).
+_DETAIL_LABELS = {
+    "op_start": "lease_expires",
+    "op_end": "outcome",
+    "drop": "reason",
+    "shed": "reason",
+    "refuse": "reason",
+    "retransmit": "rseq",
+    "rexpire": "rseq",
+    "put_back": "entry_id",
+}
+
+#: Codes whose ``peer`` is the other end of a frame, not a bystander.
+LINK_CODES = frozenset(("send", "deliver", "drop", "retransmit", "rexpire"))
 
 
 class FlightRing:
@@ -73,7 +101,7 @@ class FlightRing:
     whose adaptive interpreter specializes the repeated attribute loads.)
     """
 
-    __slots__ = ("node", "capacity", "recorded", "_next",
+    __slots__ = ("node", "capacity", "recorded", "tap", "_next",
                  "_t", "_code", "_op", "_kind", "_peer", "_detail")
 
     def __init__(self, node: str, capacity: int = DEFAULT_CAPACITY):
@@ -82,6 +110,7 @@ class FlightRing:
         self.node = node
         self.capacity = capacity
         self.recorded = 0          # total appends ever (>= live slots)
+        self.tap: Optional[Callable[..., None]] = None   # the tracer's input
         self._next = 0             # next slot to overwrite
         self._t: List[float] = [0.0] * capacity
         self._code: List[str] = [""] * capacity
@@ -93,7 +122,27 @@ class FlightRing:
     def append(self, t: float, code: str, op_id: Optional[str] = None,
                kind: Optional[str] = None, peer: Optional[str] = None,
                detail: Any = None) -> None:
-        """Record one event.  Allocation-free; safe on the hot path."""
+        """Record one event, and hand it to the tap while a trace runs.
+
+        The stores repeat :meth:`put`'s rather than call it: a call costs
+        about 55 ns, a quarter of the append.
+        """
+        i = self._next
+        self._t[i] = t
+        self._code[i] = code
+        self._op[i] = op_id
+        self._kind[i] = kind
+        self._peer[i] = peer
+        self._detail[i] = detail
+        i += 1
+        self._next = 0 if i == self.capacity else i
+        self.recorded += 1
+        if self.tap is not None:
+            self.tap(self.node, t, code, op_id, kind, peer, detail)
+
+    def put(self, t: float, code: str, op_id: Optional[str],
+            kind: Optional[str], peer: Optional[str], detail: Any) -> None:
+        """Store one event without tapping it (frames tap with payload)."""
         i = self._next
         self._t[i] = t
         self._code[i] = code
@@ -151,56 +200,39 @@ class FlightRing:
         return event
 
 
-class _NullRing:
-    """Stand-in ring handed out by a disabled recorder."""
-
-    __slots__ = ("node",)
-    capacity = 0
-    recorded = 0
-
-    def __init__(self, node: str = ""):
-        self.node = node
-
-    def append(self, *args: Any, **kwargs: Any) -> None:
-        return None
-
-    def __len__(self) -> int:
-        return 0
-
-    def events(self) -> List[Dict[str, Any]]:
-        return []
-
-    def op_events(self, op_id: str, since: float,
-                  limit: int) -> List[Dict[str, Any]]:
-        return []
-
-
 class FlightRecorder:
     """Per-node flight rings plus dump/restore plumbing.
 
     One recorder lives on each :class:`~repro.obs.hub.Observability`
     hub; instances and the network fetch their ring once at
-    construction and append directly to it afterwards.
+    construction and append directly to it afterwards.  ``tap`` is the
+    installed tracer's input, or ``None``; setting it reaches every ring.
     """
 
     def __init__(self, clock: Callable[[], float],
-                 capacity: int = DEFAULT_CAPACITY,
-                 enabled: Optional[bool] = None):
-        if enabled is None:
-            enabled = os.environ.get("REPRO_FLIGHT", "") != "off"
+                 capacity: int = DEFAULT_CAPACITY):
         self.clock = clock
         self.capacity = capacity
-        self.enabled = enabled
         self.rings: Dict[str, FlightRing] = {}
         self.dumps_taken = 0
+        self._tap: Optional[Callable[..., None]] = None
 
-    def ring(self, node: str):
+    @property
+    def tap(self) -> Optional[Callable[..., None]]:
+        return self._tap
+
+    @tap.setter
+    def tap(self, tap: Optional[Callable[..., None]]) -> None:
+        self._tap = tap
+        for ring in self.rings.values():
+            ring.tap = tap
+
+    def ring(self, node: str) -> FlightRing:
         """The (created-on-first-use) ring for *node*."""
-        if not self.enabled:
-            return _NullRing(node)
         ring = self.rings.get(node)
         if ring is None:
             ring = self.rings[node] = FlightRing(node, self.capacity)
+            ring.tap = self._tap
         return ring
 
     # -- network fast path -------------------------------------------------
@@ -209,20 +241,22 @@ class FlightRecorder:
 
         Sends and drops land on the source ring, deliveries on the
         destination ring, mirroring how an operator reasons about each
-        node's black box.
+        node's black box.  The tap also gets the frame's payload.
         """
-        if not self.enabled:
-            return
         if phase == "deliver":
             node, peer = message.dst, message.src
         else:
             node, peer = message.src, message.dst
         ring = self.rings.get(node)
         if ring is None:
-            ring = self.rings[node] = FlightRing(node, self.capacity)
+            ring = self.ring(node)
         payload = message.payload
-        op_id = payload.get("op_id") if isinstance(payload, dict) else None
-        ring.append(self.clock(), phase, op_id, message.kind, peer, reason)
+        op_id = payload.get("op_id")
+        t = self.clock()
+        ring.put(t, phase, op_id, message.kind, peer, reason)
+        if self._tap is not None:
+            self._tap(node, t, phase, op_id, message.kind, peer, reason,
+                      payload)
 
     # -- dumps -------------------------------------------------------------
     def dump(self, reason: str, detail: Any = None) -> Dict[str, Any]:
@@ -258,12 +292,12 @@ def dump_to_env_dir(recorder: FlightRecorder, reason: str,
     """Write a dump into ``$REPRO_FLIGHT_DIR`` when that is set.
 
     The shared trigger path for invariant violations and post-crash
-    recovery: quietly a no-op when the env var is absent, the recorder
-    is disabled, or the directory cannot be written (post-mortem
-    capture must never take the run down with it).
+    recovery: quietly a no-op when the env var is absent or the
+    directory cannot be written (post-mortem capture must never take the
+    run down with it).
     """
     directory = os.environ.get("REPRO_FLIGHT_DIR", "")
-    if not directory or not recorder.enabled:
+    if not directory:
         return None
     slug = "".join(c if c.isalnum() else "-" for c in reason).strip("-")
     name = f"flight-{slug or 'dump'}-{recorder.dumps_taken}.json"
@@ -288,30 +322,56 @@ def load_flight_dump(path: str) -> Dict[str, Any]:
     return box
 
 
-def _event_line(event: Dict[str, Any]) -> str:
-    glyph = _GLYPHS.get(event["event"], "?")
-    parts = [f"{glyph} t={event['t']:.6f} {event['event']}"]
+def event_line(event: Dict[str, Any], node: Optional[str] = None) -> str:
+    """One event as a line: time, glyph, code, kind, link, op id, detail.
+
+    *event* is a dump event or :meth:`TraceEvent.as_dict
+    <repro.obs.tracing.TraceEvent.as_dict>`; *node* (default: the
+    event's own ``node``) turns a frame's peer into ``src→dst``.  A
+    dict detail renders as ``key=value`` pairs, anything else in
+    brackets.
+    """
+    code = event["event"]
+    node = node if node is not None else event.get("node")
+    parts = [f"t={event['t']:.6f}", _GLYPHS.get(code, "·"), code]
     if event.get("kind"):
         parts.append(str(event["kind"]))
+    peer = event.get("peer")
+    if peer is not None:
+        if node is None or code not in LINK_CODES:
+            parts.append(f"peer={peer}")
+        elif code == "deliver":
+            parts.append(f"{peer}→{node}")
+        else:
+            parts.append(f"{node}→{peer}")
     if event.get("op_id"):
-        parts.append(f"op={event['op_id']}")
-    if event.get("peer"):
-        parts.append(f"peer={event['peer']}")
+        parts.append(f"op_id={event['op_id']}")
     detail = event.get("detail")
-    if detail is not None:
+    if isinstance(detail, dict):
+        parts.extend(f"{k}={v}" for k, v in detail.items()
+                     if k != "repoch" and v is not None)
+    elif code in _DETAIL_LABELS and detail is not None:
+        parts.append(f"{_DETAIL_LABELS[code]}={detail}")
+    elif detail is not None:
         parts.append(f"[{detail}]")
     return " ".join(parts)
 
 
 def render_flight(box: Dict[str, Any], op_id: Optional[str] = None,
                   last: Optional[int] = None) -> str:
-    """Render a dump as a Tracer-style text waterfall.
+    """Render a dump as a text waterfall.
 
     With *op_id*, events from every node are merged into a single
     time-ordered lane for that operation; otherwise each node's ring is
     rendered as its own section.  *last* caps the events shown per
-    section (post-mortems usually only need the tail).
+    section (post-mortems usually only need the tail); 0 shows none.
     """
+    if last is not None and last < 0:
+        raise ValueError(f"last must be >= 0, not {last}")
+
+    def tail(events: List[Any]) -> List[Any]:
+        return events if last is None else events[max(len(events) - last, 0):]
+
     lines = [f"flight dump — reason: {box.get('reason', '?')} "
              f"@ t={box.get('time', 0.0):.6f}"]
     detail = box.get("detail")
@@ -325,18 +385,16 @@ def render_flight(box: Dict[str, Any], op_id: Optional[str] = None,
                 if event.get("op_id") == op_id:
                     merged.append((event["t"], name, event))
         merged.sort(key=lambda item: item[0])
-        if last is not None:
-            merged = merged[-last:]
+        merged = tail(merged)
         lines.append(f"op {op_id} ({len(merged)} events)")
         for _, name, event in merged:
-            lines.append(f"  {name:<12s} {_event_line(event)}")
+            lines.append(f"  {name:<12s} {event_line(event, name)}")
         return "\n".join(lines)
     for name in sorted(nodes):
         ring = nodes[name]
         events = ring["events"]
-        shown = events if last is None else events[-last:]
         lines.append(f"node {name} — {len(events)} of {ring['recorded']} "
                      f"recorded (capacity {ring['capacity']})")
-        for event in shown:
-            lines.append(f"  {_event_line(event)}")
+        for event in tail(events):
+            lines.append(f"  {event_line(event, name)}")
     return "\n".join(lines)

@@ -10,10 +10,12 @@ any.  The hub bundles:
   servers, and the kernel itself) — almost entirely through *collect-time
   callbacks* over the components' existing cheap counters, so the hot path
   is untouched and snapshots can never drift from component accounting;
-* an opt-in :class:`~repro.obs.tracing.Tracer`
-  (:meth:`Observability.start_trace`) for causal per-operation timelines;
 * an always-on :class:`~repro.obs.flight.FlightRecorder` — per-node ring
-  buffers of recent protocol activity, dumped post-mortem (PR 7); and
+  buffers of recent protocol activity, dumped post-mortem, and the one
+  stream every protocol event is emitted into;
+* an opt-in :class:`~repro.obs.tracing.Tracer`
+  (:meth:`Observability.start_trace`) for causal per-operation
+  timelines, a reader of the recorder's stream; and
 * an :class:`~repro.obs.slo.SLOTracker` fed every finished operation's
   end-to-end latency (histograms, exemplars, burn-rate objectives).
 
@@ -50,26 +52,26 @@ class Observability:
         self.registry = MetricsRegistry(thread_safe=thread_safe)
         self.tracer: Optional[Tracer] = None
         self.flight = FlightRecorder(clock)
-        self.slo = SLOTracker(clock, registry=self.registry,
-                              flight=self.flight)
+        self.slo = SLOTracker(clock, registry=self.registry)
 
     # ------------------------------------------------------------------
     # Tracing lifecycle
     # ------------------------------------------------------------------
-    def start_trace(self, *networks, max_events: int = 200_000) -> Tracer:
-        """Install (or reuse) the tracer and tap the given networks."""
+    def start_trace(self, max_events: int = 200_000) -> Tracer:
+        """Install (or reuse) the tracer as the flight recorder's tap.
+
+        The trace covers every network and instance on this hub.
+        """
         if self.tracer is None:
-            self.tracer = Tracer(self.clock, max_events=max_events,
+            self.tracer = Tracer(max_events=max_events,
                                  thread_safe=self.thread_safe)
-        for network in networks:
-            self.tracer.attach(network)
+            self.flight.tap = self.tracer.record
         return self.tracer
 
     def stop_trace(self) -> Optional[Tracer]:
-        """Detach the tracer from every network; returns it (events kept)."""
+        """Uninstall the tracer; returns it (events kept)."""
         tracer, self.tracer = self.tracer, None
-        if tracer is not None:
-            tracer.detach()
+        self.flight.tap = None
         return tracer
 
     # ------------------------------------------------------------------

@@ -96,11 +96,9 @@ class _ObjectiveState:
 class SLOTracker:
     """Aggregates operation latencies into histograms and objectives."""
 
-    def __init__(self, clock: Callable[[], float], registry: Any = None,
-                 flight: Any = None):
+    def __init__(self, clock: Callable[[], float], registry: Any):
         self.clock = clock
         self.registry = registry
-        self.flight = flight
         self.objectives: List[SLOObjective] = []
         self._states: List[_ObjectiveState] = []
         self._hist_children: Dict[str, Any] = {}
@@ -136,13 +134,10 @@ class SLOTracker:
 
     def _histogram_child(self, kind: str):
         if self._hist is None:
-            if self.registry is not None:
-                self._hist = self.registry.histogram(
-                    "slo_op_latency_seconds",
-                    "End-to-end operation latency by op kind.",
-                    labels=("kind",))
-            else:  # standalone tracker (tests) — count locally
-                self._hist = _LocalHistogramFamily()
+            self._hist = self.registry.histogram(
+                "slo_op_latency_seconds",
+                "End-to-end operation latency by op kind.",
+                labels=("kind",))
         child = self._hist.labels(kind=kind)
         self._hist_children[kind] = child
         return child
@@ -167,14 +162,13 @@ class SLOTracker:
     def _breach(self, objective: SLOObjective, now: float, burn: float,
                 op_id: Optional[str], node: Optional[str],
                 ring: Any) -> None:
-        if self._breach_counter is None and self.registry is not None:
+        if self._breach_counter is None:
             self._breach_counter = self.registry.counter(
                 "slo_breaches_total",
                 "SLO burn-rate breach events by objective.",
                 labels=("kind", "objective"))
-        if self._breach_counter is not None:
-            self._breach_counter.labels(
-                kind=objective.kind, objective=objective.name).inc()
+        self._breach_counter.labels(
+            kind=objective.kind, objective=objective.name).inc()
         event = {"t": now, "objective": objective.name,
                  "kind": objective.kind, "burn_rate": burn,
                  "op_id": op_id, "node": node}
@@ -203,25 +197,3 @@ def _ring_slice(ring: Any, op_id: Optional[str], now: float,
     since = now - latency * (1.0 + 1e-9)
     return ring.op_events(op_id, since, EXEMPLAR_TRACE_EVENTS)
 
-
-class _LocalHistogramFamily:
-    """Registry-free fallback so a bare tracker still counts latencies."""
-
-    def __init__(self):
-        self._children: Dict[str, "_LocalHistogramChild"] = {}
-
-    def labels(self, kind: str) -> "_LocalHistogramChild":
-        child = self._children.get(kind)
-        if child is None:
-            child = self._children[kind] = _LocalHistogramChild()
-        return child
-
-
-class _LocalHistogramChild:
-    def __init__(self):
-        self.count = 0
-        self.total = 0.0
-
-    def observe(self, value: float) -> None:
-        self.count += 1
-        self.total += value

@@ -3,12 +3,13 @@
 Every logical Tiamat operation already mints an operation id (``a#17``)
 that is stamped into every protocol frame it causes — QUERY, offers,
 claim verdicts, CANCELs, and (because the reliability sublayer copies the
-payload) every retransmission of any of them.  The :class:`Tracer` exploits
-that: it taps one or more networks' frame hooks (send, deliver, drop) and
-accepts local annotations from the instance layer (operation start/finish,
-lease grants and refusals, serving-side decisions), then groups everything
-by op-id so a single distributed ``in()`` can be reconstructed end-to-end,
-*including* its drops, retransmit attempts, and lease refusals.
+payload) every retransmission of any of them.  The :class:`Tracer`
+exploits that: it reads the flight recorder's event stream
+(:mod:`repro.obs.flight`) — frames sent, delivered and dropped, operation
+start and end, lease refusals, serving verdicts, retransmits — and groups
+it by op-id, so a single distributed ``in()`` can be reconstructed
+end-to-end, *including* its drops, retransmit attempts, and lease
+refusals.
 
 Exports:
 
@@ -17,41 +18,31 @@ Exports:
   chronological event list;
 * :meth:`Tracer.waterfall` — the tree rendered as a text waterfall for
   terminals and docs;
+* :meth:`Tracer.timeline` — every delivered or dropped frame, one line
+  each;
 * :meth:`Tracer.chrome_trace` — Chrome trace-event JSON (one process per
   operation, one thread per instance) loadable in Perfetto / chrome://tracing.
 
-The tracer is **opt-in and observationally passive**: nothing in the stack
-records anything until a tracer is installed (``sim.obs.start_trace``),
-and recording consumes no randomness and schedules no events, so traced
-and untraced runs of the same seed are bit-identical.
-
-Clocks are injected: virtual time under the simulation kernel, wall time
-under the real-thread runtime.
+The tracer is **opt-in and observationally passive**: it sees nothing
+until it is installed (``sim.obs.start_trace()``), and recording consumes
+no randomness and schedules no events, so traced and untraced runs of the
+same seed are bit-identical.  Its one input is :meth:`Tracer.record`: the
+recorder's tap under the simulator, and the real-thread runtime's nodes,
+which call it with the same event codes on wall-clock time.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Any, Callable, Optional
+from typing import Any, Optional
+
+from repro.obs.flight import LINK_CODES, event_line
 
 __all__ = ["TraceEvent", "Tracer"]
 
 #: Payload keys copied into a frame event's detail (small, JSON-able).
 _DETAIL_KEYS = ("rseq", "repoch", "found", "entry_id", "op", "did", "rid",
                 "ok", "deadline")
-
-#: Render order weight so local annotations sort stably among frames.
-_EVENT_GLYPH = {
-    "op_start": "▶",
-    "op_end": "■",
-    "lease": "§",
-    "serve": "§",
-    "note": "·",
-    "send": "→",
-    "retransmit": "↻",
-    "deliver": "✓",
-    "drop": "✗",
-}
 
 
 class _NullLock:
@@ -65,60 +56,54 @@ class _NullLock:
 
 
 class TraceEvent:
-    """One recorded occurrence attributed to an operation (or orphaned)."""
+    """One flight event on *node*, attributed to an operation (or none).
 
-    __slots__ = ("time", "event", "node", "src", "dst", "kind", "op_id",
-                 "detail", "drop_reason")
+    The fields are a flight ring slot's plus the node: ``event`` is the
+    flight code, ``peer`` the other end (a frame's, or the one a verdict
+    concerns), and ``detail`` the ring's detail — for a frame, a dict of
+    its payload fields, with a drop's ``reason``.
+    """
 
-    def __init__(self, time: float, event: str, node: Optional[str],
-                 op_id: Optional[str], src: Optional[str] = None,
-                 dst: Optional[str] = None, kind: Optional[str] = None,
-                 detail: Optional[dict] = None,
-                 drop_reason: Optional[str] = None) -> None:
+    __slots__ = ("time", "event", "node", "op_id", "kind", "peer", "detail")
+
+    def __init__(self, time: float, event: str, node: str,
+                 op_id: Optional[str], kind: Optional[str] = None,
+                 peer: Optional[str] = None, detail: Any = None) -> None:
         self.time = time
         self.event = event
         self.node = node
         self.op_id = op_id
-        self.src = src
-        self.dst = dst
         self.kind = kind
-        self.detail = detail if detail is not None else {}
-        self.drop_reason = drop_reason
+        self.peer = peer
+        self.detail = detail
 
     def as_dict(self) -> dict:
-        """Plain-dict form (for JSON export and the span tree)."""
+        """Plain-dict form, a flight dump event plus ``node``."""
         out = {"t": self.time, "event": self.event, "node": self.node,
                "op_id": self.op_id}
-        if self.src is not None:
-            out["src"] = self.src
-        if self.dst is not None:
-            out["dst"] = self.dst
         if self.kind is not None:
             out["kind"] = self.kind
-        if self.drop_reason is not None:
-            out["drop_reason"] = self.drop_reason
-        if self.detail:
-            out["detail"] = dict(self.detail)
+        if self.peer is not None:
+            out["peer"] = self.peer
+        if self.detail is not None:
+            out["detail"] = (dict(self.detail) if isinstance(self.detail, dict)
+                             else self.detail)
         return out
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"<TraceEvent t={self.time:.3f} {self.event} "
-                f"op={self.op_id} {self.src}->{self.dst} {self.kind}>")
+                f"op={self.op_id} {self.node}/{self.peer} {self.kind}>")
 
 
 class Tracer:
     """Captures per-operation causal timelines across instances."""
 
-    def __init__(self, clock: Callable[[], float],
-                 max_events: int = 200_000,
+    def __init__(self, max_events: int = 200_000,
                  thread_safe: bool = False) -> None:
-        self.clock = clock
         self.max_events = max_events
         self.events: list[TraceEvent] = []
         self.truncated = 0
         self._by_op: dict[str, list[TraceEvent]] = {}
-        self._unsubscribers: list[Callable[[], None]] = []
-        self._reliable_seen: set[tuple] = set()
         # Under the threaded runtime many nodes record concurrently; the
         # sim runtime passes thread_safe=False and pays no locking cost.
         if thread_safe:
@@ -128,85 +113,26 @@ class Tracer:
             self._lock = _NullLock()
 
     # ------------------------------------------------------------------
-    # Attachment
+    # The one input
     # ------------------------------------------------------------------
-    def attach(self, network) -> "Tracer":
-        """Tap a network's frame hooks (send/deliver + drops)."""
-        self._unsubscribers.append(network.on_frame(self._on_frame))
-        self._unsubscribers.append(network.on_drop(self._on_drop))
-        return self
-
-    def detach(self) -> None:
-        """Stop capturing from every attached network (events retained)."""
-        for unsubscribe in self._unsubscribers:
-            unsubscribe()
-        self._unsubscribers.clear()
-
-    # ------------------------------------------------------------------
-    # Recording (instance layer + network hooks)
-    # ------------------------------------------------------------------
-    def _record(self, event: TraceEvent) -> None:
+    def record(self, node: str, t: float, code: str,
+               op_id: Optional[str] = None, kind: Optional[str] = None,
+               peer: Optional[str] = None, detail: Any = None,
+               payload: Optional[dict] = None) -> None:
+        """One flight event; a frame's also carries its *payload*."""
+        if payload is not None:
+            fields = {k: payload[k] for k in _DETAIL_KEYS if k in payload}
+            if detail is not None:
+                fields["reason"] = detail
+            detail = fields
+        event = TraceEvent(t, code, node, op_id, kind, peer, detail)
         with self._lock:
             if len(self.events) >= self.max_events:
                 self.truncated += 1
                 return
             self.events.append(event)
-            if event.op_id is not None:
-                self._by_op.setdefault(event.op_id, []).append(event)
-
-    def op_started(self, op_id: str, node: str, kind: str,
-                   **detail: Any) -> None:
-        """The origin instance started a logical operation."""
-        self._record(TraceEvent(self.clock(), "op_start", node, op_id,
-                                kind=kind, detail=detail))
-
-    def op_finished(self, op_id: str, node: str, satisfied: bool,
-                    source: Optional[str]) -> None:
-        """The origin operation finalized (matched, expired, or cancelled)."""
-        self._record(TraceEvent(self.clock(), "op_end", node, op_id,
-                                detail={"satisfied": satisfied,
-                                        "source": source}))
-
-    def lease_event(self, op_id: Optional[str], node: str, outcome: str,
-                    **detail: Any) -> None:
-        """A lease negotiation outcome attributable to an operation."""
-        detail["outcome"] = outcome
-        self._record(TraceEvent(self.clock(), "lease", node, op_id,
-                                detail=detail))
-
-    def note(self, op_id: Optional[str], node: str, label: str,
-             **detail: Any) -> None:
-        """A free-form local annotation (serving decisions, timeouts...)."""
-        detail["label"] = label
-        self._record(TraceEvent(self.clock(), "note", node, op_id,
-                                detail=detail))
-
-    def _on_frame(self, phase: str, message) -> None:
-        payload = message.payload
-        op_id = payload.get("op_id")
-        detail = {k: payload[k] for k in _DETAIL_KEYS if k in payload}
-        event = phase
-        if phase == "send":
-            rseq = payload.get("rseq")
-            if rseq is not None:
-                key = (message.src, message.dst, payload.get("kind"),
-                       rseq, payload.get("repoch"))
-                if key in self._reliable_seen:
-                    event = "retransmit"
-                else:
-                    self._reliable_seen.add(key)
-        node = message.src if event in ("send", "retransmit") else message.dst
-        self._record(TraceEvent(self.clock(), event, node, op_id,
-                                src=message.src, dst=message.dst,
-                                kind=message.kind, detail=detail))
-
-    def _on_drop(self, message, reason: str) -> None:
-        payload = message.payload
-        detail = {k: payload[k] for k in _DETAIL_KEYS if k in payload}
-        self._record(TraceEvent(self.clock(), "drop", message.src,
-                                payload.get("op_id"), src=message.src,
-                                dst=message.dst, kind=message.kind,
-                                detail=detail, drop_reason=reason))
+            if op_id is not None:
+                self._by_op.setdefault(op_id, []).append(event)
 
     # ------------------------------------------------------------------
     # Queries
@@ -223,7 +149,7 @@ class Tracer:
         """Every instance that appears in one operation's trace."""
         seen: dict[str, None] = {}
         for event in self._by_op.get(op_id, []):
-            for name in (event.node, event.src, event.dst):
+            for name in (event.node, event.peer):
                 if name is not None:
                     seen.setdefault(name, None)
         return list(seen)
@@ -255,16 +181,17 @@ class Tracer:
         events = self._by_op.get(op_id, [])
         if not events:
             raise KeyError(f"no trace recorded for op {op_id!r}")
-        origin = next((e.node for e in events if e.event == "op_start"), None)
-        if origin is None:
-            origin = next((e.src for e in events
-                           if e.event in ("send", "retransmit")), events[0].node)
-        kind = next((e.kind for e in events if e.event == "op_start"), None)
+        start = next((e for e in events if e.event == "op_start"), None)
+        if start is not None:
+            origin = start.node
+        else:
+            origin = next((e.node for e in events
+                           if e.event in ("send", "retransmit")),
+                          events[0].node)
         end_event = next((e for e in events if e.event == "op_end"), None)
         outcome = None
         if end_event is not None:
-            outcome = ("satisfied" if end_event.detail.get("satisfied")
-                       else "unsatisfied")
+            outcome = "satisfied" if end_event.detail == "ok" else "unsatisfied"
         root_events: list[TraceEvent] = []
         peers: dict[str, list[TraceEvent]] = {}
         for event in events:
@@ -276,11 +203,11 @@ class Tracer:
         return {
             "op_id": op_id,
             "origin": origin,
-            "kind": kind,
+            "kind": start.kind if start is not None else None,
             "start": events[0].time,
             "end": events[-1].time,
             "outcome": outcome,
-            "source": end_event.detail.get("source") if end_event else None,
+            "source": end_event.peer if end_event else None,
             "events": [e.as_dict() for e in root_events],
             "peers": [
                 {"peer": peer,
@@ -294,12 +221,10 @@ class Tracer:
     @staticmethod
     def _peer_of(event: TraceEvent, origin: str) -> Optional[str]:
         """Which peer span an event belongs to (None = the root span)."""
-        if event.src is not None and event.dst is not None:
-            if event.src == origin:
-                return event.dst
-            return event.src
-        if event.node is not None and event.node != origin:
+        if event.node != origin:
             return event.node
+        if event.event in LINK_CODES:
+            return event.peer
         return None
 
     # ------------------------------------------------------------------
@@ -318,7 +243,7 @@ class Tracer:
                 header += f" (from {tree['source']})"
         lines = [header]
         for event in tree["events"]:
-            lines.append("│ " + self._line(event))
+            lines.append("│ " + event_line(event))
         peers = tree["peers"]
         for i, span in enumerate(peers):
             last = i == len(peers) - 1
@@ -327,25 +252,13 @@ class Tracer:
                          f"(t={span['start']:.3f}..{span['end']:.3f})")
             pad = "   " if last else "│  "
             for event in span["events"]:
-                lines.append(pad + self._line(event))
+                lines.append(pad + event_line(event))
         return "\n".join(lines)
 
-    @staticmethod
-    def _line(event: dict) -> str:
-        glyph = _EVENT_GLYPH.get(event["event"], "·")
-        bits = [f"t={event['t']:8.3f}", glyph, event["event"]]
-        if event.get("kind"):
-            bits.append(event["kind"])
-        if event.get("src") is not None and event.get("dst") is not None:
-            bits.append(f"{event['src']}→{event['dst']}")
-        if event.get("drop_reason"):
-            bits.append(f"!{event['drop_reason']}")
-        detail = event.get("detail") or {}
-        rendered = " ".join(f"{k}={v}" for k, v in detail.items()
-                            if k not in ("repoch",) and v is not None)
-        if rendered:
-            bits.append(rendered)
-        return " ".join(bits)
+    def timeline(self) -> str:
+        """Every delivered or dropped frame, one line each, in order."""
+        return "\n".join(event_line(e.as_dict()) for e in self.events
+                         if e.event in ("deliver", "drop"))
 
     # ------------------------------------------------------------------
     # Chrome trace-event export
@@ -394,8 +307,6 @@ class Tracer:
                     name = event["event"]
                     if event.get("kind"):
                         name += f" {event['kind']}"
-                    if event.get("drop_reason"):
-                        name += f" ({event['drop_reason']})"
                     args = {k: v for k, v in event.items() if k != "t"}
                     trace_events.append({
                         "name": name, "ph": "i", "s": "t",

@@ -177,8 +177,10 @@ class RuntimeNode:
         """Mint an op id and record op_start when a tracer is installed.
 
         The registry's hub owns the tracer (``registry.obs.start_trace``,
-        thread-safe, clocked by ``time.monotonic``); with none installed
-        this is two attribute reads and no allocation.
+        thread-safe); this node feeds its one input, :meth:`Tracer.record
+        <repro.obs.tracing.Tracer.record>`, with the flight recorder's
+        event codes on ``time.monotonic``.  With none installed this is
+        two attribute reads and no allocation.
         """
         self.ops_started += 1
         tracer = self.registry.obs.tracer
@@ -187,7 +189,7 @@ class RuntimeNode:
         with self._op_lock:
             self._op_seq += 1
             op_id = f"{self.name}@{self._op_seq}"
-        tracer.op_started(op_id, self.name, kind)
+        tracer.record(self.name, time.monotonic(), "op_start", op_id, kind)
         return op_id, tracer
 
     def _trace_end(self, tracer, op_id: Optional[str],
@@ -195,7 +197,8 @@ class RuntimeNode:
         if result is None:
             self.ops_unsatisfied += 1
         if tracer is not None:
-            tracer.op_finished(op_id, self.name, result is not None, source)
+            tracer.record(self.name, time.monotonic(), "op_end", op_id, None,
+                          source, "ok" if result is not None else "miss")
 
     # ------------------------------------------------------------------
     # The synchronous operations, on the caller's thread
@@ -214,19 +217,21 @@ class RuntimeNode:
                      req_ids: Dict[str, int]):
         """One round over the currently visible peers: ``(tuple, source)``.
 
-        With a tracer installed, each verdict is recorded against the
-        peer's span so the waterfall and Chrome export show who shed or
-        answered.
+        With a tracer installed, each verdict is recorded on the peer
+        (``shed``, or ``serve_started`` for a hit) so the waterfall and
+        Chrome export show who shed or answered.
         """
         for peer in self.registry.visible_nodes(self.name):
             found = self._probe_peer(peer, pattern, remove, req_ids)
             if found is SHED:
                 if tracer is not None:
-                    tracer.note(op_id, peer.name, "serve", outcome="shed")
+                    tracer.record(peer.name, time.monotonic(), "shed", op_id,
+                                  None, self.name)
             elif found is not None:
                 if tracer is not None:
-                    tracer.note(op_id, peer.name, "serve",
-                                outcome="hit", remove=remove)
+                    tracer.record(peer.name, time.monotonic(),
+                                  "serve_started", op_id, None, self.name,
+                                  "hit")
                 return found, peer.name
         return None, None
 

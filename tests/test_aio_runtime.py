@@ -309,8 +309,8 @@ def test_tracer_and_wait_histogram_see_sync_calls(cluster):
     assert a.rd(Pattern("seen", int), timeout=1.0) == Tuple("seen", 1)
     (op_id,) = [op for op in tracer.op_ids() if op.startswith("a@")]
     events = tracer.events_for(op_id)
-    assert [e.event for e in events] == ["op_start", "note", "op_end"]
-    assert events[-1].detail == {"satisfied": True, "source": "b"}
+    assert [e.event for e in events] == ["op_start", "serve_started", "op_end"]
+    assert (events[-1].detail, events[-1].peer) == ("ok", "b")
     waits = registry.obs.registry.snapshot()["runtime_blocking_wait_seconds"]
     counts = {s["labels"]["node"]: s["count"] for s in waits["samples"]}
     assert counts["a"] == 1

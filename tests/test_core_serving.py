@@ -161,10 +161,12 @@ def test_late_reply_to_finished_op_gets_rejected(sim):
     assert inst["origin"].ops_unsatisfied >= 1
     # A probe that misses locally and asks a peer lingers: an offer naming
     # it, during the linger or after the purge, is rejected all the same.
-    rejects = []
-    net.on_frame(lambda phase, msg: rejects.append(msg.payload["op_id"])
-                 if phase == "send" and msg.kind == protocol.CLAIM_REJECT
-                 else None)
+    tracer = sim.obs.start_trace()
+
+    def rejects():
+        return [e.op_id for e in tracer.events
+                if e.event == "send" and e.kind == protocol.CLAIM_REJECT]
+
     probe = inst["origin"].inp(Pattern("absent"))
     while not probe.done:
         sim.step()
@@ -174,12 +176,12 @@ def test_late_reply_to_finished_op_gets_rejected(sim):
     net.unicast("server", "origin", offer)
     sim.run(until=sim.now + 0.1)
     assert probe.op_id in inst["origin"]._ops           # lingering
-    assert rejects == [probe.op_id]
+    assert rejects() == [probe.op_id]
     sim.run(until=sim.now + 1.0)
     assert probe.op_id not in inst["origin"]._ops       # purged
     net.unicast("server", "origin", offer)
     sim.run(until=sim.now + 1.0)
-    assert rejects == [probe.op_id] * 2
+    assert rejects() == [probe.op_id] * 2
 
 
 def test_rd_serving_sends_copy_and_closes(sim):

@@ -17,7 +17,7 @@ import pytest
 from repro.core import TiamatConfig, TiamatInstance
 from repro.errors import LeaseError
 from repro.leasing import DenyAllPolicy, LeaseTerms, SimpleLeaseRequester
-from repro.net import Network
+from repro.net import Message, Network
 from repro.obs import (
     DEFAULT_COUNT_BUCKETS,
     MetricsRegistry,
@@ -207,7 +207,7 @@ def test_kernel_profiling_populates_handler_profile():
 def test_tracer_local_op_span():
     sim = Simulator(seed=21)
     net, inst = build(sim, ["a"])
-    tracer = sim.obs.start_trace(net)
+    tracer = sim.obs.start_trace()
     inst["a"].out(Tuple("x", 1))
     op = inst["a"].rdp(Pattern("x", int))
     run_op(sim, op, until=5.0)
@@ -229,7 +229,7 @@ def _chaos_run(seed, traced=True):
     client = TiamatInstance(sim, net, "client",
                             config=TiamatConfig(claim_timeout=3.0))
     net.visibility.set_visible("server", "client")
-    tracer = sim.obs.start_trace(net) if traced else None
+    tracer = sim.obs.start_trace() if traced else None
     for i in range(10):
         server.out(Tuple("item", i),
                    requester=SimpleLeaseRequester(LeaseTerms(duration=500.0)))
@@ -272,6 +272,18 @@ def test_tracer_distributed_in_under_loss():
     assert "server" in text
 
 
+def test_tracer_reads_the_flight_stream():
+    """Every event the tracer holds for a lossy in() is in a flight ring."""
+    sim, net, tracer, ops, consumed = _chaos_run(seed=2024)
+    op_id = ops[-1].op_id      # recent enough that no ring has wrapped it
+    ringed = {(e["t"], e["event"], e.get("op_id"))
+              for ring in sim.obs.flight.rings.values()
+              for e in ring.events()}
+    traced = tracer.events_for(op_id)
+    assert {"op_start", "serve_started", "op_end"} <= {e.event for e in traced}
+    assert all((e.time, e.event, e.op_id) in ringed for e in traced)
+
+
 def test_tracer_chrome_export_round_trips():
     sim, net, tracer, ops, consumed = _chaos_run(seed=2024)
     raw = tracer.chrome_trace(ops[0].op_id)
@@ -292,7 +304,7 @@ def test_tracer_chrome_export_round_trips():
 def test_tracer_detach_stops_capture():
     sim = Simulator(seed=23)
     net, inst = build(sim, ["a", "b"])
-    tracer = sim.obs.start_trace(net)
+    tracer = sim.obs.start_trace()
     inst["b"].out(Tuple("x", 1))
     run_op(sim, inst["a"].rd(Pattern("x", int)), until=10.0)
     seen = len(tracer)
@@ -305,9 +317,9 @@ def test_tracer_detach_stops_capture():
 
 def test_tracer_max_events_truncates():
     sim = Simulator(seed=24)
-    tracer = Tracer(clock=lambda: sim.now, max_events=3)
+    tracer = Tracer(max_events=3)
     for i in range(5):
-        tracer.note(f"op#{i}", "a", "tick")
+        tracer.record("a", sim.now, "note", f"op#{i}")
     assert len(tracer) == 3
     assert tracer.truncated == 2
 
@@ -332,6 +344,7 @@ def test_observability_hub_standalone():
     obs = Observability(clock=lambda: 42.0, thread_safe=True)
     obs.registry.counter("x").inc()
     tracer = obs.start_trace()
-    tracer.note("op#1", "n", "hello")
+    obs.flight.frame("send", Message("n", "m", {"kind": "hello",
+                                                "op_id": "op#1"}, 0.0))
     assert tracer.events[0].time == 42.0
     assert obs.stop_trace() is tracer

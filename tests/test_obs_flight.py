@@ -4,7 +4,7 @@ Covers the PR's acceptance criteria for `repro.obs.flight`:
 
 * ring wraparound keeps exactly the last `capacity` events, oldest first;
 * recording is observationally passive — a seeded chaos run is
-  bit-identical with the recorder on (default) and off (REPRO_FLIGHT=off);
+  bit-identical with the ring's stores on and patched out;
 * dumps are deterministic under churn and round-trip through
   ``dump_to`` / ``load_flight_dump`` / ``render_flight``;
 * an injected canary bug (``REPRO_CHECK_CANARY=ghost``) produces a
@@ -62,22 +62,6 @@ def test_ring_capacity_floor_is_postmortem_window():
     assert DEFAULT_CAPACITY >= 64
 
 
-def test_disabled_recorder_hands_out_null_rings():
-    recorder = FlightRecorder(lambda: 0.0, enabled=False)
-    ring = recorder.ring("a")
-    ring.append(1.0, "send")
-    assert len(ring) == 0 and ring.events() == []
-    box = recorder.dump("test")
-    assert box["nodes"] == {}
-
-
-def test_env_var_disables_recorder(monkeypatch):
-    monkeypatch.setenv("REPRO_FLIGHT", "off")
-    assert FlightRecorder(lambda: 0.0).enabled is False
-    monkeypatch.delenv("REPRO_FLIGHT")
-    assert FlightRecorder(lambda: 0.0).enabled is True
-
-
 # ----------------------------------------------------------------------
 # Recording during a real run
 # ----------------------------------------------------------------------
@@ -95,21 +79,21 @@ def test_chaos_run_populates_instance_and_network_events():
 
 
 def test_flight_recording_is_passive(monkeypatch):
-    """Same seed with the recorder on and off: identical outcome."""
+    """Same seed with the ring's stores on and patched out: same outcome."""
     results = []
     recorded = []
-    for env in ("", "off"):
-        if env:
-            monkeypatch.setenv("REPRO_FLIGHT", env)
-        else:
-            monkeypatch.delenv("REPRO_FLIGHT", raising=False)
+    for patched in (False, True):
+        if patched:
+            monkeypatch.setattr(FlightRing, "append",
+                                lambda self, *args, **kwargs: None)
+            monkeypatch.setattr(FlightRing, "put", lambda self, *args: None)
         sim, net, tracer, ops, consumed = _chaos_run(seed=77, traced=False)
         results.append((sim.now, net.stats.total_messages,
                         net.stats.total_dropped, tuple(consumed)))
         recorded.append(sum(r.recorded for r in sim.obs.flight.rings.values()))
     assert results[0] == results[1]
-    assert recorded[0] > 0       # enabled run actually kept a black box
-    assert recorded[1] == 0      # disabled run recorded nothing at all
+    assert recorded[0] > 0       # the real run actually kept a black box
+    assert recorded[1] == 0      # the patched run recorded nothing at all
 
 
 def test_dump_is_deterministic_under_churn():
@@ -149,6 +133,40 @@ def test_dump_to_load_and_render(tmp_path):
     assert f"op {op_id}" in lane
     tail = render_flight(box, last=5)
     assert tail.count("\n") < text.count("\n")
+
+
+def test_render_last_n_shows_exactly_the_tail():
+    ring = FlightRing("n", capacity=64)
+    for i in range(5):
+        ring.append(float(i), "send", "op#1")
+    box = {"nodes": {"n": {"capacity": 64, "recorded": 5,
+                           "events": ring.events()}}}
+
+    def shown(**kwargs):
+        return [line for line in render_flight(box, **kwargs).splitlines()
+                if line.startswith("  ")]
+
+    assert len(shown()) == 5
+    assert shown(last=0) == [] and shown(op_id="op#1", last=0) == []
+    assert [line.split()[0] for line in shown(last=2)] == ["t=3.000000",
+                                                           "t=4.000000"]
+    assert len(shown(last=9)) == len(shown(op_id="op#1", last=9)) == 5
+    with pytest.raises(ValueError):
+        render_flight(box, last=-2)
+
+
+def test_flight_show_rejects_a_negative_last(tmp_path, capsys):
+    from repro.cli import main
+
+    recorder = FlightRecorder(lambda: 1.0)
+    recorder.ring("a").append(0.5, "send")
+    path = recorder.dump_to(str(tmp_path / "box.json"), "unit")
+    with pytest.raises(SystemExit):
+        main(["flight", "show", path, "--last", "-2"])
+    assert "--last" in capsys.readouterr().err
+    assert main(["flight", "show", path, "--last", "0"]) == 0
+    out = capsys.readouterr().out
+    assert "node a — 1 of 1 recorded" in out and "send" not in out
 
 
 def test_load_rejects_non_dumps(tmp_path):

@@ -11,7 +11,7 @@ import pytest
 
 import repro
 from repro.obs import slo
-from repro.obs.flight import FlightRing, _NullRing
+from repro.obs.flight import FlightRing
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.slo import (
     EXEMPLAR_SLOTS,
@@ -71,7 +71,7 @@ def test_latencies_land_in_registry_histogram():
 # ----------------------------------------------------------------------
 def test_exemplars_keep_slowest_first_and_cap_slots():
     clock = _Clock()
-    tracker = SLOTracker(clock)
+    tracker = SLOTracker(clock, registry=MetricsRegistry())
     for i, latency in enumerate([0.1, 0.9, 0.3, 0.7, 0.5, 0.2, 0.8, 0.4]):
         tracker.record("in", latency, f"a#{i}", "a")
         clock.tick()
@@ -85,7 +85,7 @@ def test_exemplars_keep_slowest_first_and_cap_slots():
 
 def test_exemplar_carries_flight_ring_slice():
     clock = _Clock()
-    tracker = SLOTracker(clock)
+    tracker = SLOTracker(clock, registry=MetricsRegistry())
     ring = FlightRing("a", capacity=64)
     ring.append(0.0, "op_start", "a#1", "in")
     ring.append(0.1, "send", "a#1", "query", "b")
@@ -124,7 +124,6 @@ def test_exemplar_slice_builds_only_the_operations_events(monkeypatch):
     assert trace == _whole_ring_slice(ring, "a#x")
     assert [e["event"] for e in ring.op_events("a#x", 5000.0, 2)] == \
         ["send", "op_end"]                             # the tail, oldest first
-    assert _NullRing("a").op_events("a#x", 5000.0, EXEMPLAR_TRACE_EVENTS) == []
 
 
 def test_seeded_run_exemplar_traces_equal_the_whole_ring_slice(monkeypatch):
@@ -152,7 +151,7 @@ def test_seeded_run_exemplar_traces_equal_the_whole_ring_slice(monkeypatch):
 
 def test_exemplars_expire_out_of_window():
     clock = _Clock()
-    tracker = SLOTracker(clock)
+    tracker = SLOTracker(clock, registry=MetricsRegistry())
     tracker.record("in", 9.0, "a#1", "a")          # will age out
     clock.now = tracker.exemplar_window + 10.0
     tracker.record("in", 0.1, "a#2", "a")
@@ -204,7 +203,7 @@ def test_breach_fires_on_transition_only():
 
 def test_breach_needs_min_window_samples():
     clock = _Clock()
-    tracker = SLOTracker(clock)
+    tracker = SLOTracker(clock, registry=MetricsRegistry())
     tracker.add_objective(
         SLOObjective("in", percentile=0.99, threshold=0.1, window=1000.0))
     for i in range(MIN_WINDOW_SAMPLES - 1):
@@ -215,7 +214,7 @@ def test_breach_needs_min_window_samples():
 
 def test_window_slides_old_samples_out():
     clock = _Clock()
-    tracker = SLOTracker(clock)
+    tracker = SLOTracker(clock, registry=MetricsRegistry())
     tracker.add_objective(
         SLOObjective("in", percentile=0.5, threshold=0.1, window=20.0))
     # Fill the window with bad samples -> breach.
@@ -233,7 +232,7 @@ def test_window_slides_old_samples_out():
 
 def test_objectives_only_see_their_kind():
     clock = _Clock()
-    tracker = SLOTracker(clock)
+    tracker = SLOTracker(clock, registry=MetricsRegistry())
     tracker.add_objective(
         SLOObjective("in", percentile=0.5, threshold=0.1, window=1000.0))
     for i in range(MIN_WINDOW_SAMPLES * 2):

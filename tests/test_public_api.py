@@ -90,8 +90,8 @@ EXPECTED_LEASING = {
 EXPECTED_NET = {
     "ChurnInjector", "CorruptPayload", "CrashRestartInjector",
     "DuplicateFrames", "FaultInjector", "FaultPlan", "GilbertElliottLoss",
-    "MultiHopVisibilityDriver", "OneWayLink", "ProtocolTrace",
-    "RandomLoss", "ReorderFrames", "TraceEntry", "Message", "Network",
+    "MultiHopVisibilityDriver", "OneWayLink",
+    "RandomLoss", "ReorderFrames", "Message", "Network",
     "NetworkInterface", "NetworkStats", "NodeStats", "Position",
     "RandomWaypointMobility", "RangeVisibilityDriver", "StaticPlacement",
     "VisibilityGraph", "WaypointTrace",
@@ -209,8 +209,9 @@ def test_version_is_pep440ish():
     # module (repro.tuples.persistence) in 3.0, the sim's frame batching,
     # ack piggybacking and repro.sim.resources in 4.0, the wire-codec
     # choice (frames are JSON) in 5.0, the WAL record-codec choice (logs
-    # are JSON) in 6.0, aio multicast discovery and Message.msg_id in 7.0
-    assert tuple(int(p) for p in parts[:2]) >= (7, 0)
+    # are JSON) in 6.0, aio multicast discovery and Message.msg_id in 7.0,
+    # ProtocolTrace and the network's frame listeners in 8.0
+    assert tuple(int(p) for p in parts[:2]) >= (8, 0)
 
 
 def test_import_set_does_not_grow():
@@ -225,7 +226,7 @@ def test_import_set_does_not_grow():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     loaded = ast.literal_eval(out)
-    assert len(loaded) == 55, loaded
+    assert len(loaded) == 54, loaded
     assert not [n for n in loaded if n == "sqlite3" or "storage" in n
                 or "persistence" in n]
 
