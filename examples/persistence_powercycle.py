@@ -21,7 +21,6 @@ from repro import (
     Pattern,
     SimpleLeaseRequester,
     Simulator,
-    TiamatConfig,
     TiamatInstance,
     Tuple,
 )
@@ -31,8 +30,7 @@ from repro.tuples.storage import WALBackend, attach_backend, inspect_wal
 def main() -> None:
     sim = Simulator(seed=505)
     net = Network(sim)
-    pda = TiamatInstance(sim, net, "pda",
-                         config=TiamatConfig(persistent_space=True))
+    pda = TiamatInstance(sim, net, "pda")
 
     pda.out(Tuple("note", "buy milk"),
             requester=SimpleLeaseRequester(LeaseTerms(duration=120.0)))
@@ -55,8 +53,7 @@ def main() -> None:
 
     sim.run(until=40.0)  # thirty seconds pass while the device charges
 
-    reborn = TiamatInstance(sim, net, "pda-reborn",
-                            config=TiamatConfig(persistent_space=True))
+    reborn = TiamatInstance(sim, net, "pda-reborn")
     # The device was off, not leaking lease time: re-anchor each tuple's
     # remaining time to the boot clock instead of charging the 30 s outage.
     # Nobody could have consumed from a powered-off PDA, so no rejoin.

@@ -787,9 +787,7 @@ def _handle_vote(worker: Any, name: str, index: int, qid: int) -> bool:
 
 
 def run_handles_session(runtime: str = "sim", *, agents: int = 3,
-                        tasks: int = 8, config: Optional[TiamatConfig] = None,
-                        wall_budget: float = 30.0,
-                        runtime_options: Optional[dict] = None,
+                        tasks: int = 8, wall_budget: float = 30.0,
                         ) -> HandleSessionResult:
     """Run a small blackboard session through ``repro.connect``.
 
@@ -804,8 +802,7 @@ def run_handles_session(runtime: str = "sim", *, agents: int = 3,
 
     names = [f"w{i}" for i in range(agents)]
     deadline = _time.monotonic() + wall_budget
-    with repro.connect(runtime=runtime, config=config,
-                       **(runtime_options or {})) as rt:
+    with repro.connect(runtime=runtime) as rt:
         board = rt.node("board")
         workers = {name: rt.node(name) for name in names}
         for i, a in enumerate(["board"] + names):

@@ -174,8 +174,7 @@ def _board_config() -> TiamatConfig:
     rest of the swarm's access to the board."""
     return TiamatConfig(serve_cost=0.002, serve_workers=4,
                         admission_enabled=True,
-                        admission_queue_bound=128,
-                        admission_fairness=True)
+                        admission_queue_bound=128)
 
 
 def run_blackboard_point(seed: int, *, churn: float = 0.0,

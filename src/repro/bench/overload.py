@@ -101,18 +101,6 @@ class OverloadSweep:
         return point.goodput
 
 
-def _server_config(admission: bool, *, serve_cost: float,
-                   serve_workers: int, queue_bound: int,
-                   fairness: bool) -> TiamatConfig:
-    return TiamatConfig(
-        serve_cost=serve_cost,
-        serve_workers=serve_workers,
-        admission_enabled=admission,
-        admission_queue_bound=queue_bound,
-        admission_fairness=fairness,
-    )
-
-
 def run_overload_point(seed: int, offered_rate: float, *,
                        admission: bool,
                        duration: float = DURATION,
@@ -121,7 +109,6 @@ def run_overload_point(seed: int, offered_rate: float, *,
                        serve_workers: int = SERVE_WORKERS,
                        op_deadline: float = OP_DEADLINE,
                        queue_bound: int = QUEUE_BOUND,
-                       fairness: bool = True,
                        registry_sink: Optional[list] = None) -> OverloadPoint:
     """Run one offered-load point and return its :class:`OverloadPoint`.
 
@@ -132,9 +119,10 @@ def run_overload_point(seed: int, offered_rate: float, *,
     net = Network(sim)
     server = TiamatInstance(
         sim, net, "srv",
-        config=_server_config(admission, serve_cost=serve_cost,
-                              serve_workers=serve_workers,
-                              queue_bound=queue_bound, fairness=fairness))
+        config=TiamatConfig(serve_cost=serve_cost,
+                            serve_workers=serve_workers,
+                            admission_enabled=admission,
+                            admission_queue_bound=queue_bound))
     server.out(Tuple("job", 1))
     handle = server.handle()
     point = OverloadPoint(offered_rate=offered_rate, admission=admission)
@@ -189,8 +177,7 @@ def run_overload_sweep(seed: int, *, admission: bool,
                        serve_cost: float = SERVE_COST,
                        serve_workers: int = SERVE_WORKERS,
                        op_deadline: float = OP_DEADLINE,
-                       queue_bound: int = QUEUE_BOUND,
-                       fairness: bool = True) -> OverloadSweep:
+                       queue_bound: int = QUEUE_BOUND) -> OverloadSweep:
     """Sweep offered load across multiples of the server's capacity."""
     capacity = serve_workers / serve_cost
     sweep = OverloadSweep(admission=admission, capacity=capacity)
@@ -199,5 +186,5 @@ def run_overload_sweep(seed: int, *, admission: bool,
             seed, mult * capacity, admission=admission, duration=duration,
             clients=clients, serve_cost=serve_cost,
             serve_workers=serve_workers, op_deadline=op_deadline,
-            queue_bound=queue_bound, fairness=fairness))
+            queue_bound=queue_bound))
     return sweep

@@ -418,7 +418,7 @@ def build_fabric_churn(sim: Simulator, net: Network,
 
     def make_config() -> TiamatConfig:
         return TiamatConfig(fabric=FabricConfig(
-            replication=2, key_fields=2, membership_lease=0.8,
+            key_fields=2, membership_lease=0.8,
             heartbeat_period=0.25, migrate_timeout=0.4))
 
     registry = {n: TiamatInstance(sim, net, n, config=make_config())

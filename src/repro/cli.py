@@ -248,13 +248,14 @@ def cmd_flight(args: argparse.Namespace) -> int:
 
 def cmd_top(args: argparse.Namespace) -> int:
     """Cluster health table from the in-space telemetry rows."""
-    from repro.obs.telemetry import collect_cluster_health, render_top
+    from repro.obs.telemetry import (TELEMETRY_PERIOD, collect_cluster_health,
+                                     render_top)
 
     if args.runtime == "threads":
         return _cmd_top_threads(args)
-    config = TiamatConfig(telemetry_enabled=True)
-    sim, network, nodes = build_system("tiamat", args.nodes, seed=args.seed,
-                                       config=config)
+    sim, network, nodes = build_system(
+        "tiamat", args.nodes, seed=args.seed,
+        config=TiamatConfig(telemetry_enabled=True))
     sim.run(until=2.0)
     workload = RequestResponseWorkload(sim, nodes, sim.rng("cli"),
                                        period=1.5, op_timeout=6.0)
@@ -266,7 +267,7 @@ def cmd_top(args: argparse.Namespace) -> int:
     for frame in range(frames):
         sim.run(until=sim.now + step)
         health = collect_cluster_health(
-            spaces, now=sim.now, period=config.telemetry_period,
+            spaces, now=sim.now, period=TELEMETRY_PERIOD,
             expected=expected)
         if frame:
             print()

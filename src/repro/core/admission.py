@@ -146,6 +146,19 @@ class AdmissionDecision:
         return f"<AdmissionDecision shed {self.reason} retry={self.retry_after}>"
 
 
+#: Multiplier on the estimated queue delay when pricing work against its
+#: own deadline; ``> 1`` would shed earlier, ``< 1`` later.
+PRICE_CURVE = 1.0
+#: Fair-share bucket capacity, in worker-seconds: how much serving
+#: capacity one origin may consume in a burst before its refill rate
+#: throttles it.
+BURST = 0.25
+#: Minimum ``retry_after`` hint attached to a shed refusal.  A blocking
+#: operation refused with a hint re-contacts the refusing peer after a
+#: capped exponential back-off that honours it; only admission-enabled
+#: servers send hints, so uncontrolled peers are never re-contacted.
+RETRY_FLOOR = 0.05
+
 #: Relative price of serving each operation kind, in units of one probe.
 #: Blocking operations hold a watch, a worker thread, and possibly a held
 #: tuple through a claim round, so they are priced above probes.
@@ -228,31 +241,24 @@ class AdmissionController:
 
     The controller is pure decision logic: the :class:`QueryServer` owns
     the queue and the workers and feeds their live state in through
-    :meth:`consider`.  Clock and signals are injected so the same class
-    serves the simulated stack (virtual clock) and the threaded runtime
-    (wall clock).
+    :meth:`consider`.  The clock is injected so the class serves the
+    simulated stack (virtual clock) and a wall-clock caller alike.  The
+    per-peer fair share is on whenever serving has a rate and a cost
+    (``capacity_rate > 0`` and ``unit_cost > 0``).
     """
 
     def __init__(self, *, clock: Callable[[], float],
                  queue_bound: int = 64,
-                 price_curve: float = 1.0,
-                 fairness: bool = True,
                  capacity_rate: float = 0.0,
-                 unit_cost: float = 0.0,
-                 burst: float = 0.25,
-                 retry_floor: float = 0.05) -> None:
+                 unit_cost: float = 0.0) -> None:
         if queue_bound < 1:
             raise ValueError("queue_bound must be >= 1")
-        if price_curve <= 0:
-            raise ValueError("price_curve must be > 0")
         self.clock = clock
         self.queue_bound = queue_bound
-        self.price_curve = price_curve
         self.unit_cost = unit_cost
-        self.retry_floor = retry_floor
         self.fair_share: Optional[FairShare] = None
-        if fairness and capacity_rate > 0 and unit_cost > 0:
-            self.fair_share = FairShare(clock, capacity_rate, burst)
+        if capacity_rate > 0 and unit_cost > 0:
+            self.fair_share = FairShare(clock, capacity_rate, BURST)
         # statistics (read by repro.obs collect-time callbacks)
         self.admitted = 0
         self.shed_by_reason: dict[str, int] = {}
@@ -285,24 +291,22 @@ class AdmissionController:
         # 1. Worker pool already exhausted: refuse before spending a lease
         #    negotiation on it (the pre-admission design paid that cost).
         if utilisation >= 1.0:
-            return self._shed(REFUSE_THREADS,
-                              max(self.retry_floor, est_delay))
+            return self._shed(REFUSE_THREADS, max(RETRY_FLOOR, est_delay))
 
         # 2. Bounded inbound queue: cheap depth check.  ``active_servings``
         #    stands in for depth when serving is inline (drain_rate == 0).
         depth_signal = queue_depth if drain_rate > 0 else active_servings
         if depth_signal >= self.queue_bound:
-            return self._shed(REFUSE_QUEUE_FULL,
-                              max(self.retry_floor, est_delay))
+            return self._shed(REFUSE_QUEUE_FULL, max(RETRY_FLOOR, est_delay))
 
         # 3. Price the work against its own deadline: the priced delay is
         #    the estimated queue delay scaled by the price curve and the
         #    operation kind's weight.  Admitting work that will expire in
         #    the queue burns a worker on an answer nobody is waiting for.
         weight = PRICE_WEIGHTS.get(kind, 1.0)
-        priced_delay = est_delay * self.price_curve * weight
+        priced_delay = est_delay * PRICE_CURVE * weight
         if deadline is not None and drain_rate > 0 and priced_delay >= deadline:
-            retry = max(self.retry_floor, priced_delay - deadline + 1.0 / drain_rate)
+            retry = max(RETRY_FLOOR, priced_delay - deadline + 1.0 / drain_rate)
             return self._shed(REFUSE_DEADLINE, retry)
 
         # 4. Fair share: charge the origin's bucket the actual
@@ -311,8 +315,7 @@ class AdmissionController:
         if self.fair_share is not None and cost > 0:
             wait = self.fair_share.spend(origin, cost)
             if wait is not None:
-                return self._shed(REFUSE_FAIR_SHARE,
-                                  max(self.retry_floor, wait))
+                return self._shed(REFUSE_FAIR_SHARE, max(RETRY_FLOOR, wait))
 
         self.admitted += 1
         return AdmissionDecision.admit(price=cost * weight)

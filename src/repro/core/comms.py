@@ -24,18 +24,19 @@ import itertools
 
 from repro.net.network import NetworkInterface
 from repro.core import protocol
-from repro.core.config import TiamatConfig
 from repro.sim.events import Event
 from repro.sim.kernel import Simulator
+
+#: Seconds a discovery multicast collects ``DISCOVER_ACK`` responses.
+DISCOVER_WINDOW = 0.1
 
 
 class CommsManager:
     """Known-peer list maintenance and the discovery protocol."""
 
-    def __init__(self, sim: Simulator, iface: NetworkInterface, config: TiamatConfig) -> None:
+    def __init__(self, sim: Simulator, iface: NetworkInterface) -> None:
         self.sim = sim
         self.iface = iface
-        self.config = config
         self.known: list[str] = []
         self._discoveries: dict[int, dict] = {}
         self._discovery_ids = itertools.count(1)
@@ -69,7 +70,7 @@ class CommsManager:
 
         Responders are also appended to the known list (bottom), so a
         subsequent :meth:`plan` includes them.  The event succeeds after
-        ``config.discover_window`` with the list of *new* responders (those
+        ``DISCOVER_WINDOW`` with the list of *new* responders (those
         not already known when the probe went out).
         """
         did = next(self._discovery_ids)
@@ -82,7 +83,7 @@ class CommsManager:
         self.multicasts += 1
         self.iface.multicast({"kind": protocol.DISCOVER, "did": did,
                               "src": self.iface.name})
-        self.sim.schedule(self.config.discover_window, self._close_discovery, did)
+        self.sim.schedule(DISCOVER_WINDOW, self._close_discovery, did)
         return session["event"]
 
     def on_discover_ack(self, peer: str, did: int) -> None:

@@ -20,8 +20,10 @@ process can ``yield``.
 
 from __future__ import annotations
 
+from types import MappingProxyType
 from typing import Callable, Optional
 
+from repro.core import config as core_config
 from repro.core import protocol
 from repro.core.comms import CommsManager
 from repro.core.config import TiamatConfig
@@ -47,6 +49,17 @@ from repro.sim.events import Event
 from repro.sim.kernel import Simulator
 from repro.tuples import LocalTupleSpace, Pattern, Tuple
 from repro.tuples.serialization import decode_tuple, encode_tuple, encoded_size
+
+#: Per-operation default lease requests, used when the application does
+#: not pass its own lease requester.  Read-only.
+DEFAULT_LEASE_TERMS = MappingProxyType({
+    OperationKind.OUT: LeaseTerms(duration=120.0),
+    OperationKind.EVAL: LeaseTerms(duration=120.0),
+    OperationKind.IN: LeaseTerms(duration=30.0, max_remotes=32),
+    OperationKind.RD: LeaseTerms(duration=30.0, max_remotes=32),
+    OperationKind.INP: LeaseTerms(duration=2.0, max_remotes=8),
+    OperationKind.RDP: LeaseTerms(duration=2.0, max_remotes=8),
+})
 
 
 class TiamatInstance:
@@ -82,7 +95,7 @@ class TiamatInstance:
         # may supply their own (pre-populated or specialised) space.
         self.space = space if space is not None else LocalTupleSpace(sim, name=name)
         self.iface = network.attach(name, self._on_message)
-        self.comms = CommsManager(sim, self.iface, self.config)
+        self.comms = CommsManager(sim, self.iface)
         self.server = QueryServer(self)
         self.reliability = ReliableChannel(self)
         self._detached = False
@@ -218,7 +231,7 @@ class TiamatInstance:
     # ==================================================================
     def handle(self) -> SpaceHandle:
         """The handle on this instance's own space."""
-        return SpaceHandle(self.name, self.config.persistent_space)
+        return SpaceHandle(self.name, self.space.backend is not None)
 
     def known_handles(self) -> list[SpaceHandle]:
         """Handles this instance can name right now (itself + known peers)."""
@@ -253,8 +266,8 @@ class TiamatInstance:
             "rid": rid,
             "tuple": encode_tuple(tup),
             "duration": duration,
-        }, deadline=self.sim.now + self.config.peer_timeout)
-        self.sim.schedule(self.config.peer_timeout, self._remote_out_timeout, rid)
+        }, deadline=self.sim.now + core_config.PEER_TIMEOUT)
+        self.sim.schedule(core_config.PEER_TIMEOUT, self._remote_out_timeout, rid)
         return event
 
     def rdp_at(self, handle: SpaceHandle, pattern: Pattern,
@@ -304,7 +317,7 @@ class TiamatInstance:
                 "rid": next(self._rids),
                 "tuple": encode_tuple(tup),
                 "duration": duration,
-            }, deadline=self.sim.now + self.config.peer_timeout)
+            }, deadline=self.sim.now + core_config.PEER_TIMEOUT)
             return "remote"
         if policy is UnavailablePolicy.LOCAL:
             self._deposit_local(tup)
@@ -352,7 +365,7 @@ class TiamatInstance:
                    requester: Optional[LeaseRequester]) -> LeaseRequester:
         if requester is not None:
             return requester
-        return SimpleLeaseRequester(self.config.default_terms(kind))
+        return SimpleLeaseRequester(DEFAULT_LEASE_TERMS[kind])
 
     def _operation_finished(self, op: Operation) -> None:
         if op.result is None:
@@ -365,7 +378,7 @@ class TiamatInstance:
             self._ops.pop(op.op_id, None)   # no peer saw its op_id: no late offer
             return
         # Keep the record around briefly so late offers get clean rejects.
-        linger = self.config.claim_timeout + self.config.peer_timeout
+        linger = self.config.claim_timeout + core_config.PEER_TIMEOUT
         self.sim.schedule(linger, self._ops.pop, op.op_id, None)
 
     def _on_out_lease_end(self, entry, state: LeaseState) -> None:
@@ -475,11 +488,9 @@ class TiamatInstance:
     def _handle_remote_out(self, src: str, payload: dict) -> None:
         tup = decode_tuple(payload["tuple"])
         duration = payload.get("duration")
-        requester = (SimpleLeaseRequester(self.config.default_terms(OperationKind.OUT))
-                     if duration is None
-                     else SimpleLeaseRequester(
-                         self.config.default_terms(OperationKind.OUT).capped(
-                             duration=duration)))
+        terms = DEFAULT_LEASE_TERMS[OperationKind.OUT]
+        requester = SimpleLeaseRequester(
+            terms if duration is None else terms.capped(duration=duration))
         try:
             self._deposit_local(tup, requester=requester)
             ok = True
@@ -490,7 +501,7 @@ class TiamatInstance:
         # time out believing the deposit failed.
         self.send_reliable(src, {"kind": protocol.REMOTE_OUT_ACK,
                                  "rid": payload["rid"], "ok": ok},
-                           deadline=self.sim.now + self.config.peer_timeout)
+                           deadline=self.sim.now + core_config.PEER_TIMEOUT)
 
     def _handle_relay_out(self, src: str, payload: dict) -> None:
         dst = payload["dst"]
@@ -500,7 +511,7 @@ class TiamatInstance:
                                      "rid": next(self._rids),
                                      "tuple": payload["tuple"],
                                      "duration": payload.get("duration")},
-                               deadline=self.sim.now + self.config.peer_timeout)
+                               deadline=self.sim.now + core_config.PEER_TIMEOUT)
             return
         ttl = payload.get("ttl", 0)
         visited = set(payload.get("visited", []))
@@ -570,7 +581,7 @@ class TiamatInstance:
         (held, invisible) and an anti-entropy rejoin asks every visible
         peer which entry ids it consumed during the downtime; witnessed
         ghosts are purged and the survivors released once every peer
-        answers.  If ``sync_timeout`` (default ``2 * config.peer_timeout``)
+        answers.  If ``sync_timeout`` (default ``2 * PEER_TIMEOUT``)
         closes the window with peers unheard, still-quarantined tuples are
         **dropped**, not released — a torn removal record must never
         resurrect a consumed tuple, so unverifiable entries lose.  Returns
@@ -634,7 +645,7 @@ class TiamatInstance:
                                 "reclaimed": reclaimed, "downtime": downtime})
         if sync:
             timeout = (sync_timeout if sync_timeout is not None
-                       else 2 * self.config.peer_timeout)
+                       else 2 * core_config.PEER_TIMEOUT)
             self._begin_rejoin(durable_map, timeout)
         return RecoveryStats(
             restored=restored, reclaimed=reclaimed,
@@ -668,7 +679,7 @@ class TiamatInstance:
         self.send_reliable(src, {"kind": protocol.SYNC_RESPONSE,
                                  "sid": payload["sid"],
                                  "consumed": sorted(witnessed)},
-                           deadline=self.sim.now + self.config.peer_timeout)
+                           deadline=self.sim.now + core_config.PEER_TIMEOUT)
 
     def _handle_sync_response(self, src: str, payload: dict) -> None:
         sid = payload.get("sid")

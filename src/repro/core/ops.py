@@ -28,6 +28,7 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.check import probes
+from repro.core import config as core_config
 from repro.core import protocol
 from repro.core.admission import Refusal, parse_refusal
 from repro.leasing import Lease, OperationKind
@@ -204,7 +205,7 @@ class Operation:
                 self._reply_events.pop(peer, None)
                 continue
             self.contacted.append(peer)
-            timeout = sim.timeout(self.instance.config.peer_timeout)
+            timeout = sim.timeout(core_config.PEER_TIMEOUT)
             outcome = yield AnyOf(sim, [reply_event, timeout])
             timeout.cancel()
             self._reply_events.pop(peer, None)
@@ -249,7 +250,7 @@ class Operation:
             # owner set pays k frames for every operation.  Stagger the
             # rest behind half a peer-timeout each — failover costs a
             # little latency, the common case costs O(1) frames.
-            stagger = self.instance.config.peer_timeout / 2
+            stagger = core_config.PEER_TIMEOUT / 2
             for i, peer in enumerate(peers[1:], start=1):
                 self.instance.sim.schedule(i * stagger,
                                            self._contact_backup, peer)
@@ -276,7 +277,7 @@ class Operation:
         # satisfied, then another multicast may be used to try and find
         # more instances" (3.1.3).  Give the contacted peers one
         # peer-timeout of grace before spending the multicast.
-        yield self.instance.sim.timeout(self.instance.config.peer_timeout)
+        yield self.instance.sim.timeout(core_config.PEER_TIMEOUT)
         if self.done or not self.lease.active:
             return
         yield comms.discover()
@@ -392,15 +393,15 @@ class Operation:
                 or self.kind not in (OperationKind.RD, OperationKind.IN)
                 or not self.lease.active):
             return
-        config = self.instance.config
         peer = refusal.peer
         attempt = self._refusal_attempts.get(peer, 0)
         self._refusal_attempts[peer] = attempt + 1
-        delay = min(config.retry_initial * (config.retry_backoff ** attempt),
-                    config.retry_max_interval)
+        delay = min(core_config.RETRY_INITIAL
+                    * (core_config.RETRY_BACKOFF ** attempt),
+                    core_config.RETRY_MAX_INTERVAL)
         delay = max(delay, refusal.retry_after)
         rng = self.instance.sim.rng(f"backoff/{self.instance.name}")
-        delay *= 1.0 + config.retry_jitter * rng.random()
+        delay *= 1.0 + core_config.RETRY_JITTER * rng.random()
         remaining = self.lease.remaining_time(self.instance.sim.now)
         if remaining is not None and delay >= remaining:
             return  # the lease will have ended; a retry could not be served

@@ -39,7 +39,12 @@ from collections import deque
 from typing import Optional
 
 from repro.check import probes
+from repro.core import config as core_config
 from repro.core import protocol
+
+#: How many recently seen sequence numbers the receive-side dedup window
+#: keeps per (peer, epoch).
+DEDUP_WINDOW = 256
 
 
 class PendingFrame:
@@ -118,7 +123,7 @@ class ReliableChannel:
 
         ``deadline`` is an *absolute* virtual time, normally the expiry of
         the lease funding the operation.  ``None`` falls back to a window
-        of ``config.claim_timeout + config.peer_timeout`` from now — wide
+        of ``config.claim_timeout + PEER_TIMEOUT`` from now — wide
         enough to resolve any claim, still strictly bounded so a dead peer
         can never pin retransmission state forever.
 
@@ -136,9 +141,10 @@ class ReliableChannel:
         payload["rseq"] = seq
         payload["repoch"] = self.epoch
         if deadline is None:
-            deadline = sim.now + self.config.claim_timeout + self.config.peer_timeout
+            deadline = (sim.now + self.config.claim_timeout
+                        + core_config.PEER_TIMEOUT)
         pending = PendingFrame(peer, seq, payload, deadline,
-                               self.config.retry_initial)
+                               core_config.RETRY_INITIAL)
         self._pending[(peer, seq)] = pending
         self.sent += 1
         return self._transmit(pending)
@@ -148,12 +154,12 @@ class ReliableChannel:
         pending.attempts += 1
         ok = self.instance.send(pending.peer, pending.payload)
         # Schedule the next attempt (with jitter), but never past deadline.
-        delay = pending.interval * (1.0 + self.config.retry_jitter
+        delay = pending.interval * (1.0 + core_config.RETRY_JITTER
                                     * self._rng.random())
         if self.backoff_observer is not None:
             self.backoff_observer(delay)
-        pending.interval = min(pending.interval * self.config.retry_backoff,
-                               self.config.retry_max_interval)
+        pending.interval = min(pending.interval * core_config.RETRY_BACKOFF,
+                               core_config.RETRY_MAX_INTERVAL)
         if pending.deadline is not None and sim.now + delay >= pending.deadline:
             # The next attempt would land after the lease is over: this was
             # the final transmission.  Drop the state at the deadline.
@@ -217,7 +223,7 @@ class ReliableChannel:
                 if epoch < oldest:
                     return True  # ancient epoch, no state kept; let it pass
                 del epochs[oldest]
-            window = epochs[epoch] = _PeerWindow(self.config.dedup_window)
+            window = epochs[epoch] = _PeerWindow(DEDUP_WINDOW)
         if window.check_and_add(seq):
             if probes.SINK is not None:
                 # ``rinc`` is this receiver's own incarnation (its channel

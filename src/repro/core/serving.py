@@ -37,11 +37,16 @@ from repro.core import protocol
 from repro.core.admission import (
     REFUSE_SERVING_LEASE,
     REFUSE_THREADS,
+    RETRY_FLOOR,
     AdmissionController,
 )
 from repro.errors import LeaseError
 from repro.leasing import Lease, LeaseTerms, OperationKind, SimpleLeaseRequester
 from repro.tuples import Pattern, Tuple, decode_pattern, encode_tuple
+
+#: Cap on the lease a serving instance grants itself for working on a
+#: remote instance's operation.
+SERVE_MAX_DURATION = 60.0
 
 
 class Serving:
@@ -81,12 +86,8 @@ class QueryServer:
             self.admission = AdmissionController(
                 clock=lambda: self.instance.sim.now,
                 queue_bound=config.admission_queue_bound,
-                price_curve=config.admission_price_curve,
-                fairness=config.admission_fairness,
                 capacity_rate=float(config.serve_workers),
                 unit_cost=config.serve_cost,
-                burst=config.admission_burst,
-                retry_floor=config.admission_retry_floor,
             )
         # Bounded inbound serving queue (active only with serve_cost > 0):
         # (origin, payload, arrived_at) triples drained by dispatch workers.
@@ -207,8 +208,7 @@ class QueryServer:
         kind = OperationKind(payload["op"])
         pattern = decode_pattern(payload["pattern"])
         deadline = payload.get("deadline")
-        retry_hint = (self.instance.config.admission_retry_floor
-                      if self.admission is not None else None)
+        retry_hint = RETRY_FLOOR if self.admission is not None else None
         lease = self._negotiate_serving_lease(kind, deadline)
         if lease is None:
             self.refused += 1
@@ -251,7 +251,7 @@ class QueryServer:
 
     def _negotiate_serving_lease(self, kind: OperationKind,
                                  deadline: Optional[float]) -> Optional[Lease]:
-        duration = self.instance.config.serve_max_duration
+        duration = SERVE_MAX_DURATION
         if deadline is not None:
             duration = min(duration, max(0.0, deadline))
         requester = SimpleLeaseRequester(LeaseTerms(duration=duration))

@@ -56,20 +56,8 @@ class LeaseRejectedByRequesterError(LeaseError):
     """
 
 
-class LeaseExpiredError(LeaseError):
-    """An operation's lease expired before the operation could complete."""
-
-
-class LeaseRevokedError(LeaseError):
-    """A granted lease was revoked by the instance (last-resort behaviour)."""
-
-
 class NetworkError(ReproError):
     """Base class for simulated-network errors."""
-
-
-class NotVisibleError(NetworkError):
-    """A unicast was attempted to a node that is not currently visible."""
 
 
 class UnknownNodeError(NetworkError):
@@ -87,10 +75,6 @@ class OperationAbandonedError(OperationError):
     destination instance is unavailable and the active routing policy says
     to abandon rather than route or fall back to the local space.
     """
-
-
-class RemoteSpaceUnavailableError(OperationError):
-    """A handle-directed operation could not reach the named remote space."""
 
 
 class SimulationError(ReproError):

@@ -13,14 +13,12 @@ from dataclasses import dataclass
 
 @dataclass
 class FabricConfig:
-    """Tunables for one instance's fabric layer.
+    """Tunables for one instance's fabric layer: the settings two callers
+    set differently.  Owner-set size, ring smoothing, scatter bound and
+    gossip pacing are constants of :mod:`repro.fabric.manager`.
 
     Attributes
     ----------
-    replication:
-        Owner-set size ``k``: one primary plus ``k - 1`` quarantined
-        replicas per shard key.  Ground lookups contact at most ``k``
-        nodes.
     key_fields:
         How many leading tuple fields feed the shard key (alongside the
         arity, always part of the key).  A pattern routes O(k) only when
@@ -28,14 +26,6 @@ class FabricConfig:
         back to the bounded scatter.  Workloads that tag tuples with a
         constant first field and address them with the second should use
         ``key_fields=2`` so the shard key actually spreads.
-    vnodes:
-        Virtual nodes per member on the consistent-hash ring (placement
-        smoothing).
-    scatter_limit:
-        Upper bound on members contacted by a wildcard-first pattern (the
-        bounded scatter).  Coverage beyond the limit is deliberately
-        sacrificed for O(1) cost; raise it when wildcard reads must see
-        more of the space.
     membership_lease:
         Seconds a gossiped membership entry stays live without renewal —
         the fabric's ownership lease.  When it lapses the member drops off
@@ -44,38 +34,20 @@ class FabricConfig:
         Seconds between a member's renewal + anti-entropy beats (renew own
         lease, sweep expired members, rebalance misplaced primaries,
         gossip the map).
-    gossip_fanout:
-        How many live members each heartbeat pushes the shard map to.
-    gossip_idle_beats:
-        Anti-entropy backoff: when the live member set has not changed
-        since the last push, gossip only every this-many heartbeats.  The
-        digest piggybacked on ordinary frames already converges active
-        pairs, so steady-state background gossip is pure insurance.
     migrate_timeout:
         Seconds a migrating owner keeps the handed-off entry held awaiting
         the successor's ack before dropping it (never releasing: a
         released copy could race the delivered one into a double consume).
     """
 
-    replication: int = 2
     key_fields: int = 1
-    vnodes: int = 8
-    scatter_limit: int = 8
     membership_lease: float = 10.0
     heartbeat_period: float = 3.0
-    gossip_fanout: int = 2
-    gossip_idle_beats: int = 4
     migrate_timeout: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.replication < 1:
-            raise ValueError("replication must be >= 1")
         if self.key_fields < 1:
             raise ValueError("key_fields must be >= 1")
-        if self.vnodes < 1:
-            raise ValueError("vnodes must be >= 1")
-        if self.scatter_limit < 1:
-            raise ValueError("scatter_limit must be >= 1")
         if self.membership_lease <= 0:
             raise ValueError("membership_lease must be > 0")
         if self.heartbeat_period <= 0:
@@ -83,9 +55,5 @@ class FabricConfig:
         if self.heartbeat_period >= self.membership_lease:
             raise ValueError("heartbeat_period must be < membership_lease "
                              "(a member must renew before its lease lapses)")
-        if self.gossip_fanout < 1:
-            raise ValueError("gossip_fanout must be >= 1")
-        if self.gossip_idle_beats < 1:
-            raise ValueError("gossip_idle_beats must be >= 1")
         if self.migrate_timeout <= 0:
             raise ValueError("migrate_timeout must be > 0")

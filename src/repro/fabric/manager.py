@@ -7,12 +7,12 @@ section 11):
 
 * **Routing** — ``plan(pattern)`` maps a ground-prefix pattern to its
   O(k) owner set on the ring; wildcard-first patterns fall back to a
-  ``scatter_limit``-bounded member scatter.  ``route_out`` sends a
+  :data:`SCATTER_LIMIT`-bounded member scatter.  ``route_out`` sends a
   deposit to the key's primary owner (``FABRIC_OUT``) instead of storing
   it locally.
 * **Membership** — the gossiped :class:`~repro.fabric.map.ShardMap` of
   lease-governed members: every heartbeat renews this node's lease,
-  sweeps lapsed peers, and pushes the map to ``gossip_fanout``
+  sweeps lapsed peers, and pushes the map to :data:`GOSSIP_FANOUT`
   successors; a map digest (``"fmd"``) piggybacks on ordinary frames so
   skewed peers converge between heartbeats.
 * **Replication** — each primary is copied (``FABRIC_REPL``) to the
@@ -42,6 +42,7 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List, Set, Tuple as Tup
 
+from repro.core import config as core_config
 from repro.core import protocol
 from repro.fabric.keys import (
     is_infrastructure,
@@ -61,6 +62,19 @@ DIGEST_KEY = "fmd"
 #: Bound on remembered invalidated uids per member (see ``_tombstone``).
 TOMBSTONE_CAP = 4096
 
+#: Owner-set size ``k``: one primary plus ``k - 1`` quarantined replicas
+#: per shard key.  Ground lookups contact at most ``k`` nodes.
+REPLICATION = 2
+#: Upper bound on members contacted by a wildcard-first pattern (the
+#: bounded scatter): coverage beyond it is traded for O(1) cost.
+SCATTER_LIMIT = 8
+#: How many live members each heartbeat pushes the shard map to.
+GOSSIP_FANOUT = 2
+#: Anti-entropy back-off: with the live member set unchanged since the
+#: last push, gossip only every this-many heartbeats.  The digest
+#: piggybacked on ordinary frames already converges active pairs.
+GOSSIP_IDLE_BEATS = 4
+
 
 class FabricManager:
     """Sharding, replication and handoff for one instance."""
@@ -69,7 +83,7 @@ class FabricManager:
         self.instance = instance
         self.sim = instance.sim
         self.config = instance.config.fabric
-        self.map = ShardMap(vnodes=self.config.vnodes)
+        self.map = ShardMap()
         self._sids = self.sim.ids("fabric_sid")
         #: Incarnation token: entry uids must never collide across a
         #: name's crash/restart cycles, so the uid's first half is
@@ -197,11 +211,11 @@ class FabricManager:
         key = pattern_shard_key(pattern, self.config.key_fields)
         if key is not None:
             ring = self.map.ring(now)
-            peers = [o for o in ring.owners(key, self.config.replication)
+            peers = [o for o in ring.owners(key, REPLICATION)
                      if o != me]
         else:
             peers = [m for m in self.map.live(now) if m != me]
-            peers = peers[:self.config.scatter_limit]
+            peers = peers[:SCATTER_LIMIT]
         if record:
             self.scatter_ops += 1
             self.scatter_width_sum += len(peers)
@@ -222,7 +236,7 @@ class FabricManager:
         self._grace_visible(self.sim.now)
         key = shard_key(tup, self.config.key_fields)
         owners = self.map.ring(self.sim.now).owners(key,
-                                                    self.config.replication)
+                                                    REPLICATION)
         if not owners or self.instance.name in owners:
             self.deposits_owned += 1
             return False
@@ -231,7 +245,7 @@ class FabricManager:
                 self.instance.send_reliable(owner, {
                     "kind": protocol.FABRIC_OUT,
                     "tuple": encode_tuple(tup),
-                }, deadline=self.sim.now + 2 * self.instance.config.peer_timeout)
+                }, deadline=self.sim.now + 2 * core_config.PEER_TIMEOUT)
                 self.deposits_routed += 1
                 return True
         return False
@@ -258,9 +272,9 @@ class FabricManager:
     def _replicate(self, uid, entry) -> None:
         key = shard_key(entry.tuple, self.config.key_fields)
         owners = self.map.ring(self.sim.now).owners(key,
-                                                    self.config.replication)
+                                                    REPLICATION)
         targets = [o for o in owners if o != self.instance.name]
-        targets = targets[:self.config.replication - 1]
+        targets = targets[:REPLICATION - 1]
         sent = self._holders.setdefault(uid, set())
         if not targets:
             return
@@ -277,7 +291,7 @@ class FabricManager:
                 continue
             self.instance.send_reliable(
                 target, payload,
-                deadline=self.sim.now + 2 * self.instance.config.peer_timeout)
+                deadline=self.sim.now + 2 * core_config.PEER_TIMEOUT)
             sent.add(target)
 
     def _on_entry_removed(self, entry, reason: str) -> None:
@@ -297,7 +311,7 @@ class FabricManager:
                         "kind": protocol.FABRIC_INVAL,
                         "uid": list(uid),
                     }, deadline=self.sim.now
-                        + 2 * self.instance.config.peer_timeout)
+                        + 2 * core_config.PEER_TIMEOUT)
         if self._replicas.get(uid) == entry.entry_id:
             del self._replicas[uid]
             self._replica_primary.pop(uid, None)
@@ -573,7 +587,7 @@ class FabricManager:
             self._finish_promotion(dead, set(uids), own)
             return
         sid = next(self._sids)
-        timeout = 2 * self.instance.config.peer_timeout
+        timeout = 2 * core_config.PEER_TIMEOUT
         state = {
             "dead": dead,
             "uids": set(uids),
@@ -706,7 +720,7 @@ class FabricManager:
                 self._primaries.pop(uid, None)
                 continue
             key = shard_key(entry.tuple, self.config.key_fields)
-            owners = ring.owners(key, self.config.replication)
+            owners = ring.owners(key, REPLICATION)
             if me in owners or not owners:
                 self._replicate(uid, entry)
                 continue
@@ -722,12 +736,12 @@ class FabricManager:
             return
         # Idle backoff: with an unchanged live set, background gossip is
         # anti-entropy insurance only (the piggybacked digest converges
-        # active pairs), so push every `gossip_idle_beats` beats instead
+        # active pairs), so push every `GOSSIP_IDLE_BEATS` beats instead
         # of every beat.
         roster = tuple(live)
         if roster == self._gossiped_roster:
             self._gossip_beats += 1
-            if self._gossip_beats < self.config.gossip_idle_beats:
+            if self._gossip_beats < GOSSIP_IDLE_BEATS:
                 return
         self._gossiped_roster = roster
         self._gossip_beats = 0
@@ -741,7 +755,7 @@ class FabricManager:
             peer = ordered[(start + i) % len(ordered)]
             if peer != me:
                 targets.append(peer)
-            if len(targets) >= self.config.gossip_fanout:
+            if len(targets) >= GOSSIP_FANOUT:
                 break
         for peer in targets:
             self._push_map(peer)

@@ -23,13 +23,12 @@ from repro.fabric.ring import HashRing, stable_hash
 class ShardMap:
     """Membership (name -> lease expiry) plus the derived hash ring."""
 
-    def __init__(self, vnodes: int = 8) -> None:
-        self.vnodes = vnodes
+    def __init__(self) -> None:
         self.members: Dict[str, float] = {}
         #: Bumped on every local mutation; exported as a gauge so operators
         #: can see map churn (and skew between nodes) directly.
         self.version = 0
-        self._ring: HashRing = HashRing([], vnodes)
+        self._ring: HashRing = HashRing([])
         self._ring_members: tuple = ()
         self._digest_value = ""
         self._digest_version = -1
@@ -80,7 +79,7 @@ class ShardMap:
         """
         live = tuple(self.live(now))
         if live != self._ring_members:
-            self._ring = HashRing(live, self.vnodes)
+            self._ring = HashRing(live)
             self._ring_members = live
         return self._ring
 

@@ -17,8 +17,8 @@ Injectors
   latency draw), modelling link-layer retransmit duplicates.
 * :class:`ReorderFrames` — adds a bounded random extra delay to a frame so
   it can overtake (or be overtaken by) its neighbours.
-* :class:`CorruptPayload` — damages the frame in flight; the receiver's
-  checksum catches it and the network drops it (reason ``corrupt``).
+* :class:`CorruptPayload` — damages the frame in flight; the receiver
+  rejects it and the network drops it (reason ``corrupt``).
 * :class:`OneWayLink` — drops every frame in one direction of a link,
   modelling asymmetric radio reach.
 

@@ -8,36 +8,27 @@ its own kinds.  Size is computed once from the payload's compact JSON
 encoding (frames are JSON on every runtime, ``docs/PROTOCOL.md`` §8) and
 used for both latency (per-byte transmission delay) and byte accounting.
 
-Every frame also carries a **checksum** over its encoded payload, computed
-at send time from the same canonical encoding that gave the size (sorting
-keys does not change a length), and carried, with the size, to every
-multicast copy instead of being recomputed.  Real link layers discard
-damaged frames; the simulated network models that by letting fault
-injectors :meth:`corrupt` a frame in flight, after which :meth:`verify`
-fails and the network drops the frame at delivery time (drop reason
-``corrupt``) instead of handing garbage to a protocol handler.
+Real link layers discard damaged frames; the simulated network models
+that by letting fault injectors :meth:`corrupt` a frame in flight.  A
+damaged frame's payload is a fresh garbled dict, so integrity is an
+identity check: :meth:`verify` asks whether the payload is still the one
+the frame was sent with (``sent``, carried to every copy), and the network
+drops a frame that fails it at delivery time (drop reason ``corrupt``)
+instead of handing garbage to a protocol handler.
 """
 
 from __future__ import annotations
 
 import json
-import zlib
 from typing import Optional
 
 from repro.errors import SerializationError
 
 
-def payload_checksum(payload: dict) -> int:
-    """CRC32 of the canonical JSON encoding of ``payload``."""
-    encoded = json.dumps(payload, separators=(",", ":"), sort_keys=True,
-                         default=str)
-    return zlib.crc32(encoded.encode("utf-8"))
-
-
 class Message:
     """A frame in flight (or delivered) on the simulated network."""
 
-    __slots__ = ("src", "dst", "payload", "size", "sent_at", "checksum")
+    __slots__ = ("src", "dst", "payload", "size", "sent_at", "sent")
 
     def __init__(self, src: str, dst: Optional[str], payload: dict,
                  sent_at: float) -> None:
@@ -52,7 +43,7 @@ class Message:
             raise SerializationError(
                 f"payload is not JSON-representable: {exc}") from exc
         self.size = len(encoded)
-        self.checksum = zlib.crc32(encoded.encode("utf-8"))
+        self.sent = payload
 
     @property
     def kind(self) -> str:
@@ -62,8 +53,9 @@ class Message:
     def copy_for(self, dst: Optional[str], sent_at: float) -> "Message":
         """A fresh frame carrying the same payload to ``dst``.
 
-        Size and checksum are those of the original: the payload is shared,
-        and :meth:`corrupt` replaces it on one copy rather than mutating it.
+        Size and sent payload are those of the original: the payload is
+        shared, and :meth:`corrupt` replaces it on one copy rather than
+        mutating it.
         """
         msg = object.__new__(Message)
         msg.src = self.src
@@ -71,21 +63,21 @@ class Message:
         msg.payload = self.payload
         msg.size = self.size
         msg.sent_at = sent_at
-        msg.checksum = self.checksum
+        msg.sent = self.sent
         return msg
 
     # ------------------------------------------------------------------
     # Integrity
     # ------------------------------------------------------------------
     def corrupt(self) -> None:
-        """Damage the frame in flight: the payload no longer matches the
-        checksum computed at send time, so :meth:`verify` fails."""
+        """Damage the frame in flight: the payload is no longer the one it
+        was sent with, so :meth:`verify` fails."""
         self.payload = {"kind": self.payload.get("kind", "?"),
                         "__garbled__": True}
 
     def verify(self) -> bool:
-        """True iff the payload still matches the send-time checksum."""
-        return payload_checksum(self.payload) == self.checksum
+        """True iff the payload is still the one the frame was sent with."""
+        return self.payload is self.sent
 
     @property
     def is_multicast(self) -> bool:

@@ -220,8 +220,8 @@ class Network:
             self._drop(message, DROP_NODE_DOWN)
             return
         if self.faults is not None and not message.verify():
-            # The receiver's frame checksum rejects damaged payloads; only
-            # a fault plan damages frames in flight.
+            # The receiver rejects damaged payloads; only a fault plan
+            # damages frames in flight.
             self._drop(message, DROP_CORRUPT)
             return
         self.stats.record_receive(message.dst, message.size)

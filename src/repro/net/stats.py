@@ -9,7 +9,7 @@ that never arrived was either addressed to an invisible peer
 (``invisible``), lost to the network's i.i.d. loss model (``loss``),
 addressed to a node that was down at delivery time (``node_down``),
 swallowed by a fault injector (``fault``), or damaged in flight and
-rejected by the receiver's checksum (``corrupt``).
+rejected by the receiver (``corrupt``).
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ DROP_INVISIBLE = "invisible"   # destination not visible at send time
 DROP_LOSS = "loss"             # the network's i.i.d. random loss
 DROP_NODE_DOWN = "node_down"   # destination down/detached at delivery time
 DROP_FAULT = "fault"           # swallowed by an injected fault
-DROP_CORRUPT = "corrupt"       # payload damaged in flight, checksum failed
+DROP_CORRUPT = "corrupt"       # payload damaged in flight
 
 DROP_REASONS = (DROP_INVISIBLE, DROP_LOSS, DROP_NODE_DOWN, DROP_FAULT,
                 DROP_CORRUPT)

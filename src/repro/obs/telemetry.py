@@ -50,6 +50,13 @@ HEALTH_PARTITIONED = "partitioned"
 #: considered cut off from the collector's vantage point.
 STALE_PERIODS = 3.0
 
+#: Seconds between a simulated instance's telemetry beats.
+TELEMETRY_PERIOD = 1.0
+#: Lease requested for each health row: a dead node's rows expire (and
+#: are reclaimed by the space) this long after its last beat — 2.5
+#: periods, over one delayed beat and under :data:`STALE_PERIODS`.
+TELEMETRY_LEASE = 2.5
+
 
 class TelemetryPublisher:
     """Periodically deposits one leased health row for an instance.
@@ -60,13 +67,8 @@ class TelemetryPublisher:
     capacity like any other work and must never amplify an overload.
     """
 
-    def __init__(self, instance: Any, period: Optional[float] = None,
-                 lease_duration: Optional[float] = None):
-        config = instance.config
+    def __init__(self, instance: Any):
         self.instance = instance
-        self.period = period if period is not None else config.telemetry_period
-        self.lease_duration = (lease_duration if lease_duration is not None
-                               else config.telemetry_lease)
         self.epoch = 0
         self.published = 0
         self.skipped = 0
@@ -75,7 +77,8 @@ class TelemetryPublisher:
 
     def start(self) -> "TelemetryPublisher":
         if self._timer is None:
-            self._timer = self.instance.sim.schedule(self.period, self._beat)
+            self._timer = self.instance.sim.schedule(TELEMETRY_PERIOD,
+                                                     self._beat)
         return self
 
     def stop(self) -> None:
@@ -88,7 +91,7 @@ class TelemetryPublisher:
         if self.instance._detached:
             return
         self.publish()
-        self._timer = self.instance.sim.schedule(self.period, self._beat)
+        self._timer = self.instance.sim.schedule(TELEMETRY_PERIOD, self._beat)
 
     def publish(self) -> bool:
         """Deposit one health row now; False when the lease was refused."""
@@ -97,7 +100,7 @@ class TelemetryPublisher:
                              sort_keys=True)
         row = Tuple(TELEMETRY_TAG, self.instance.name, self.epoch, payload)
         requester = SimpleLeaseRequester(
-            LeaseTerms(duration=self.lease_duration))
+            LeaseTerms(duration=TELEMETRY_LEASE))
         try:
             self.instance.out(row, requester=requester)
         except LeaseError:

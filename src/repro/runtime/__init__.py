@@ -5,8 +5,8 @@ experiments are deterministic and scale on one machine.  This package
 demonstrates that the model is not simulator-bound, twice over:
 
 * :mod:`repro.runtime.base` — what the two share, written once: the node
-  registry and visibility relation, the admission-controlled serving gate
-  (``SHED``) and the origin's per-peer shed back-off;
+  registry and visibility relation, the serving plane a peer's probe
+  enters and the one synchronous operation loop;
 * :mod:`repro.runtime.node` — a **threaded** runtime: thread-safe tuple
   space with genuinely blocking ``rd``/``in`` (condition variables,
   wall-clock lease deadlines) and nodes linked by an in-process registry,
@@ -30,12 +30,10 @@ from repro.runtime.api import (
     TiamatRuntime,
     connect,
 )
-from repro.runtime.base import SHED
 from repro.runtime.space import ThreadSafeTupleSpace
 
 __all__ = [
     "AioRuntime",
-    "SHED",
     "SimRuntime",
     "ThreadSafeTupleSpace",
     "ThreadsRuntime",

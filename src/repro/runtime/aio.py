@@ -9,7 +9,7 @@ datagram — mirroring the paper's prototype, which ran the protocol over
 IP on physical devices.  Semantics are the threaded runtime's, bit for
 bit where the differential harness can see them: ``out`` deposits
 locally, probes walk the currently visible peers in sorted order through
-their admission gates, blocking operations poll the opportunistic
+their serving planes, blocking operations poll the opportunistic
 logical space until match or deadline, ``eval`` runs the active tuple on
 a worker and deposits its result locally.
 
@@ -39,8 +39,9 @@ Transport shape
   ``memoryview`` via the socket's own ``sendto`` — no intermediate
   ``bytes`` object per send.
 * **Reliability**: every query carries a request id; the origin
-  retransmits on a capped exponential schedule (``config.retry_*``)
-  until answered or out of budget, and the serving side keeps a bounded
+  retransmits on a capped exponential schedule (the ``RETRY_*``
+  constants of :mod:`repro.core.config`) until answered or out of
+  budget, and the serving side keeps a bounded
   cache of completed answers so a retransmitted destructive ``inp`` is
   answered *idempotently* — exactly-once consumption over a lossy wire.
 
@@ -59,7 +60,6 @@ import socket
 import threading
 import time
 from typing import (
-    TYPE_CHECKING,
     Any,
     Dict,
     Iterator,
@@ -69,8 +69,9 @@ from typing import (
     Union,
 )
 
+from repro.core import config as core_config
 from repro.errors import SerializationError
-from repro.runtime.base import SHED, NodeRegistry, RuntimeNode, _ShedType
+from repro.runtime.base import NodeRegistry, RuntimeNode
 from repro.tuples.model import Pattern, Tuple
 from repro.tuples.serialization import (
     _esc,
@@ -79,14 +80,11 @@ from repro.tuples.serialization import (
     decode_tuple,
 )
 
-if TYPE_CHECKING:
-    from repro.core.config import TiamatConfig
-
 Addr = PyTuple[str, int]
 
 #: Frame kinds (the ``"k"`` payload key).
 QUERY = "q"            #: probe a peer's space (rdp/inp)
-RESPONSE = "r"         #: answer to a QUERY (hit/miss/shed)
+RESPONSE = "r"         #: answer to a QUERY (hit/miss)
 ECHO = "e"             #: echo request (CLI smoke + loopback bench)
 ECHO_REPLY = "er"      #: echo answer
 BATCH = "b"            #: same-tick coalescing envelope
@@ -303,11 +301,10 @@ class AioNodeRegistry(NodeRegistry["AioTiamatNode"]):
     """
 
     def __init__(self, *, host: str = "127.0.0.1",
-                 config: Optional["TiamatConfig"] = None,
                  loss_rate: float = 0.0, loss_seed: int = 0) -> None:
         if not 0.0 <= loss_rate < 1.0:
             raise ValueError("loss_rate must be in [0, 1)")
-        super().__init__(config=config)
+        super().__init__()
         self.frames = _JsonFrames
         self.host = host
         self.loss_rate = loss_rate
@@ -361,7 +358,8 @@ class AioNodeRegistry(NodeRegistry["AioTiamatNode"]):
         return [(node.name, node.addr) for node in self.visible_nodes(name)]
 
     def stats(self) -> Dict[str, Any]:
-        """Aggregated cluster wire counters (plus per-node breakdown)."""
+        """Aggregated cluster wire counters (plus per-node breakdown);
+        ``sheds`` reads 0 (no aio node sheds)."""
         nodes = {node.name: node.stats() for node in self.all_nodes()}
         total = {key: sum(n[key] for n in nodes.values())
                  for key in ("frames_sent", "frames_received", "batches_sent",
@@ -420,10 +418,8 @@ class AioTiamatNode(RuntimeNode):
     SERVED_CACHE = 512
 
     def __init__(self, registry: AioNodeRegistry, name: str, *,
-                 max_concurrent_serves: Optional[int] = None,
                  port: int = 0) -> None:
-        super().__init__(registry, name,
-                         max_concurrent_serves=max_concurrent_serves)
+        super().__init__(registry, name)
         self._req_ids = itertools.count(1)
         # request id -> the loop-side request's future
         self._pending: Dict[int, asyncio.Future] = {}
@@ -440,7 +436,6 @@ class AioTiamatNode(RuntimeNode):
         self._endpoints: List[_Endpoint] = []
         self._idle: List[_Endpoint] = []
         self.dedup_served = 0
-        self.force_shed = False  # test/bench hook: shed every probe
         self.addr: Addr = ("", 0)
         fut = asyncio.run_coroutine_threadsafe(self._a_start(port),
                                                registry.loop)
@@ -520,11 +515,8 @@ class AioTiamatNode(RuntimeNode):
         # unknown kinds are ignored (forward compatibility)
 
     # ------------------------------------------------------------------
-    # Serving plane: how peers enter this node (admission + idempotency)
+    # Serving plane: how peers enter this node (idempotent takes)
     # ------------------------------------------------------------------
-    def _admit_serve(self) -> bool:
-        return not self.force_shed and super()._admit_serve()
-
     def _serve_query(self, frame: dict, addr: Addr) -> None:
         origin = frame.get("o", "?")
         req_id = frame.get("id")
@@ -540,15 +532,11 @@ class AioTiamatNode(RuntimeNode):
             return
         pattern = frame.get("p")
         remove = frame.get("op") == "inp"
-        # A malformed pattern is a miss; it takes no serving slot.
+        # A malformed pattern is a miss.
         found = (self._serve(pattern, remove)
                  if isinstance(pattern, Pattern) else None)
         response: dict = {"k": RESPONSE, "id": req_id, "st": "miss"}
-        if found is SHED:
-            # Shed verdicts are *not* cached: the origin should retry
-            # after backoff and find an admitted slot.
-            response["st"] = "shed"
-        elif found is not None:
+        if found is not None:
             response["st"] = "hit"
             response["t"] = found
             # Only destructive hits are cached: the one irreversible
@@ -566,17 +554,15 @@ class AioTiamatNode(RuntimeNode):
     # ------------------------------------------------------------------
     def _waits(self, budget: float) -> Iterator[float]:
         """How long to wait after each send of one request: the capped
-        exponential ``config.retry_*`` schedule, clipped to ``budget``.
-        Both request paths walk it on one clock (``loop.time()`` is
-        ``time.monotonic()``), as they share ``_peer_backoff``."""
-        config = self.registry.config
+        exponential ``RETRY_*`` schedule of :mod:`repro.core.config`,
+        clipped to ``budget``."""
         deadline = time.monotonic() + budget
-        interval = config.retry_initial
+        interval = core_config.RETRY_INITIAL
         remaining = budget
         while remaining > 0:
             yield min(interval, remaining)
-            interval = min(interval * config.retry_backoff,
-                           config.retry_max_interval)
+            interval = min(interval * core_config.RETRY_BACKOFF,
+                           core_config.RETRY_MAX_INTERVAL)
             remaining = deadline - time.monotonic()
 
     async def _request(self, addr: Addr, frame: dict,
@@ -649,50 +635,38 @@ class AioTiamatNode(RuntimeNode):
                 end.sock.close()
 
     def _query(self, peer: str, pattern: Pattern, remove: bool,
-               req_ids: Dict[str, int]) -> Optional[dict]:
-        """The QUERY frame for one probe of ``peer``, or ``None`` while it
-        backs this node off.  One request id per peer per operation: with
-        the server's destructive-hit cache, a take whose answer was lost is
-        recovered on the next round instead of consumed into the void."""
-        if self._backing_off(peer, time.monotonic()):
-            return None
+               req_ids: Dict[str, int]) -> dict:
+        """The QUERY frame for one probe of ``peer``.  One request id per
+        peer per operation: with the server's destructive-hit cache, a take
+        whose answer was lost is recovered on the next round instead of
+        consumed into the void."""
         req_id = req_ids.get(peer)
         if req_id is None:
             req_id = req_ids[peer] = next(self._req_ids)
         return {"k": QUERY, "id": req_id, "op": "inp" if remove else "rdp",
                 "p": pattern, "o": self.name}
 
-    def _verdict(self, peer: str, answer: Optional[dict]
-                 ) -> Union[Optional[Tuple], _ShedType]:
-        """What a probe's answer means: a tuple, ``None`` (a miss, or no
-        answer in budget) or :data:`SHED`; an answer moves the back-off."""
-        if answer is None:
+    @staticmethod
+    def _verdict(answer: Optional[dict]) -> Optional[Tuple]:
+        """What a probe's answer means: a tuple for a hit, else ``None``
+        (a miss, or no answer in budget)."""
+        if answer is None or answer.get("st") != "hit":
             return None
-        shed = answer.get("st") == "shed"
-        self._note_answer(peer, shed, time.monotonic())
-        if shed:
-            return SHED
-        return _answer_tuple(answer) if answer.get("st") == "hit" else None
+        return _answer_tuple(answer)
 
     async def _probe(self, peer: str, addr: Addr, pattern: Pattern,
-                     remove: bool, req_ids: Dict[str, int],
-                     ) -> Union[Optional[Tuple], _ShedType]:
+                     remove: bool, req_ids: Dict[str, int]) -> Optional[Tuple]:
         """Probe one peer from the loop (see :meth:`_query`)."""
-        frame = self._query(peer, pattern, remove, req_ids)
-        if frame is None:
-            return None
-        return self._verdict(peer, await self._request(
-            addr, frame, budget=self.PROBE_TIMEOUT))
+        return self._verdict(await self._request(
+            addr, self._query(peer, pattern, remove, req_ids),
+            budget=self.PROBE_TIMEOUT))
 
     def _probe_peer(self, peer: "AioTiamatNode", pattern: Pattern,
-                    remove: bool, req_ids: Dict[str, int]
-                    ) -> Union[Optional[Tuple], _ShedType]:
+                    remove: bool, req_ids: Dict[str, int]) -> Optional[Tuple]:
         """The sync loop's transport: an exchange with ``peer.addr``."""
-        frame = self._query(peer.name, pattern, remove, req_ids)
-        if frame is None:
-            return None
-        return self._verdict(peer.name, self._exchange(
-            peer.addr, frame, budget=self.PROBE_TIMEOUT))
+        return self._verdict(self._exchange(
+            peer.addr, self._query(peer.name, pattern, remove, req_ids),
+            budget=self.PROBE_TIMEOUT))
 
     # ------------------------------------------------------------------
     # The six operations: async core
@@ -746,7 +720,7 @@ class AioTiamatNode(RuntimeNode):
                 for peer, addr in self.registry.visible_peers(self.name):
                     found = await self._probe(peer, addr, pattern, remove,
                                               req_ids)
-                    if found is not None and found is not SHED:
+                    if found is not None:
                         self._count(op, "hit")
                         return found
                 remaining = deadline - loop.time()
@@ -824,7 +798,8 @@ class AioTiamatNode(RuntimeNode):
                                             budget=budget))
 
     def stats(self) -> Dict[str, int]:
-        """Wire and op counters for this node (``pool`` over its endpoints)."""
+        """Wire and op counters for this node (``pool`` over its endpoints;
+        ``sheds`` reads 0: an aio node answers every probe)."""
         pool = {key: sum(end.pool.stats()[key] for end in self._endpoints)
                 for key in ("hits", "misses", "returned", "free")}
         return {
@@ -834,7 +809,7 @@ class AioTiamatNode(RuntimeNode):
             "bytes_sent": self.bytes_sent,
             "retransmits": self.retransmits,
             "dedup_served": self.dedup_served,
-            "sheds": self.sheds,
+            "sheds": 0,
             "transport_errors": self.transport_errors,
             "ops_started": self.ops_started,
             "ops_unsatisfied": self.ops_unsatisfied,

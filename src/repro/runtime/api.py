@@ -220,10 +220,9 @@ class ThreadsRuntime(_RuntimeBase):
 
     kind = "threads"
 
-    def __init__(self, *, config: Optional["TiamatConfig"] = None) -> None:
+    def __init__(self) -> None:
         from repro.runtime.node import ThreadedNodeRegistry
-        self.registry = ThreadedNodeRegistry(config=config)
-        self.config = self.registry.config
+        self.registry = ThreadedNodeRegistry()
 
     def node(self, name: str, **options: Any):
         from repro.runtime.node import ThreadedTiamatNode
@@ -248,14 +247,11 @@ class AioRuntime(_RuntimeBase):
 
     kind = "aio"
 
-    def __init__(self, *, config: Optional["TiamatConfig"] = None,
-                 host: str = "127.0.0.1", loss_rate: float = 0.0,
+    def __init__(self, *, host: str = "127.0.0.1", loss_rate: float = 0.0,
                  loss_seed: int = 0) -> None:
         from repro.runtime.aio import AioNodeRegistry
-        self.registry = AioNodeRegistry(
-            host=host, config=config, loss_rate=loss_rate,
-            loss_seed=loss_seed)
-        self.config = self.registry.config
+        self.registry = AioNodeRegistry(host=host, loss_rate=loss_rate,
+                                        loss_seed=loss_seed)
 
     def node(self, name: str, **options: Any):
         from repro.runtime.aio import AioTiamatNode
@@ -280,7 +276,9 @@ def connect(runtime: str = "sim", *,
         threads, in-process), or ``"aio"`` (real UDP sockets on an
         asyncio event loop).
     config:
-        A :class:`~repro.core.TiamatConfig` applied to every node.
+        A :class:`~repro.core.TiamatConfig` applied to every sim node.
+        The threads and aio runtimes take none (they run no
+        :mod:`repro.core` protocol) and raise :class:`TypeError` for one.
     options:
         Kind-specific keywords — ``seed``/``op_timeout`` for sim;
         ``host``/``loss_rate``/``loss_seed`` for aio.
@@ -288,11 +286,13 @@ def connect(runtime: str = "sim", *,
     Returns a :class:`TiamatRuntime`; use it as a context manager so the
     aio kind reliably releases its sockets and loop thread.
     """
+    if runtime not in _RUNTIMES:
+        raise ValueError(
+            f"unknown runtime {runtime!r}: expected one of {_RUNTIMES}")
     if runtime == "sim":
         return SimRuntime(config=config, **options)
+    if config is not None:
+        raise TypeError(f"the {runtime} runtime takes no TiamatConfig")
     if runtime == "threads":
-        return ThreadsRuntime(config=config, **options)
-    if runtime == "aio":
-        return AioRuntime(config=config, **options)
-    raise ValueError(
-        f"unknown runtime {runtime!r}: expected one of {_RUNTIMES}")
+        return ThreadsRuntime(**options)
+    return AioRuntime(**options)

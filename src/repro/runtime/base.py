@@ -2,48 +2,27 @@
 
 The two real-substrate runtimes differ only in how a probe reaches a peer
 (a method call, or a UDP datagram).  What is *not* transport lives here:
-:class:`NodeRegistry` (who exists, who sees whom, config, obs hub)
-and :class:`RuntimeNode` (a local space, the admission-controlled serving
-plane and its :data:`SHED` verdict, the origin's capped per-peer back-off,
-the counters and metric families both export, the tracer plumbing, and
-the one synchronous operation loop).  :mod:`repro.runtime.node` and
-:mod:`repro.runtime.aio` subclass these and add their transport
-(:meth:`RuntimeNode._probe_peer`); aio adds the loop's async twin.
+:class:`NodeRegistry` (who exists, who sees whom, obs hub) and
+:class:`RuntimeNode` (a local space, the serving plane a peer's probe
+enters, the counters and metric families both export, the tracer
+plumbing, and the one synchronous operation loop).
+:mod:`repro.runtime.node` and :mod:`repro.runtime.aio` subclass these and
+add their transport (:meth:`RuntimeNode._probe_peer`); aio adds the
+loop's async twin.  Neither reads a :class:`~repro.core.config.TiamatConfig`
+and neither gates its serving plane: overload handling by lease is the
+simulated protocol's (:mod:`repro.core.admission`).
 """
 
 from __future__ import annotations
 
 import threading
 import time
-from typing import (TYPE_CHECKING, Any, Dict, Generic, Iterable, List,
-                    Optional, TypeVar, Union)
+from typing import Any, Dict, Generic, Iterable, List, Optional, TypeVar
 
 from repro.obs import Observability
 from repro.obs.telemetry import NodeHealth, collect_cluster_health
 from repro.runtime.space import ThreadSafeTupleSpace
 from repro.tuples.model import Pattern, Tuple
-
-if TYPE_CHECKING:  # pragma: no cover - type hint only, no runtime import
-    from repro.core.config import TiamatConfig
-
-
-class _ShedType:
-    """Sentinel type for :data:`SHED` (falsy, unique, self-describing)."""
-
-    __slots__ = ()
-
-    def __repr__(self) -> str:
-        return "SHED"
-
-    def __bool__(self) -> bool:
-        return False
-
-
-#: Returned by the serving plane when the node sheds a probe instead of
-#: serving it (concurrent serving budget exhausted).  Falsy, so callers
-#: that only distinguish "got a tuple or not" keep working; callers that
-#: care (the origin poll loops) check identity and back off.
-SHED = _ShedType()
 
 N = TypeVar("N", bound="RuntimeNode")   # the registry's node class
 
@@ -56,9 +35,7 @@ class NodeRegistry(Generic[N]):
     member node feeds.
     """
 
-    def __init__(self, *, config: Optional["TiamatConfig"] = None) -> None:
-        from repro.core.config import TiamatConfig
-        self.config = config if config is not None else TiamatConfig()
+    def __init__(self) -> None:
         self.obs = Observability(clock=time.monotonic, thread_safe=True)
         self._lock = threading.Lock()
         self._nodes: Dict[str, N] = {}
@@ -114,15 +91,15 @@ class NodeRegistry(Generic[N]):
 
 
 class RuntimeNode:
-    """One node: a local space, a gated serving plane, shed back-off, and
-    the synchronous operations, run on the caller's thread.  Subclasses
-    add the transport — :meth:`_probe_peer`, how one probe reaches one
-    peer — and ``registry.register(self)`` once peers can reach them.
+    """One node: a local space, the serving plane, and the synchronous
+    operations, run on the caller's thread.  Subclasses add the
+    transport — :meth:`_probe_peer`, how one probe reaches one peer — and
+    ``registry.register(self)`` once peers can reach them.
 
     A blocking ``rd``/``in_`` runs, on both runtimes, this one loop:
     (1) a non-blocking local check; (2) one round over the currently
-    visible peers, through their gates and this node's back-off; (3) the
-    deadline check; (4) a park of ``min(POLL_INTERVAL, remaining)`` on the
+    visible peers, through their serving planes; (3) the deadline check;
+    (4) a park of ``min(POLL_INTERVAL, remaining)`` on the
     local space's condition variable, which a local ``out`` ends early;
     (5) repeat.  ``rdp``/``inp`` are steps (1) and (2).  A tuple already in
     reach never waits on a timer.  The aio ``a_rd``/``a_in`` coroutines
@@ -132,25 +109,14 @@ class RuntimeNode:
     #: visibility and probes again; it delays neither the first round nor
     #: a local deposit.
     POLL_INTERVAL = 0.005
-    #: Cap on the per-peer backoff an origin applies after being shed.
-    SHED_BACKOFF_MAX = 0.25
 
-    def __init__(self, registry: "NodeRegistry[Any]", name: str, *,
-                 max_concurrent_serves: Optional[int] = None) -> None:
-        if max_concurrent_serves is not None and max_concurrent_serves < 1:
-            raise ValueError("max_concurrent_serves must be >= 1 or None")
+    def __init__(self, registry: "NodeRegistry[Any]", name: str) -> None:
         self.registry = registry
         self.name = name
         self.space = ThreadSafeTupleSpace(name)
-        self.max_concurrent_serves = max_concurrent_serves
-        self._serve_lock = threading.Lock()
-        self._active_serves = 0
-        # peer name -> (shed streak, monotonic time before which we skip it)
-        self._peer_backoff: Dict[str, tuple] = {}
         # plain counters, cheap to read back (the metrics below are for export)
         self.ops_started = 0
         self.ops_unsatisfied = 0
-        self.sheds = 0
         reg = registry.obs.registry
         self._ops_metric = reg.counter(
             "runtime_ops_total",
@@ -158,7 +124,7 @@ class RuntimeNode:
             labels=("node", "op", "outcome"))
         self._serve_metric = reg.counter(
             "runtime_serve_total",
-            help="Remote probes served or shed by each node.",
+            help="Remote probes served by each node.",
             labels=("node", "outcome"))
         self._wait_hist = reg.histogram(
             "runtime_blocking_wait_seconds",
@@ -204,12 +170,10 @@ class RuntimeNode:
     # The synchronous operations, on the caller's thread
     # ------------------------------------------------------------------
     def _probe_peer(self, peer: Any, pattern: Pattern, remove: bool,
-                    req_ids: Dict[str, int]
-                    ) -> Union[Optional[Tuple], _ShedType]:
+                    req_ids: Dict[str, int]) -> Optional[Tuple]:
         """The transport: probe one peer (a node of this runtime) through
-        its serving gate unless it is backing this node off; a tuple,
-        ``None`` or :data:`SHED`.  ``req_ids`` lives as long as the
-        operation (aio keeps one request id per peer in it)."""
+        its serving plane; a tuple or ``None``.  ``req_ids`` lives as long
+        as the operation (aio keeps one request id per peer in it)."""
         raise NotImplementedError
 
     def _probe_peers(self, pattern: Pattern, remove: bool,
@@ -217,17 +181,13 @@ class RuntimeNode:
                      req_ids: Dict[str, int]):
         """One round over the currently visible peers: ``(tuple, source)``.
 
-        With a tracer installed, each verdict is recorded on the peer
-        (``shed``, or ``serve_started`` for a hit) so the waterfall and
-        Chrome export show who shed or answered.
+        With a tracer installed, a hit is recorded on the peer as
+        ``serve_started`` so the waterfall and Chrome export show who
+        answered.
         """
         for peer in self.registry.visible_nodes(self.name):
             found = self._probe_peer(peer, pattern, remove, req_ids)
-            if found is SHED:
-                if tracer is not None:
-                    tracer.record(peer.name, time.monotonic(), "shed", op_id,
-                                  None, self.name)
-            elif found is not None:
+            if found is not None:
                 if tracer is not None:
                     tracer.record(peer.name, time.monotonic(),
                                   "serve_started", op_id, None, self.name,
@@ -269,8 +229,6 @@ class RuntimeNode:
         found = space.inp(pattern) if remove else space.rdp(pattern)
         source: Optional[str] = "local"
         while found is None:
-            # Through the serving gates, so a saturated peer sheds us into
-            # a per-peer backoff instead of being hammered.
             found, source = self._probe_peers(pattern, remove, op_id, tracer,
                                               req_ids)
             remaining = deadline - time.monotonic()
@@ -291,64 +249,16 @@ class RuntimeNode:
     # ------------------------------------------------------------------
     # Serving plane: how *peers* enter this node
     # ------------------------------------------------------------------
-    def _admit_serve(self) -> bool:
-        with self._serve_lock:
-            if (self.max_concurrent_serves is not None
-                    and self._active_serves >= self.max_concurrent_serves):
-                return False
-            self._active_serves += 1
-        return True
-
-    def _release_serve(self) -> None:
-        with self._serve_lock:
-            self._active_serves -= 1
-
-    @property
-    def active_serves(self) -> int:
-        """Remote probes currently being served by this node."""
-        return self._active_serves
-
-    def _serve(self, pattern: Pattern,
-               remove: bool) -> Union[Optional[Tuple], _ShedType]:
-        """Serve one peer probe: a tuple, ``None`` (miss) or :data:`SHED`.
-
-        The only sanctioned path for a remote probe: it gates on the
-        concurrent serving budget before touching the store, mirroring
-        the simulated admission plane's "refuse before any work" rule.
-        """
-        if not self._admit_serve():
-            self.sheds += 1
-            self._serve_metric.labels(node=self.name, outcome="shed").inc()
-            return SHED
-        try:
-            found = self.space.inp(pattern) if remove else self.space.rdp(pattern)
-        finally:
-            self._release_serve()
+    def _serve(self, pattern: Pattern, remove: bool) -> Optional[Tuple]:
+        """Serve one peer probe from the local space: a tuple or ``None``."""
+        found = self.space.inp(pattern) if remove else self.space.rdp(pattern)
         self._serve_metric.labels(node=self.name, outcome="served").inc()
         return found
 
-    def serve_rdp(self, pattern: Pattern) -> Union[Optional[Tuple], _ShedType]:
-        """Serve a peer's non-destructive probe, or :data:`SHED` it."""
+    def serve_rdp(self, pattern: Pattern) -> Optional[Tuple]:
+        """Serve a peer's non-destructive probe."""
         return self._serve(pattern, False)
 
-    def serve_inp(self, pattern: Pattern) -> Union[Optional[Tuple], _ShedType]:
-        """Serve a peer's destructive probe, or :data:`SHED` it."""
+    def serve_inp(self, pattern: Pattern) -> Optional[Tuple]:
+        """Serve a peer's destructive probe."""
         return self._serve(pattern, True)
-
-    # ------------------------------------------------------------------
-    # Origin side: capped exponential back-off per shedding peer
-    # ------------------------------------------------------------------
-    def _backing_off(self, peer: str, now: float) -> bool:
-        """Whether to skip ``peer`` this round (only that peer: the local
-        space and other peers are unaffected)."""
-        return now < self._peer_backoff.get(peer, (0, 0.0))[1]
-
-    def _note_answer(self, peer: str, shed: bool, now: float) -> None:
-        """A shed answer opens (or doubles) the window; any other clears it."""
-        if shed:
-            streak = self._peer_backoff.get(peer, (0, 0.0))[0] + 1
-            delay = min(self.POLL_INTERVAL * (2.0 ** streak),
-                        self.SHED_BACKOFF_MAX)
-            self._peer_backoff[peer] = (streak, now + delay)
-        else:
-            self._peer_backoff.pop(peer, None)

@@ -14,8 +14,7 @@ through its serving plane (:meth:`~repro.runtime.base.RuntimeNode.serve_rdp`
 one step under the target space's lock — there is no hold/confirm phase
 to lose, so exactly-once consumption holds under real concurrency.
 
-The registry, the admission-controlled serving gate (``SHED``), the
-origin's per-peer shed back-off, the tracing plane and the one
+The registry, the serving plane, the tracing plane and the one
 synchronous operation loop (probe first — local space, then the visible
 peers — and only then park the calling thread on the local space's
 condition variable) are the ones :mod:`repro.runtime.base` shares with
@@ -28,10 +27,10 @@ from __future__ import annotations
 import json
 import threading
 import time
-from typing import Dict, Optional, Union
+from typing import Dict, Optional
 
 from repro.obs.telemetry import TELEMETRY_TAG
-from repro.runtime.base import SHED, NodeRegistry, RuntimeNode, _ShedType
+from repro.runtime.base import NodeRegistry, RuntimeNode
 from repro.tuples.model import Pattern, Tuple
 
 
@@ -42,10 +41,8 @@ class ThreadedNodeRegistry(NodeRegistry["ThreadedTiamatNode"]):
 class ThreadedTiamatNode(RuntimeNode):
     """One node: a local space plus opportunistic logical operations."""
 
-    def __init__(self, registry: ThreadedNodeRegistry, name: str, *,
-                 max_concurrent_serves: Optional[int] = None) -> None:
-        super().__init__(registry, name,
-                         max_concurrent_serves=max_concurrent_serves)
+    def __init__(self, registry: ThreadedNodeRegistry, name: str) -> None:
+        super().__init__(registry, name)
         self.telemetry_published = 0
         self._telemetry_epoch = 0
         self._telemetry_last: dict[str, int] = {}
@@ -67,15 +64,9 @@ class ThreadedTiamatNode(RuntimeNode):
         registry.register(self)
 
     def _probe_peer(self, peer: RuntimeNode, pattern: Pattern, remove: bool,
-                    req_ids: Dict[str, int]
-                    ) -> Union[Optional[Tuple], _ShedType]:
+                    req_ids: Dict[str, int]) -> Optional[Tuple]:
         """The transport: a call into the peer's serving plane."""
-        now = time.monotonic()
-        if self._backing_off(peer.name, now):
-            return None
-        result = peer._serve(pattern, remove)
-        self._note_answer(peer.name, result is SHED, now)
-        return result
+        return peer._serve(pattern, remove)
 
     def eval(self, fn, *args, lease_duration: Optional[float] = None) -> threading.Thread:
         """Active tuple: run ``fn(*args)`` on a thread, deposit its result."""
@@ -109,7 +100,7 @@ class ThreadedTiamatNode(RuntimeNode):
         current = {
             "ops": self.ops_started,
             "unsat": self.ops_unsatisfied,
-            "sheds": self.sheds,
+            "sheds": 0,
             "retx": 0,
             "rexp": 0,
         }

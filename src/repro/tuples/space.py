@@ -80,6 +80,10 @@ class LocalTupleSpace:
         self._waiters: list[Waiter] = []
         self._on_out: list[Callable[[StoredEntry], None]] = []
         self._on_removed: list[Callable[[StoredEntry, str], None]] = []
+        #: The storage backend currently logging this space (bound by
+        #: ``attach_backend``, cleared by its ``detach()``), or ``None``:
+        #: what the space-info handle advertises as persistence (2.4).
+        self.backend = None
         # statistics
         self.deposits = 0
         self.expirations = 0

@@ -146,6 +146,7 @@ class StorageBackend:
         confirm (or the put-back) is what reaches the log.
         """
         self._space = space
+        space.backend = self
         key = id(space)
         if key in self._listeners_on:
             return
@@ -177,6 +178,8 @@ class StorageBackend:
 
     def detach(self) -> None:
         """Stop logging (the bound space crashed; its timers may still fire)."""
+        if self._space is not None and self._space.backend is self:
+            self._space.backend = None
         self._space = None
 
     def rebind(self, space: LocalTupleSpace,

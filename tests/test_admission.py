@@ -3,13 +3,13 @@
 Covers the :mod:`repro.core.admission` decision logic in isolation, the
 QueryServer integration (every refusal path emits the one structured
 QUERY_REFUSED shape), origin-side surfacing (``op.refusals``) and
-retry-after-honouring backoff, the stale-drop path, the threaded runtime's
-serve gate, and determinism of the token-bucket refill.
+retry-after-honouring backoff, the stale-drop path, and determinism of
+the token-bucket refill.
 """
 
 import pytest
 
-from repro.core import TiamatConfig, TiamatInstance, protocol
+from repro.core import TiamatConfig, TiamatInstance, admission, protocol
 from repro.core.admission import (
     ALL_REFUSAL_REASONS,
     REFUSE_DEADLINE,
@@ -17,6 +17,7 @@ from repro.core.admission import (
     REFUSE_QUEUE_FULL,
     REFUSE_SERVING_LEASE,
     REFUSE_THREADS,
+    RETRY_FLOOR,
     AdmissionController,
     AdmissionDecision,
     FairShare,
@@ -128,7 +129,7 @@ def _controller(**kwargs):
 
 
 def test_admit_records_price_and_counter():
-    ctl = _controller(fairness=False)
+    ctl = _controller(capacity_rate=0.0)    # no rate: no fair share
     decision = ctl.consider("o", "rd", queue_depth=0, drain_rate=20.0,
                             utilisation=0.0, active_servings=0)
     assert decision.admitted
@@ -142,7 +143,7 @@ def test_exhausted_worker_pool_sheds_before_any_lease():
                             utilisation=1.0, active_servings=0)
     assert not decision.admitted
     assert decision.reason == REFUSE_THREADS
-    assert decision.retry_after >= ctl.retry_floor
+    assert decision.retry_after >= RETRY_FLOOR
 
 
 def test_full_queue_sheds():
@@ -160,7 +161,7 @@ def test_inline_serving_uses_active_servings_as_depth():
 
 
 def test_unmeetable_deadline_sheds_with_retry_hint():
-    ctl = _controller(fairness=False)
+    ctl = _controller(capacity_rate=0.0)
     # est delay = (3+1)/2 = 2.0s; rd weight 2.0 -> priced 4.0 >= 0.5
     decision = ctl.consider("o", "rd", queue_depth=3, drain_rate=2.0,
                             utilisation=0.0, active_servings=0, deadline=0.5)
@@ -168,8 +169,9 @@ def test_unmeetable_deadline_sheds_with_retry_hint():
     assert decision.retry_after == pytest.approx(4.0 - 0.5 + 0.5)
 
 
-def test_fair_share_shed_carries_refill_hint():
-    ctl = _controller(burst=0.1)
+def test_fair_share_shed_carries_refill_hint(monkeypatch):
+    monkeypatch.setattr(admission, "BURST", 0.1)
+    ctl = _controller()
     first = ctl.consider("hog", "rdp", queue_depth=0, drain_rate=20.0,
                          utilisation=0.0, active_servings=0)
     assert first.admitted
@@ -181,7 +183,7 @@ def test_fair_share_shed_carries_refill_hint():
 
 
 def test_delay_observer_sees_estimates():
-    ctl = _controller(fairness=False)
+    ctl = _controller(capacity_rate=0.0)
     seen = []
     ctl.delay_observer = seen.append
     ctl.consider("o", "rdp", queue_depth=4, drain_rate=2.0,
@@ -212,6 +214,13 @@ def _spy(net, name):
     inbox = []
     net.attach(name, lambda msg: inbox.append(msg.payload))
     return inbox
+
+
+def _without_fair_share(server):
+    """Turn the per-peer fair share off on a server's controller, so a
+    single origin's queries meet only the queue and deadline checks."""
+    server.server.admission.fair_share = None
+    return server
 
 
 def _fixed_net(sim, latency=0.001):
@@ -270,10 +279,10 @@ def test_admission_shed_carries_retry_after(sim):
 def test_duplicate_query_while_shed_is_refused_again_not_tracked(sim):
     """A retransmitted QUERY for shed work must not create serving state."""
     config = TiamatConfig(admission_enabled=True, serve_cost=0.1,
-                          serve_workers=1, admission_queue_bound=1,
-                          admission_fairness=False)
+                          serve_workers=1, admission_queue_bound=1)
     net = _fixed_net(sim)
-    server = TiamatInstance(sim, net, "server", config=config)
+    server = _without_fair_share(
+        TiamatInstance(sim, net, "server", config=config))
     inbox = _spy(net, "origin")
     net.visibility.set_visible("server", "origin")
     for i in range(2):
@@ -294,10 +303,10 @@ def test_duplicate_query_while_shed_is_refused_again_not_tracked(sim):
 
 def test_duplicate_query_while_queued_is_deduplicated(sim):
     config = TiamatConfig(admission_enabled=True, serve_cost=0.2,
-                          serve_workers=1, admission_queue_bound=8,
-                          admission_fairness=False)
+                          serve_workers=1, admission_queue_bound=8)
     net = _fixed_net(sim)
-    server = TiamatInstance(sim, net, "server", config=config)
+    server = _without_fair_share(
+        TiamatInstance(sim, net, "server", config=config))
     _spy(net, "origin")
     net.visibility.set_visible("server", "origin")
     _query(net, "origin", "server", "q0", deadline=60.0)
@@ -310,16 +319,16 @@ def test_duplicate_query_while_queued_is_deduplicated(sim):
     assert server.server.duplicate_queries == 1
 
 
-def test_stale_queued_work_dropped_at_dispatch(sim):
+def test_stale_queued_work_dropped_at_dispatch(sim, monkeypatch):
     """Admitted work that expires while queued dies at the queue head."""
-    # price_curve deliberately underestimates, so short-deadline work is
-    # admitted into a queue it cannot survive.
+    # The price curve deliberately underestimates, so short-deadline work
+    # is admitted into a queue it cannot survive.
+    monkeypatch.setattr(admission, "PRICE_CURVE", 0.1)
     config = TiamatConfig(admission_enabled=True, serve_cost=0.2,
-                          serve_workers=1, admission_queue_bound=16,
-                          admission_price_curve=0.1,
-                          admission_fairness=False)
+                          serve_workers=1, admission_queue_bound=16)
     net = _fixed_net(sim)
-    server = TiamatInstance(sim, net, "server", config=config)
+    server = _without_fair_share(
+        TiamatInstance(sim, net, "server", config=config))
     _spy(net, "origin")
     net.visibility.set_visible("server", "origin")
     for i in range(4):
@@ -332,10 +341,11 @@ def test_stale_queued_work_dropped_at_dispatch(sim):
     assert server.server.served == 4
 
 
-def test_backoff_retry_honours_retry_after_and_succeeds(sim):
+def test_backoff_retry_honours_retry_after_and_succeeds(sim, monkeypatch):
     """A shed blocking op retries after the hint and eventually wins."""
+    monkeypatch.setattr(admission, "BURST", 0.05)
     config = TiamatConfig(admission_enabled=True, serve_cost=0.05,
-                          serve_workers=1, admission_burst=0.05)
+                          serve_workers=1)
     net = Network(sim)
     server = TiamatInstance(sim, net, "server", config=config)
     hog = TiamatInstance(sim, net, "hog")
@@ -393,11 +403,11 @@ def test_lease_policy_sees_queue_pressure(sim):
     from repro.leasing.policy import AdaptivePolicy
 
     config = TiamatConfig(admission_enabled=True, serve_cost=0.5,
-                          serve_workers=1, admission_queue_bound=4,
-                          admission_fairness=False)
+                          serve_workers=1, admission_queue_bound=4)
     net = _fixed_net(sim)
-    server = TiamatInstance(sim, net, "server", config=config,
-                            policy=AdaptivePolicy(base_duration=100.0))
+    server = _without_fair_share(
+        TiamatInstance(sim, net, "server", config=config,
+                       policy=AdaptivePolicy(base_duration=100.0)))
     _spy(net, "origin")
     net.visibility.set_visible("server", "origin")
     for i in range(4):
@@ -410,18 +420,6 @@ def test_lease_policy_sees_queue_pressure(sim):
     offer = server.leases.policy.offer(
         LeaseTerms(duration=None), "rd", usage)
     assert offer.duration < 100.0
-
-
-# ---------------------------------------------------------------------------
-# Threaded runtime: bounded serve concurrency (SHED and the origin backoff
-# are checked once for both runtimes in tests/test_runtime_base.py)
-# ---------------------------------------------------------------------------
-def test_threaded_serve_gate_validates_bound():
-    from repro.runtime.node import ThreadedNodeRegistry, ThreadedTiamatNode
-
-    registry = ThreadedNodeRegistry()
-    with pytest.raises(ValueError):
-        ThreadedTiamatNode(registry, "bad", max_concurrent_serves=0)
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ ANY wildcards) and asserts that
   (decode(binary) == decode(json));
 * ``encoded_size`` is exactly the compact JSON length (the number the
   network prices latency and leases price storage with), and a frame's
-  size and checksum come from that one encoding;
+  size comes from that one encoding;
 * the one-pass JSON writers, and the aio frame codec built on them,
   write byte for byte what ``json.dumps`` writes for the list forms;
 * the sqlite blob format is pinned by blobs 5.x wrote.
@@ -31,7 +31,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.net.message import Message, payload_checksum
+from repro.net.message import Message
 from repro.runtime.aio import _JsonFrames
 from repro.tuples.model import ANY, Actual, Formal, Pattern, Range, Tuple
 from repro.tuples.serialization import (
@@ -164,7 +164,7 @@ json_values = st.recursive(
 )
 
 # ----------------------------------------------------------------------
-# Frames: one encoding gives the size and the checksum
+# Frames: one encoding gives the size; damage is caught on every copy
 # ----------------------------------------------------------------------
 frame_payloads = st.dictionaries(
     st.text(min_size=1, max_size=10),
@@ -178,10 +178,11 @@ frame_payloads = st.dictionaries(
 def test_frame_size_and_checksum_agree_with_the_codec(payload):
     msg = Message("a", "b", payload, 0.0)
     assert msg.size == encoded_size(payload)
-    assert msg.checksum == payload_checksum(payload)
     copy = msg.copy_for("c", 0.0)
-    assert (copy.size, copy.checksum) == (msg.size, msg.checksum)
+    assert copy.size == msg.size
     assert copy.verify()
+    copy.corrupt()      # the network drops a frame that fails verify()
+    assert not copy.verify() and msg.verify()
 
 
 # ----------------------------------------------------------------------

@@ -4,6 +4,9 @@ import pytest
 
 from repro.core import TiamatConfig
 from repro.core import protocol
+from repro.core.config import PEER_TIMEOUT
+from repro.core.comms import DISCOVER_WINDOW
+from repro.core.instance import DEFAULT_LEASE_TERMS
 from repro.leasing import LeaseTerms, OperationKind
 
 
@@ -14,8 +17,8 @@ def test_config_defaults():
     config = TiamatConfig()
     assert config.propagate_mode == "start"  # the paper's prototype
     assert config.comms_strategy == "mru"
-    assert config.peer_timeout > 0
-    assert config.discover_window > 0
+    assert PEER_TIMEOUT > 0
+    assert DISCOVER_WINDOW > 0
     assert config.claim_timeout > 0
 
 
@@ -29,25 +32,34 @@ def test_config_rejects_bad_comms_strategy():
         TiamatConfig(comms_strategy="carrier-pigeon")
 
 
+@pytest.mark.parametrize("field,value", [
+    ("claim_timeout", 0.0), ("claim_timeout", -1.0), ("relay_ttl", -3),
+])
+def test_config_rejects_values_the_simulation_cannot_run(field, value):
+    # A claim timeout <= 0 would schedule a put-back into the past from
+    # inside a delivery handler; a negative relay budget means nothing.
+    with pytest.raises(ValueError, match=field):
+        TiamatConfig(**{field: value})
+
+
 def test_config_default_terms_cover_all_operations():
-    config = TiamatConfig()
     for kind in OperationKind:
-        terms = config.default_terms(kind)
+        terms = DEFAULT_LEASE_TERMS[kind]
         assert isinstance(terms, LeaseTerms)
         assert terms.duration is not None  # no unbounded defaults
+    with pytest.raises(TypeError):      # a read-only table
+        DEFAULT_LEASE_TERMS[OperationKind.OUT] = LeaseTerms(duration=1.0)
 
 
 def test_config_blocking_defaults_have_remote_budget():
-    config = TiamatConfig()
     for kind in (OperationKind.IN, OperationKind.RD,
                  OperationKind.INP, OperationKind.RDP):
-        assert config.default_terms(kind).max_remotes is not None
+        assert DEFAULT_LEASE_TERMS[kind].max_remotes is not None
 
 
 def test_config_deposit_defaults_longer_than_probes():
-    config = TiamatConfig()
-    assert (config.default_terms(OperationKind.OUT).duration
-            > config.default_terms(OperationKind.RDP).duration)
+    assert (DEFAULT_LEASE_TERMS[OperationKind.OUT].duration
+            > DEFAULT_LEASE_TERMS[OperationKind.RDP].duration)
 
 
 def test_operation_kind_classification():

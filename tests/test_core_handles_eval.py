@@ -31,6 +31,18 @@ def test_handle_tuple_roundtrip():
     assert SpaceHandle.from_tuple(handle.to_tuple()) == handle
 
 
+def test_handle_reports_persistence_from_the_bound_backend(sim):
+    from repro.tuples.storage import MemoryBackend, attach_backend
+
+    net = Network(sim)
+    inst = TiamatInstance(sim, net, "pda")
+    assert inst.handle().persistent is False
+    backend = attach_backend(inst.space, MemoryBackend())
+    assert inst.handle().persistent is True
+    backend.detach()
+    assert inst.handle().persistent is False
+
+
 def test_handle_from_bad_tuple_rejected():
     with pytest.raises(TupleError):
         SpaceHandle.from_tuple(Tuple("not-a-space-info", "x", True))

@@ -3,7 +3,8 @@
 import pytest
 
 from repro.core import TiamatConfig, TiamatInstance
-from repro.core import protocol
+from repro.core import config as core_config
+from repro.core import protocol, serving
 from repro.leasing import LeaseTerms, SimpleLeaseRequester
 from repro.net import Network
 from repro.sim import Simulator
@@ -100,9 +101,9 @@ def test_blocking_serving_rewatches_after_local_consumption(sim):
     assert result == Tuple("contested")
 
 
-def test_serving_lease_expiry_withdraws_watch(sim):
-    config = TiamatConfig(serve_max_duration=3.0)
-    net, inst = build(sim, ["server", "origin"], config=config)
+def test_serving_lease_expiry_withdraws_watch(sim, monkeypatch):
+    monkeypatch.setattr(serving, "SERVE_MAX_DURATION", 3.0)
+    net, inst = build(sim, ["server", "origin"])
     # A long origin lease, but the server only grants itself 3s of effort.
     op = inst["origin"].in_(Pattern("never"),
                             requester=SimpleLeaseRequester(LeaseTerms(60.0, 8)))
@@ -142,9 +143,10 @@ def test_offer_statistics(sim):
     assert offers == 2 and won == 1 and put_back == 1
 
 
-def test_late_reply_to_finished_op_gets_rejected(sim):
+def test_late_reply_to_finished_op_gets_rejected(sim, monkeypatch):
     """An offer landing after the op record is purged is rejected cleanly."""
-    config = TiamatConfig(claim_timeout=0.2, peer_timeout=0.2)
+    monkeypatch.setattr(core_config, "PEER_TIMEOUT", 0.2)
+    config = TiamatConfig(claim_timeout=0.2)
     net, inst = build(sim, ["server", "origin"], config=config)
     op = inst["origin"].in_(Pattern("slowpoke"),
                             requester=SimpleLeaseRequester(LeaseTerms(1.0, 8)))

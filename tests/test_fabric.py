@@ -20,6 +20,7 @@ from repro.fabric import (
     shard_key,
     stable_hash,
 )
+from repro.fabric import manager
 from repro.net import Network
 from repro.sim import Simulator
 from repro.tuples import Formal, Pattern, Tuple
@@ -32,7 +33,7 @@ def sim():
 
 def fabric_config(**overrides) -> FabricConfig:
     """Tight timings so handoff fits inside short test horizons."""
-    defaults = dict(replication=2, key_fields=2, membership_lease=0.8,
+    defaults = dict(key_fields=2, membership_lease=0.8,
                     heartbeat_period=0.25, migrate_timeout=0.4)
     defaults.update(overrides)
     return FabricConfig(**defaults)
@@ -161,8 +162,9 @@ def test_ground_lookup_contacts_at_most_k_owners(sim):
     assert set(op.contacted) <= set(owners)
 
 
-def test_wildcard_first_pattern_scatters_bounded(sim):
-    net, inst = build(sim, [f"n{i}" for i in range(12)], scatter_limit=4)
+def test_wildcard_first_pattern_scatters_bounded(sim, monkeypatch):
+    monkeypatch.setattr(manager, "SCATTER_LIMIT", 4)
+    net, inst = build(sim, [f"n{i}" for i in range(12)])
     sim.run(until=0.5)
     consumer = inst["n0"]
     peers = consumer.fabric.plan(Pattern(Formal(str), "x", Formal(int)))

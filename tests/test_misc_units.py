@@ -4,7 +4,6 @@
 from repro.core import SpaceHandle, TiamatInstance
 from repro.errors import (
     LeaseError,
-    LeaseExpiredError,
     LeaseRefusedError,
     NetworkError,
     OperationError,
@@ -28,7 +27,6 @@ from tests.test_core_instance import build, run_op
 def test_error_hierarchy():
     assert issubclass(LeaseError, ReproError)
     assert issubclass(LeaseRefusedError, LeaseError)
-    assert issubclass(LeaseExpiredError, LeaseError)
     assert issubclass(TupleError, ReproError)
     assert issubclass(NetworkError, ReproError)
     assert issubclass(OperationError, ReproError)

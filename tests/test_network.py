@@ -181,7 +181,7 @@ def test_larger_messages_take_longer(sim):
 
 
 # ----------------------------------------------------------------------
-# Frame pricing: size and checksum from one encoding (the equivalence
+# Frame pricing: the size from one encoding (the equivalence
 # with encoded_size is the Hypothesis test in test_codec_cross.py)
 # ----------------------------------------------------------------------
 PAYLOAD = {"kind": "query", "op_id": "a#1", "z": [1, 2.5, None], "a": {"k": True}}
@@ -204,13 +204,13 @@ def test_copy_shares_pricing_but_not_damage():
     original = Message("a", None, PAYLOAD, 0.0)
     copy = original.copy_for("b", 1.0)
     assert (copy.dst, copy.sent_at) == ("b", 1.0)
-    assert (copy.size, copy.checksum) == (original.size, original.checksum)
+    assert (copy.size, copy.payload) == (original.size, original.payload)
     assert copy.verify()
     copy.corrupt()
     assert not copy.verify()
     assert original.verify() and original.payload == PAYLOAD
-    # a duplicate made of a damaged frame stays damaged (recomputing the
-    # checksum over the garbled payload used to bless it)
+    # a duplicate made of a damaged frame stays damaged: it carries the
+    # payload the frame was sent with, not the garbled one
     assert not copy.copy_for("c", 2.0).verify()
     # ...which is why dispatch cuts every duplicate from the intact frame
     # before the verdict's damage lands on the copy it names

@@ -16,6 +16,7 @@ import pytest
 from repro.core.config import TiamatConfig
 from repro.core.instance import TiamatInstance
 from repro.net.network import Network
+from repro.obs import telemetry
 from repro.obs.telemetry import (
     STALE_PERIODS,
     TELEMETRY_TAG,
@@ -112,19 +113,25 @@ def test_render_top_table():
 # ----------------------------------------------------------------------
 # Sim runtime: opt-in publisher, lease-reclaimed rows
 # ----------------------------------------------------------------------
-def _telemetry_world(**config):
-    config.setdefault("telemetry_enabled", True)
-    config.setdefault("telemetry_period", 0.5)
-    config.setdefault("telemetry_lease", 1.25)
+@pytest.fixture()
+def fast_beat(monkeypatch):
+    """Beat every 0.5 s with a 1.25 s row lease (2.5 periods, as shipped)."""
+    monkeypatch.setattr(telemetry, "TELEMETRY_PERIOD", 0.5)
+    monkeypatch.setattr(telemetry, "TELEMETRY_LEASE", 1.25)
+    return monkeypatch
+
+
+def _telemetry_world():
     sim = Simulator(seed=9)
     net = Network(sim)
-    a = TiamatInstance(sim, net, "a", config=TiamatConfig(**config))
-    b = TiamatInstance(sim, net, "b", config=TiamatConfig(**config))
+    config = TiamatConfig(telemetry_enabled=True)
+    a = TiamatInstance(sim, net, "a", config=config)
+    b = TiamatInstance(sim, net, "b", config=config)
     net.visibility.set_visible("a", "b")
     return sim, net, a, b
 
 
-def test_publisher_deposits_leased_rows():
+def test_publisher_deposits_leased_rows(fast_beat):
     sim, net, a, b = _telemetry_world()
     a.out(Tuple("app", 1))
     sim.run(until=2.1)
@@ -153,7 +160,7 @@ def test_telemetry_is_off_by_default():
     assert all(t.fields[0] != TELEMETRY_TAG for t in inst.space.snapshot())
 
 
-def test_lease_expiry_reclaims_dead_node_rows():
+def test_lease_expiry_reclaims_dead_node_rows(fast_beat):
     """A dead publisher's rows age out of the space with no reaper."""
     sim, net, a, b = _telemetry_world()
     sim.run(until=2.1)
@@ -170,8 +177,9 @@ def test_lease_expiry_reclaims_dead_node_rows():
     assert health["b"].epoch is None       # reclaimed, not merely stale
 
 
-def test_epochs_strictly_increase():
-    sim, net, a, b = _telemetry_world(telemetry_lease=5.0)
+def test_epochs_strictly_increase(fast_beat):
+    fast_beat.setattr(telemetry, "TELEMETRY_LEASE", 5.0)
+    sim, net, a, b = _telemetry_world()
     sim.run(until=2.1)
     rows = [t for t in a.space.snapshot() if t.fields[0] == TELEMETRY_TAG]
     epochs = [t.fields[2] for t in rows]
@@ -181,7 +189,7 @@ def test_epochs_strictly_increase():
 # ----------------------------------------------------------------------
 # Skip-tag plumbing: health rows are not application state
 # ----------------------------------------------------------------------
-def test_persistence_snapshot_skips_telemetry_rows():
+def test_persistence_snapshot_skips_telemetry_rows(fast_beat):
     from repro.tuples.storage import MemoryBackend, attach_backend
 
     sim, net, a, b = _telemetry_world()

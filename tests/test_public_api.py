@@ -57,7 +57,7 @@ EXPECTED_CORE = {
 }
 
 EXPECTED_RUNTIME = {
-    "AioRuntime", "SHED", "SimRuntime", "ThreadSafeTupleSpace",
+    "AioRuntime", "SimRuntime", "ThreadSafeTupleSpace",
     "ThreadsRuntime", "TiamatNodeHandle", "TiamatRuntime", "connect",
 }
 
@@ -173,21 +173,24 @@ def test_aio_has_no_multicast_discovery():
 
 
 EXPECTED_CONFIG_FIELDS = {
-    "admission_burst", "admission_enabled", "admission_fairness",
-    "admission_price_curve", "admission_queue_bound",
-    "admission_retry_floor", "claim_timeout", "comms_strategy",
-    "dedup_window", "default_lease_terms", "discover_window", "fabric",
-    "peer_timeout", "persistent_space", "propagate_mode", "relay_ttl",
-    "reliability_enabled", "retry_backoff", "retry_initial", "retry_jitter",
-    "retry_max_interval", "serve_cost", "serve_max_duration",
-    "serve_workers", "telemetry_enabled", "telemetry_lease",
-    "telemetry_period",
+    "admission_enabled", "admission_queue_bound", "claim_timeout",
+    "comms_strategy", "fabric", "propagate_mode", "relay_ttl",
+    "reliability_enabled", "serve_cost", "serve_workers",
+    "telemetry_enabled",
+}
+
+EXPECTED_FABRIC_CONFIG_FIELDS = {
+    "heartbeat_period", "key_fields", "membership_lease", "migrate_timeout",
 }
 
 
 def test_config_fields_are_pinned():
+    from repro.fabric import FabricConfig
+
     fields = {f.name for f in dataclasses.fields(repro.TiamatConfig)}
     assert fields == EXPECTED_CONFIG_FIELDS
+    assert ({f.name for f in dataclasses.fields(FabricConfig)}
+            == EXPECTED_FABRIC_CONFIG_FIELDS)
 
 
 def test_connect_is_the_front_door():
@@ -210,15 +213,18 @@ def test_version_is_pep440ish():
     # ack piggybacking and repro.sim.resources in 4.0, the wire-codec
     # choice (frames are JSON) in 5.0, the WAL record-codec choice (logs
     # are JSON) in 6.0, aio multicast discovery and Message.msg_id in 7.0,
-    # ProtocolTrace and the network's frame listeners in 8.0
-    assert tuple(int(p) for p in parts[:2]) >= (8, 0)
+    # ProtocolTrace and the network's frame listeners in 8.0, the runtimes'
+    # serve gate (SHED) and 21 config fields that no caller set in 9.0
+    assert tuple(int(p) for p in parts[:2]) >= (9, 0)
 
 
 def test_import_set_does_not_grow():
     """``import repro`` is what every runtime's ``setup_s`` and
     ``peak_rss_mb`` pay before the first operation: count it in a fresh
     interpreter.  Storage stays lazy — only a node that recovers or an
-    injector that crashes one imports it, and sqlite3 only with it."""
+    injector that crashes one imports it, and sqlite3 only with it.  The
+    observability hub loads with the first simulator or runtime registry,
+    not with ``import repro``."""
     code = ("import sys, repro; "
             "print(sorted(n for n in sys.modules if n == 'sqlite3' "
             "or n.partition('.')[0] == 'repro'))")
@@ -226,7 +232,7 @@ def test_import_set_does_not_grow():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     loaded = ast.literal_eval(out)
-    assert len(loaded) == 54, loaded
+    assert len(loaded) == 46, loaded
     assert not [n for n in loaded if n == "sqlite3" or "storage" in n
                 or "persistence" in n]
 

@@ -15,10 +15,13 @@ Three layers of coverage:
 
 from __future__ import annotations
 
+from unittest import mock
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import TiamatConfig, TiamatInstance, protocol
+from repro.core import config as core_config
 from repro.leasing import LeaseTerms, SimpleLeaseRequester
 from repro.net import (
     CorruptPayload,
@@ -65,9 +68,10 @@ class DropFirst(FaultInjector):
 # ReliableChannel
 # ======================================================================
 class TestReliableChannel:
-    def test_retransmits_until_acked(self):
+    def test_retransmits_until_acked(self, monkeypatch):
+        monkeypatch.setattr(core_config, "PEER_TIMEOUT", 5.0)
         plan = FaultPlan([DropFirst(3, kinds={protocol.REMOTE_OUT})])
-        sim, net, a, b = make_pair(plan=plan, peer_timeout=5.0)
+        sim, net, a, b = make_pair(plan=plan)
         done = a.out_at(b.handle(), Tuple("x", 1))
         sim.run(until=10.0)
         assert done.value is True
@@ -177,8 +181,10 @@ class TestFaultInjectors:
         net.use_faults(FaultPlan([CorruptPayload(1.0)]))
         net.unicast("a", "b", {"kind": "query"})
         sim.run(until=1.0)
-        assert received == []
+        assert received == []           # dropped at delivery, not handled
         assert net.stats.drops_by_reason[DROP_CORRUPT] == 1
+        assert net.stats.node("b").received == 0
+        assert net.stats.node("a").drops[DROP_CORRUPT] == 1
 
     def test_one_way_link_is_asymmetric(self):
         sim = Simulator(seed=3)
@@ -351,6 +357,12 @@ class TestQueryServerCleanup:
 ITEMS = 6
 
 
+# The exactly-once guarantee is parametric: the claim window must cover
+# enough retransmission attempts that a CLAIM_ACCEPT reaching the holder
+# before put-back is (near-)certain.  A dense schedule (~12 attempts per
+# claim window) puts the residual Two-Generals probability at ~0.25^12
+# even at the worst loss rate tested.
+@mock.patch.multiple(core_config, RETRY_INITIAL=0.05, RETRY_MAX_INTERVAL=0.2)
 def run_chaos(seed: int, loss: float, dup: float, churn: bool) -> None:
     sim = Simulator(seed=seed)
     net = Network(sim, loss_rate=loss)
@@ -359,17 +371,9 @@ def run_chaos(seed: int, loss: float, dup: float, churn: bool) -> None:
         injectors.append(DuplicateFrames(dup))
     if injectors:
         net.use_faults(FaultPlan(injectors))
-    # The exactly-once guarantee is parametric: the claim window must
-    # cover enough retransmission attempts that a CLAIM_ACCEPT reaching
-    # the holder before put-back is (near-)certain.  A dense schedule
-    # (~12 attempts per claim window) puts the residual Two-Generals
-    # probability at ~0.25^12 even at the worst loss rate tested.
-    config = dict(claim_timeout=2.5, retry_initial=0.05,
-                  retry_max_interval=0.2)
-    server = TiamatInstance(sim, net, "server",
-                            config=TiamatConfig(**config))
-    client = TiamatInstance(sim, net, "client",
-                            config=TiamatConfig(**config))
+    config = TiamatConfig(claim_timeout=2.5)
+    server = TiamatInstance(sim, net, "server", config=config)
+    client = TiamatInstance(sim, net, "client", config=config)
     net.visibility.set_visible("server", "client")
     for i in range(ITEMS):
         server.out(Tuple("item", i),

@@ -2,9 +2,8 @@
 
 One copy of the code, so one copy of the tests: every case runs on both
 runtimes through ``repro.connect`` and must read the same on each —
-registry and visibility relation, serving gate and ``SHED``, the origin's
-capped per-peer back-off, the plain operation counters, and the order a
-blocking ``rd``/``in_`` works in (probe first, park after).
+registry and visibility relation, the plain operation counters, and the
+order a blocking ``rd``/``in_`` works in (probe first, park after).
 """
 
 import threading
@@ -13,7 +12,6 @@ import time
 import pytest
 
 import repro
-from repro.runtime import SHED
 from repro.tuples import Pattern, Tuple
 
 pytestmark = pytest.mark.timeout(60)
@@ -29,12 +27,6 @@ def _serve_totals(rt):
     metrics = rt.registry.obs.registry.snapshot()["runtime_serve_total"]
     return {tuple(s["labels"].values()): s["value"]
             for s in metrics["samples"]}
-
-
-def test_zero_serve_budget_is_rejected(rt):
-    with pytest.raises(ValueError, match="max_concurrent_serves"):
-        rt.node("bad", max_concurrent_serves=0)
-    assert rt.registry.all_nodes() == []
 
 
 def test_visibility_is_symmetric_sorted_dynamic_and_registered_only(rt):
@@ -54,55 +46,6 @@ def test_visibility_is_symmetric_sorted_dynamic_and_registered_only(rt):
     assert registry.visible_nodes("stranger") == []
 
 
-def test_backoff_window_doubles_per_shed_up_to_the_cap(rt):
-    node = rt.node("a")
-    for streak in range(1, 12):
-        node._note_answer("peer", True, 100.0)
-        delay = min(node.POLL_INTERVAL * 2 ** streak, node.SHED_BACKOFF_MAX)
-        assert node._peer_backoff["peer"] == (streak, 100.0 + delay)
-        assert node._backing_off("peer", 100.0 + delay / 2)
-        assert not node._backing_off("peer", 100.0 + delay)
-    assert delay == node.SHED_BACKOFF_MAX
-    assert not node._backing_off("other", 100.0)    # windows are per peer
-    node._note_answer("peer", False, 100.0)
-    assert "peer" not in node._peer_backoff
-
-
-def test_saturated_gate_sheds_and_origin_backs_off(rt):
-    a = rt.node("a", max_concurrent_serves=1)
-    b = rt.node("b")
-    b.POLL_INTERVAL = 0.05      # first window 0.1 s: wide enough to probe inside
-    rt.set_visible("a", "b")
-    pattern = Pattern("t", int)
-    a.out(Tuple("t", 1))
-
-    assert not SHED             # falsy sentinel: plain truthiness keeps working
-    assert b.rdp(pattern) == Tuple("t", 1)
-    assert a.active_serves == 0
-
-    # Saturate a's serving gate; b's probe is shed and opens a window.
-    assert a._admit_serve()
-    assert a.active_serves == 1
-    assert a.serve_rdp(pattern) is SHED
-    assert a.serve_inp(pattern) is SHED
-    assert b.rdp(pattern) is None
-    assert b._peer_backoff["a"][0] == 1
-    assert a.sheds == 3
-    a._release_serve()
-
-    # Inside the window b does not even contact a.
-    before = _serve_totals(rt)
-    assert b.rdp(pattern) is None
-    assert _serve_totals(rt) == before
-
-    time.sleep(0.15)
-    assert b.rdp(pattern) == Tuple("t", 1)
-    assert "a" not in b._peer_backoff   # a served answer clears the window
-    totals = _serve_totals(rt)
-    assert totals[("a", "shed")] == 3
-    assert totals[("a", "served")] == 2
-
-
 def test_plain_counters_read_the_same_on_both_runtimes(rt):
     a, b = rt.node("a"), rt.node("b")
     rt.set_visible("a", "b")
@@ -111,13 +54,14 @@ def test_plain_counters_read_the_same_on_both_runtimes(rt):
     assert b.inp(Pattern("nope")) is None               # miss everywhere
     assert b.rd(Pattern("nope"), timeout=0.0) is None
     assert b.in_(Pattern("x", int), timeout=1.0) == Tuple("x", 1)
-    assert (a.ops_started, a.ops_unsatisfied, a.sheds) == (1, 0, 0)
-    assert (b.ops_started, b.ops_unsatisfied, b.sheds) == (4, 2, 0)
+    assert (a.ops_started, a.ops_unsatisfied) == (1, 0)
+    assert (b.ops_started, b.ops_unsatisfied) == (4, 2)
     ops = rt.registry.obs.registry.snapshot()["runtime_ops_total"]
     counted = {tuple(s["labels"].values()): s["value"] for s in ops["samples"]}
     assert counted == {("a", "out", "ok"): 1, ("b", "rdp", "hit"): 1,
                        ("b", "inp", "miss"): 1, ("b", "rd", "miss"): 1,
                        ("b", "in", "hit"): 1}
+    assert _serve_totals(rt) == {("a", "served"): 4}   # every probe served
 
 
 # ----------------------------------------------------------------------
@@ -183,20 +127,6 @@ def test_later_rounds_find_late_deposits_and_late_peers(rt, pair):
     got, elapsed = _timed(b.rd, Pattern("far", int), timeout=10.0)
     timer.join(timeout=5.0)
     assert got == Tuple("far", 2) and elapsed < 1.0
-
-
-def test_first_round_skips_a_peer_inside_its_backoff_window(rt, pair):
-    a, b = pair
-    b.POLL_INTERVAL = 0.2       # window = SHED_BACKOFF_MAX, wide enough
-    pattern = Pattern("t", int)
-    a.out(Tuple("t", 1))
-    assert b.rd(pattern, timeout=0.0) == Tuple("t", 1)
-    b._note_answer("a", True, time.monotonic())
-    before = _serve_totals(rt)
-    assert b.rd(pattern, timeout=0.0) is None
-    assert b.in_(pattern, timeout=0.0) is None
-    assert _serve_totals(rt) == before
-    assert a.space.count() == 1
 
 
 def test_blocking_does_not_overshoot_a_lease_shorter_than_the_poll(pair):

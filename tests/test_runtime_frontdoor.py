@@ -55,9 +55,16 @@ def test_unknown_runtime_is_rejected():
 
 
 def test_connect_threads_config_flows_through():
-    config = TiamatConfig(retry_initial=0.05)
-    with connect(runtime="aio", config=config) as rt:
-        assert rt.registry.config is config
+    # A config reaches every sim node; threads and aio take none.
+    config = TiamatConfig(propagate_mode="continuous")
+    with connect(runtime="sim", config=config) as rt:
+        assert rt.node("a").instance.config is config
+
+
+@pytest.mark.parametrize("kind", ["threads", "aio"])
+def test_connect_refuses_a_config_it_would_not_apply(kind):
+    with pytest.raises(TypeError, match="TiamatConfig"):
+        connect(runtime=kind, config=TiamatConfig())
 
 
 # ----------------------------------------------------------------------
