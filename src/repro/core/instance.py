@@ -37,7 +37,6 @@ from repro.errors import LeaseError, OperationAbandonedError
 from repro.leasing import (
     LeaseManager,
     LeaseRequester,
-    LeaseState,
     LeaseTerms,
     OperationKind,
     SimpleLeaseRequester,
@@ -106,6 +105,7 @@ class TiamatInstance:
         self.neighbor_since: dict[str, float] = {}
         self._unsubscribe_edges = network.visibility.on_edge_change(self._on_edge)
         self.space.on_removed(self._on_tuple_removed)
+        self.leases.on_revoke = self._on_lease_revoked
         # The special space-info tuple every Tiamat space contains (2.4).
         self.space.out(self.handle().to_tuple())
         # Anti-entropy witness state: for each peer, which of *that peer's*
@@ -189,7 +189,7 @@ class TiamatInstance:
                                       OperationKind.OUT, storage_needed=size)
         entry = self.space.out(tup, expires_at=lease.expires_at,
                                meta={"lease": lease, "owner": self.name})
-        lease.on_end(lambda l, state: self._on_out_lease_end(entry, state))
+        lease.entry_id = entry.entry_id
         if self.fabric is not None:
             self.fabric.register_primary(entry)
         return entry
@@ -346,7 +346,7 @@ class TiamatInstance:
                   requester: Optional[LeaseRequester],
                   target: Optional[str] = None) -> Operation:
         try:
-            lease = self.leases.negotiate(self._requester(kind, requester), kind)
+            lease = self.leases.negotiate(self._requester(kind, requester), kind, arm=False)
         except LeaseError:
             self.flight_ring.append(self.sim.now, "lease_refused", None,
                                     kind.value)
@@ -359,6 +359,7 @@ class TiamatInstance:
         self.flight_ring.append(self.sim.now, "op_start", op.op_id,
                                 kind.value, target, lease.expires_at)
         op.start()
+        self.leases.arm(lease)          # a no-op after a local hit: released
         return op
 
     def _requester(self, kind: OperationKind,
@@ -381,9 +382,10 @@ class TiamatInstance:
         linger = self.config.claim_timeout + core_config.PEER_TIMEOUT
         self.sim.schedule(linger, self._ops.pop, op.op_id, None)
 
-    def _on_out_lease_end(self, entry, state: LeaseState) -> None:
-        if state is LeaseState.REVOKED and entry.visible:
-            # Last-resort reclamation: the tuple goes with the lease.
+    def _on_lease_revoked(self, lease) -> None:
+        # Last-resort reclamation: a deposit's tuple goes with its lease.
+        entry = self.space.store.get(lease.entry_id)
+        if entry is not None and entry.visible and entry.meta.get("lease") is lease:
             self.space.store.remove(entry.entry_id)
             self.space._notify_removed(entry, "expired")
 
@@ -400,7 +402,7 @@ class TiamatInstance:
         """Deposit an eval computation's resultant tuple (same lease)."""
         entry = self.space.out(result, expires_at=lease.expires_at,
                                meta={"lease": lease, "owner": self.name})
-        lease.on_end(lambda l, state: self._on_out_lease_end(entry, state))
+        lease.entry_id = entry.entry_id
 
     # ==================================================================
     # Internals: network plumbing
@@ -623,8 +625,7 @@ class TiamatInstance:
                 meta={"lease": lease, "owner": self.name,
                       "durable_id": durable_id},
                 quarantine=sync, entry_id=durable_id)
-            lease.on_end(lambda l, ended, entry=entry:
-                         self._on_out_lease_end(entry, ended))
+            lease.entry_id = entry.entry_id
             restored += 1
             if entry.entry_id:
                 durable_map[durable_id] = entry.entry_id

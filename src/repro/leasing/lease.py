@@ -97,11 +97,13 @@ class LeaseState(enum.Enum):
 class Lease:
     """A granted lease: budgets, expiry, and revocation callbacks.
 
-    Created only by :class:`~repro.leasing.manager.LeaseManager`, which
-    draws ``lease_id`` from its simulation's ``ids("lease")``; holders
-    interact with :meth:`use_remote`, :meth:`release`, and the ``on_end``
-    callback hook.
+    Created only by :class:`~repro.leasing.manager.LeaseManager`, which keeps
+    its deadline and is told first when it ends.  A deposit lease charges it
+    ``committed`` bytes for the stored tuple ``entry_id`` (0 for none).
     """
+
+    __slots__ = ("lease_id", "manager", "terms", "granted_at", "operation",
+                 "state", "remotes_used", "committed", "entry_id", "_on_end")
 
     def __init__(self, lease_id: int, manager, terms: LeaseTerms,
                  granted_at: float, operation: str) -> None:
@@ -112,7 +114,9 @@ class Lease:
         self.operation = operation
         self.state = LeaseState.ACTIVE
         self.remotes_used = 0
-        self._on_end: list[Callable[["Lease", LeaseState], None]] = []
+        self.committed = 0
+        self.entry_id = 0
+        self._on_end: tuple[Callable[["Lease", LeaseState], None], ...] = ()
 
     # ------------------------------------------------------------------
     @property
@@ -162,13 +166,15 @@ class Lease:
 
     def on_end(self, callback: Callable[["Lease", LeaseState], None]) -> None:
         """Register a callback for when the lease ends, however it ends."""
-        self._on_end.append(callback)
+        self._on_end += (callback,)
 
     def _end(self, state: LeaseState) -> None:
         if not self.active:
             return
         self.state = state
-        for callback in list(self._on_end):
+        if self.manager is not None:
+            self.manager._ended(self, state)
+        for callback in self._on_end:
             callback(self, state)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -13,13 +13,14 @@ The manager here owns:
   bytes against the instance's capacity until they end;
 * the resource factories ("threads", "sockets") other components allocate
   through;
-* expiry timers and last-resort revocation.
+* lease deadlines (one heap and one kernel timer for all of its leases,
+  :class:`~repro.sim.kernel.Deadlines`) and last-resort revocation.
 """
 
 from __future__ import annotations
 
 import enum
-from typing import Optional
+from typing import Callable, Optional
 
 from repro.check import probes
 from repro.errors import LeaseRefusedError, LeaseRejectedByRequesterError
@@ -27,7 +28,7 @@ from repro.leasing.lease import Lease, LeaseState, LeaseTerms
 from repro.leasing.policy import GrantPolicy, GenerousPolicy, UsageSnapshot
 from repro.leasing.requester import LeaseRequester
 from repro.leasing.resources import ResourceFactory
-from repro.sim.kernel import Simulator
+from repro.sim.kernel import Deadlines, Simulator
 
 
 class OperationKind(enum.Enum):
@@ -72,10 +73,10 @@ class LeaseManager:
         # (see repro.check.probes).
         self._canary_lease_leak = probes.canary(probes.CANARY_LEASE_LEAK)
         self.active: dict[int, Lease] = {}
-        # Extra live pressure signals (0..1) folded into the usage
-        # snapshot policies see — e.g. the query server's bounded inbound
-        # serving queue registers its fullness here, so granting policies
-        # feel inbound congestion the same way they feel storage pressure.
+        self._deadlines = Deadlines(sim, self._armed, self._expire)
+        #: ``fn(lease)`` run after a revocation, or ``None``.
+        self.on_revoke: Optional[Callable[[Lease], None]] = None
+        # Live 0..1 pressure signals folded into the policies' usage snapshot.
         self._pressure_signals: list = []
         # statistics
         self.negotiations = 0
@@ -89,12 +90,13 @@ class LeaseManager:
     # Negotiation
     # ------------------------------------------------------------------
     def negotiate(self, requester: LeaseRequester, operation: OperationKind,
-                  storage_needed: int = 0) -> Lease:
+                  storage_needed: int = 0, *, arm: bool = True) -> Lease:
         """Run the request/offer/accept protocol; returns a granted lease.
 
         ``storage_needed`` is the deposit size for ``out``/``eval`` (the
         codec size of the tuple); it is folded into the requested terms so
-        the policy sees the true storage demand.
+        the policy sees the true storage demand.  ``arm=False`` leaves the
+        deadline to a later :meth:`arm`.
 
         Raises :class:`LeaseRefusedError` when the policy refuses and
         :class:`LeaseRejectedByRequesterError` when the requester declines
@@ -108,7 +110,7 @@ class LeaseManager:
             if wanted is None or wanted < storage_needed:
                 requested = LeaseTerms(requested.duration, requested.max_remotes,
                                        storage_needed)
-        offer = self.policy.offer(requested, operation.value, self._usage())
+        offer = self.policy.offer(requested, operation.value, self.usage())
         if offer is None:
             self.refusals += 1
             raise LeaseRefusedError(
@@ -132,7 +134,24 @@ class LeaseManager:
             raise LeaseRejectedByRequesterError(
                 f"requester declined offer {offer!r} for {operation.value}"
             )
-        return self._grant(offer, operation, storage_needed)
+        lease = Lease(next(self._lease_ids), self, offer, self.sim.now,
+                      operation.value)
+        self.active[lease.lease_id] = lease
+        self.grants += 1
+        if probes.SINK is not None:
+            probes.emit("lease.granted", manager=id(self),
+                        lease=lease.lease_id, op=operation.value,
+                        active_count=len(self.active))
+        lease.committed = storage_needed if operation.is_deposit else 0
+        self.storage_used += lease.committed
+        if arm:
+            self.arm(lease)
+        return lease
+
+    def arm(self, lease: Lease) -> None:
+        """Expire ``lease`` at its deadline (if it has one and is active)."""
+        if lease.active and lease.expires_at is not None:
+            self._deadlines.add(lease.expires_at, lease.lease_id)
 
     # ------------------------------------------------------------------
     # Revocation (last resort)
@@ -148,6 +167,8 @@ class LeaseManager:
             return
         self.revocations += 1
         lease._end(LeaseState.REVOKED)
+        if self.on_revoke is not None:
+            self.on_revoke(lease)
 
     def revoke_storage_pressure(self, target_bytes: int) -> list[Lease]:
         """Revoke oldest storage-bearing leases until usage <= target.
@@ -182,59 +203,6 @@ class LeaseManager:
 
     def usage(self) -> UsageSnapshot:
         """A snapshot of current commitment (what policies see)."""
-        return self._usage()
-
-    # ------------------------------------------------------------------
-    # Internals
-    # ------------------------------------------------------------------
-    def _grant(self, terms: LeaseTerms, operation: OperationKind,
-               storage_needed: int) -> Lease:
-        lease = Lease(next(self._lease_ids), self, terms, self.sim.now,
-                      operation.value)
-        self.active[lease.lease_id] = lease
-        self.grants += 1
-        if probes.SINK is not None:
-            probes.emit("lease.granted", manager=id(self),
-                        lease=lease.lease_id, op=operation.value,
-                        active_count=len(self.active))
-        committed = storage_needed if operation.is_deposit else 0
-        if committed:
-            self.storage_used += committed
-        timer = None
-        if lease.expires_at is not None:
-            timer = self.sim.schedule_at(lease.expires_at, self._expire,
-                                         lease.lease_id)
-        lease.on_end(lambda l, state: self._on_lease_end(l, state, committed, timer))
-        return lease
-
-    def _on_lease_end(self, lease: Lease, state: LeaseState, committed: int,
-                      timer) -> None:
-        if timer is not None:
-            timer.cancel()  # a released lease must not pin its expiry timer
-        if not self._canary_lease_leak:
-            self.active.pop(lease.lease_id, None)
-        # (planted bug: with the canary on, the ended lease stays in the
-        # active table forever — conservation is violated.)
-        if committed:
-            self.storage_used -= committed
-        if probes.SINK is not None:
-            probes.emit("lease.ended", manager=id(self),
-                        lease=lease.lease_id, state=state.value,
-                        active_count=len(self.active))
-
-    def _expire(self, lease_id: int) -> None:
-        lease = self.active.get(lease_id)
-        if lease is None or not lease.active:
-            return
-        self.expirations += 1
-        lease._end(LeaseState.EXPIRED)
-
-    def _storage_fits(self, needed: int) -> bool:
-        if self.storage_capacity is None:
-            return True
-        return self.storage_used + needed <= self.storage_capacity
-
-    def _usage(self) -> UsageSnapshot:
         queue_pressure = 0.0
         for signal in self._pressure_signals:
             queue_pressure = max(queue_pressure, signal())
@@ -245,6 +213,35 @@ class LeaseManager:
             thread_utilisation=self.threads.utilisation,
             queue_pressure=queue_pressure,
         )
+
+    # ------------------------------------------------------------------
+    # Internals
+    # ------------------------------------------------------------------
+    def _ended(self, lease: Lease, state: LeaseState) -> None:
+        """Bookkeeping for a lease that ended, however (called by the lease)."""
+        if not self._canary_lease_leak:
+            self.active.pop(lease.lease_id, None)
+        # (planted bug: with the canary on, the ended lease stays in the
+        # active table forever — conservation is violated.)
+        self.storage_used -= lease.committed
+        if probes.SINK is not None:
+            probes.emit("lease.ended", manager=id(self),
+                        lease=lease.lease_id, state=state.value,
+                        active_count=len(self.active))
+        self._deadlines.ended(lease.lease_id)
+
+    def _armed(self, lease_id: int, deadline: float) -> bool:
+        lease = self.active.get(lease_id)
+        return lease is not None and lease.active
+
+    def _expire(self, lease_id: int) -> None:
+        self.expirations += 1
+        self.active[lease_id]._end(LeaseState.EXPIRED)
+
+    def _storage_fits(self, needed: int) -> bool:
+        if self.storage_capacity is None:
+            return True
+        return self.storage_used + needed <= self.storage_capacity
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"<LeaseManager active={len(self.active)} "

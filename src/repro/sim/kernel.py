@@ -356,3 +356,94 @@ class Simulator:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Simulator now={self._now:.6g} pending={self.pending}>"
+
+
+class Deadlines:
+    """Many deadlines behind one kernel timer.
+
+    An owner (a lease manager, a tuple space) keeps a heap of
+    ``(deadline, seq, key)`` records here, one per leased thing, and the
+    kernel holds a single :class:`Timer` armed at the earliest live one.
+    ``live(key, deadline)`` says whether a record still stands; when its
+    deadline is reached ``due(key)`` runs, once per live record, in
+    ``(deadline, seq)`` order.  A thing that ends early costs no timer
+    cancel: its owner calls :meth:`ended`, which only re-aims the timer
+    when that record was the head; other dead records are skipped when
+    they surface and swept out by the rule :meth:`Simulator._compact`
+    uses.  So a deadline that never arrives schedules nothing, and the
+    kernel's queue holds one timer per owner, not one per lease.
+    """
+
+    __slots__ = ("sim", "_live", "_due", "_heap", "_seq", "_timer",
+                 "_firing", "_compact_at")
+
+    def __init__(self, sim: Simulator, live: Callable[[Any, float], bool],
+                 due: Callable[[Any], None]) -> None:
+        self.sim = sim
+        self._live = live
+        self._due = due
+        self._heap: list[tuple[float, int, Any]] = []
+        self._seq = 0
+        self._timer: Optional[Timer] = None
+        self._firing = False
+        self._compact_at = Simulator.COMPACT_FLOOR
+
+    def __len__(self) -> int:
+        """Records in the heap, dead ones not yet swept included."""
+        return len(self._heap)
+
+    def add(self, deadline: float, key: Any) -> None:
+        """Run ``due(key)`` at ``deadline`` unless the record dies first."""
+        self._seq += 1
+        heap = self._heap
+        heapq.heappush(heap, (deadline, self._seq, key))
+        if len(heap) >= self._compact_at:
+            self._compact()
+        if not self._firing and (self._timer is None
+                                 or deadline < self._timer.time):
+            self._arm()
+
+    def ended(self, key: Any) -> None:
+        """``key``'s record died early; re-aim the timer if it was the head."""
+        heap = self._heap
+        if heap and heap[0][2] == key and not self._firing:
+            self._arm()
+
+    def _arm(self) -> None:
+        """Aim the kernel timer at the earliest live record, or at nothing."""
+        heap, live = self._heap, self._live
+        while heap and not live(heap[0][2], heap[0][0]):
+            heapq.heappop(heap)
+        timer = self._timer
+        if heap:
+            at = max(heap[0][0], self.sim.now)
+            if timer is not None:
+                if timer.time == at:
+                    return
+                timer.cancel()
+            self._timer = self.sim.schedule_at(at, self._fire)
+        elif timer is not None:
+            timer.cancel()
+            self._timer = None
+
+    def _fire(self) -> None:
+        self._timer = None
+        self._firing = True
+        heap, live, due = self._heap, self._live, self._due
+        now, last = self.sim.now, self._seq
+        try:
+            # A record added while firing waits for the re-armed timer, as
+            # a timer scheduled by a callback would.
+            while heap and heap[0][0] <= now and heap[0][1] <= last:
+                deadline, _, key = heapq.heappop(heap)
+                if live(key, deadline):
+                    due(key)
+        finally:
+            self._firing = False
+            self._arm()
+
+    def _compact(self) -> None:
+        live = self._live
+        self._heap[:] = [r for r in self._heap if live(r[2], r[0])]
+        heapq.heapify(self._heap)
+        self._compact_at = max(Simulator.COMPACT_FLOOR, 2 * len(self._heap))

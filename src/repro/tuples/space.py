@@ -8,7 +8,7 @@ the Linda kernel of the model: the six operations over a single space, with
   deadlines are imposed by the layer above (the lease), which simply
   cancels the waiter when the lease expires;
 * **lease-driven expiry** — an entry deposited with ``expires_at`` is
-  removed when the virtual clock passes that time ("once the lease expires,
+  removed when the virtual clock reaches that time ("once the lease expires,
   the tuple may be removed from the space at any time", section 2.5);
 * **two-phase destructive match** (``hold_match``/``confirm``/``release``)
   used by the distributed `in` protocol;
@@ -25,7 +25,7 @@ from typing import Callable, Optional
 from repro.check import probes
 from repro.errors import TupleError
 from repro.sim.events import Event
-from repro.sim.kernel import Simulator
+from repro.sim.kernel import Deadlines, Simulator
 from repro.sim.rng import RngStream
 from repro.tuples.matching import matches
 from repro.tuples.model import Pattern, Tuple
@@ -64,7 +64,7 @@ class Waiter:
 
 
 class LocalTupleSpace:
-    """A single node's tuple space (store + waiters + expiry timers)."""
+    """A single node's tuple space (store + waiters + entry deadlines)."""
 
     def __init__(self, sim: Simulator, name: str = "space", rng: Optional[RngStream] = None) -> None:
         self.sim = sim
@@ -80,6 +80,7 @@ class LocalTupleSpace:
         self._waiters: list[Waiter] = []
         self._on_out: list[Callable[[StoredEntry], None]] = []
         self._on_removed: list[Callable[[StoredEntry, str], None]] = []
+        self._deadlines = Deadlines(sim, self._expiring, self._expire)
         #: The storage backend currently logging this space (bound by
         #: ``attach_backend``, cleared by its ``detach()``), or ``None``:
         #: what the space-info handle advertises as persistence (2.4).
@@ -139,7 +140,7 @@ class LocalTupleSpace:
         entry = self.store.add(tup, meta)
         self.deposits += 1
         if expires_at is not None:
-            self._schedule_expiry(entry, expires_at)
+            self._deadlines.add(expires_at, entry.entry_id)
         for callback in self._on_out:
             callback(entry)
         return entry
@@ -181,7 +182,7 @@ class LocalTupleSpace:
         if quarantine:
             self.store.hold(entry.entry_id)
         if expires_at is not None:
-            self._schedule_expiry(entry, expires_at)
+            self._deadlines.add(expires_at, entry.entry_id)
         return entry
 
     def rdp(self, pattern: Pattern) -> Optional[Tuple]:
@@ -330,15 +331,14 @@ class LocalTupleSpace:
         if waiter in self._waiters:
             self._waiters.remove(waiter)
 
-    def _schedule_expiry(self, entry: StoredEntry, expires_at: float) -> None:
-        # The timer is kept so a removal can cancel it (`_notify_removed`).
-        entry.meta["expiry_timer"] = self.sim.schedule_at(
-            expires_at, self._expire, entry.entry_id)
+    def _expiring(self, entry_id: int, deadline: float) -> bool:
+        # A restored entry keeps its id under a new deadline.
+        entry = self.store.get(entry_id)
+        return (entry is not None and not entry.removed
+                and entry.meta.get("expires_at") == deadline)
 
     def _expire(self, entry_id: int) -> None:
         entry = self.store.get(entry_id)
-        if entry is None or entry.removed:
-            return
         if entry.held:
             return  # reclaimed on release (see `release`)
         self.store.remove(entry_id)
@@ -346,11 +346,7 @@ class LocalTupleSpace:
         self._notify_removed(entry, "expired")
 
     def _notify_removed(self, entry: StoredEntry, reason: str) -> None:
-        # A consumed tuple's expiry timer would otherwise sit in the kernel
-        # queue until its lease ran out — for a long lease, forever.
-        timer = entry.meta.pop("expiry_timer", None)
-        if timer is not None:
-            timer.cancel()
+        self._deadlines.ended(entry.entry_id)
         for callback in self._on_removed:
             callback(entry, reason)
 

@@ -35,7 +35,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.tuples.model import Tuple
+from repro.tuples.model import Pattern, Tuple
 from repro.tuples.space import LocalTupleSpace
 
 #: Tuple tags excluded from durability by default — the one copy of the
@@ -43,6 +43,25 @@ from repro.tuples.space import LocalTupleSpace
 #: and the short-leased in-space telemetry rows of repro.obs.telemetry,
 #: ephemeral operational data a restarted node republishes itself.
 DEFAULT_SKIP_TAGS: tuple = ("__space_info__", "_telemetry")
+
+#: The space-info tuple (section 2.4): ``(tag, instance name, persistent)``.
+_SPACE_INFO = Pattern("__space_info__", str, bool)
+
+
+def _advertise(space: LocalTupleSpace) -> None:
+    """Make ``space``'s info tuple say whether a backend now logs it.
+
+    The tuple is swapped in the store under its own id: not a deposit or a
+    removal, so no listener, counter or log sees it.
+    """
+    persistent = space.backend is not None
+    store = space.store
+    for entry in store.candidates(_SPACE_INFO, snapshot=True):
+        tag, name, flag = entry.tuple.fields
+        if flag is not persistent:
+            store.remove(entry.entry_id)
+            store.add(Tuple(tag, name, persistent), entry.meta,
+                      entry_id=entry.entry_id)
 
 
 class RecoveredState:
@@ -147,6 +166,7 @@ class StorageBackend:
         """
         self._space = space
         space.backend = self
+        _advertise(space)
         key = id(space)
         if key in self._listeners_on:
             return
@@ -180,6 +200,7 @@ class StorageBackend:
         """Stop logging (the bound space crashed; its timers may still fire)."""
         if self._space is not None and self._space.backend is self:
             self._space.backend = None
+            _advertise(self._space)
         self._space = None
 
     def rebind(self, space: LocalTupleSpace,

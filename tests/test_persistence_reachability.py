@@ -3,7 +3,7 @@
 import pytest
 
 from repro.check.oracles import InvariantMonitor, LeaseConservationOracle
-from repro.core import TiamatConfig, TiamatInstance
+from repro.core import SPACE_INFO_PATTERN, TiamatConfig, TiamatInstance
 from repro.leasing import LeaseState, LeaseTerms, SimpleLeaseRequester
 from repro.net import (
     CrashRestartInjector,
@@ -130,6 +130,22 @@ def test_infrastructure_rows_are_not_imaged(world, reopen):
     power_down(old, reopen())
     imaged = [tup for _, tup, _ in reopen().recover().entries]
     assert imaged == [Tuple("user-data", 1)]
+
+
+def test_space_info_tuple_follows_the_bound_backend(world, reopen):
+    sim, net = world
+    inst = TiamatInstance(sim, net, "dev")
+    info = Tuple("__space_info__", "dev", False)
+    assert inst.space.rdp(SPACE_INFO_PATTERN) == info
+    backend = attach_backend(inst.space, reopen())
+    assert inst.handle().persistent
+    assert inst.space.rdp(SPACE_INFO_PATTERN) == Tuple("__space_info__", "dev", True)
+    backend.detach()
+    assert not inst.handle().persistent
+    assert inst.space.rdp(SPACE_INFO_PATTERN) == info
+    # The swap is no deposit: it reached no log and no counter.
+    assert reopen().recover().entries == []
+    assert (inst.space.deposits, inst.space.consumed) == (1, 0)
 
 
 def test_recovery_keeps_entry_ids_and_bumps_the_counter(world, reopen):

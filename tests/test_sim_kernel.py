@@ -8,6 +8,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 import repro
+from repro.check import probes
 from repro.core import TiamatInstance
 from repro.core.monitoring import AppMonitor
 from repro.errors import SimulationError
@@ -296,11 +297,21 @@ def test_compaction_leaves_the_schedule_unchanged():
 # ----------------------------------------------------------------------
 # The total order (time, tiebreak, seq): pinned, and as a property
 # ----------------------------------------------------------------------
-#: SHA-256 over ``(time, seq)`` of every timer ``_schedule_digest`` fires,
-#: recorded when the heap still ordered ``Timer`` objects by ``__lt__`` and
-#: unchanged since.
-SCHEDULE_SHA256 = ("edcd91437b19c59bc24141df062c4be6"
-                   "08a2ebeb5871aebb21ba9a145618f763")
+#: SHA-256 over ``(time, seq)`` of every timer ``_schedule_digest`` fires.
+#: ``seq`` numbers every push, so this moves whenever the kernel is asked
+#: for more or fewer timers, even if nothing runs in a different order.
+SCHEDULE_SHA256 = ("c83db76570d9102f27c54edc03c2b3d6"
+                   "22cc5551acfa0541e7579302f1a8f890")
+
+#: SHA-256 over the same run with no ``seq`` in it: ``(time, handler)`` of
+#: every fired timer except the expiry reapers, then ``(time, id)`` of every
+#: lease and tuple expiry.  A change that only renumbers or batches pushes
+#: (one reaper timer per owner, not one per lease) keeps this digest.
+PLAIN_SCHEDULE_SHA256 = ("8b06a27960cbbc87d257c2cdf03403a4"
+                         "8fade3b1d49e305bbae7c2093abb8978")
+
+_REAPERS = ("LeaseManager._expire", "LocalTupleSpace._expire",
+            "Deadlines._fire")
 
 
 def _schedule_digest():
@@ -309,24 +320,48 @@ def _schedule_digest():
     a = TiamatInstance(sim, net, "a")
     b = TiamatInstance(sim, net, "b")
     net.visibility.connect_clique(["a", "b"])
-    sha = hashlib.sha256()
-    sim.event_hook = lambda t: sha.update(struct.pack("<dq", t.time, t.seq))
-    for i in range(50):
-        b.out(Tuple("job", i))
-        rd = a.rd(Pattern("job", i))
-        sim.run(until=sim.now + 0.5)
-        take = a.in_(Pattern("job", int))
-        sim.run(until=sim.now + 0.5)
-        assert rd.result == take.result == Tuple("job", i)
-    b.out(Tuple("brief", 0),
-          requester=SimpleLeaseRequester(LeaseTerms(duration=2.0)))
-    sim.run(until=sim.now + 5.0)
+    sha, plain, expired = hashlib.sha256(), hashlib.sha256(), []
+
+    def fired(timer):
+        sha.update(struct.pack("<dq", timer.time, timer.seq))
+        name = timer.callback.__qualname__
+        if name not in _REAPERS:
+            plain.update(struct.pack("<d", timer.time) + name.encode())
+
+    def ended(event, fields):
+        if event == "lease.ended" and fields["state"] == "expired":
+            expired.append(("lease", sim.now, fields["lease"]))
+
+    def removed(entry, reason):
+        if reason == "expired":
+            expired.append(("tuple", sim.now, entry.entry_id))
+
+    sim.event_hook = fired
+    a.space.on_removed(removed)
+    b.space.on_removed(removed)
+    probes.install(ended)
+    try:
+        for i in range(50):
+            b.out(Tuple("job", i))
+            rd = a.rd(Pattern("job", i))
+            sim.run(until=sim.now + 0.5)
+            take = a.in_(Pattern("job", int))
+            sim.run(until=sim.now + 0.5)
+            assert rd.result == take.result == Tuple("job", i)
+        b.out(Tuple("brief", 0),
+              requester=SimpleLeaseRequester(LeaseTerms(duration=2.0)))
+        sim.run(until=sim.now + 5.0)
+    finally:
+        probes.uninstall()
     assert b.space.rdp(Pattern("brief", int)) is None      # lease expired
-    return sha.hexdigest(), sim.events_processed, sim.now
+    assert len(expired) == 2
+    plain.update(repr(expired).encode())
+    return sha.hexdigest(), plain.hexdigest(), sim.events_processed, sim.now
 
 
 def test_schedule_hash_is_pinned():
-    assert _schedule_digest() == (SCHEDULE_SHA256, 1156, 55.0)
+    assert _schedule_digest() == (SCHEDULE_SHA256, PLAIN_SCHEDULE_SHA256,
+                                  1156, 55.0)
 
 
 @given(seed=st.integers(0, 2**16),

@@ -91,8 +91,8 @@ def test_detach_stops_logging_dead_incarnation(sim, space):
     fresh = LocalTupleSpace(sim, name="dev")
     backend.rebind(fresh)
     fresh.out(Tuple("new"))
-    # The dead space's expiry timer fires after the rebind: it must not
-    # reach the log, which now belongs to the fresh incarnation.
+    # The dead space's expiry fires after the rebind: it must not reach
+    # the log, which now belongs to the fresh incarnation.
     sim.run(until=20.0)
     live = contents(backend.recover())
     assert [t for t, _ in live.values()] == [Tuple("new")]
