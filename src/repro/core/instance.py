@@ -190,6 +190,10 @@ class TiamatInstance:
         entry = self.space.out(tup, expires_at=lease.expires_at,
                                meta={"lease": lease, "owner": self.name})
         lease.entry_id = entry.entry_id
+        if entry.removed:
+            # A blocked `in` took the tuple on arrival: nothing resident
+            # for the lease to fund.
+            lease.release()
         if self.fabric is not None:
             self.fabric.register_primary(entry)
         return entry

@@ -24,7 +24,7 @@ from typing import Any, Dict, Iterable, List, Optional
 
 from repro.errors import LeaseError
 from repro.leasing import LeaseTerms, SimpleLeaseRequester
-from repro.tuples import Tuple
+from repro.tuples import Pattern, Tuple
 
 __all__ = [
     "TELEMETRY_TAG",
@@ -177,22 +177,19 @@ def collect_cluster_health(spaces: Iterable[Any], now: float,
     """Aggregate telemetry rows from *spaces* into per-node health.
 
     *spaces* is any iterable of space-like objects exposing
-    ``snapshot() -> list[Tuple]`` (both :class:`LocalTupleSpace` and the
-    threaded runtime's ``ThreadSafeTupleSpace`` do).  Rows are unioned
-    across spaces and only each node's freshest epoch counts.  Nodes in
-    *expected* with no live row at all — lease expired, so the space
-    already reclaimed them — are reported ``partitioned`` with no
+    ``snapshot(pattern) -> list[Tuple]`` (both :class:`LocalTupleSpace`
+    and the threaded runtime's ``ThreadSafeTupleSpace`` do), asked for
+    well-formed ``(tag, node, epoch, JSON payload)`` rows.  Rows are
+    unioned across spaces and only each node's freshest epoch counts.
+    Nodes in *expected* with no live row at all — lease expired, so the
+    space already reclaimed them — are reported ``partitioned`` with no
     payload.
     """
     freshest: Dict[str, tuple] = {}
+    rows = Pattern(TELEMETRY_TAG, str, int, str)
     for space in spaces:
-        for tup in space.snapshot():
-            fields = tup.fields
-            if len(fields) != 4 or fields[0] != TELEMETRY_TAG:
-                continue
-            node, epoch, raw = fields[1], fields[2], fields[3]
-            if not isinstance(node, str) or not isinstance(epoch, int):
-                continue
+        for tup in space.snapshot(rows):
+            _, node, epoch, raw = tup.fields
             best = freshest.get(node)
             if best is None or epoch > best[0]:
                 freshest[node] = (epoch, raw)
@@ -205,7 +202,7 @@ def collect_cluster_health(spaces: Iterable[Any], now: float,
         epoch, raw = best
         try:
             payload = json.loads(raw)
-        except (TypeError, ValueError):
+        except ValueError:
             payload = {}
         age = max(0.0, now - float(payload.get("t", now)))
         status = classify_node(payload, age, period)

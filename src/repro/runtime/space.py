@@ -2,9 +2,11 @@
 
 The same store and matching substrate as the simulated spaces
 (:mod:`repro.tuples`), fronted by a lock + condition variable so multiple
-OS threads can ``out``/``in``/``rd`` concurrently.  Deadlines are wall
-clock: a blocking operation that exceeds its lease duration returns
-``None`` — the model's bounded-effort semantics (section 2.5).
+OS threads can ``out``/``in``/``rd`` concurrently; lookups go through
+``store.find`` / ``count`` / ``find_all``, as in the simulator.  Deadlines
+are wall clock: a blocking operation that exceeds its lease duration
+returns ``None`` — the model's bounded-effort semantics (section 2.5).
+Expiry is lazy: a lookup removes a lapsed tuple it meets, never returns it.
 """
 
 from __future__ import annotations
@@ -13,7 +15,6 @@ import threading
 import time
 from typing import Optional
 
-from repro.tuples.matching import matches
 from repro.tuples.model import Pattern, Tuple
 from repro.tuples.store import TupleStore
 
@@ -101,12 +102,13 @@ class ThreadSafeTupleSpace:
                 return self._store.visible_count
             return self._store.count(pattern)
 
-    def snapshot(self) -> list[Tuple]:
-        """All live tuples, oldest first."""
+    def snapshot(self, pattern: Optional[Pattern] = None) -> list[Tuple]:
+        """All live tuples (matching ``pattern`` when given), oldest first."""
         with self._lock:
             self._reap()
-            entries = sorted((e for e in self._store if e.visible),
-                             key=lambda e: e.entry_id)
+            # Nothing is held here and ids are never pinned: every entry
+            # is visible, in id order.
+            entries = self._store if pattern is None else self._store.find_all(pattern)
             return [e.tuple for e in entries]
 
     # ------------------------------------------------------------------
@@ -139,20 +141,16 @@ class ThreadSafeTupleSpace:
                     self._waiting -= 1
 
     def _find_live(self, pattern: Pattern):
-        """A live (unexpired) matching entry; reaps expired ones it meets."""
+        """The oldest live (unexpired) match; reaps expired ones it meets."""
         now = time.monotonic()
-        expired = []    # removed after the walk: it runs over the live index
-        live = None
-        for entry in self._store.candidates(pattern):
+        while True:
+            entry = self._store.find(pattern)
+            if entry is None:
+                return None
             expires_at = entry.meta.get("expires_at")
-            if expires_at is not None and now >= expires_at:
-                expired.append(entry.entry_id)
-            elif matches(pattern, entry.tuple):
-                live = entry
-                break
-        for entry_id in expired:
-            self._store.remove(entry_id)
-        return live
+            if expires_at is None or now < expires_at:
+                return entry
+            self._store.remove(entry.entry_id)
 
     def _reap(self) -> None:
         now = time.monotonic()

@@ -265,20 +265,19 @@ class LocalTupleSpace:
             return self.store.visible_count
         return self.store.count(pattern)
 
-    def snapshot(self) -> list[Tuple]:
-        """All visible tuples, oldest first (for assertions and figures)."""
-        entries = [e for e in self.store if e.visible]
-        entries.sort(key=lambda e: e.entry_id)
+    def snapshot(self, pattern: Optional[Pattern] = None) -> list[Tuple]:
+        """All visible tuples (matching ``pattern`` when given), oldest first."""
+        if pattern is None:
+            entries = [e for e in self.store if e.visible]
+            entries.sort(key=lambda e: e.entry_id)
+        else:
+            entries = self.store.find_all(pattern)
         return [e.tuple for e in entries]
 
     @property
     def waiter_count(self) -> int:
         """Number of registered, unsatisfied waiters."""
         return len(self._waiters)
-
-    def stored_bytes(self) -> int:
-        """Approximate bytes resident in the space (for lease accounting)."""
-        return self.store.stored_bytes()
 
     # ------------------------------------------------------------------
     # Internals

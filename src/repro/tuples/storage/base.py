@@ -52,11 +52,13 @@ def _advertise(space: LocalTupleSpace) -> None:
     """Make ``space``'s info tuple say whether a backend now logs it.
 
     The tuple is swapped in the store under its own id: not a deposit or a
-    removal, so no listener, counter or log sees it.
+    removal, so no listener, counter or log sees it.  Nor is it a lookup:
+    it lists the index walk itself (the swap changes that index) rather
+    than call ``find_all``, which counts a scan and emits probes.
     """
     persistent = space.backend is not None
     store = space.store
-    for entry in store.candidates(_SPACE_INFO, snapshot=True):
+    for entry in list(store.candidates(_SPACE_INFO)):
         tag, name, flag = entry.tuple.fields
         if flag is not persistent:
             store.remove(entry.entry_id)

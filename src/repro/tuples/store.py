@@ -20,13 +20,13 @@ and scalar ``Formal``\\ s can match one signature only.
 **A bucket is exact** when every entry in it matches: the pattern names
 one signature, no actual is or holds a NaN and there is at most one of
 them — or their smallest bucket holds a single, matching entry, the
-id-addressed ``Pattern("job", 17, str)`` — no entry is held, the ``ghost``
-canary is off and no probe sink is installed (the checker wants a
-``store.match`` per match).  Then ``len(bucket)`` *is* the match count;
-:meth:`TupleStore.find` draws what the scan would draw (``rng.choice`` over
-that many items, or the oldest) and returns that entry without calling
-``matches()`` — O(1) for the destructive take-any every coordination
-pattern leans on.
+id-addressed ``Pattern("job", 17, str)`` — and no entry is held.  Then
+``len(bucket)`` *is* the match count; :meth:`TupleStore.find` draws what
+the scan would draw (``rng.choice`` over that many items, or the oldest)
+and returns that entry without calling ``matches()`` — O(1) for the
+destructive take-any every coordination pattern leans on.  The bucket
+lists the walk's matches in its order, the ``ghost`` canary's too, so the
+checker runs this path: a probe sink gets a ``store.match`` per entry.
 
 **Everything else** (``ANY``, ``Range``, ``Formal(Tuple)``, several actuals
 sharing a bucket, held entries) is a filtered walk, oldest entry first,
@@ -257,8 +257,7 @@ class TupleStore:
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
-    def candidates(self, pattern: Pattern,
-                   snapshot: bool = False) -> Iterator[StoredEntry]:
+    def candidates(self, pattern: Pattern) -> Iterator[StoredEntry]:
         """Visible entries that *may* match, oldest first, via the cheapest index.
 
         Per signature the pattern can match, uses the smallest bucket among
@@ -266,10 +265,9 @@ class TupleStore:
         the slice of an ordered index its ``Range``\\ s bisect, when smaller.
 
         Iteration is **lazy** over the live index buckets — no per-scan
-        copy of a potentially huge bucket.  Callers that mutate the store
-        while iterating (removing expired entries, holding matches) must
-        pass ``snapshot=True``, which materialises the walk first;
-        read-only consumers (``_scan`` and friends) pay nothing.
+        copy of a potentially huge bucket — so the store must not change
+        while it runs: a caller that changes it as it goes lists the walk
+        first.
         """
         sig, actuals, ranges = pattern.index_plan
         if sig is not None:
@@ -285,8 +283,6 @@ class TupleStore:
             source = heapq.merge(*sources, key=attrgetter("seq"))
         else:
             source = sources[0] if sources else ()
-        if snapshot:
-            source = list(source)
         if self._canary_ghost:
             # Planted bug: visibility (removed/held) is not filtered.
             yield from source
@@ -331,7 +327,7 @@ class TupleStore:
 
         None when a filtered walk is needed (see the module docstring).
         """
-        if self._held or self._canary_ghost or probes.SINK is not None:
+        if self._held:
             return None
         sig, actuals, _ = pattern.index_plan
         if sig is None:
@@ -368,6 +364,9 @@ class TupleStore:
             return found[0]
         count = len(bucket)
         self._count_scan(1 if count else 0)
+        if probes.SINK is not None:
+            for entry in bucket.values():
+                probes.emit("store.match", store=id(self), entry=entry.entry_id)
         if not count:
             return None
         k = rng.choice(range(count)) if rng is not None and count > 1 else 0
@@ -387,6 +386,9 @@ class TupleStore:
         if bucket is None:
             return self._scan(pattern)
         self._count_scan(len(bucket))
+        if probes.SINK is not None:
+            for entry in bucket.values():
+                probes.emit("store.match", store=id(self), entry=entry.entry_id)
         return bucket.values()
 
     def _count_scan(self, examined: int) -> None:
@@ -440,12 +442,6 @@ class TupleStore:
     def visible_count(self) -> int:
         """Number of entries currently visible to queries."""
         return sum(1 for e in self._entries.values() if e.visible)
-
-    def stored_bytes(self) -> int:
-        """Approximate wire size of everything stored (for resource accounting)."""
-        from repro.tuples.serialization import encoded_size
-
-        return sum(encoded_size(e.tuple) for e in self._entries.values())
 
     def _require(self, entry_id: int) -> StoredEntry:
         entry = self._entries.get(entry_id)

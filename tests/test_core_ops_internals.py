@@ -150,6 +150,23 @@ def test_consumed_tuple_releases_out_lease_early(sim):
     assert inst["a"].leases.storage_used == 0
 
 
+def test_deposit_taken_on_arrival_releases_its_out_lease(sim):
+    """A parked `in` takes the deposit before it is resident: the out
+    lease has nothing to fund and must not hold its bytes until expiry."""
+    net, inst = build(sim, ["a"])
+    op = inst["a"].in_(Pattern("job", int))
+    sim.run(until=1.0)
+    entry = inst["a"].out(Tuple("job", 1))
+    assert entry.removed
+    sim.run(until=2.0)
+    from repro.leasing import LeaseState
+
+    assert op.result == Tuple("job", 1)
+    assert entry.meta["lease"].state is LeaseState.RELEASED
+    assert inst["a"].leases.active_count == 0
+    assert inst["a"].leases.storage_used == 0
+
+
 def test_ops_registry_is_purged(sim):
     net, inst = build(sim, ["a"])
     inst["a"].out(Tuple("x"))

@@ -26,7 +26,7 @@ from repro.obs.telemetry import (
 )
 from repro.runtime.node import ThreadedNodeRegistry, ThreadedTiamatNode
 from repro.sim.kernel import Simulator
-from repro.tuples import Pattern, Tuple
+from repro.tuples import Pattern, Tuple, matches
 
 
 # ----------------------------------------------------------------------
@@ -55,8 +55,8 @@ class _FakeSpace:
     def __init__(self, *tuples):
         self._tuples = list(tuples)
 
-    def snapshot(self):
-        return list(self._tuples)
+    def snapshot(self, pattern=None):
+        return [t for t in self._tuples if pattern is None or matches(pattern, t)]
 
 
 def _row(node, epoch, **payload):
@@ -89,6 +89,8 @@ def test_collector_ignores_malformed_rows():
     spaces = [_FakeSpace(
         Tuple(TELEMETRY_TAG, "a", 1, "{not json"),
         Tuple(TELEMETRY_TAG, 42, 1, "{}"),           # non-string node
+        Tuple(TELEMETRY_TAG, "b", True, "{}"),       # a bool is not an epoch
+        Tuple(TELEMETRY_TAG, "c", 1, b"{}"),         # bytes payload
         Tuple(TELEMETRY_TAG, "short"),               # wrong arity
     )]
     health = collect_cluster_health(spaces, now=0.0, period=1.0)

@@ -10,10 +10,12 @@ installed — CI — and inert locally).
 
 import threading
 import time
+from types import SimpleNamespace
 
 import pytest
 
 from repro.runtime import ThreadSafeTupleSpace
+from repro.runtime import space as runtime_space
 from repro.runtime.node import ThreadedNodeRegistry, ThreadedTiamatNode
 from repro.tuples import Formal, Pattern, Tuple
 
@@ -100,6 +102,32 @@ def test_lease_expiry_wall_clock():
     wait_until(lambda: space.rdp(Pattern("mortal")) is None,
                what="lease expiry")
     assert space.count() == 0
+
+
+def test_a_lapsed_tuple_is_never_returned_and_is_reaped_when_met(monkeypatch):
+    """Expiry is lazy: a lookup that meets a tuple past its lease removes
+    it and goes on to the oldest live match."""
+    clock = [100.0]
+    monkeypatch.setattr(runtime_space, "time",
+                        SimpleNamespace(monotonic=lambda: clock[0]))
+    space = ThreadSafeTupleSpace()
+    job = Pattern("job", int)
+    for i, lease in ((1, 5.0), (2, None), (3, 1.0), (4, 50.0), (5, None), (6, 2.0)):
+        space.out(Tuple("job", i), lease_duration=lease)
+    assert space.rdp(job) == Tuple("job", 1)
+    clock[0] = 106.0                        # jobs 1, 3 and 6 have lapsed
+    assert space.rdp(Pattern("job", 3)) is None
+    assert len(space.store) == 5            # job 3 was met, so reaped
+    assert space.rd(job, timeout=0) == Tuple("job", 2)
+    assert len(space.store) == 4            # and job 1; job 6 was not met
+    assert space.count(job) == 3
+    assert space.snapshot(job) == [Tuple("job", i) for i in (2, 4, 5)]
+    clock[0] = 200.0                        # job 4 lapses too
+    assert space.inp(job) == Tuple("job", 2)
+    assert space.in_(job, timeout=0) == Tuple("job", 5)
+    assert len(space.store) == 0            # job 4 was met on the way
+    assert space.in_(job, timeout=0) is None
+    assert space.count(job) == 0 and space.snapshot(job) == []
 
 
 def test_snapshot_ordering():

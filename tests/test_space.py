@@ -196,6 +196,8 @@ def test_snapshot_and_count_pattern(space):
     space.out(Tuple("a", 2))
     space.out(Tuple("b", 1))
     assert space.snapshot() == [Tuple("a", 1), Tuple("a", 2), Tuple("b", 1)]
+    assert space.snapshot(Pattern("a", int)) == [Tuple("a", 1), Tuple("a", 2)]
+    assert space.snapshot(Pattern(str, 1)) == [Tuple("a", 1), Tuple("b", 1)]
     assert space.count(Pattern("a", int)) == 2
     assert space.count() == 3
 
@@ -205,9 +207,3 @@ def test_out_to_waiter_counts_as_deposit(sim, space):
     space.out(Tuple("x"))
     assert space.deposits == 1
     assert space.consumed == 1
-
-
-def test_stored_bytes(space):
-    assert space.stored_bytes() == 0
-    space.out(Tuple("data", "x" * 50))
-    assert space.stored_bytes() > 50

@@ -124,16 +124,6 @@ def test_candidates_use_actual_index():
     assert len(candidates) == 1
 
 
-def test_stored_bytes_positive_and_monotone():
-    store = TupleStore()
-    assert store.stored_bytes() == 0
-    store.add(Tuple("payload", "x" * 100))
-    size1 = store.stored_bytes()
-    store.add(Tuple("payload", "y" * 100))
-    assert size1 > 100
-    assert store.stored_bytes() > size1
-
-
 def test_get_and_iter():
     store = TupleStore()
     entry = store.add(Tuple("x"))

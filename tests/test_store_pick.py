@@ -94,9 +94,39 @@ class PickMachine(RuleBasedStateMachine):
         self.ref_rng = RngStream(7)
         # Recovery restores under original ids, in no particular order.
         self.pinned = iter(range(100_000, 0, -7))
+        #: ``store.match`` ids a recording probe sink saw, or None (no sink).
+        self.matched = None
+
+    def teardown(self):
+        if self.matched is not None:
+            probes.uninstall()
 
     def _same_draws(self):
         assert self.rng._random.getstate() == self.ref_rng._random.getstate()
+
+    def _record(self, event, fields):
+        if event == "store.match":
+            self.matched.append(fields["entry"])
+
+    def _emitted_the_walk(self, pattern):
+        """Under a sink, the lookup just made reported the filtered walk's
+        matches, in the walk's order — exact bucket or not."""
+        if self.matched is None:
+            return
+        emitted = list(self.matched)
+        walked = [e.entry_id for e in self.store._scan(pattern)]
+        self.matched.clear()
+        assert emitted == walked
+
+    @rule(on=st.booleans())
+    def monitor(self, on):
+        """Install or remove a recording probe sink, as the checker does."""
+        if self.matched is not None:
+            probes.uninstall()
+            self.matched = None
+        if on:
+            self.matched = []
+            probes.install(self._record)
 
     @rule(tup=tuples)
     def add(self, tup):
@@ -155,6 +185,7 @@ class PickMachine(RuleBasedStateMachine):
     @rule(pattern=patterns(), take=st.booleans())
     def find_seeded(self, pattern, take):
         entry = self.store.find(pattern, self.rng)
+        self._emitted_the_walk(pattern)
         expected = self.ref.find(pattern, self.ref_rng)
         assert (entry.entry_id if entry else None) == expected
         self._same_draws()
@@ -165,14 +196,17 @@ class PickMachine(RuleBasedStateMachine):
     @rule(pattern=patterns())
     def find_oldest(self, pattern):
         entry = self.store.find(pattern)
+        self._emitted_the_walk(pattern)
         assert (entry.entry_id if entry else None) == self.ref.find(pattern)
 
     @rule(pattern=patterns())
     def find_all(self, pattern):
         got = [e.entry_id for e in self.store.find_all(pattern)]
+        self._emitted_the_walk(pattern)
         assert got == sorted(self.ref.found(pattern))
         assert all(self.store.get(i).visible for i in got)
         assert self.store.count(pattern) == len(got)
+        self._emitted_the_walk(pattern)
 
     @rule(data=st.data(), take=st.booleans())
     def find_range(self, data, take):
@@ -292,18 +326,21 @@ def _churn(seed, steps=400):
         if entry is not None and step % 3:
             store.remove(entry.entry_id)
             store.add(Tuple("task", step % 5, script.choice([1, True, 1.0])))
-    return picks, rng._random.getstate()
+    return picks, rng._random.getstate(), (store.entries_scanned,
+                                           store.scan_cache_misses)
 
 
 def test_monitored_and_unmonitored_runs_pick_the_same_entries():
-    """The probe sink forces the filtered walk; the picks must not notice."""
+    """The checker runs the production lookup: with a probe sink installed
+    the store takes the same exact and walked paths (same scan counts),
+    picks the same entries and leaves the stream in the same state."""
     direct = _churn(11)
     with InvariantMonitor(stop_on_violation=False) as monitor:
         assert probes.SINK is not None
-        walked = _churn(11)
+        monitored = _churn(11)
     assert probes.SINK is None
     assert not monitor.violations
-    assert walked == direct
+    assert monitored == direct
     assert any(pick is not None for pick in direct[0])
 
 
