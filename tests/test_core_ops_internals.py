@@ -167,6 +167,21 @@ def test_deposit_taken_on_arrival_releases_its_out_lease(sim):
     assert inst["a"].leases.storage_used == 0
 
 
+def test_eval_result_taken_on_arrival_releases_its_eval_lease(sim):
+    """An eval's result that a parked `in` takes as it is deposited never
+    rests in the space: the eval lease funds nothing and must end."""
+    net, inst = build(sim, ["a"])
+    op = inst["a"].in_(Pattern("r", int))
+    sim.run(until=1.0)
+    task = inst["a"].eval(lambda: Tuple("r", 1))
+    sim.run(until=2.0)
+    from repro.leasing import LeaseState
+
+    assert op.result == Tuple("r", 1)
+    assert task.lease.state is LeaseState.RELEASED
+    assert inst["a"].leases.active_count == 0
+
+
 def test_ops_registry_is_purged(sim):
     net, inst = build(sim, ["a"])
     inst["a"].out(Tuple("x"))

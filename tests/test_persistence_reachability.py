@@ -220,6 +220,23 @@ def test_a_refused_re_lease_reclaims_the_tuple(world):
     assert len(backend) == 2            # the refused one left the log too
 
 
+def test_a_survivor_taken_on_restore_releases_its_lease(world):
+    """A parked `in` on the reborn device takes a survivor as it is
+    restored: the fresh out lease (and its bytes) must end with it."""
+    sim, net = world
+    old = TiamatInstance(sim, net, "dev")
+    old.out(Tuple("item", 1), requester=leased(300.0))
+    backend = MemoryBackend()
+    power_down(old, backend)
+    reborn = TiamatInstance(sim, net, "dev2")
+    op = reborn.in_(Pattern("item", int))
+    sim.run(until=sim.now + 1.0)
+    reborn.recover_from(backend, sync=False)
+    sim.run(until=sim.now + 1.0)
+    assert op.result == Tuple("item", 1)
+    assert reborn.leases.active_count == reborn.leases.storage_used == 0
+
+
 def injected_world(logged):
     """n + peer under a CrashRestartInjector; ``logged`` gives n a WAL."""
     sim = Simulator(seed=21)
