@@ -41,15 +41,12 @@ class OperationKind(enum.Enum):
     RD = "rd"
     RDP = "rdp"
 
-    @property
-    def is_deposit(self) -> bool:
-        """Whether this operation stores a tuple (consumes storage budget)."""
-        return self in (OperationKind.OUT, OperationKind.EVAL)
-
-    @property
-    def is_blocking(self) -> bool:
-        """Whether this operation may wait for a match."""
-        return self in (OperationKind.IN, OperationKind.RD)
+    def __init__(self, label: str) -> None:
+        # Plain attributes, read on every operation (``value`` is a
+        # property: a Python call per read).
+        self.label = label
+        self.is_deposit = label in ("out", "eval")  # consumes storage budget
+        self.is_blocking = label in ("in", "rd")    # may wait for a match
 
 
 class LeaseManager:
@@ -76,7 +73,7 @@ class LeaseManager:
         self._deadlines = Deadlines(sim, self._armed, self._expire)
         #: ``fn(lease)`` run after a revocation, or ``None``.
         self.on_revoke: Optional[Callable[[Lease], None]] = None
-        # Live 0..1 pressure signals folded into the policies' usage snapshot.
+        # Live 0..1 pressure signals folded into the policies' usage view.
         self._pressure_signals: list = []
         # statistics
         self.negotiations = 0
@@ -104,26 +101,31 @@ class LeaseManager:
         further work on the operation.
         """
         self.negotiations += 1
+        label = operation.label
+        deposit = operation.is_deposit and storage_needed
         requested = requester.desired()
-        if operation.is_deposit and storage_needed:
+        if deposit:
             wanted = requested.storage_bytes
             if wanted is None or wanted < storage_needed:
                 requested = LeaseTerms(requested.duration, requested.max_remotes,
                                        storage_needed)
-        offer = self.policy.offer(requested, operation.value, self.usage())
+        # The manager is the policy's usage view: it reads the names a
+        # UsageSnapshot holds, live, so a policy pays only for what it reads.
+        offer = self.policy.offer(requested, label, self)
         if offer is None:
             self.refusals += 1
             raise LeaseRefusedError(
-                f"lease refused for {operation.value} (storage_needed={storage_needed})"
+                f"lease refused for {label} (storage_needed={storage_needed})"
             )
-        if operation.is_deposit and storage_needed:
+        if deposit:
             granted_storage = offer.storage_bytes
             if granted_storage is not None and granted_storage < storage_needed:
                 self.refusals += 1
                 raise LeaseRefusedError(
                     f"offered storage {granted_storage}B < needed {storage_needed}B"
                 )
-            if not self._storage_fits(storage_needed):
+            capacity = self.storage_capacity
+            if capacity is not None and self.storage_used + storage_needed > capacity:
                 self.refusals += 1
                 raise LeaseRefusedError(
                     f"storage capacity exceeded ({self.storage_used}+"
@@ -132,18 +134,18 @@ class LeaseManager:
         if not requester.consider(offer):
             self.requester_rejections += 1
             raise LeaseRejectedByRequesterError(
-                f"requester declined offer {offer!r} for {operation.value}"
+                f"requester declined offer {offer!r} for {label}"
             )
-        lease = Lease(next(self._lease_ids), self, offer, self.sim.now,
-                      operation.value)
+        lease = Lease(next(self._lease_ids), self, offer, self.sim.now, label)
         self.active[lease.lease_id] = lease
         self.grants += 1
         if probes.SINK is not None:
             probes.emit("lease.granted", manager=id(self),
-                        lease=lease.lease_id, op=operation.value,
+                        lease=lease.lease_id, op=label,
                         active_count=len(self.active))
-        lease.committed = storage_needed if operation.is_deposit else 0
-        self.storage_used += lease.committed
+        if deposit:
+            lease.committed = storage_needed
+            self.storage_used += storage_needed
         if arm:
             self.arm(lease)
         return lease
@@ -202,17 +204,26 @@ class LeaseManager:
         self._pressure_signals.append(signal)
 
     def usage(self) -> UsageSnapshot:
-        """A snapshot of current commitment (what policies see)."""
-        queue_pressure = 0.0
+        """A snapshot of current commitment (what policies see, live)."""
+        return UsageSnapshot(self.storage_used, self.storage_capacity, len(self.active),
+                             self.thread_utilisation, self.queue_pressure)
+
+    # The rest of UsageSnapshot's names, read live by the policies.
+    active_leases = active_count
+    storage_pressure = UsageSnapshot.storage_pressure
+
+    @property
+    def thread_utilisation(self) -> float:
+        """Fraction of the thread factory in use."""
+        return self.threads.utilisation
+
+    @property
+    def queue_pressure(self) -> float:
+        """The highest registered pressure signal (0.0 with none)."""
+        pressure = 0.0
         for signal in self._pressure_signals:
-            queue_pressure = max(queue_pressure, signal())
-        return UsageSnapshot(
-            storage_used=self.storage_used,
-            storage_capacity=self.storage_capacity,
-            active_leases=len(self.active),
-            thread_utilisation=self.threads.utilisation,
-            queue_pressure=queue_pressure,
-        )
+            pressure = max(pressure, signal())
+        return pressure
 
     # ------------------------------------------------------------------
     # Internals
@@ -237,11 +248,6 @@ class LeaseManager:
     def _expire(self, lease_id: int) -> None:
         self.expirations += 1
         self.active[lease_id]._end(LeaseState.EXPIRED)
-
-    def _storage_fits(self, needed: int) -> bool:
-        if self.storage_capacity is None:
-            return True
-        return self.storage_used + needed <= self.storage_capacity
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"<LeaseManager active={len(self.active)} "

@@ -3,8 +3,10 @@
 "The final decision as to what lease is actually granted, or if a lease is
 granted at all, is made by the Tiamat instance" (section 2.5).  The policy
 object is where that decision lives.  Policies see the requested terms, the
-operation kind, and a usage snapshot (storage pressure, resource factory
-utilisation) and return the terms to offer — or ``None`` to refuse.
+operation kind, and a usage view (storage pressure, resource factory
+utilisation: a :class:`UsageSnapshot`, or the lease manager itself, which
+reads the same names live) and return the terms to offer — or ``None`` to
+refuse.
 
 Three production policies are provided and benchmarked against each other
 in the T4 ablation:

@@ -24,6 +24,10 @@ from typing import Optional
 
 from repro.errors import SerializationError
 
+#: ``json.dumps(payload, separators=(",", ":"), sort_keys=True)`` without
+#: building an encoder per frame: the same bytes.
+_dumps = json.JSONEncoder(separators=(",", ":"), sort_keys=True).encode
+
 
 class Message:
     """A frame in flight (or delivered) on the simulated network."""
@@ -37,12 +41,10 @@ class Message:
         self.payload = payload
         self.sent_at = sent_at
         try:
-            encoded = json.dumps(payload, separators=(",", ":"),
-                                 sort_keys=True)
+            self.size = len(_dumps(payload))
         except TypeError as exc:
             raise SerializationError(
                 f"payload is not JSON-representable: {exc}") from exc
-        self.size = len(encoded)
         self.sent = payload
 
     @property

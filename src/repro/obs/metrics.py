@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import math
 import threading
+from bisect import bisect_left
 from typing import Any, Callable, Iterable, Optional, Sequence
 
 __all__ = [
@@ -120,14 +121,13 @@ class Histogram:
 
     def observe(self, value: float) -> None:
         """Record one observation."""
+        # The first bound >= value, or +Inf (where NaN lands too).
+        i = (bisect_left(self.buckets, value) if value == value
+             else len(self.buckets))
         with self._lock:
             self.sum += value
             self.count += 1
-            for i, bound in enumerate(self.buckets):
-                if value <= bound:
-                    self.counts[i] += 1
-                    return
-            self.counts[-1] += 1
+            self.counts[i] += 1
 
     def cumulative(self) -> list[tuple[float, int]]:
         """Prometheus-style cumulative ``(le, count)`` pairs, +Inf last."""

@@ -124,7 +124,20 @@ class SLOTracker:
             child = self._histogram_child(kind)
         child.observe(latency)
         now = self.clock()
-        self._note_exemplar(kind, now, latency, op_id, node, ring)
+        # The slowest ops of the window keep their op id and flight slice.
+        slot = self._exemplars.get(kind)
+        if slot is None:
+            slot = self._exemplars[kind] = []
+        horizon = now - self.exemplar_window
+        if slot and slot[0]["t"] < horizon:
+            slot[:] = [e for e in slot if e["t"] >= horizon]
+        if len(slot) < EXEMPLAR_SLOTS or latency > slot[0]["latency"]:
+            slot.append({"t": now, "latency": latency, "op_id": op_id,
+                         "node": node, "kind": kind,
+                         "trace": _ring_slice(ring, op_id, now, latency)})
+            slot.sort(key=lambda e: e["latency"])
+            if len(slot) > EXEMPLAR_SLOTS:
+                del slot[0]
         for state in self._states:
             if state.objective.kind != kind:
                 continue
@@ -141,23 +154,6 @@ class SLOTracker:
         child = self._hist.labels(kind=kind)
         self._hist_children[kind] = child
         return child
-
-    def _note_exemplar(self, kind: str, now: float, latency: float,
-                       op_id: Optional[str], node: Optional[str],
-                       ring: Any) -> None:
-        slot = self._exemplars.setdefault(kind, [])
-        horizon = now - self.exemplar_window
-        if slot and slot[0]["t"] < horizon:
-            slot[:] = [e for e in slot if e["t"] >= horizon]
-        if len(slot) >= EXEMPLAR_SLOTS and latency <= slot[0]["latency"]:
-            return
-        exemplar = {"t": now, "latency": latency, "op_id": op_id,
-                    "node": node, "kind": kind,
-                    "trace": _ring_slice(ring, op_id, now, latency)}
-        slot.append(exemplar)
-        slot.sort(key=lambda e: e["latency"])
-        if len(slot) > EXEMPLAR_SLOTS:
-            del slot[0]
 
     def _breach(self, objective: SLOObjective, now: float, burn: float,
                 op_id: Optional[str], node: Optional[str],

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any, Optional, Protocol, runtime_checkable
 
+from repro.leasing import LeaseTerms, SimpleLeaseRequester
 from repro.tuples.model import Pattern, Tuple
 
 if TYPE_CHECKING:
@@ -100,6 +101,8 @@ class _SimNodeHandle:
         self._runtime = runtime
         self.instance = instance
         self.name = instance.name
+        #: The last ``lease_duration``'s requester, reused while it repeats.
+        self._leased: Optional[SimpleLeaseRequester] = None
 
     @property
     def space(self) -> Any:
@@ -108,8 +111,11 @@ class _SimNodeHandle:
     def _requester(self, lease_duration: Optional[float]) -> Any:
         if lease_duration is None:
             return None
-        from repro.leasing import LeaseTerms, SimpleLeaseRequester
-        return SimpleLeaseRequester(LeaseTerms(duration=lease_duration))
+        leased = self._leased
+        if leased is None or leased.desired().duration != lease_duration:
+            leased = self._leased = SimpleLeaseRequester(
+                LeaseTerms(duration=lease_duration))
+        return leased
 
     def _await_event(self, event: Any, timeout: float,
                      cancel: Any = None) -> Optional[Tuple]:
@@ -136,23 +142,20 @@ class _SimNodeHandle:
             lease_duration: Optional[float] = None) -> None:
         self.instance.out(tup, requester=self._requester(lease_duration))
 
-    def _op(self, op_name: str, pattern: Pattern,
-            timeout: float) -> Optional[Tuple]:
-        op = getattr(self.instance, op_name)(pattern)
-        return self._await_event(op.event, timeout,
-                                 cancel=getattr(op, "cancel", None))
+    def _op(self, op: Any, timeout: float) -> Optional[Tuple]:
+        return self._await_event(op.event, timeout, cancel=op.cancel)
 
     def rdp(self, pattern: Pattern) -> Optional[Tuple]:
-        return self._op("rdp", pattern, self._runtime.op_timeout)
+        return self._op(self.instance.rdp(pattern), self._runtime.op_timeout)
 
     def inp(self, pattern: Pattern) -> Optional[Tuple]:
-        return self._op("inp", pattern, self._runtime.op_timeout)
+        return self._op(self.instance.inp(pattern), self._runtime.op_timeout)
 
     def rd(self, pattern: Pattern, timeout: float = 5.0) -> Optional[Tuple]:
-        return self._op("rd", pattern, timeout)
+        return self._op(self.instance.rd(pattern), timeout)
 
     def in_(self, pattern: Pattern, timeout: float = 5.0) -> Optional[Tuple]:
-        return self._op("in_", pattern, timeout)
+        return self._op(self.instance.in_(pattern), timeout)
 
     def eval(self, fn, *args,
              lease_duration: Optional[float] = None) -> Optional[Tuple]:

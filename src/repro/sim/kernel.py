@@ -23,6 +23,8 @@ import time as _time
 from typing import Any, Callable, Generator, Optional
 
 from repro.errors import SimulationError, StopSimulation
+from repro.sim.events import Event, Timeout
+from repro.sim.process import Process
 from repro.sim.rng import RngStream
 
 
@@ -38,11 +40,7 @@ class Timer:
     A schedule-exploration harness (``repro.check``) installs a tiebreak
     hook that assigns random subkeys, turning same-instant FIFO into an
     adversarially explorable interleaving while staying deterministic per
-    seed.
-
-    Timers are deliberately unorderable: the queue holds
-    ``(time, tiebreak, seq, timer)`` tuples and ``seq`` is unique, so no
-    comparison ever falls through to the timer itself.
+    seed.  Timers themselves are unorderable (see the module docstring).
     """
 
     __slots__ = ("time", "tiebreak", "seq", "callback", "args", "cancelled",
@@ -257,22 +255,16 @@ class Simulator:
     # ------------------------------------------------------------------
     # Processes and events (thin wrappers; real logic in sibling modules)
     # ------------------------------------------------------------------
-    def spawn(self, generator: Generator) -> "Process":
+    def spawn(self, generator: Generator) -> Process:
         """Start a generator-based process now; returns its Process handle."""
-        from repro.sim.process import Process
-
         return Process(self, generator)
 
-    def event(self) -> "Event":
+    def event(self) -> Event:
         """Create an untriggered event bound to this simulator."""
-        from repro.sim.events import Event
-
         return Event(self)
 
-    def timeout(self, delay: float, value: Any = None) -> "Timeout":
+    def timeout(self, delay: float, value: Any = None) -> Timeout:
         """Create an event that succeeds after ``delay`` virtual time units."""
-        from repro.sim.events import Timeout
-
         return Timeout(self, delay, value)
 
     # ------------------------------------------------------------------
@@ -291,38 +283,32 @@ class Simulator:
         self._running = True
         self._stopped = False
         processed = 0
+        # ``_compact`` rebuilds the queue in place, so the alias stays valid.
+        queue, heappop = self._queue, heapq.heappop
         try:
-            while self._queue:
-                if self._stopped:
-                    break
-                time, _, _, timer = self._queue[0]
+            while queue and not self._stopped:
+                time, _, _, timer = queue[0]
                 if timer.cancelled:
-                    heapq.heappop(self._queue)
+                    heappop(queue)
                     continue
                 if until is not None and time > until:
                     break
                 if max_events is not None and processed >= max_events:
                     break
-                heapq.heappop(self._queue)
+                heappop(queue)
                 if time < self._now:
                     raise SimulationError("event queue corrupted: time moved backwards")
                 self._now = time
                 timer.fired = True
-                if self.profiling:
-                    started = _time.perf_counter()
-                    try:
-                        timer.callback(*timer.args)
-                    except StopSimulation:
+                started = _time.perf_counter() if self.profiling else None
+                try:
+                    timer.callback(*timer.args)
+                except StopSimulation:
+                    break
+                finally:
+                    if started is not None:
                         self._profile(timer.callback,
                                       _time.perf_counter() - started)
-                        break
-                    self._profile(timer.callback,
-                                  _time.perf_counter() - started)
-                else:
-                    try:
-                        timer.callback(*timer.args)
-                    except StopSimulation:
-                        break
                 processed += 1
                 self.events_processed += 1
                 if self.event_hook is not None:

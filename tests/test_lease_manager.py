@@ -5,6 +5,7 @@ import pytest
 from repro.errors import LeaseRefusedError, LeaseRejectedByRequesterError
 from repro.leasing import (
     AcceptAnythingRequester,
+    AdaptivePolicy,
     ConservativePolicy,
     DenyAllPolicy,
     GenerousPolicy,
@@ -138,6 +139,31 @@ def test_usage_snapshot_reflects_state(sim):
     assert usage.storage_pressure == 0.5
     assert usage.thread_utilisation == 0.5
     assert usage.active_leases == 1
+
+
+def test_policies_read_the_manager_as_its_live_usage(sim):
+    """The manager hands itself to the policy as the usage view: it reads
+    every name a snapshot holds, with the snapshot's values."""
+    seen = []
+
+    class Recording(AdaptivePolicy):
+        def offer(self, requested, operation, usage):
+            seen.append({name: getattr(usage, name) for name in NAMES})
+            return super().offer(requested, operation, usage)
+
+    NAMES = ("storage_used", "storage_capacity", "active_leases",
+             "thread_utilisation", "queue_pressure", "storage_pressure")
+    manager = LeaseManager(sim, policy=Recording(), storage_capacity=1000,
+                           thread_capacity=4)
+    manager.attach_pressure_signal(lambda: 0.25)
+    manager.attach_pressure_signal(lambda: 0.125)
+    manager.negotiate(AcceptAnythingRequester(), OperationKind.OUT, storage_needed=400)
+    manager.threads.acquire()
+    usage = manager.usage()
+    lease = manager.negotiate(AcceptAnythingRequester(), OperationKind.RD)
+    assert seen[-1] == {name: getattr(usage, name) for name in NAMES}
+    assert seen[-1]["queue_pressure"] == 0.25
+    assert lease.terms == AdaptivePolicy().offer(LeaseTerms(), "rd", usage)
 
 
 def test_generous_default_policy(sim):

@@ -1,11 +1,10 @@
 """Unit tests for the simulated network (delivery, loss, stats)."""
 
-import json
-
 import pytest
 
 from repro.errors import SerializationError, UnknownNodeError
 from repro.net import CorruptPayload, DuplicateFrames, FaultPlan, Network
+from repro.net import message
 from repro.net.message import Message
 from repro.net.stats import DROP_CORRUPT
 from repro.sim import Simulator
@@ -230,8 +229,8 @@ def test_multicast_encodes_the_payload_once(sim, monkeypatch):
         net.attach(name, inbox.append)
     net.visibility.connect_clique(list(inboxes))
     dumps = []
-    real = json.dumps
-    monkeypatch.setattr(json, "dumps",
+    real = message._dumps
+    monkeypatch.setattr(message, "_dumps",
                         lambda *a, **kw: dumps.append(a) or real(*a, **kw))
     assert net.multicast("a", PAYLOAD) == 8
     assert len(dumps) == 1          # was 2 per frame: probe + 8 copies = 18
