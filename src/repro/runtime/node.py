@@ -58,7 +58,7 @@ class ThreadedTiamatNode(RuntimeNode):
                      help="Deposits and consumptions per node's space.",
                      labels=("node", "event"), kind="counter", key=id(self))
         reg.callback("runtime_tuples_resident",
-                     lambda: [((name,), space.store.visible_count)],
+                     lambda: [((name,), space.count())],
                      help="Live tuples resident in each node's space.",
                      labels=("node",), key=id(self))
         registry.register(self)

@@ -48,10 +48,10 @@ class ThreadSafeTupleSpace:
 
     @property
     def store(self) -> TupleStore:
-        """The underlying store (read-only access for telemetry).
+        """The underlying store.
 
-        Mutating it without holding the space's lock is not thread-safe;
-        observers must limit themselves to counter reads.
+        Hold the space's lock for any call into it, reads too: a lookup
+        may build a value index.  Telemetry reads through :meth:`count`.
         """
         return self._store
 

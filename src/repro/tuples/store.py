@@ -14,8 +14,12 @@ the repository (Tiamat's local spaces and all five baselines).  It supports:
 **Indexes** are keyed by the tuple's signature (its per-field concrete
 types, what :attr:`Tuple.signature` names): ``signature -> bucket`` and
 ``(signature, position, value) -> bucket``, each bucket an insertion-ordered
-dict of entries.  Matching is exact-type, so a pattern made only of actuals
-and scalar ``Formal``\\ s can match one signature only.
+dict of entries.  A value index exists only at a position some query has
+named an actual at: the first such query builds it from the signature
+bucket, oldest first, and ``add``/``remove`` keep it from then on, so its
+buckets match an index kept from the first add, and a resident pays nothing
+for positions no query names.  Matching is exact-type, so a pattern made
+only of actuals and scalar ``Formal``\\ s can match one signature only.
 
 **A bucket is exact** when every entry in it matches: the pattern names
 one signature, no actual is or holds a NaN and there is at most one of
@@ -23,10 +27,11 @@ them — or their smallest bucket holds a single, matching entry, the
 id-addressed ``Pattern("job", 17, str)`` — and no entry is held.  Then
 ``len(bucket)`` *is* the match count; :meth:`TupleStore.find` draws what
 the scan would draw (``rng.choice`` over that many items, or the oldest)
-and returns that entry without calling ``matches()`` — O(1) for the
-destructive take-any every coordination pattern leans on.  The bucket
-lists the walk's matches in its order, the ``ghost`` canary's too, so the
-checker runs this path: a probe sink gets a ``store.match`` per entry.
+and returns that entry without calling ``matches()``, walking to it from
+the nearer end of the bucket: no filter for the destructive take-any every
+coordination pattern leans on.  The bucket lists the walk's matches in its
+order, the ``ghost`` canary's too, so the checker runs this path: a probe
+sink gets a ``store.match`` per entry.
 
 **Everything else** (``ANY``, ``Range``, ``Formal(Tuple)``, several actuals
 sharing a bucket, held entries) is a filtered walk, oldest entry first,
@@ -117,9 +122,11 @@ class TupleStore:
         self._entries: dict[int, StoredEntry] = {}
         # signature -> insertion-ordered dict of entry_id -> StoredEntry
         self._by_sig: dict[tuple, dict[int, StoredEntry]] = {}
-        # (signature, position, value) -> dict of entry_id -> StoredEntry;
-        # the signature keeps 1 / True / 1.0 apart.
+        # (signature, position, value) -> dict of entry_id -> StoredEntry,
+        # only at the positions in _indexed[signature]; the signature
+        # keeps 1 / True / 1.0 apart.
         self._by_actual: dict[tuple, dict[int, StoredEntry]] = {}
+        self._indexed: dict[tuple, set[int]] = {}
         # signature -> {position: sorted [(value, seq, entry)]} for Range
         self._ordered: dict[tuple, dict[int, list]] = {}
         self._held = 0
@@ -168,12 +175,13 @@ class TupleStore:
         sig = entry.sig
         self._entries[entry_id] = entry
         self._by_sig.setdefault(sig, {})[entry_id] = entry
-        for pos, value in enumerate(tup.fields):
-            self._by_actual.setdefault((sig, pos, value), {})[entry_id] = entry
+        fields = tup.fields
+        for pos in self._indexed.get(sig, ()):
+            self._by_actual.setdefault((sig, pos, fields[pos]), {})[entry_id] = entry
         ordered = self._ordered.get(sig)
         if ordered:
             for pos, keys in ordered.items():
-                value = tup.fields[pos]
+                value = fields[pos]
                 if value == value:
                     insort(keys, (value, entry.seq, entry))
         if probes.SINK is not None:
@@ -208,14 +216,15 @@ class TupleStore:
         del bucket[entry_id]
         if not bucket:
             del self._by_sig[sig]
+        fields = entry.tuple.fields
         ordered = self._ordered.get(sig)
         if ordered:
             for pos, keys in ordered.items():
-                value = entry.tuple.fields[pos]
+                value = fields[pos]
                 if value == value:
                     del keys[bisect_left(keys, (value, entry.seq))]
-        for pos, value in enumerate(entry.tuple.fields):
-            key = (sig, pos, value)
+        for pos in self._indexed.get(sig, ()):
+            key = (sig, pos, fields[pos])
             bucket = self._by_actual[key]
             del bucket[entry_id]
             if not bucket:
@@ -293,9 +302,18 @@ class TupleStore:
 
     def _smallest(self, sig: tuple, actuals: tuple) -> dict:
         """The smallest bucket holding every ``sig`` entry with these actuals."""
-        bucket = self._by_sig.get(sig, _EMPTY)
+        bucket = entries = self._by_sig.get(sig, _EMPTY)
+        if not bucket:
+            return bucket
         for pos, value in actuals:
-            narrowed = self._by_actual.get((sig, pos, value), _EMPTY)
+            narrowed = self._by_actual.get((sig, pos, value))
+            if narrowed is None:    # no entry holds it, or pos is not indexed yet
+                if pos not in self._indexed.get(sig, ()):  # the first query naming pos
+                    self._indexed.setdefault(sig, set()).add(pos)
+                    for entry_id, entry in entries.items():
+                        self._by_actual.setdefault(
+                            (sig, pos, entry.tuple.fields[pos]), {})[entry_id] = entry
+                narrowed = self._by_actual.get((sig, pos, value), _EMPTY)
             if len(narrowed) < len(bucket):
                 bucket = narrowed
         return bucket
@@ -370,6 +388,8 @@ class TupleStore:
         if not count:
             return None
         k = rng.choice(range(count)) if rng is not None and count > 1 else 0
+        if 2 * k >= count:  # walk to the drawn entry from the nearer end
+            return next(itertools.islice(reversed(bucket.values()), count - 1 - k, None))
         return next(itertools.islice(bucket.values(), k, None))
 
     def find_all(self, pattern: Pattern) -> list[StoredEntry]:

@@ -8,6 +8,7 @@ the whole module as a hang guard (enforced when pytest-timeout is
 installed — CI — and inert locally).
 """
 
+import sys
 import threading
 import time
 from types import SimpleNamespace
@@ -17,7 +18,7 @@ import pytest
 from repro.runtime import ThreadSafeTupleSpace
 from repro.runtime import space as runtime_space
 from repro.runtime.node import ThreadedNodeRegistry, ThreadedTiamatNode
-from repro.tuples import Formal, Pattern, Tuple
+from repro.tuples import Formal, Pattern, Tuple, TupleStore
 
 pytestmark = pytest.mark.timeout(60)
 
@@ -228,6 +229,87 @@ def test_exactly_once_across_nodes_under_contention():
     for t in threads:
         t.join(timeout=10.0)
     assert sorted(taken) == list(range(n))
+
+
+def test_resident_scrape_counts_live_tuples_under_the_space_lock(monkeypatch):
+    """``runtime_tuples_resident`` reads through ``space.count()``: under
+    the space's lock, since a lookup on another thread may be building a
+    value index, and without the tuples past their lease."""
+    clock = [100.0]
+    monkeypatch.setattr(runtime_space, "time",
+                        SimpleNamespace(monotonic=lambda: clock[0]))
+    registry = ThreadedNodeRegistry()
+    space = ThreadedTiamatNode(registry, "a").space
+
+    class LockedStore(TupleStore):
+        def __iter__(self):
+            assert space._lock.locked(), "store read outside the space's lock"
+            return super().__iter__()
+
+        @property
+        def visible_count(self):
+            assert space._lock.locked(), "store read outside the space's lock"
+            return TupleStore.visible_count.fget(self)
+
+    space._store = LockedStore()
+    space.out(Tuple("live", 1))
+    space.out(Tuple("mortal", 2), lease_duration=1.0)
+    clock[0] = 102.0
+    samples = registry.obs.registry.snapshot()["runtime_tuples_resident"]["samples"]
+    assert samples == [{"labels": {"node": "a"}, "value": 1}]
+
+
+def test_takers_and_a_scraper_race_without_losing_a_tuple():
+    """Takers whose patterns name each position in turn (so their lookups
+    build value indexes) race a telemetry scraper: every deposit is taken
+    exactly once and no scrape fails."""
+    registry = ThreadedNodeRegistry()
+    space = ThreadedTiamatNode(registry, "a").space
+    for k in range(1000):           # residents a scrape walks past
+        space.out(Tuple("base", k))
+    deposits, taken, errors = [], [], []
+    stop = threading.Event()
+
+    def taker(w):
+        try:
+            for i in range(200):
+                tup = Tuple("job", w, i, "p%d" % i)
+                deposits.append(tup)
+                space.out(tup)
+                named = i % 4
+                got = space.inp(Pattern(*[f if k == named else Formal(type(f))
+                                          for k, f in enumerate(tup.fields)]))
+                if got is not None:     # another taker may have had it
+                    taken.append(got)
+        except Exception as exc:     # pragma: no cover - the failure itself
+            errors.append(exc)
+
+    def scraper():
+        try:
+            while not stop.is_set():
+                registry.obs.registry.snapshot()
+        except Exception as exc:     # pragma: no cover - the failure itself
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)     # interleave the threads' bytecode
+    try:
+        threads = [threading.Thread(target=taker, args=(w,)) for w in range(4)]
+        watcher = threading.Thread(target=scraper)
+        for t in threads + [watcher]:
+            t.start()
+        for t in threads:
+            t.join(timeout=20.0)
+        stop.set()
+        watcher.join(timeout=20.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads + [watcher])
+    assert errors == []
+    while (got := space.inp(Pattern("job", int, int, str))) is not None:
+        taken.append(got)
+    assert sorted(taken, key=repr) == sorted(deposits, key=repr)
+    assert space.count() == 1000
 
 
 def test_threaded_eval_deposits_result():

@@ -5,7 +5,9 @@ a ``Range`` from a bisected ordered index, and everything else by a
 filtered walk.  All must behave like the reference below — filter every
 entry by ``visible`` and ``matches``, oldest first, ``rng.choice`` when
 more than one — down to the state the random stream is left in, or seeded
-experiments would drift.
+experiments would drift.  A value index exists only at the positions a
+query has named, built on the first such query, so its buckets must hold
+what an index kept from the first add would.
 """
 
 import random
@@ -240,6 +242,19 @@ class PickMachine(RuleBasedStateMachine):
                     (e.tuple[pos], e.seq, e) for e in bucket.values()
                     if e.tuple[pos] == e.tuple[pos])
 
+    @invariant()
+    def value_indexes_match_their_buckets(self):
+        """Each indexed position holds what an index kept from the first add
+        would, in the same order; no other position is indexed."""
+        eager = {}
+        for sig, positions in self.store._indexed.items():
+            for entry_id, entry in self.store._by_sig.get(sig, {}).items():
+                for pos in positions:
+                    eager.setdefault((sig, pos, entry.tuple[pos]), []).append(
+                        (entry_id, entry))
+        assert {key: list(bucket.items())
+                for key, bucket in self.store._by_actual.items()} == eager
+
 
 TestStorePick = PickMachine.TestCase
 TestStorePick.settings = settings(max_examples=60, stateful_step_count=60,
@@ -282,6 +297,101 @@ def test_a_ghost_stays_in_the_ordered_index(monkeypatch):
     store.find(Pattern("n", Range(0, 9)))           # builds the index
     store.remove(ghost.entry_id)
     assert store.find(Pattern("n", Range(1, 5))) is ghost
+
+
+def test_a_ghost_is_in_a_value_index_built_after_it_left(monkeypatch):
+    """Under the ``ghost`` canary a removed entry stays in its signature
+    bucket, so a value index built later holds it, as one kept from the
+    first add did."""
+    monkeypatch.setenv("REPRO_CHECK_CANARY", "ghost")
+    store = TupleStore()
+    ghost = store.add(Tuple("n", 3))
+    store.remove(ghost.entry_id)
+    assert not store._by_actual
+    assert store.find(Pattern("n", 3)) is ghost
+
+
+def test_values_are_indexed_only_at_positions_a_query_names():
+    store = TupleStore()
+    for i in range(100):
+        store.add(Tuple("task", i, "%032x" % i))
+    assert store._by_actual == {} and store._indexed == {}
+    walk = Pattern(str, ANY, str)
+    assert store.find(walk).tuple[1] == 0           # a walk, memoized
+    assert store.find(Pattern(str, Range(5, 6), str)).tuple[1] == 5
+    assert store._by_actual == {}                   # no actual named yet
+    version, misses = store._version, store.scan_cache_misses
+    assert store.find(Pattern("task", 7, str)).tuple[1] == 7
+    assert store._indexed == {(str, int, str): {0, 1}}
+    assert {key[1] for key in store._by_actual} == {0, 1}
+    # Building an index changes no visibility: the memo still serves.
+    assert store._version == version
+    assert store.find(walk).tuple[1] == 0
+    assert store.scan_cache_misses == misses
+    store.remove(store.find(Pattern("task", 7, str)).entry_id)
+    store.add(Tuple("task", 7, "again"))
+    assert store.find(Pattern("task", 7, str)).tuple[2] == "again"
+    assert {key[1] for key in store._by_actual} == {0, 1}
+
+
+def test_an_index_built_late_picks_what_one_kept_from_the_start_does():
+    """One store is queried from its first add, the other first after 500
+    adds and removes; from then on both pick the same entries with the
+    same seeded draws."""
+    early, late = TupleStore(), TupleStore()
+    script = random.Random(5)
+    named = [Pattern("task", int, "b"), Pattern("task", 3, str),
+             Pattern("task", 3, "c"), Pattern(str, 1.0, str)]
+    for i in range(500):
+        tup = Tuple("task", script.choice([0, 1, 2, 3, 1.0, True]),
+                    script.choice("abc"))
+        ids = {early.add(tup).entry_id, late.add(tup).entry_id}
+        assert len(ids) == 1
+        if i % 4 == 3:
+            gone = script.randrange(1, i + 2)
+            if early.get(gone) is not None:
+                early.remove(gone)
+                late.remove(gone)
+        for pattern in named:
+            early.find(pattern)
+    assert late._by_actual == {}
+    stores = [(early, RngStream(21)), (late, RngStream(21))]
+    hits = 0
+    for step in range(300):
+        pattern = script.choice(named)
+        ids = [e.entry_id if e else None for e in
+               (store.find(pattern, rng) for store, rng in stores)]
+        assert ids[0] == ids[1]
+        assert stores[0][1]._random.getstate() == stores[1][1]._random.getstate()
+        hits += ids[0] is not None
+        if ids[0] is not None and step % 2:
+            for store, _ in stores:
+                store.remove(ids[0])
+                store.add(Tuple("task", step % 4, "b"))
+    assert hits > 200
+    assert {k: list(b) for k, b in early._by_actual.items()} == {
+        k: list(b) for k, b in late._by_actual.items()}
+
+
+def test_take_any_walks_to_the_drawn_entry_from_the_nearer_end():
+    """For every draw k over a 7-entry bucket the pick is the bucket's k-th
+    entry, and the stream is left where ``rng.choice`` leaves it."""
+    store = TupleStore()
+    for i in range(9):
+        store.add(Tuple("t", i))
+    store.remove(3)
+    store.remove(7)
+    store.add(Tuple("t", 1.5), entry_id=100)        # another signature
+    bucket = list(store._by_sig[(str, int)].values())
+    assert len(bucket) == 7
+    seen = set()
+    for seed in range(200):
+        rng, ref = RngStream(seed), RngStream(seed)
+        k = ref.choice(range(7))
+        assert store.find(Pattern("t", int), rng) is bucket[k]
+        assert rng._random.getstate() == ref._random.getstate()
+        seen.add(k)
+    assert seen == set(range(7))
 
 
 def test_count_is_find_all_without_the_list():
