@@ -256,6 +256,10 @@ class SwarmStats:
                    if count > 1)
 
 
+#: The swarm's board node.
+BOARD = "board"
+
+
 class AgentSwarm:
     """The sim-engine blackboard: a board node plus N claimant agents.
 
@@ -268,35 +272,30 @@ class AgentSwarm:
 
     def __init__(self, sim: Simulator, net: Network, vis: VisibilityGraph,
                  *, agents: Sequence[str] = ("w0", "w1", "w2"),
-                 board: str = "board",
                  config: Optional[SwarmConfig] = None,
                  board_config: Optional[TiamatConfig] = None,
-                 agent_config: Optional[TiamatConfig] = None,
                  board_worker: bool = False) -> None:
         self.sim = sim
         self.net = net
         self.vis = vis
         self.config = config if config is not None else SwarmConfig()
-        self.board_name = board
         self.agent_names = list(agents)
-        self.agent_config = agent_config
-        self.names = [board] + self.agent_names
+        self.names = [BOARD] + self.agent_names
         # Planted protocol bugs, consulted at construction time only.
         self._canary_double_claim = probes.canary(probes.CANARY_DOUBLE_CLAIM)
         self._canary_split_vote = probes.canary(probes.CANARY_SPLIT_VOTE)
 
-        self.board = TiamatInstance(sim, net, board, config=board_config)
-        self.registry: Dict[str, TiamatInstance] = {board: self.board}
+        self.board = TiamatInstance(sim, net, BOARD, config=board_config)
+        self.registry: Dict[str, TiamatInstance] = {BOARD: self.board}
         for name in self.agent_names:
-            self.registry[name] = TiamatInstance(sim, net, name,
-                                                 config=agent_config)
+            self.registry[name] = TiamatInstance(sim, net, name)
         vis.connect_clique(self.names)
 
         #: Claimant roster: the agents, plus the board itself when it
         #: moonlights as a worker (local claims — cheap and race-prone,
         #: exactly what the explorer wants front-loaded).
         self.workers = (list(self.agent_names) if not board_worker
-                        else [board] + list(self.agent_names))
+                        else [BOARD] + list(self.agent_names))
 
         self.stats = SwarmStats()
         self.running = False
@@ -370,7 +369,7 @@ class AgentSwarm:
 
     def crash_agent(self, name: str) -> None:
         """Kill an agent: its space — wip markers, votes, records — dies."""
-        if name == self.board_name:
+        if name == BOARD:
             raise ValueError("the board is the durable anchor; crash agents")
         inst = self.registry.pop(name, None)
         if inst is not None:
@@ -381,8 +380,7 @@ class AgentSwarm:
         """Bring an agent back as a fresh, empty instance."""
         if name in self.registry:
             return
-        inst = TiamatInstance(self.sim, self.net, name,
-                              config=self.agent_config)
+        inst = TiamatInstance(self.sim, self.net, name)
         for other in self.names:
             if other != name:
                 self.vis.set_visible(name, other, True)
@@ -426,7 +424,6 @@ class AgentSwarm:
             self.stats.offered += 1
         else:
             self.stats.reoffers += 1
-            probes.emit("agents.reoffer", task=tid, now=self.sim.now)
         self._missing_since.pop(tid, None)
 
     def _mark_complete(self, tid: int) -> None:
@@ -786,9 +783,12 @@ def _handle_vote(worker: Any, name: str, index: int, qid: int) -> bool:
     return True
 
 
+#: Wall-clock seconds a handle session's workers keep claiming.
+SESSION_WALL_BUDGET = 30.0
+
+
 def run_handles_session(runtime: str = "sim", *, agents: int = 3,
-                        tasks: int = 8, wall_budget: float = 30.0,
-                        ) -> HandleSessionResult:
+                        tasks: int = 8) -> HandleSessionResult:
     """Run a small blackboard session through ``repro.connect``.
 
     The board deposits independent task offers, completion tokens and one
@@ -801,7 +801,7 @@ def run_handles_session(runtime: str = "sim", *, agents: int = 3,
     import repro
 
     names = [f"w{i}" for i in range(agents)]
-    deadline = _time.monotonic() + wall_budget
+    deadline = _time.monotonic() + SESSION_WALL_BUDGET
     with repro.connect(runtime=runtime) as rt:
         board = rt.node("board")
         workers = {name: rt.node(name) for name in names}

@@ -180,9 +180,6 @@ def _board_config() -> TiamatConfig:
 def run_blackboard_point(seed: int, *, churn: float = 0.0,
                          agents: int = AGENTS,
                          duration: float = DURATION,
-                         work_mean: float = WORK_MEAN,
-                         stream_inflight: int = STREAM_INFLIGHT,
-                         ballots: int = BALLOTS,
                          registry_sink: Optional[list] = None) -> AgentsPoint:
     """One blackboard run: streaming supply, spread ballots, optional churn.
 
@@ -195,12 +192,12 @@ def run_blackboard_point(seed: int, *, churn: float = 0.0,
     swarm = AgentSwarm(
         sim, net, vis,
         agents=tuple(f"w{i}" for i in range(agents)),
-        config=SwarmConfig(work_mean=work_mean,
-                           stream_inflight=stream_inflight),
+        config=SwarmConfig(work_mean=WORK_MEAN,
+                           stream_inflight=STREAM_INFLIGHT),
         board_config=_board_config())
     swarm.submit_root("t12", fanout=4, depth=2)
-    for qid in range(ballots):
-        at = duration * (qid + 1) / (ballots + 1)
+    for qid in range(BALLOTS):
+        at = duration * (qid + 1) / (BALLOTS + 1)
         sim.schedule_at(at, lambda qid=qid: swarm.ask_vote(
             qid, list(VOTE_OPTIONS)))
     swarm.ask_question(0, "status")
@@ -245,13 +242,10 @@ class _CentralMaster:
     """
 
     def __init__(self, sim: Simulator, net: Network, vis: VisibilityGraph,
-                 *, agents: int, work_mean: float,
-                 reassign_after: float) -> None:
+                 *, agents: int) -> None:
         self.sim = sim
         self.net = net
         self.vis = vis
-        self.work_mean = work_mean
-        self.reassign_after = reassign_after
         self.master = TiamatInstance(sim, net, "master")
         self.worker_names = [f"w{i}" for i in range(agents)]
         self.registry: Dict[str, TiamatInstance] = {}
@@ -368,7 +362,7 @@ class _CentralMaster:
             for tid, (worker, at) in list(self.assigned.items()):
                 if tid in self.completed:
                     continue
-                if sim.now - at > self.reassign_after:
+                if sim.now - at > REASSIGN_AFTER:
                     rr += 1
                     self.reassigns += 1
                     self._assign(tid, self.worker_names[
@@ -421,7 +415,7 @@ class _CentralMaster:
                 yield sim.timeout(0.05)
                 continue
             tid = got.fields[2]
-            yield sim.timeout(rng.expovariate(1.0 / self.work_mean))
+            yield sim.timeout(rng.expovariate(1.0 / WORK_MEAN))
             if not (self.running and self._alive(name, inst)):
                 return
             yield inst.out_at(master_handle, Tuple(RESULT_TAG, tid, name))
@@ -429,19 +423,14 @@ class _CentralMaster:
 
 def run_central_point(seed: int, *, churn: float = 0.0,
                       agents: int = AGENTS,
-                      duration: float = DURATION,
-                      work_mean: float = WORK_MEAN,
-                      ballots: int = BALLOTS,
-                      reassign_after: float = REASSIGN_AFTER) -> AgentsPoint:
+                      duration: float = DURATION) -> AgentsPoint:
     """One centralized master/worker run with the same offered shape."""
     sim = Simulator(seed=seed)
     vis = VisibilityGraph()
     net = Network(sim, visibility=vis, loss_rate=_chaos_loss())
-    central = _CentralMaster(sim, net, vis, agents=agents,
-                             work_mean=work_mean,
-                             reassign_after=reassign_after)
-    for qid in range(ballots):
-        at = duration * (qid + 1) / (ballots + 1)
+    central = _CentralMaster(sim, net, vis, agents=agents)
+    for qid in range(BALLOTS):
+        at = duration * (qid + 1) / (BALLOTS + 1)
         sim.schedule_at(at, lambda qid=qid: central.open_ballot(qid))
     if churn > 0:
         mean_up, mean_down = _churn_means(churn)

@@ -173,18 +173,12 @@ def run_overload_point(seed: int, offered_rate: float, *,
 def run_overload_sweep(seed: int, *, admission: bool,
                        multipliers: tuple = (0.25, 0.5, 1.0, 1.5, 2.0),
                        duration: float = DURATION,
-                       clients: int = CLIENTS,
-                       serve_cost: float = SERVE_COST,
-                       serve_workers: int = SERVE_WORKERS,
-                       op_deadline: float = OP_DEADLINE,
-                       queue_bound: int = QUEUE_BOUND) -> OverloadSweep:
+                       clients: int = CLIENTS) -> OverloadSweep:
     """Sweep offered load across multiples of the server's capacity."""
-    capacity = serve_workers / serve_cost
+    capacity = SERVE_WORKERS / SERVE_COST
     sweep = OverloadSweep(admission=admission, capacity=capacity)
     for mult in multipliers:
         sweep.points.append(run_overload_point(
             seed, mult * capacity, admission=admission, duration=duration,
-            clients=clients, serve_cost=serve_cost,
-            serve_workers=serve_workers, op_deadline=op_deadline,
-            queue_bound=queue_bound))
+            clients=clients))
     return sweep

@@ -81,11 +81,11 @@ class ScriptedWorkload:
     """
 
     def __init__(self, seed: int, steps: int = 40,
-                 nodes: tuple = _NODES, flavor: str = "classic") -> None:
+                 flavor: str = "classic") -> None:
         if flavor not in ("classic", "agents"):
             raise ValueError(f"unknown workload flavor {flavor!r}")
         self.seed = seed
-        self.nodes = nodes
+        self.nodes = _NODES
         self.flavor = flavor
         self.steps: List[Step] = []
         rng = RngStream(seed, name=f"differential/{flavor}")
@@ -130,13 +130,13 @@ class ScriptedWorkload:
         """Bid/claim/answer programs, seeded-interleaved across tasks."""
         nodes = list(self.nodes)
         board = nodes[0]
-        agents = nodes[1:] or nodes
+        agents = nodes[1:]
         seed = self.seed
         programs: List[List[Step]] = []
         tasks = max(2, (steps - 12) // 9)
         for i in range(tasks):
             agent = rng.choice(agents)
-            watchers = [n for n in nodes if n != agent] or nodes
+            watchers = [n for n in nodes if n != agent]
             watcher = rng.choice(watchers)
             task = Tuple(WORKLOAD_TAG, "task", i, f"s{seed}")
             tok = Tuple(WORKLOAD_TAG, "tok", i)
@@ -370,7 +370,6 @@ class DifferentialResult:
 
 
 def run_differential(seed: int, steps: int = 40,
-                     workload: Optional[ScriptedWorkload] = None,
                      runtimes: tuple = ("sim", "threaded"),
                      flavor: str = "classic") -> DifferentialResult:
     """Run one scripted workload through the named runtimes and diff.
@@ -381,8 +380,7 @@ def run_differential(seed: int, steps: int = 40,
     ``("sim", "threaded", "aio")`` for the full three-way check.
     ``flavor`` picks the workload generator (``classic`` or ``agents``).
     """
-    workload = workload if workload is not None else ScriptedWorkload(
-        seed, steps=steps, flavor=flavor)
+    workload = ScriptedWorkload(seed, steps=steps, flavor=flavor)
     unknown = [r for r in runtimes if r not in RUNTIME_DRIVERS]
     if unknown:
         raise ValueError(f"unknown runtimes {unknown!r}: expected a subset "

@@ -665,14 +665,12 @@ class Explorer:
     """Sweeps seeds across scenario templates, shrinking any violation."""
 
     def __init__(self, templates: Optional[List[str]] = None,
-                 perturb: Optional[Perturbations] = None,
-                 shrink: bool = True) -> None:
+                 perturb: Optional[Perturbations] = None) -> None:
         self.templates = templates if templates is not None else sorted(TEMPLATES)
         for name in self.templates:
             if name not in TEMPLATES:
                 raise ValueError(f"unknown scenario template {name!r}")
         self.perturb = perturb if perturb is not None else Perturbations()
-        self.shrink = shrink
 
     def run(self, schedules: int = 200, seed_base: int = 0,
             stop_on_violation: bool = True,
@@ -693,12 +691,7 @@ class Explorer:
             if progress is not None:
                 progress(i + 1, schedules)
             if not outcome.clean:
-                if self.shrink:
-                    result.reports.append(shrink_violation(outcome))
-                else:
-                    from repro.check.shrink import CheckReport
-
-                    result.reports.append(CheckReport.from_outcome(outcome))
+                result.reports.append(shrink_violation(outcome))
                 if stop_on_violation:
                     break
         result.elapsed = _time.perf_counter() - started

@@ -103,16 +103,14 @@ class CheckReport:
 
     # ------------------------------------------------------------------
     @classmethod
-    def from_outcome(cls, outcome: RunOutcome,
-                     min_events: Optional[int] = None) -> "CheckReport":
+    def from_outcome(cls, outcome: RunOutcome, min_events: int) -> "CheckReport":
         violation = outcome.first_violation
         tracer = outcome.tracer
         waterfalls: List[str] = ([tracer.waterfall(op_id)
                                   for op_id in tracer.op_ids()]
                                  if tracer is not None else [])
         return cls(outcome.template, outcome.seed, outcome.perturb,
-                   min_events if min_events is not None else outcome.events,
-                   outcome.schedule_hash,
+                   min_events, outcome.schedule_hash,
                    violation.to_dict() if violation is not None else None,
                    outcome.horizon, waterfalls)
 

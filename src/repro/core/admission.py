@@ -170,30 +170,34 @@ PRICE_WEIGHTS = {
 }
 
 
+#: An origin unheard for longer than this (seconds) leaves the fair-share
+#: split.
+FAIR_WINDOW = 5.0
+
+
 class FairShare:
     """Per-peer token buckets denominated in worker-seconds.
 
     Each origin gets an equal share of the serving capacity rate
     (``capacity_rate`` worker-seconds per second, split across the origins
-    seen within ``window`` seconds).  Buckets refill lazily from the
+    seen within ``FAIR_WINDOW`` seconds).  Buckets refill lazily from the
     injected clock, so refill is deterministic under the simulation clock
     and cheap under the wall clock.
     """
 
-    __slots__ = ("clock", "capacity_rate", "burst", "window", "_buckets")
+    __slots__ = ("clock", "capacity_rate", "burst", "_buckets")
 
     def __init__(self, clock: Callable[[], float], capacity_rate: float,
-                 burst: float, window: float = 5.0) -> None:
+                 burst: float) -> None:
         self.clock = clock
         self.capacity_rate = capacity_rate
         self.burst = burst
-        self.window = window
         # peer -> [tokens, last_refill_time]
         self._buckets: dict[str, list[float]] = {}
 
     def _prune(self, now: float, keep: str) -> None:
         stale = [peer for peer, (_, last) in self._buckets.items()
-                 if peer != keep and now - last > self.window]
+                 if peer != keep and now - last > FAIR_WINDOW]
         for peer in stale:
             del self._buckets[peer]
 

@@ -150,6 +150,13 @@ def _pattern_key(pattern: Optional[Pattern]) -> tuple:
     return (pattern.arity,) + tuple(repr(s) for s in pattern.specs)
 
 
+#: How many operations an AppMonitor remembers (the oldest fall off).
+HISTORY = 512
+#: The factor a LeaseTuner grows a pattern's lease by while its blocking
+#: operations keep expiring unsatisfied.
+GROW = 1.5
+
+
 class AppMonitor:
     """Models application behaviour from the operations it performs.
 
@@ -158,9 +165,9 @@ class AppMonitor:
     operation is recorded automatically.
     """
 
-    def __init__(self, sim: Simulator, history: int = 512) -> None:
+    def __init__(self, sim: Simulator) -> None:
         self.sim = sim
-        self.history: deque = deque(maxlen=history)
+        self.history: deque = deque(maxlen=HISTORY)
         self.op_mix: Counter = Counter()
         self._attached: dict[int, tuple] = {}
 
@@ -253,20 +260,19 @@ class LeaseTuner:
     """Feedback controller over default blocking-lease durations (5.5).
 
     Per pattern: if recent blocking operations keep expiring unsatisfied,
-    the suggested lease grows (the match takes longer to appear than the
-    application allowed); if they match quickly, it shrinks toward the
-    observed latency — "resource allocation strategies which better suit
-    the application".
+    the suggested lease grows by ``GROW`` (the match takes longer to
+    appear than the application allowed); if they match quickly, it
+    shrinks toward the observed latency — "resource allocation strategies
+    which better suit the application".
     """
 
     def __init__(self, monitor: AppMonitor, base_duration: float = 30.0,
                  min_duration: float = 5.0, max_duration: float = 300.0,
-                 grow: float = 1.5, headroom: float = 3.0) -> None:
+                 headroom: float = 3.0) -> None:
         self.monitor = monitor
         self.base_duration = base_duration
         self.min_duration = min_duration
         self.max_duration = max_duration
-        self.grow = grow
         self.headroom = headroom
         self._suggestions: dict[tuple, float] = {}
 
@@ -280,7 +286,7 @@ class LeaseTuner:
                     if r.pattern_key == key and r.satisfied is not None]
         if finished:
             if rate < 0.5:
-                current = min(self.max_duration, current * self.grow)
+                current = min(self.max_duration, current * GROW)
             elif latency is not None:
                 target = max(self.min_duration, latency * self.headroom)
                 # move a third of the way toward the observed need

@@ -27,7 +27,6 @@ from __future__ import annotations
 
 from typing import Callable, Optional
 
-from repro.check import probes
 from repro.core import config as core_config
 from repro.core import protocol
 from repro.core.admission import Refusal, parse_refusal
@@ -135,10 +134,6 @@ class Operation:
         self.source = source
         instance = self.instance
         label = self.kind.label
-        if probes.SINK is not None:
-            probes.emit("op.finished", op_id=self.op_id, node=instance.name,
-                        kind=label, satisfied=result is not None,
-                        source=source, tup=result)
         for undo in self._undo:
             undo()
         # Withdraw the operation from every peer still working on it

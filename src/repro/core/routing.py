@@ -60,19 +60,21 @@ class RandomRelayRouter(Router):
         return self.rng.choice(candidates)
 
 
+#: SocialRouter's score: ``DEGREE_WEIGHT * degree + STABILITY_WEIGHT *
+#: min(visible for, STABILITY_CAP)``.  The cap bounds the stability
+#: contribution so ancient links cannot dominate a much better-connected
+#: newcomer.
+DEGREE_WEIGHT = 1.0
+STABILITY_WEIGHT = 0.1
+STABILITY_CAP = 300.0
+
+
 class SocialRouter(Router):
     """Prefer well-connected, long-visible neighbours (the backbone).
 
-    ``stability_weight`` trades off degree against continuous-visibility
-    time; ``stability_cap`` bounds the stability contribution so ancient
-    links cannot dominate a much better-connected newcomer.
+    The score trades off degree against continuous-visibility time
+    (``DEGREE_WEIGHT``, ``STABILITY_WEIGHT``, ``STABILITY_CAP``).
     """
-
-    def __init__(self, degree_weight: float = 1.0, stability_weight: float = 0.1,
-                 stability_cap: float = 300.0) -> None:
-        self.degree_weight = degree_weight
-        self.stability_weight = stability_weight
-        self.stability_cap = stability_cap
 
     def choose_relay(self, instance, destination: str,
                      exclude: set[str]) -> Optional[str]:
@@ -84,8 +86,8 @@ class SocialRouter(Router):
                 continue
             degree = len(graph.neighbors(neighbor))
             seen_since = instance.neighbor_since.get(neighbor, now)
-            stability = min(now - seen_since, self.stability_cap)
-            score = self.degree_weight * degree + self.stability_weight * stability
+            stability = min(now - seen_since, STABILITY_CAP)
+            score = DEGREE_WEIGHT * degree + STABILITY_WEIGHT * stability
             if score > best_score:
                 best, best_score = neighbor, score
         return best

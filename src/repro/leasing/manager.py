@@ -11,8 +11,7 @@ The manager here owns:
 * the granting policy (pluggable, see :mod:`repro.leasing.policy`);
 * storage accounting — storage-bearing leases (``out``/``eval``) commit
   bytes against the instance's capacity until they end;
-* the resource factories ("threads", "sockets") other components allocate
-  through;
+* the "threads" resource factory the query server allocates through;
 * lease deadlines (one heap and one kernel timer for all of its leases,
   :class:`~repro.sim.kernel.Deadlines`) and last-resort revocation.
 """
@@ -54,14 +53,12 @@ class LeaseManager:
 
     def __init__(self, sim: Simulator, policy: Optional[GrantPolicy] = None,
                  storage_capacity: Optional[int] = None,
-                 thread_capacity: Optional[int] = None,
-                 socket_capacity: Optional[int] = None) -> None:
+                 thread_capacity: Optional[int] = None) -> None:
         self.sim = sim
         self.policy = policy if policy is not None else GenerousPolicy()
         self.storage_capacity = storage_capacity
         self.storage_used = 0
         self.threads = ResourceFactory("threads", thread_capacity)
-        self.sockets = ResourceFactory("sockets", socket_capacity)
         self._lease_ids = sim.ids("lease")
         # Planted bug for oracle validation (tests only): with the
         # `lease_leak` canary on, ended leases are never removed from the

@@ -11,8 +11,8 @@ refuse.
 Three production policies are provided and benchmarked against each other
 in the T4 ablation:
 
-* :class:`GenerousPolicy` — offer what was asked, capped only by hard
-  per-dimension maxima.  Models a resource-rich workstation.
+* :class:`GenerousPolicy` — offer what was asked, capped only in
+  duration.  Models a resource-rich workstation.
 * :class:`ConservativePolicy` — cap every dimension at fixed, low ceilings.
   Models a PDA-class device.
 * :class:`AdaptivePolicy` — scale the offer by current resource pressure:
@@ -63,27 +63,18 @@ class GrantPolicy:
 
 
 class GenerousPolicy(GrantPolicy):
-    """Grant requests nearly verbatim, subject only to hard maxima.
+    """Grant requests verbatim, capped only in duration.
 
     Unbounded *time* requests are still capped at ``max_duration`` —
     indefinite leases would defeat the garbage-collection role of leasing.
     """
 
-    def __init__(self, max_duration: float = 3600.0,
-                 max_remotes: Optional[int] = None,
-                 max_storage_bytes: Optional[int] = None) -> None:
+    def __init__(self, max_duration: float = 3600.0) -> None:
         self.max_duration = max_duration
-        self.max_remotes = max_remotes
-        self.max_storage_bytes = max_storage_bytes
 
     def offer(self, requested: LeaseTerms, operation: str,
               usage: UsageSnapshot) -> Optional[LeaseTerms]:
-        offer = requested.capped(duration=self.max_duration,
-                                 max_remotes=self.max_remotes,
-                                 storage_bytes=self.max_storage_bytes)
-        if offer.duration is None:
-            offer = LeaseTerms(self.max_duration, offer.max_remotes, offer.storage_bytes)
-        return offer
+        return requested.capped(duration=self.max_duration)
 
 
 class ConservativePolicy(GrantPolicy):

@@ -7,9 +7,9 @@ amount of resources being consumed and allocate leases accordingly."
 
 In the simulation, a resource is a counted pool: the factory hands out
 tokens up to its capacity and reports utilisation back to the manager's
-policy.  Tiamat instances allocate a "thread" token per in-flight remote
-operation and a "socket" token per peer conversation, so resource pressure
-genuinely shapes what leases get offered.
+policy.  A Tiamat instance's query server takes a "threads" token per
+query it serves, so serving pressure genuinely shapes what leases get
+offered.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ class ResourceToken:
 
 
 class ResourceFactory:
-    """A counted pool of one resource kind ("threads", "sockets", ...)."""
+    """A counted pool of one resource kind ("threads", ...)."""
 
     def __init__(self, name: str, capacity: Optional[int] = None) -> None:
         if capacity is not None and capacity < 0:

@@ -127,23 +127,18 @@ class GilbertElliottLoss(FaultInjector):
 
     The chain starts *good* and steps once per matched frame:
     good → bad with probability ``p_gb``, bad → good with ``p_bg``.
-    Frames are lost with ``loss_good`` in the good state (usually 0) and
-    ``loss_bad`` in the bad state (usually 1): long loss bursts with
-    expected length ``1/p_bg`` frames.
+    Every frame in the good state arrives and every frame in the bad state
+    is lost: loss bursts with expected length ``1/p_bg`` frames.
     """
 
     def __init__(self, p_gb: float = 0.05, p_bg: float = 0.25,
-                 loss_good: float = 0.0, loss_bad: float = 1.0,
                  **scope) -> None:
         super().__init__(**scope)
-        for name, p in (("p_gb", p_gb), ("p_bg", p_bg),
-                        ("loss_good", loss_good), ("loss_bad", loss_bad)):
+        for name, p in (("p_gb", p_gb), ("p_bg", p_bg)):
             if not 0.0 <= p <= 1.0:
                 raise ValueError(f"{name} out of range: {p}")
         self.p_gb = p_gb
         self.p_bg = p_bg
-        self.loss_good = loss_good
-        self.loss_bad = loss_bad
         self.bad = False
         self.bursts = 0
 
@@ -154,8 +149,10 @@ class GilbertElliottLoss(FaultInjector):
         elif rng.random() < self.p_gb:
             self.bad = True
             self.bursts += 1
-        loss = self.loss_bad if self.bad else self.loss_good
-        if loss > 0 and rng.random() < loss:
+        if self.bad:
+            # One draw per bad-state frame: seeded runs (T10, `repro
+            # chaos`) are pinned to the stream this draw advances.
+            rng.random()
             verdict.drop()
 
 
@@ -287,28 +284,21 @@ class CrashRestartInjector:
 
     On **restart** a fresh instance goes through
     :meth:`TiamatInstance.recover_from`: the downtime is charged against
-    every lease (``charge_downtime=True``, the default), tuples whose
-    leases ran out while the device was off are reclaimed instead of
-    restored, survivors keep their entry ids and are re-leased.  A node
-    with its own backend then runs the anti-entropy rejoin
-    (``sync_on_restart``, default on) that purges tuples consumed remotely
-    behind a torn removal record; an image the injector itself just wrote
-    has no torn record to reconcile and skips it.
+    every lease, tuples whose leases ran out while the device was off are
+    reclaimed instead of restored, survivors keep their entry ids and are
+    re-leased.  A node with its own backend then runs the anti-entropy
+    rejoin that purges tuples consumed remotely behind a torn removal
+    record; an image the injector itself just wrote has no torn record to
+    reconcile and skips it.
     """
 
     def __init__(self, sim, registry: dict,
                  factory: Callable[[str], object],
-                 charge_downtime: bool = True,
-                 backends: Optional[dict] = None,
-                 sync_on_restart: bool = True,
-                 sync_timeout: Optional[float] = None) -> None:
+                 backends: Optional[dict] = None) -> None:
         self.sim = sim
         self.registry = registry
         self.factory = factory
-        self.charge_downtime = charge_downtime
         self.backends = backends if backends is not None else {}
-        self.sync_on_restart = sync_on_restart
-        self.sync_timeout = sync_timeout
         self._down: dict[str, tuple] = {}  # name -> (crashed_at, backend)
         self._recovered: list = []
         self.crashes = 0
@@ -378,9 +368,7 @@ class CrashRestartInjector:
         stats = instance.recover_from(
             backend,
             downtime=max(0.0, self.sim.now - crashed_at),
-            charge_downtime=self.charge_downtime,
-            sync=self.sync_on_restart and name in self.backends,
-            sync_timeout=self.sync_timeout)
+            sync=name in self.backends)
         self.tuples_restored += stats.restored
         self.tuples_reclaimed += stats.reclaimed
         self._recovered.append(instance)

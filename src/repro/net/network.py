@@ -52,17 +52,23 @@ Handler = Callable[[Message], None]
 LatencyModel = Callable[[str, str, int], float]
 
 
-def default_latency(base: float = 0.002, per_byte: float = 2e-7,
-                    jitter: float = 0.3) -> Callable[["Network"], LatencyModel]:
-    """A latency model factory: base + size*per_byte, with multiplicative jitter.
+#: The default latency model: a local wireless hop, about 2 ms plus
+#: bandwidth delay, scaled by up to 30 % of multiplicative jitter.
+LATENCY_BASE = 0.002
+LATENCY_JITTER = 0.3
 
-    Defaults approximate a local wireless hop (about 2 ms plus bandwidth
-    delay).  The returned factory binds the network's RNG stream so jitter
-    is reproducible.
+
+def default_latency(per_byte: float = 2e-7) -> Callable[["Network"], LatencyModel]:
+    """A latency model factory: ``LATENCY_BASE + size*per_byte``, with
+    multiplicative jitter up to ``LATENCY_JITTER``.
+
+    The returned factory binds the network's RNG stream so jitter is
+    reproducible.
     """
 
     def bind(network: "Network") -> LatencyModel:
         rng = network.sim.rng("net/latency")
+        base, jitter = LATENCY_BASE, LATENCY_JITTER
 
         def model(src: str, dst: str, size: int) -> float:
             scale = 1.0 + jitter * rng.random()

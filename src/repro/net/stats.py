@@ -15,7 +15,6 @@ rejected by the receiver (``corrupt``).
 from __future__ import annotations
 
 from collections import Counter
-from typing import Optional
 
 #: Canonical drop reasons (fault injectors may add their own).
 DROP_INVISIBLE = "invisible"   # destination not visible at send time
@@ -121,15 +120,9 @@ class NetworkStats:
         stats.received += 1
         stats.bytes_received += size
 
-    def record_drop(self, src: str, invisible: Optional[bool] = None,
-                    reason: Optional[str] = None) -> None:
-        """Account a frame that never arrived.
-
-        Callers either name a ``reason`` directly or use the legacy
-        ``invisible`` boolean (True → ``invisible``, False → ``loss``).
-        """
-        if reason is None:
-            reason = DROP_INVISIBLE if invisible else DROP_LOSS
+    def record_drop(self, src: str, reason: str) -> None:
+        """Account a frame that never arrived, for ``reason`` (one of
+        ``DROP_REASONS`` or a fault injector's own)."""
         self.node(src).drops[reason] += 1
         self.drops_by_reason[reason] += 1
         self.total_dropped += 1

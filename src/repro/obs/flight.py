@@ -209,10 +209,8 @@ class FlightRecorder:
     installed tracer's input, or ``None``; setting it reaches every ring.
     """
 
-    def __init__(self, clock: Callable[[], float],
-                 capacity: int = DEFAULT_CAPACITY):
+    def __init__(self, clock: Callable[[], float]):
         self.clock = clock
-        self.capacity = capacity
         self.rings: Dict[str, FlightRing] = {}
         self.dumps_taken = 0
         self._tap: Optional[Callable[..., None]] = None
@@ -231,7 +229,7 @@ class FlightRecorder:
         """The (created-on-first-use) ring for *node*."""
         ring = self.rings.get(node)
         if ring is None:
-            ring = self.rings[node] = FlightRing(node, self.capacity)
+            ring = self.rings[node] = FlightRing(node)
             ring.tap = self._tap
         return ring
 

@@ -241,37 +241,10 @@ class MetricFamily:
 class MetricsRegistry:
     """The process-wide (or simulation-wide) family registry."""
 
-    def __init__(self, thread_safe: bool = False,
-                 bucket_overrides: Optional[dict] = None) -> None:
+    def __init__(self, thread_safe: bool = False) -> None:
         self.thread_safe = thread_safe
         self._lock = threading.RLock() if thread_safe else _NullLock()
         self._families: dict[str, MetricFamily] = {}
-        #: Per-family histogram bucket boundaries, consulted when the
-        #: family is first declared (by name).  Lets a deployment retune
-        #: e.g. ``admission_queue_wait_seconds`` without touching the
-        #: declaring component.
-        self._bucket_overrides: dict[str, tuple] = {
-            name: tuple(bounds)
-            for name, bounds in (bucket_overrides or {}).items()
-        }
-
-    def set_buckets(self, name: str, buckets: Sequence[float]) -> None:
-        """Override the bucket boundaries a histogram family will use.
-
-        Must be called before the family's first declaration; overriding
-        an already-materialized family is an error (its children hold
-        counts in the old bucket layout).
-        """
-        bounds = tuple(buckets)
-        if not bounds or list(bounds) != sorted(bounds):
-            raise ValueError("bucket bounds must be non-empty and ascending")
-        with self._lock:
-            existing = self._families.get(name)
-            if existing is not None:
-                raise ValueError(
-                    f"histogram {name!r} already declared; set buckets "
-                    f"before the first observation")
-            self._bucket_overrides[name] = bounds
 
     # ------------------------------------------------------------------
     # Declaration
@@ -282,10 +255,8 @@ class MetricsRegistry:
         with self._lock:
             family = self._families.get(name)
             if family is None:
-                override = self._bucket_overrides.get(name)
                 family = MetricFamily(name, kind, help, labels, self._lock,
-                                      buckets=override if override is not None
-                                      else buckets)
+                                      buckets=buckets)
                 self._families[name] = family
                 return family
         if family.kind != kind:

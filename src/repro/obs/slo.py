@@ -107,6 +107,9 @@ class SLOTracker:
         self.breaches: List[Dict[str, Any]] = []
         # kind -> list of exemplar dicts, kept sorted-by-latency ascending
         self._exemplars: Dict[str, List[Dict[str, Any]]] = {}
+        # kind -> the time of its oldest exemplar (the slot is sorted by
+        # latency, so its first entry is the fastest, not the oldest)
+        self._oldest: Dict[str, float] = {}
         self.exemplar_window = 200.0
 
     def add_objective(self, objective: SLOObjective) -> SLOObjective:
@@ -128,16 +131,20 @@ class SLOTracker:
         slot = self._exemplars.get(kind)
         if slot is None:
             slot = self._exemplars[kind] = []
-        horizon = now - self.exemplar_window
-        if slot and slot[0]["t"] < horizon:
+        if slot and self._oldest[kind] < now - self.exemplar_window:
+            horizon = now - self.exemplar_window
             slot[:] = [e for e in slot if e["t"] >= horizon]
+            self._oldest[kind] = min([e["t"] for e in slot], default=now)
         if len(slot) < EXEMPLAR_SLOTS or latency > slot[0]["latency"]:
+            if not slot:
+                self._oldest[kind] = now
             slot.append({"t": now, "latency": latency, "op_id": op_id,
                          "node": node, "kind": kind,
                          "trace": _ring_slice(ring, op_id, now, latency)})
             slot.sort(key=lambda e: e["latency"])
             if len(slot) > EXEMPLAR_SLOTS:
-                del slot[0]
+                if slot.pop(0)["t"] == self._oldest[kind]:
+                    self._oldest[kind] = min(e["t"] for e in slot)
         for state in self._states:
             if state.objective.kind != kind:
                 continue

@@ -32,6 +32,7 @@ __all__ = [
     "TelemetryPublisher",
     "classify_node",
     "collect_cluster_health",
+    "health_row",
     "render_top",
 ]
 
@@ -96,20 +97,6 @@ class TelemetryPublisher:
     def publish(self) -> bool:
         """Deposit one health row now; False when the lease was refused."""
         self.epoch += 1
-        payload = json.dumps(self._payload(), separators=(",", ":"),
-                             sort_keys=True)
-        row = Tuple(TELEMETRY_TAG, self.instance.name, self.epoch, payload)
-        requester = SimpleLeaseRequester(
-            LeaseTerms(duration=TELEMETRY_LEASE))
-        try:
-            self.instance.out(row, requester=requester)
-        except LeaseError:
-            self.skipped += 1
-            return False
-        self.published += 1
-        return True
-
-    def _payload(self) -> Dict[str, Any]:
         inst = self.instance
         current = {
             "ops": inst.ops_started,
@@ -118,23 +105,43 @@ class TelemetryPublisher:
             "retx": inst.reliability.retransmits,
             "rexp": inst.reliability.expired,
         }
-        payload: Dict[str, Any] = {
-            f"{key}_w": value - self._last.get(key, 0)
-            for key, value in current.items()
-        }
-        self._last = current
-        payload["t"] = inst.sim.now
-        payload["resident"] = inst.space.count()
-        payload["pending"] = inst.reliability.pending_count
+        gauges: Dict[str, Any] = {"t": inst.sim.now,
+                                  "resident": inst.space.count(),
+                                  "pending": inst.reliability.pending_count}
         admission = getattr(inst.server, "admission", None)
         if admission is not None:
             utilisation = getattr(admission, "utilisation", None)
             if callable(utilisation):
                 try:
-                    payload["util"] = round(float(utilisation()), 4)
+                    gauges["util"] = round(float(utilisation()), 4)
                 except Exception:
                     pass
-        return payload
+        row = health_row(inst.name, self.epoch, current, self._last, gauges)
+        self._last = current
+        requester = SimpleLeaseRequester(
+            LeaseTerms(duration=TELEMETRY_LEASE))
+        try:
+            inst.out(row, requester=requester)
+        except LeaseError:
+            self.skipped += 1
+            return False
+        self.published += 1
+        return True
+
+
+def health_row(node: str, epoch: int, current: Dict[str, int],
+               last: Dict[str, int], gauges: Dict[str, Any]) -> Tuple:
+    """One ``(TELEMETRY_TAG, node, epoch, payload)`` health row.
+
+    The payload is a compact sorted-key JSON object: each counter of
+    ``current`` as ``<name>_w``, its delta since ``last`` (the previous
+    row's counters), plus the instantaneous ``gauges``.
+    """
+    payload: Dict[str, Any] = {f"{key}_w": value - last.get(key, 0)
+                               for key, value in current.items()}
+    payload.update(gauges)
+    return Tuple(TELEMETRY_TAG, node, epoch,
+                 json.dumps(payload, separators=(",", ":"), sort_keys=True))
 
 
 class NodeHealth:

@@ -24,12 +24,11 @@ method-call transport, ``eval`` on a thread and leased telemetry rows.
 
 from __future__ import annotations
 
-import json
 import threading
 import time
 from typing import Dict, Optional
 
-from repro.obs.telemetry import TELEMETRY_TAG
+from repro.obs.telemetry import TELEMETRY_LEASE, TELEMETRY_PERIOD, health_row
 from repro.runtime.base import NodeRegistry, RuntimeNode
 from repro.tuples.model import Pattern, Tuple
 
@@ -86,15 +85,16 @@ class ThreadedTiamatNode(RuntimeNode):
     # ------------------------------------------------------------------
     # Telemetry plane: leased health rows for ``repro top``
     # ------------------------------------------------------------------
-    def publish_telemetry(self, lease_duration: float = 2.5) -> None:
+    def publish_telemetry(self, lease_duration: float = TELEMETRY_LEASE) -> None:
         """Deposit one leased ``("_telemetry", ...)`` health row now.
 
-        Same row shape as the simulated runtime's
-        :class:`~repro.obs.telemetry.TelemetryPublisher` — windowed deltas
-        since the previous row plus instantaneous gauges — but clocked by
-        wall time.  The lease is the whole liveness story: a node that
-        stops publishing has its rows reaped by expiry, so the collector
-        sees it age out and flags it partitioned.
+        Same row as the simulated runtime's
+        :class:`~repro.obs.telemetry.TelemetryPublisher` (both build it
+        with :func:`~repro.obs.telemetry.health_row`), but clocked by wall
+        time, with no sheds, retransmits or utilisation to report.  The
+        lease is the whole liveness story: a node that stops publishing
+        has its rows reaped by expiry, so the collector sees it age out
+        and flags it partitioned.
         """
         self._telemetry_epoch += 1
         current = {
@@ -104,15 +104,11 @@ class ThreadedTiamatNode(RuntimeNode):
             "retx": 0,
             "rexp": 0,
         }
-        payload: dict = {f"{key}_w": value - self._telemetry_last.get(key, 0)
-                         for key, value in current.items()}
+        row = health_row(self.name, self._telemetry_epoch, current,
+                         self._telemetry_last,
+                         {"t": time.monotonic(),
+                          "resident": self.space.count(), "pending": 0})
         self._telemetry_last = current
-        payload["t"] = time.monotonic()
-        payload["resident"] = self.space.count()
-        payload["pending"] = 0
-        row = Tuple(TELEMETRY_TAG, self.name, self._telemetry_epoch,
-                    json.dumps(payload, separators=(",", ":"),
-                               sort_keys=True))
         self.space.out(row, lease_duration=lease_duration)
         self.telemetry_published += 1
 
@@ -121,14 +117,15 @@ class ThreadedTiamatNode(RuntimeNode):
         """Publish a health row now and then every ``period`` seconds.
 
         Runs on a daemon thread until :meth:`stop_telemetry`.  The default
-        lease is 2.5 publish periods, comfortably over one beat (a single
+        lease is as many publish periods as ``TELEMETRY_LEASE`` is of
+        ``TELEMETRY_PERIOD`` (2.5), comfortably over one beat (a single
         delayed beat does not flap the node partitioned) and safely under
         the collector's ``STALE_PERIODS`` cutoff.
         """
         if self._telemetry_stop is not None:
             return
         if lease_duration is None:
-            lease_duration = 2.5 * period
+            lease_duration = period * TELEMETRY_LEASE / TELEMETRY_PERIOD
         stop = threading.Event()
         self._telemetry_stop = stop
 

@@ -79,15 +79,15 @@ class Simulator:
         Master seed for the simulation's random streams.  Two runs with the
         same seed and the same scheduled work produce bit-identical event
         orderings.
-    start_time:
-        Initial value of the virtual clock (defaults to ``0.0``).
+
+    The virtual clock starts at ``0.0``.
     """
 
     #: Smallest queue worth sweeping for cancelled timers.
     COMPACT_FLOOR = 1024
 
-    def __init__(self, seed: int = 0, start_time: float = 0.0) -> None:
-        self._now = float(start_time)
+    def __init__(self, seed: int = 0) -> None:
+        self._now = 0.0
         #: Heap of ``(time, tiebreak, seq, timer)``; see the module docstring.
         self._queue: list[tuple[float, float, int, Timer]] = []
         #: Queue length at which cancelled timers are next swept out.

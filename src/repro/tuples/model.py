@@ -46,9 +46,8 @@ class Tuple:
     used as dict keys, and asserted on in tests.
     """
 
-    #: ``_wire`` caches the tuple's binary storage form (tuples are
-    #: immutable, so the encoding can never go stale): a sqlite backend
-    #: that writes the same tuple again — on a rebind's rewrite, say —
+    #: ``_wire`` caches the tuple's binary form (tuples are immutable, so
+    #: the encoding can never go stale): a second encode of the same tuple
     #: reuses the bytes instead of re-walking the fields.
     __slots__ = ("_fields", "_hash", "_wire")
 

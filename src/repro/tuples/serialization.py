@@ -22,14 +22,13 @@ Frames (``docs/PROTOCOL.md`` §8)
     strict and one-pass: exact JSON type per tag (``f`` takes a float only),
     exact list lengths, canonical base64 — what decodes re-encodes as is.
 
-Storage (``docs/PROTOCOL.md`` §10.1)
+Binary (``docs/PROTOCOL.md`` §10.1)
     A compact length-prefixed binary encoding of tuples (one tag byte per
     field, LEB128 varints for lengths and integers, raw UTF-8/byte runs,
-    IEEE-754 doubles): the blobs :class:`~repro.tuples.storage.SqliteBackend`
-    stores.  It round-trips bit-identically with the JSON form over every
-    value in the tuple model (property-tested in
-    ``tests/test_codec_cross.py``).  Write-ahead-log records are JSON,
-    like frames.
+    IEEE-754 doubles).  It round-trips bit-identically with the JSON form
+    over every value in the tuple model (property-tested in
+    ``tests/test_codec_cross.py``).  No storage backend uses it any more:
+    write-ahead-log records are JSON, like frames.
 """
 
 from __future__ import annotations
@@ -406,8 +405,7 @@ def _read_tuple_fast(data, pos: int, length: int) -> "tuple[Tuple, int]":
 
 
 #: Bounded intern table for decoded tuples keyed by their exact binary
-#: form: a second decode of the same blob — a duplicate row in one sqlite
-#: file, or the same file recovered again — returns the shared immutable
+#: form: a second decode of the same blob returns the shared immutable
 #: Tuple instead of re-parsing it.  The key doubles as the tuple's
 #: memoized ``_wire`` encoding.  Wiped wholesale when full: cheap, and it
 #: needs no LRU bookkeeping on the lookup path.

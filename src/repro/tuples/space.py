@@ -26,7 +26,6 @@ from repro.check import probes
 from repro.errors import TupleError
 from repro.sim.events import Event
 from repro.sim.kernel import Deadlines, Simulator
-from repro.sim.rng import RngStream
 from repro.tuples.matching import matches
 from repro.tuples.model import Pattern, Tuple
 from repro.tuples.store import StoredEntry, TupleStore
@@ -66,10 +65,10 @@ class Waiter:
 class LocalTupleSpace:
     """A single node's tuple space (store + waiters + entry deadlines)."""
 
-    def __init__(self, sim: Simulator, name: str = "space", rng: Optional[RngStream] = None) -> None:
+    def __init__(self, sim: Simulator, name: str = "space") -> None:
         self.sim = sim
         self.name = name
-        self.rng = rng if rng is not None else sim.rng(f"space/{name}")
+        self.rng = sim.rng(f"space/{name}")
         self.store = TupleStore()
         # Planted bug for oracle validation (tests only): with the
         # `double_take` canary on, a deposited tuple keeps being offered to
@@ -153,11 +152,10 @@ class LocalTupleSpace:
                       entry_id: Optional[int] = None) -> StoredEntry:
         """Re-insert a tuple that survived a snapshot or crash recovery.
 
-        A restore is *not* a deposit: it emits a ``space.restore`` probe
-        (never ``space.deposit``), so the checker's exactly-once oracle
-        still counts the tuple's one original deposit — a resurrected
-        ghost consumed a second time is a violation, exactly as it should
-        be.  ``on_out`` listeners are not notified either (a recovering
+        A restore is *not* a deposit: it emits no ``space.deposit``
+        probe, so the checker's exactly-once oracle still counts the
+        tuple's one original deposit — a resurrected ghost consumed a
+        second time is a violation, exactly as it should be.  ``on_out`` listeners are not notified either (a recovering
         backend re-anchors itself explicitly via ``rebind``).
 
         With ``quarantine=True`` the entry is re-inserted *held* —
@@ -171,8 +169,6 @@ class LocalTupleSpace:
         if expires_at is not None:
             meta["expires_at"] = expires_at
         self.restores += 1
-        if probes.SINK is not None:
-            probes.emit("space.restore", space=self.name, tup=tup)
         if not quarantine:
             consumed = self._offer_to_waiters(tup)
             if consumed:

@@ -15,7 +15,6 @@ from repro.tuples.storage.base import (
     attach_backend,
 )
 from repro.tuples.storage.fs import MemoryFS, OsFS
-from repro.tuples.storage.sqlite import SqliteBackend
 from repro.tuples.storage.wal import WALBackend, inspect_wal
 
 __all__ = [
@@ -25,7 +24,6 @@ __all__ = [
     "OsFS",
     "RecoveredState",
     "RecoveryStats",
-    "SqliteBackend",
     "StorageBackend",
     "WALBackend",
     "attach_backend",

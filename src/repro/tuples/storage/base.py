@@ -5,14 +5,15 @@ A backend mirrors the *durable* contents of one
 recorded (``record_out``), every removal — consume, lease expiry, or
 anti-entropy reconciliation — is recorded (``record_remove``), and after a
 crash :meth:`StorageBackend.recover` rebuilds the surviving entries so the
-space can be repopulated.  Three implementations ship:
+space can be repopulated.  Two implementations ship:
 
 * :class:`MemoryBackend` — an in-process dict, the default and reference
   implementation (survives an instance crash, not a process death);
 * :class:`~repro.tuples.storage.wal.WALBackend` — a CRC-framed append-only
-  log with atomic snapshot compaction and torn-tail-tolerant replay;
-* :class:`~repro.tuples.storage.sqlite.SqliteBackend` — a stdlib
-  ``sqlite3`` table for spaces bigger than RAM.
+  log with atomic snapshot compaction and torn-tail-tolerant replay.
+
+Both keep tuples in the JSON record form; no backend uses the binary
+codec of :mod:`repro.tuples.serialization`.
 
 Backends subscribe to the space's ``on_out``/``on_removed`` listeners, so
 the space itself stays storage-agnostic; a space with no backend attached
@@ -38,8 +39,7 @@ from typing import Optional
 from repro.tuples.model import Pattern, Tuple
 from repro.tuples.space import LocalTupleSpace
 
-#: Tuple tags excluded from durability by default — the one copy of the
-#: list: the space-info tuple the owning instance recreates on every boot,
+#: Tuple tags excluded from durability — the one copy of the list: the space-info tuple the owning instance recreates on every boot,
 #: and the short-leased in-space telemetry rows of repro.obs.telemetry,
 #: ephemeral operational data a restarted node republishes itself.
 DEFAULT_SKIP_TAGS: tuple = ("__space_info__", "_telemetry")
@@ -156,15 +156,15 @@ class StorageBackend:
     # ------------------------------------------------------------------
     # Space binding
     # ------------------------------------------------------------------
-    def attach(self, space: LocalTupleSpace,
-               skip_tags: tuple = DEFAULT_SKIP_TAGS) -> None:
+    def attach(self, space: LocalTupleSpace) -> None:
         """Bind to ``space`` and start logging its deposits/removals.
 
         Transient entries (consumed at deposit by a blocked ``in``,
         ``entry_id == 0``) are skipped: they were never resident, so
-        there is nothing to resurrect.  Holds are deliberately not
-        logged — a two-phase claim cannot survive a power cycle, and the
-        confirm (or the put-back) is what reaches the log.
+        there is nothing to resurrect.  So are tuples tagged with one of
+        ``DEFAULT_SKIP_TAGS``.  Holds are deliberately not logged — a
+        two-phase claim cannot survive a power cycle, and the confirm (or
+        the put-back) is what reaches the log.
         """
         self._space = space
         space.backend = self
@@ -178,7 +178,7 @@ class StorageBackend:
             if self._space is not space or entry.removed or not entry.entry_id:
                 return
             tup = entry.tuple
-            if tup.fields and tup.fields[0] in skip_tags:
+            if tup.fields and tup.fields[0] in DEFAULT_SKIP_TAGS:
                 return
             self.record_out(entry.entry_id, tup,
                             entry.meta.get("expires_at"), space.sim.now)
@@ -187,7 +187,7 @@ class StorageBackend:
             if self._space is not space or not entry.entry_id:
                 return
             tup = entry.tuple
-            if tup.fields and tup.fields[0] in skip_tags:
+            if tup.fields and tup.fields[0] in DEFAULT_SKIP_TAGS:
                 return
             self.record_remove(entry.entry_id, reason, space.sim.now)
 
@@ -205,8 +205,7 @@ class StorageBackend:
             _advertise(self._space)
         self._space = None
 
-    def rebind(self, space: LocalTupleSpace,
-               skip_tags: tuple = DEFAULT_SKIP_TAGS) -> None:
+    def rebind(self, space: LocalTupleSpace) -> None:
         """Re-anchor the durable state to ``space``'s current contents.
 
         Called after recovery repopulated a fresh space: the durable
@@ -222,11 +221,11 @@ class StorageBackend:
             if entry.removed:
                 continue
             tup = entry.tuple
-            if tup.fields and tup.fields[0] in skip_tags:
+            if tup.fields and tup.fields[0] in DEFAULT_SKIP_TAGS:
                 continue
             mirror[entry.entry_id] = (tup, entry.meta.get("expires_at"))
         self._rewrite(mirror, space.sim.now)
-        self.attach(space, skip_tags)
+        self.attach(space)
 
 
 class MemoryBackend(StorageBackend):
@@ -274,8 +273,7 @@ class MemoryBackend(StorageBackend):
         return len(self._mirror)
 
 
-def attach_backend(space: LocalTupleSpace, backend: StorageBackend,
-                   skip_tags: tuple = DEFAULT_SKIP_TAGS) -> StorageBackend:
+def attach_backend(space: LocalTupleSpace, backend: StorageBackend) -> StorageBackend:
     """Wire ``backend`` under ``space`` and return it.
 
     Anything already resident in the space is imaged into the backend
@@ -284,5 +282,5 @@ def attach_backend(space: LocalTupleSpace, backend: StorageBackend,
     first attach; a run that never attaches a backend exports a
     bit-identical registry.
     """
-    backend.rebind(space, skip_tags)
+    backend.rebind(space)
     return backend

@@ -18,6 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import config as core_config
 from repro.runtime.aio import (
     AioNodeRegistry,
     AioTiamatNode,
@@ -383,11 +384,17 @@ def test_close_after_an_endpoint_fails_to_bind(cluster, monkeypatch):
                for node in (a, b) for end in node._endpoints)
 
 
-def test_a_stale_answer_on_a_reused_endpoint_is_drained(cluster, raw_socket):
+def test_a_stale_answer_on_a_reused_endpoint_is_drained(cluster, raw_socket,
+                                                        monkeypatch):
     """A blocking op sends one request id every round, so an answer left on
     an idle endpoint (a retransmit's late twin) can carry the id the next
     exchange sends.  It is read out first: a one-round take gets the tuple
-    instead of the stale miss, and nothing is consumed into the void."""
+    instead of the stale miss, and nothing is consumed into the void.
+
+    The first retransmit is pushed past the 1 s budgets of the echo and
+    the probe, so a slow answer under CPU load cannot leave a real twin
+    on the endpoint beside the planted one and break the exact count."""
+    monkeypatch.setattr(core_config, "RETRY_INITIAL", 5.0)
     _, a, b = cluster
     assert a.echo(b.addr, Tuple("warm", 1)) == Tuple("warm", 1)
     (end,) = a._idle
@@ -399,6 +406,7 @@ def test_a_stale_answer_on_a_reused_endpoint_is_drained(cluster, raw_socket):
     assert a.in_(Pattern("far", int), timeout=0.0) == Tuple("far", 1)
     assert b.space.count() == 0
     assert a.frames_received == 3           # the drained one is counted
+    assert a.retransmits == 0
 
 
 def test_blocking_read_times_out_cleanly(cluster):

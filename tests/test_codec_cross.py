@@ -15,7 +15,7 @@ ANY wildcards) and asserts that
   size comes from that one encoding;
 * the one-pass JSON writers, and the aio frame codec built on them,
   write byte for byte what ``json.dumps`` writes for the list forms;
-* the sqlite blob format is pinned by blobs 5.x wrote.
+* the binary blob format is pinned by blobs 5.x wrote.
 
 Floats are restricted to finite values: the JSON wire cannot carry
 NaN/Infinity portably, so the model's codecs never need to agree there.
@@ -291,7 +291,7 @@ def test_aio_frames_are_json_dumps_of_the_list_form(frame):
 
 
 # ----------------------------------------------------------------------
-# The sqlite blob format, pinned by bytes 5.x's encoder wrote
+# The binary blob format, pinned by bytes 5.x's encoder wrote
 # ----------------------------------------------------------------------
 SQLITE_BLOBS = [
     (Tuple("nested", Tuple("inner", 1, Tuple("deep", True))),

@@ -63,7 +63,7 @@ def test_network_stats_reset():
     stats = NetworkStats()
     stats.record_send("a", 100, multicast=False, kind="q")
     stats.record_receive("b", 100)
-    stats.record_drop("a", invisible=True)
+    stats.record_drop("a", "invisible")
     assert stats.total_messages == 1 and stats.total_dropped == 1
     stats.reset()
     assert stats.total_messages == 0

@@ -159,16 +159,19 @@ def test_interface_helpers(sim):
     assert not a.is_visible("b")
 
 
-def test_larger_messages_take_longer(sim):
+def test_larger_messages_take_longer(sim, monkeypatch):
     # Disable jitter for a clean comparison.
+    from repro.net import network
     from repro.net.network import default_latency
+
+    monkeypatch.setattr(network, "LATENCY_JITTER", 0.0)
 
     arrivals = {}
 
     def handler(tag):
         return lambda m: arrivals.__setitem__(tag, sim.now)
 
-    net = Network(sim, latency_factory=default_latency(jitter=0.0))
+    net = Network(sim, latency_factory=default_latency())
     net.attach("src", lambda m: None)
     net.attach("small", handler("small"))
     net.attach("big", handler("big"))

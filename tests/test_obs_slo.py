@@ -1,8 +1,6 @@
 """SLO latency plane: histograms, exemplars, burn-rate breaches.
 
-Also covers the metrics-registry satellite work this PR rode in:
-configurable histogram buckets (``set_buckets`` / ``bucket_overrides``)
-and deterministic label ordering in snapshots.
+Also covers deterministic label ordering in metrics-registry snapshots.
 """
 
 import json
@@ -159,6 +157,19 @@ def test_exemplars_expire_out_of_window():
     assert [e["op_id"] for e in exemplars] == ["a#2"]
 
 
+def test_a_slow_exemplar_expires_behind_a_faster_younger_one():
+    """The slot is sorted by latency, so its fastest exemplar can be
+    younger than a slow one that has left the window."""
+    clock = _Clock()
+    tracker = SLOTracker(clock, registry=MetricsRegistry())
+    assert tracker.exemplar_window == 200.0
+    for now, latency, op_id in ((0.0, 50.0, "a#1"), (150.0, 1.0, "a#2"),
+                                (250.0, 2.0, "a#3")):
+        clock.now = now
+        tracker.record("in", latency, op_id, "a")
+    assert [e["op_id"] for e in tracker.exemplars("in")] == ["a#3", "a#2"]
+
+
 # ----------------------------------------------------------------------
 # Burn-rate breaches
 # ----------------------------------------------------------------------
@@ -242,37 +253,8 @@ def test_objectives_only_see_their_kind():
 
 
 # ----------------------------------------------------------------------
-# Metrics satellite: configurable buckets, deterministic snapshots
+# Metrics satellite: deterministic snapshots
 # ----------------------------------------------------------------------
-def test_set_buckets_overrides_future_family():
-    registry = MetricsRegistry()
-    registry.set_buckets("slo_op_latency_seconds", (0.1, 1.0, 10.0))
-    hist = registry.histogram("slo_op_latency_seconds", labels=("kind",))
-    child = hist.labels(kind="in")
-    assert child.buckets == (0.1, 1.0, 10.0)
-    child.observe(0.5)
-    snap = registry.snapshot()
-    buckets = snap["slo_op_latency_seconds"]["samples"][0]["buckets"]
-    assert set(buckets) == {"0.1", "1", "10", "+Inf"}
-
-
-def test_set_buckets_rejects_bad_and_late_overrides():
-    registry = MetricsRegistry()
-    with pytest.raises(ValueError):
-        registry.set_buckets("h", ())                  # empty
-    with pytest.raises(ValueError):
-        registry.set_buckets("h", (2.0, 1.0))          # unsorted
-    registry.histogram("h")
-    with pytest.raises(ValueError):
-        registry.set_buckets("h", (1.0, 2.0))          # already materialized
-
-
-def test_bucket_overrides_constructor_arg():
-    registry = MetricsRegistry(bucket_overrides={"h": (1.0, 2.0)})
-    child = registry.histogram("h").labels()
-    assert child.buckets == (1.0, 2.0)
-
-
 def test_snapshot_label_order_is_deterministic():
     """Same state, different child-creation order: identical snapshots."""
     snaps = []

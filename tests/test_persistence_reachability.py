@@ -21,7 +21,6 @@ from repro.tuples.storage import (
     DEFAULT_SKIP_TAGS,
     MemoryBackend,
     MemoryFS,
-    SqliteBackend,
     WALBackend,
     attach_backend,
 )
@@ -30,7 +29,7 @@ from repro.tuples.storage import (
 # ---------------------------------------------------------------------------
 # Persistence: one power-cycle contract, whatever the log lives in
 # ---------------------------------------------------------------------------
-@pytest.fixture(params=["memory", "wal-memfs", "wal-file", "sqlite"])
+@pytest.fixture(params=["memory", "wal-memfs", "wal-file"])
 def reopen(request, tmp_path):
     """Each call is one boot's handle on the device's durable state (for
     ``memory`` the object itself is that state, so it is handed back)."""
@@ -40,9 +39,7 @@ def reopen(request, tmp_path):
     if request.param == "wal-memfs":
         fs = MemoryFS()
         return lambda: WALBackend("dev", fs=fs)
-    if request.param == "wal-file":
-        return lambda: WALBackend(str(tmp_path / "dev"))
-    return lambda: SqliteBackend(str(tmp_path / "dev.sqlite"))
+    return lambda: WALBackend(str(tmp_path / "dev"))
 
 
 @pytest.fixture

@@ -1,7 +1,7 @@
 """Fuzzing the codecs: hostile inputs must fail cleanly.
 
 A Tiamat instance decodes patterns and tuples that arrive from arbitrary
-remote peers, and a sqlite backend decodes blobs from a file on disk; a
+remote peers, and the binary codec decodes blobs it did not write; a
 malformed input must raise :class:`SerializationError` (which the caller
 can contain), never an arbitrary exception and never a silently-wrong
 value.  Whatever the JSON decoders accept is canonical: it re-encodes to

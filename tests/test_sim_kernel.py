@@ -23,10 +23,6 @@ def test_clock_starts_at_zero():
     assert Simulator().now == 0.0
 
 
-def test_clock_custom_start():
-    assert Simulator(start_time=10.0).now == 10.0
-
-
 def test_schedule_advances_clock():
     sim = Simulator()
     seen = []

@@ -1,4 +1,4 @@
-"""The durable storage backends: WAL framing, torn tails, sqlite, trait.
+"""The durable storage backends: WAL framing, torn tails, trait.
 
 The torn-write contract under test (docs/PROTOCOL.md section 10): appends
 are write-through, so a power cut can only damage the record in flight —
@@ -22,7 +22,6 @@ from repro.tuples.serialization import encode_tuple_binary
 from repro.tuples.storage import (
     MemoryBackend,
     MemoryFS,
-    SqliteBackend,
     WALBackend,
     attach_backend,
     inspect_wal,
@@ -56,7 +55,6 @@ def contents(state):
     MemoryBackend,
     lambda: wal(),
     lambda: wal(compact_every=2),       # compacts mid-lifecycle
-    lambda: SqliteBackend(":memory:"),
 ])
 def test_backend_mirrors_space_lifecycle(space, make):
     backend = attach_backend(space, make())
@@ -368,39 +366,6 @@ def test_inspect_wal_reports_records_and_tears(space):
     assert info["torn"] and info["torn_bytes"] > 0
     assert info["snapshot_entries"] == 1
     assert info["live_entries"] == 1    # snapshot authority over stale outs
-
-
-# ---------------------------------------------------------------------------
-# Sqlite backend
-# ---------------------------------------------------------------------------
-def test_sqlite_roundtrip_on_disk(tmp_path, sim):
-    path = str(tmp_path / "space.db")
-    space = LocalTupleSpace(sim, name="dev")
-    backend = attach_backend(space, SqliteBackend(path))
-    space.out(Tuple("keep", 1, b"\x00"))
-    space.out(Tuple("take", 2))
-    space.inp(Pattern("take", int))
-    backend.close()
-
-    reopened = SqliteBackend(path)
-    state = reopened.recover()
-    assert contents(state) == {1: (Tuple("keep", 1, b"\x00"), None)}
-    assert state.high_water == 2        # the removed id still gates the floor
-    reopened.close()
-
-
-def test_sqlite_rebind_rewrites(sim):
-    backend = SqliteBackend(":memory:")
-    space = LocalTupleSpace(sim, name="dev")
-    attach_backend(space, backend)
-    space.out(Tuple("a"))
-    fresh = LocalTupleSpace(sim, name="dev")
-    fresh.out(Tuple("b"))
-    backend.detach()
-    backend.rebind(fresh)
-    live = contents(backend.recover())
-    assert [t for t, _ in live.values()] == [Tuple("b")]
-    backend.close()
 
 
 # ---------------------------------------------------------------------------
