@@ -39,8 +39,8 @@ on seeing a majority, tries to win the decision token
 ``inp ("adtok", qid)``; only the winner deposits
 ``("adecision", qid, choice)``.  Two conflicting decisions for one
 question are therefore impossible by construction — the
-``quorum_safety`` oracle (``repro.check.oracles``) watches the
-``agents.decide`` probe to prove it, and the ``split_vote`` mutation
+``quorum_safety`` oracle (``repro.check.oracles``) reads the tallier's
+``decide`` flight event to prove it, and the ``split_vote`` mutation
 canary proves the oracle is not vacuous.
 
 **Task decomposition through the space.**
@@ -67,7 +67,7 @@ import time as _time
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple as Tup
 
-from repro.check import probes
+from repro.check import CANARY_DOUBLE_CLAIM, CANARY_SPLIT_VOTE, canary
 from repro.core.config import TiamatConfig
 from repro.core.instance import TiamatInstance
 from repro.errors import LeaseError
@@ -282,8 +282,8 @@ class AgentSwarm:
         self.agent_names = list(agents)
         self.names = [BOARD] + self.agent_names
         # Planted protocol bugs, consulted at construction time only.
-        self._canary_double_claim = probes.canary(probes.CANARY_DOUBLE_CLAIM)
-        self._canary_split_vote = probes.canary(probes.CANARY_SPLIT_VOTE)
+        self._canary_double_claim = canary(CANARY_DOUBLE_CLAIM)
+        self._canary_split_vote = canary(CANARY_SPLIT_VOTE)
 
         self.board = TiamatInstance(sim, net, BOARD, config=board_config)
         self.registry: Dict[str, TiamatInstance] = {BOARD: self.board}
@@ -571,8 +571,8 @@ class AgentSwarm:
                 if not options:
                     continue
                 choice = options[(index + qid) % len(options)]
-                probes.emit("agents.decide", question=qid, choice=choice,
-                            agent=name, now=sim.now)
+                inst.flight_ring.append(sim.now, "decide", None, None, None,
+                                        (qid, choice))
                 self._record_decision(qid, choice, name)
                 settled.add(qid)
                 continue
@@ -623,8 +623,8 @@ class AgentSwarm:
                                 requester=_req(cfg.op_lease))
                 token = yield t_op.event
                 if token is not None:
-                    probes.emit("agents.decide", question=qid, choice=winner,
-                                agent=name, now=sim.now)
+                    inst.flight_ring.append(sim.now, "decide", None, None,
+                                            None, (qid, winner))
                     self._record_decision(qid, winner, name)
                     settled.add(qid)
                     if self._alive(name, inst):
@@ -690,23 +690,23 @@ class AgentSwarm:
         tid = task.fields[1]
         now = sim.now
         self.stats.claims += 1
-        probes.emit("agents.claim", task=tid, agent=name,
-                    expires_at=now + cfg.claim_ttl, now=now)
+        ring = inst.flight_ring
+        ring.append(now, "claim", None, None, None, (tid, now + cfg.claim_ttl))
         if not self._alive(name, inst):
-            probes.emit("agents.release", task=tid, agent=name, now=sim.now)
+            ring.append(sim.now, "release", None, None, None, tid)
             return  # claimed into a node that died mid-flight
         wip = Tuple(WIP_TAG, tid, name)
         try:
             inst.out(wip, requester=_req(cfg.claim_ttl))
         except LeaseError:
-            probes.emit("agents.release", task=tid, agent=name, now=sim.now)
+            ring.append(sim.now, "release", None, None, None, tid)
             return
         yield sim.timeout(cfg.work_mean * (0.5 + rng.random()))
         if not self._alive(name, inst):
             return  # crashed mid-work; wip died with the old space
         w_op = inst.inp(Pattern.for_tuple(wip), requester=_req(cfg.op_lease))
         held = yield w_op.event
-        probes.emit("agents.release", task=tid, agent=name, now=sim.now)
+        ring.append(sim.now, "release", None, None, None, tid)
         if held is None or not self._alive(name, inst):
             self.stats.abandoned += 1
             return  # our claim lease expired: the reaper owns it now

@@ -4,7 +4,7 @@ One *schedule* is a complete deterministic world — instances, network,
 drivers — built from a ``(template, seed, perturbations)`` triple and run
 to a horizon under an installed :class:`~repro.check.oracles.InvariantMonitor`.
 Exploration sweeps seeds (and templates) looking for any schedule whose
-probe stream breaches an invariant.
+flight stream breaches an invariant.
 
 Three perturbation layers, each independently switchable (the shrinker
 ablates them to find which one a violation actually needs):
@@ -86,11 +86,11 @@ class RunOutcome:
     """Everything one explored schedule produced."""
 
     __slots__ = ("template", "seed", "perturb", "violations", "events",
-                 "schedule_hash", "horizon", "probe_events", "tracer")
+                 "schedule_hash", "horizon", "stream_events", "tracer")
 
     def __init__(self, template: str, seed: int, perturb: Perturbations,
                  violations: List[Violation], events: int,
-                 schedule_hash: str, horizon: float, probe_events: int,
+                 schedule_hash: str, horizon: float, stream_events: int,
                  tracer=None) -> None:
         self.template = template
         self.seed = seed
@@ -99,7 +99,7 @@ class RunOutcome:
         self.events = events
         self.schedule_hash = schedule_hash
         self.horizon = horizon
-        self.probe_events = probe_events
+        self.stream_events = stream_events
         self.tracer = tracer
 
     @property
@@ -146,9 +146,9 @@ def build_contended_take(sim: Simulator, net: Network,
 
     Front-loads every canary-sensitive shape in the first handful of
     events: two same-node blocked ``in``\\ s satisfied by one deposit
-    (double-take bait), a local consume immediately re-probed (ghost
-    bait), and an early probe whose lease ends at once (lease-accounting
-    bait); then keeps the claim protocol busy with cross-node contention.
+    (double-take bait), a local consume immediately re-probed, and an
+    early probe whose lease ends at once (lease-accounting bait); then
+    keeps the claim protocol busy with cross-node contention.
     """
     names = ["a", "b", "c"]
     insts = [TiamatInstance(sim, net, n) for n in names]
@@ -162,7 +162,7 @@ def build_contended_take(sim: Simulator, net: Network,
         op2 = a.in_(jobs, requester=_terms(2.0))
         yield sim.timeout(0.001)
         a.out(Tuple("job", 0))
-        # Local consume-then-reprobe (a ghost read surfaces immediately).
+        # Local consume-then-reprobe.
         a.out(Tuple("seen", 1))
         take = a.inp(Pattern("seen", int))
         yield take.event
@@ -562,10 +562,10 @@ def run_schedule(template_name: str, seed: int,
     max_events)`` always produces the same schedule hash and the same
     violations (see module docstring on latency pricing).
 
-    ``monitored=False`` runs the identical world with **no probe sink
-    installed** — the passivity control: its schedule hash must be
-    bit-identical to the monitored run's
-    (``tests/test_check_oracles.py::test_probes_are_observationally_passive``).
+    ``monitored=False`` runs the identical world with **no monitor
+    reading the stream** — the passivity control: its schedule hash must
+    be bit-identical to the monitored run's
+    (``tests/test_check_oracles.py::test_the_monitor_is_observationally_passive``).
     """
     if template_name not in TEMPLATES:
         raise ValueError(f"unknown scenario template {template_name!r}; "
@@ -609,15 +609,15 @@ def run_schedule(template_name: str, seed: int,
             monitor.finish()
             monitor.check_managers([inst.leases for inst in instances])
         violations = monitor.violations
-        probe_events = monitor.events_seen
+        stream_events = monitor.events_seen
     else:
         sim.run(until=horizon, max_events=max_events)
         violations = []
-        probe_events = 0
+        stream_events = 0
     sim.event_hook = None
     return RunOutcome(template_name, seed, perturb, violations,
                       sim.events_processed, hasher.hexdigest(), horizon,
-                      probe_events, tracer)
+                      stream_events, tracer)
 
 
 # ----------------------------------------------------------------------

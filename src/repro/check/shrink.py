@@ -138,7 +138,7 @@ class CheckReport:
         ]
         if self.violation is not None:
             lines.append(f"  oracle        : {self.violation['oracle']}")
-            lines.append(f"  probe         : {self.violation['probe']} "
+            lines.append(f"  event         : {self.violation['event']} "
                          f"@event {self.violation['event_index']}")
             lines.append(f"  detail        : {self.violation['detail']}")
         lines.append(

@@ -36,8 +36,6 @@ from __future__ import annotations
 
 from typing import Callable, Iterator, Optional
 
-from repro.check import probes
-
 __all__ = [
     "ALL_REFUSAL_REASONS",
     "AdmissionController",
@@ -326,9 +324,6 @@ class AdmissionController:
 
     def _shed(self, reason: str, retry_after: float) -> AdmissionDecision:
         self.shed_by_reason[reason] = self.shed_by_reason.get(reason, 0) + 1
-        if probes.SINK is not None:
-            probes.emit("admission.shed", reason=reason,
-                        retry_after=retry_after)
         return AdmissionDecision.shed(reason, retry_after)
 
     # ------------------------------------------------------------------

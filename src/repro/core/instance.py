@@ -96,6 +96,10 @@ class TiamatInstance:
         self.leases = LeaseManager(sim, policy=policy,
                                    storage_capacity=storage_capacity,
                                    thread_capacity=thread_capacity)
+        # The node's black box: a preallocated ring of recent protocol
+        # activity (repro.obs.flight), appended to directly from the hot
+        # paths below, in serving/reliability and by the lease manager.
+        self.flight_ring = self.leases.flight_ring = sim.obs.flight.ring(name)
         # "The tuple space could be replaced with any system which
         # implements the six standard Linda operations" (3.1.2): callers
         # may supply their own (pre-populated or specialised) space.
@@ -151,10 +155,6 @@ class TiamatInstance:
 
             self.fabric = FabricManager(self)
         sim.obs.observe_instance(self)
-        # The node's black box: a preallocated ring of recent protocol
-        # activity (repro.obs.flight), appended to directly from the hot
-        # paths below and in serving/reliability.
-        self.flight_ring = sim.obs.flight.ring(name)
         self._telemetry = None
         if self.config.telemetry_enabled:
             from repro.obs.telemetry import TelemetryPublisher
@@ -569,8 +569,7 @@ class TiamatInstance:
             del witnessed[next(iter(witnessed))]
 
     def recover_from(self, backend, downtime: float = 0.0,
-                     charge_downtime: bool = True, sync: bool = True,
-                     sync_timeout: Optional[float] = None):
+                     charge_downtime: bool = True, sync: bool = True):
         """Repopulate the local space from a durable storage backend.
 
         Replays ``backend``'s surviving entries into the space, lease-aware:
@@ -589,10 +588,10 @@ class TiamatInstance:
         (held, invisible) and an anti-entropy rejoin asks every visible
         peer which entry ids it consumed during the downtime; witnessed
         ghosts are purged and the survivors released once every peer
-        answers.  If ``sync_timeout`` (default ``2 * PEER_TIMEOUT``)
-        closes the window with peers unheard, still-quarantined tuples are
-        **dropped**, not released — a torn removal record must never
-        resurrect a consumed tuple, so unverifiable entries lose.  Returns
+        answers.  If the window (``2 * PEER_TIMEOUT``) closes with peers
+        unheard, still-quarantined tuples are **dropped**, not released —
+        a torn removal record must never resurrect a consumed tuple, so
+        unverifiable entries lose.  Returns
         a :class:`~repro.tuples.storage.base.RecoveryStats`.
         """
         from repro.tuples.storage.base import RecoveryStats
@@ -651,9 +650,7 @@ class TiamatInstance:
                         detail={"node": self.name, "restored": restored,
                                 "reclaimed": reclaimed, "downtime": downtime})
         if sync:
-            timeout = (sync_timeout if sync_timeout is not None
-                       else 2 * core_config.PEER_TIMEOUT)
-            self._begin_rejoin(durable_map, timeout)
+            self._begin_rejoin(durable_map, 2 * core_config.PEER_TIMEOUT)
         return RecoveryStats(
             restored=restored, reclaimed=reclaimed,
             replayed=backend.records_replayed - replayed_before,
@@ -712,8 +709,9 @@ class TiamatInstance:
             return
         self.space.store.remove(entry_id)
         self.ghosts_purged += 1
-        # A reconciliation purge is not a consume: no space.consume probe,
-        # so the exactly-once oracle keeps seeing one consume per deposit.
+        # A reconciliation purge is not a consume: it records
+        # ``reconciled``, not ``take``, so the exactly-once oracle keeps
+        # seeing one take per deposit.
         self.space._notify_removed(entry, "reconciled")
 
     def _rejoin_timeout(self) -> None:

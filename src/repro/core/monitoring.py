@@ -155,6 +155,9 @@ HISTORY = 512
 #: The factor a LeaseTuner grows a pattern's lease by while its blocking
 #: operations keep expiring unsatisfied.
 GROW = 1.5
+#: How far above a pattern's mean match latency a LeaseTuner aims its
+#: lease while matches come quickly.
+HEADROOM = 3.0
 
 
 class AppMonitor:
@@ -262,18 +265,17 @@ class LeaseTuner:
     Per pattern: if recent blocking operations keep expiring unsatisfied,
     the suggested lease grows by ``GROW`` (the match takes longer to
     appear than the application allowed); if they match quickly, it
-    shrinks toward the observed latency — "resource allocation strategies
-    which better suit the application".
+    shrinks toward ``HEADROOM`` times the observed latency — "resource
+    allocation strategies which better suit the application".
     """
 
     def __init__(self, monitor: AppMonitor, base_duration: float = 30.0,
-                 min_duration: float = 5.0, max_duration: float = 300.0,
-                 headroom: float = 3.0) -> None:
+                 min_duration: float = 5.0, max_duration: float = 300.0
+                 ) -> None:
         self.monitor = monitor
         self.base_duration = base_duration
         self.min_duration = min_duration
         self.max_duration = max_duration
-        self.headroom = headroom
         self._suggestions: dict[tuple, float] = {}
 
     def suggest(self, pattern: Pattern) -> LeaseTerms:
@@ -288,7 +290,7 @@ class LeaseTuner:
             if rate < 0.5:
                 current = min(self.max_duration, current * GROW)
             elif latency is not None:
-                target = max(self.min_duration, latency * self.headroom)
+                target = max(self.min_duration, latency * HEADROOM)
                 # move a third of the way toward the observed need
                 current = current + (target - current) / 3.0
         current = max(self.min_duration, min(self.max_duration, current))

@@ -38,7 +38,6 @@ import itertools
 from collections import deque
 from typing import Optional
 
-from repro.check import probes
 from repro.core import config as core_config
 from repro.core import protocol
 
@@ -225,15 +224,14 @@ class ReliableChannel:
                 del epochs[oldest]
             window = epochs[epoch] = _PeerWindow(DEDUP_WINDOW)
         if window.check_and_add(seq):
-            if probes.SINK is not None:
-                # ``rinc`` is this receiver's own incarnation (its channel
-                # epoch): dedup windows are volatile, so the no-dup
-                # guarantee is scoped per receiver incarnation — a frame
-                # redelivered to a crashed-and-recovered node is ordinary
-                # at-least-once behaviour, not a dedup failure.
-                probes.emit("rel.dispatch", src=peer,
-                            dst=self.instance.name, epoch=epoch, seq=seq,
-                            rinc=self.epoch)
+            # The last field is this receiver's own incarnation (its
+            # channel epoch): dedup windows are volatile, so the no-dup
+            # guarantee is scoped per receiver incarnation — a frame
+            # redelivered to a crashed-and-recovered node is ordinary
+            # at-least-once behaviour, not a dedup failure.
+            self.instance.flight_ring.append(
+                self.instance.sim.now, "dispatch", payload.get("op_id"),
+                payload.get("kind"), peer, (epoch, seq, self.epoch))
             return True
         self.duplicates_dropped += 1
         return False

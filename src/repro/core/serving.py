@@ -32,7 +32,6 @@ from __future__ import annotations
 from collections import deque
 from typing import Any, Callable, Optional
 
-from repro.check import probes
 from repro.core import protocol
 from repro.core.admission import (
     REFUSE_SERVING_LEASE,
@@ -239,10 +238,11 @@ class QueryServer:
 
     def _refuse(self, origin: str, op_id: str, reason: Optional[str],
                 retry_after: Optional[float] = None) -> None:
-        """Send the one structured QUERY_REFUSED shape every emitter uses."""
-        if probes.SINK is not None:
-            probes.emit("serving.refusal", node=self.instance.name,
-                        op_id=op_id, reason=reason)
+        """Send the one structured QUERY_REFUSED shape every emitter uses.
+
+        Each caller first records its ``refuse`` or ``shed`` event, with
+        the same reason, on the node's flight ring.
+        """
         payload: dict = {"kind": protocol.QUERY_REFUSED, "op_id": op_id,
                          "found": False, "reason": reason}
         if retry_after is not None:

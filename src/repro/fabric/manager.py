@@ -17,7 +17,7 @@ section 11):
   skewed peers converge between heartbeats.
 * **Replication** — each primary is copied (``FABRIC_REPL``) to the
   ``k - 1`` successor owners, where it is *quarantined* (held,
-  invisible): replicas emit no ``space.deposit`` probe, so the
+  invisible): a replica records no ``deposit`` flight event, so the
   exactly-once oracle keeps counting one deposit per tuple.
   Consumed or expired primaries invalidate their replicas
   (``FABRIC_INVAL``, reliable).

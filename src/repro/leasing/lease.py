@@ -97,6 +97,11 @@ class LeaseState(enum.Enum):
     RELEASED = "released"      # holder finished early and returned it
     REVOKED = "revoked"        # the instance reclaimed it (last resort)
 
+    def __init__(self, label: str) -> None:
+        # A plain attribute, read on every lease end (``value`` is a
+        # property: a Python call per read).
+        self.label = label
+
 
 class Lease:
     """A granted lease: budgets, expiry, and revocation callbacks.

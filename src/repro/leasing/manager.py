@@ -13,7 +13,8 @@ The manager here owns:
   bytes against the instance's capacity until they end;
 * the "threads" resource factory the query server allocates through;
 * lease deadlines (one heap and one kernel timer for all of its leases,
-  :class:`~repro.sim.kernel.Deadlines`) and last-resort revocation.
+  :class:`~repro.sim.kernel.Deadlines`) and last-resort revocation;
+* ``lease_grant`` and ``lease_end`` events on its node's flight ring.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from __future__ import annotations
 import enum
 from typing import Callable, Optional
 
-from repro.check import probes
+from repro.check import CANARY_LEASE_LEAK, canary
 from repro.errors import LeaseRefusedError, LeaseRejectedByRequesterError
 from repro.leasing.lease import Lease, LeaseState, LeaseTerms
 from repro.leasing.policy import GrantPolicy, GenerousPolicy, UsageSnapshot
@@ -60,13 +61,20 @@ class LeaseManager:
         self.storage_used = 0
         self.threads = ResourceFactory("threads", thread_capacity)
         self._lease_ids = sim.ids("lease")
+        #: This manager's identity in its events: a recovered node's new
+        #: manager records on the same ring, under a new id.
+        self.manager_id = next(sim.ids("lease_manager"))
         # Planted bug for oracle validation (tests only): with the
         # `lease_leak` canary on, ended leases are never removed from the
         # active table — the lease-conservation oracle must notice that
         # ``active`` contains non-ACTIVE leases.  Read once at construction
-        # (see repro.check.probes).
-        self._canary_lease_leak = probes.canary(probes.CANARY_LEASE_LEAK)
+        # (see repro.check).
+        self._canary_lease_leak = canary(CANARY_LEASE_LEAK)
         self.active: dict[int, Lease] = {}
+        #: The owning node's flight ring, set by the instance that owns
+        #: this manager; a bare manager records nothing.  Grants and ends
+        #: carry ``(manager_id, lease_id, active_count)``.
+        self.flight_ring = None
         self._deadlines = Deadlines(sim, self._armed, self._expire)
         #: ``fn(lease)`` run after a revocation, or ``None``.
         self.on_revoke: Optional[Callable[[Lease], None]] = None
@@ -136,10 +144,10 @@ class LeaseManager:
         lease = Lease(next(self._lease_ids), self, offer, self.sim.now, label)
         self.active[lease.lease_id] = lease
         self.grants += 1
-        if probes.SINK is not None:
-            probes.emit("lease.granted", manager=id(self),
-                        lease=lease.lease_id, op=label,
-                        active_count=len(self.active))
+        ring = self.flight_ring
+        if ring is not None:
+            ring.append(lease.granted_at, "lease_grant", None, label, None,
+                        (self.manager_id, lease.lease_id, len(self.active)))
         if deposit:
             lease.committed = storage_needed
             self.storage_used += storage_needed
@@ -232,10 +240,10 @@ class LeaseManager:
         # (planted bug: with the canary on, the ended lease stays in the
         # active table forever — conservation is violated.)
         self.storage_used -= lease.committed
-        if probes.SINK is not None:
-            probes.emit("lease.ended", manager=id(self),
-                        lease=lease.lease_id, state=state.value,
-                        active_count=len(self.active))
+        ring = self.flight_ring
+        if ring is not None:
+            ring.append(self.sim.now, "lease_end", None, state.label, None,
+                        (self.manager_id, lease.lease_id, len(self.active)))
         self._deadlines.ended(lease.lease_id)
 
     def _armed(self, lease_id: int, deadline: float) -> bool:

@@ -1,19 +1,27 @@
 """Always-on flight recorder: fixed-size per-node ring buffers.
 
 Every node keeps a small "black box" of its most recent protocol
-activity — frames sent/delivered/dropped, operation lifecycle,
-lease/admission verdicts, reliability retransmits.  Recording is
+activity — frames sent/delivered/dropped, operation lifecycle, each
+tuple's life (deposit, hold, take or expiry), lease grants and ends,
+admission verdicts, reliability retransmits and dispatches.  Recording is
 passive by construction: an append is index arithmetic plus six field
 stores into preallocated slots, never allocates, never touches the
 simulator's RNG, and never schedules events, so a seeded run is the same
 whatever is recorded.
 
-The recorder is the simulation's one event stream.  While a trace runs
-(:meth:`repro.obs.hub.Observability.start_trace`), every ring append and
-every frame event is also handed to the recorder's ``tap``, the
-installed :class:`~repro.obs.tracing.Tracer`'s input; a frame arrives
-there with its payload, so a waterfall shows its reliability sequence
-number, offer verdict and entry id.
+The recorder is the simulation's one event stream.  Every ring append
+and every frame event is also handed to the recorder's ``tap``, which
+calls each installed reader in turn (:meth:`FlightRecorder.add_reader`):
+the :class:`~repro.obs.tracing.Tracer` while a trace runs
+(:meth:`repro.obs.hub.Observability.start_trace`), and the model
+checker's :class:`~repro.check.oracles.InvariantMonitor`.  A frame
+arrives there with its payload, so a waterfall shows its reliability
+sequence number, offer verdict and entry id.
+
+A detail is kept small and flat — an int, a string, a short Python
+tuple of them, or a :class:`~repro.tuples.model.Tuple` — so a slot
+keeps nothing else alive until it is overwritten; dumps write a
+``Tuple`` in its JSON form (:func:`~repro.tuples.serialization.encode_tuple`).
 
 The rings pay for themselves when something goes wrong: a dump is
 taken when :class:`repro.check.oracles.InvariantMonitor` records a
@@ -28,6 +36,9 @@ from __future__ import annotations
 import json
 import os
 from typing import Any, Callable, Dict, List, Optional
+
+from repro.tuples.model import Tuple
+from repro.tuples.serialization import decode_tuple, encode_tuple
 
 __all__ = [
     "FLIGHT_DUMP_VERSION",
@@ -49,9 +60,14 @@ DEFAULT_CAPACITY = 512
 # literals at every call site) so appends store references, not copies.
 #   send / deliver / drop  — logical frame lifecycle (network layer)
 #   op_start / op_end      — operation lifecycle (ops layer)
+#   deposit / hold         — a tuple enters a space / is held for a claim
+#   take / expired / reconciled / migrated — a tuple leaves a space
+#   lease_grant / lease_end — a lease manager's grants and ends
 #   lease_refused / shed / refuse — admission & serving verdicts
 #   serve_started / stale_dropped / claim_timeout / put_back — serving
 #   retransmit / rexpire   — reliable-channel retries and give-ups
+#   dispatch               — a fresh reliable frame reaches the handlers
+#   claim / release / decide — the agents' blackboard (repro.apps.agents)
 #   slo_breach             — SLO burn-rate breach (repro.obs.slo)
 #   recover / note         — recovery bookmarks and free-form marks
 
@@ -63,6 +79,18 @@ _GLYPHS = {
     "rexpire": "✕",
     "op_start": "▶",
     "op_end": "■",
+    "deposit": "+",
+    "hold": "⏸",
+    "take": "−",
+    "expired": "−",
+    "reconciled": "−",
+    "migrated": "−",
+    "lease_grant": "◆",
+    "lease_end": "◇",
+    "dispatch": "⇒",
+    "claim": "★",
+    "release": "☆",
+    "decide": "★",
     "lease_refused": "§",
     "shed": "§",
     "refuse": "§",
@@ -75,7 +103,8 @@ _GLYPHS = {
     "note": "·",
 }
 
-#: What a scalar detail means, by code (the renderer's label for it).
+#: What a detail means, by code (the renderer's label for it); a tuple
+#: of labels names the fields of a Python-tuple detail.
 _DETAIL_LABELS = {
     "op_start": "lease_expires",
     "op_end": "outcome",
@@ -85,6 +114,18 @@ _DETAIL_LABELS = {
     "retransmit": "rseq",
     "rexpire": "rseq",
     "put_back": "entry_id",
+    "deposit": "tuple",
+    "hold": "tuple",
+    "take": "tuple",
+    "expired": "tuple",
+    "reconciled": "tuple",
+    "migrated": "tuple",
+    "lease_grant": ("manager", "lease", "active"),
+    "lease_end": ("manager", "lease", "active"),
+    "dispatch": ("repoch", "rseq", "rinc"),
+    "claim": ("task", "expires_at"),
+    "release": "task",
+    "decide": ("question", "choice"),
 }
 
 #: Codes whose ``peer`` is the other end of a frame, not a bystander.
@@ -196,8 +237,13 @@ class FlightRing:
         if self._peer[i] is not None:
             event["peer"] = self._peer[i]
         if self._detail[i] is not None:
-            event["detail"] = self._detail[i]
+            event["detail"] = json_detail(self._detail[i])
         return event
+
+
+def json_detail(detail: Any) -> Any:
+    """A detail as dumps and exports write it: a ``Tuple`` in JSON form."""
+    return encode_tuple(detail) if isinstance(detail, Tuple) else detail
 
 
 class FlightRecorder:
@@ -205,22 +251,46 @@ class FlightRecorder:
 
     One recorder lives on each :class:`~repro.obs.hub.Observability`
     hub; instances and the network fetch their ring once at
-    construction and append directly to it afterwards.  ``tap`` is the
-    installed tracer's input, or ``None``; setting it reaches every ring.
+    construction and append directly to it afterwards.  ``tap`` hands
+    each event to every installed reader (``None`` with none), and
+    reaches every ring.
     """
 
     def __init__(self, clock: Callable[[], float]):
         self.clock = clock
         self.rings: Dict[str, FlightRing] = {}
         self.dumps_taken = 0
+        self._readers: List[Callable[..., None]] = []
         self._tap: Optional[Callable[..., None]] = None
 
     @property
     def tap(self) -> Optional[Callable[..., None]]:
         return self._tap
 
-    @tap.setter
-    def tap(self, tap: Optional[Callable[..., None]]) -> None:
+    def add_reader(self, reader: Callable[..., None]) -> None:
+        """Hand every later event to *reader*, after the readers before it.
+
+        A reader is called as ``reader(node, t, code, op_id, kind, peer,
+        detail)``, with the frame's payload as an eighth argument for a
+        frame event.
+        """
+        self._readers.append(reader)
+        self._retap()
+
+    def remove_reader(self, reader: Callable[..., None]) -> None:
+        """Stop handing events to *reader* (a no-op if it is not installed)."""
+        if reader in self._readers:
+            self._readers.remove(reader)
+            self._retap()
+
+    def _retap(self) -> None:
+        readers = tuple(self._readers)
+        if len(readers) > 1:
+            def tap(*event: Any) -> None:
+                for reader in readers:
+                    reader(*event)
+        else:
+            tap = readers[0] if readers else None
         self._tap = tap
         for ring in self.rings.values():
             ring.tap = tap
@@ -345,12 +415,19 @@ def event_line(event: Dict[str, Any], node: Optional[str] = None) -> str:
     if event.get("op_id"):
         parts.append(f"op_id={event['op_id']}")
     detail = event.get("detail")
+    label = _DETAIL_LABELS.get(code)
     if isinstance(detail, dict):
         parts.extend(f"{k}={v}" for k, v in detail.items()
                      if k != "repoch" and v is not None)
-    elif code in _DETAIL_LABELS and detail is not None:
-        parts.append(f"{_DETAIL_LABELS[code]}={detail}")
-    elif detail is not None:
+    elif detail is None:
+        pass
+    elif label == "tuple":
+        parts.append(f"tuple={decode_tuple(detail)!r}")
+    elif isinstance(label, tuple):
+        parts.extend(f"{k}={v}" for k, v in zip(label, detail))
+    elif label is not None:
+        parts.append(f"{label}={detail}")
+    else:
         parts.append(f"[{detail}]")
     return " ".join(parts)
 

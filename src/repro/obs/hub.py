@@ -58,20 +58,21 @@ class Observability:
     # Tracing lifecycle
     # ------------------------------------------------------------------
     def start_trace(self, max_events: int = 200_000) -> Tracer:
-        """Install (or reuse) the tracer as the flight recorder's tap.
+        """Install (or reuse) the tracer as a reader of the flight stream.
 
         The trace covers every network and instance on this hub.
         """
         if self.tracer is None:
             self.tracer = Tracer(max_events=max_events,
                                  thread_safe=self.thread_safe)
-            self.flight.tap = self.tracer.record
+            self.flight.add_reader(self.tracer.record)
         return self.tracer
 
     def stop_trace(self) -> Optional[Tracer]:
         """Uninstall the tracer; returns it (events kept)."""
         tracer, self.tracer = self.tracer, None
-        self.flight.tap = None
+        if tracer is not None:
+            self.flight.remove_reader(tracer.record)
         return tracer
 
     # ------------------------------------------------------------------

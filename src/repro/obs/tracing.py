@@ -36,7 +36,7 @@ from __future__ import annotations
 import json
 from typing import Any, Optional
 
-from repro.obs.flight import LINK_CODES, event_line
+from repro.obs.flight import LINK_CODES, event_line, json_detail
 
 __all__ = ["TraceEvent", "Tracer"]
 
@@ -87,7 +87,7 @@ class TraceEvent:
             out["peer"] = self.peer
         if self.detail is not None:
             out["detail"] = (dict(self.detail) if isinstance(self.detail, dict)
-                             else self.detail)
+                             else json_detail(self.detail))
         return out
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -304,18 +304,6 @@ class Pattern:
         """Number of fields the pattern constrains."""
         return len(self._specs)
 
-    def first_actual(self) -> Optional[tuple]:
-        """``(index, value)`` of the first actual field, or None.
-
-        Stores use the first actual as a secondary index key, because
-        real workloads overwhelmingly tag tuples with a string in a fixed
-        position ("request", "result", ...).
-        """
-        for i, spec in enumerate(self._specs):
-            if isinstance(spec, Actual):
-                return (i, spec.value)
-        return None
-
     @property
     def index_plan(self) -> tuple:
         """``(signature, actuals, ranges)``: how a store's indexes serve this pattern.

@@ -15,14 +15,18 @@ the Linda kernel of the model: the six operations over a single space, with
 * **non-deterministic selection** among multiple matches, drawn from a
   seeded stream so experiments stay reproducible;
 * **listeners** so instrumentation and the communications manager can react
-  to deposits and removals without polling.
+  to deposits and removals without polling;
+* **a tuple's life in the flight stream** — ``deposit``, ``hold``, then
+  ``take`` or the reason it left (``expired``, ``reconciled``,
+  ``migrated``), each with the tuple as its detail, on the ring named
+  after the space (an instance's space is named after its node).
 """
 
 from __future__ import annotations
 
 from typing import Callable, Optional
 
-from repro.check import probes
+from repro.check import CANARY_DOUBLE_TAKE, canary
 from repro.errors import TupleError
 from repro.sim.events import Event
 from repro.sim.kernel import Deadlines, Simulator
@@ -70,12 +74,13 @@ class LocalTupleSpace:
         self.name = name
         self.rng = sim.rng(f"space/{name}")
         self.store = TupleStore()
+        self.flight_ring = sim.obs.flight.ring(name)
         # Planted bug for oracle validation (tests only): with the
         # `double_take` canary on, a deposited tuple keeps being offered to
         # further blocked ``in`` waiters after one has already consumed it —
         # the same tuple satisfies two destructive reads.  Read once at
-        # construction (see repro.check.probes).
-        self._canary_double_take = probes.canary(probes.CANARY_DOUBLE_TAKE)
+        # construction (see repro.check).
+        self._canary_double_take = canary(CANARY_DOUBLE_TAKE)
         self._waiters: list[Waiter] = []
         self._on_out: list[Callable[[StoredEntry], None]] = []
         self._on_removed: list[Callable[[StoredEntry, str], None]] = []
@@ -124,8 +129,7 @@ class LocalTupleSpace:
         meta = dict(meta or {})
         if expires_at is not None:
             meta["expires_at"] = expires_at
-        if probes.SINK is not None:
-            probes.emit("space.deposit", space=self.name, tup=tup)
+        self.flight_ring.append(self.sim.now, "deposit", None, None, None, tup)
         consumed = self._offer_to_waiters(tup)
         if consumed:
             # The tuple was taken by a blocked `in`; record a transient entry
@@ -152,11 +156,12 @@ class LocalTupleSpace:
                       entry_id: Optional[int] = None) -> StoredEntry:
         """Re-insert a tuple that survived a snapshot or crash recovery.
 
-        A restore is *not* a deposit: it emits no ``space.deposit``
-        probe, so the checker's exactly-once oracle still counts the
-        tuple's one original deposit — a resurrected ghost consumed a
-        second time is a violation, exactly as it should be.  ``on_out`` listeners are not notified either (a recovering
-        backend re-anchors itself explicitly via ``rebind``).
+        A restore is *not* a deposit: it records no ``deposit`` event,
+        so the checker's exactly-once oracle still counts the tuple's one
+        original deposit — a resurrected ghost consumed a second time is a
+        violation, exactly as it should be.  ``on_out`` listeners are not
+        notified either (a recovering backend re-anchors itself
+        explicitly via ``rebind``).
 
         With ``quarantine=True`` the entry is re-inserted *held* —
         invisible to every query — until the anti-entropy rejoin releases
@@ -196,8 +201,6 @@ class LocalTupleSpace:
             return None
         self.store.remove(entry.entry_id)
         self.consumed += 1
-        if probes.SINK is not None:
-            probes.emit("space.consume", space=self.name, tup=entry.tuple)
         self._notify_removed(entry, "consumed")
         return entry.tuple
 
@@ -224,14 +227,14 @@ class LocalTupleSpace:
         if entry is None:
             return None
         self.store.hold(entry.entry_id)
+        self.flight_ring.append(self.sim.now, "hold", None, None, None,
+                                entry.tuple)
         return entry
 
     def confirm(self, entry_id: int) -> StoredEntry:
         """Finalize a held match's removal."""
         entry = self.store.confirm(entry_id)
         self.consumed += 1
-        if probes.SINK is not None:
-            probes.emit("space.consume", space=self.name, tup=entry.tuple)
         self._notify_removed(entry, "consumed")
         return entry
 
@@ -298,12 +301,14 @@ class LocalTupleSpace:
             self._waiters.remove(waiter)
             waiter.event.succeed(tup)
             if waiter.remove:
-                if probes.SINK is not None:
-                    probes.emit("space.consume", space=self.name, tup=tup)
                 if self._canary_double_take:
                     # Planted bug: keep offering the already-consumed tuple
                     # to further waiters — a second blocked `in` will take
-                    # the same tuple (double destructive read).
+                    # the same tuple (double destructive read).  The first
+                    # take is recorded by the caller's _notify_removed.
+                    if consumed:
+                        self.flight_ring.append(self.sim.now, "take", None,
+                                                None, None, tup)
                     consumed = True
                     continue
                 return True
@@ -319,9 +324,6 @@ class LocalTupleSpace:
             if waiter.remove:
                 self.store.remove(entry.entry_id)
                 self.consumed += 1
-                if probes.SINK is not None:
-                    probes.emit("space.consume", space=self.name,
-                                tup=entry.tuple)
                 self._notify_removed(entry, "consumed")
                 return
 
@@ -344,6 +346,11 @@ class LocalTupleSpace:
         self._notify_removed(entry, "expired")
 
     def _notify_removed(self, entry: StoredEntry, reason: str) -> None:
+        """The one release point: every take, expiry, revocation,
+        migration and reconciliation passes through here."""
+        self.flight_ring.append(self.sim.now,
+                                "take" if reason == "consumed" else reason,
+                                None, None, None, entry.tuple)
         self._deadlines.ended(entry.entry_id)
         for callback in self._on_removed:
             callback(entry, reason)

@@ -54,7 +54,7 @@ def _advertise(space: LocalTupleSpace) -> None:
     The tuple is swapped in the store under its own id: not a deposit or a
     removal, so no listener, counter or log sees it.  Nor is it a lookup:
     it lists the index walk itself (the swap changes that index) rather
-    than call ``find_all``, which counts a scan and emits probes.
+    than call ``find_all``, which counts a scan.
     """
     persistent = space.backend is not None
     store = space.store

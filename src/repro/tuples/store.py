@@ -30,8 +30,8 @@ the scan would draw (``rng.choice`` over that many items, or the oldest)
 and returns that entry without calling ``matches()``, walking to it from
 the nearer end of the bucket: no filter for the destructive take-any every
 coordination pattern leans on.  The bucket lists the walk's matches in its
-order, the ``ghost`` canary's too, so the checker runs this path: a probe
-sink gets a ``store.match`` per entry.
+order, the ``ghost`` canary's too, so ``tests/test_store_pick.py``'s
+reference machine catches that planted bug on this path as well.
 
 **Everything else** (``ANY``, ``Range``, ``Formal(Tuple)``, several actuals
 sharing a bucket, held entries) is a filtered walk, oldest entry first,
@@ -58,7 +58,7 @@ from bisect import bisect_left, bisect_right, insort
 from operator import attrgetter, itemgetter
 from typing import Iterator, Optional
 
-from repro.check import probes
+from repro.check import CANARY_GHOST, canary
 from repro.errors import TupleError
 from repro.sim.rng import RngStream
 from repro.tuples.matching import matches
@@ -116,9 +116,10 @@ class TupleStore:
         # Planted bug for oracle validation (tests only): with the `ghost`
         # canary on, candidate iteration ignores the visibility filter, so
         # scans can match tuples that were already removed or are held —
-        # exactly the "ghost read after remove" class the checker's
-        # GhostReadOracle exists to catch.  Read once at construction.
-        self._canary_ghost = probes.canary(probes.CANARY_GHOST)
+        # exactly the "ghost read after remove" class the reference machine
+        # in tests/test_store_pick.py exists to catch.  Read once at
+        # construction.
+        self._canary_ghost = canary(CANARY_GHOST)
         self._entries: dict[int, StoredEntry] = {}
         # signature -> insertion-ordered dict of entry_id -> StoredEntry
         self._by_sig: dict[tuple, dict[int, StoredEntry]] = {}
@@ -184,8 +185,6 @@ class TupleStore:
                 value = fields[pos]
                 if value == value:
                     insort(keys, (value, entry.seq, entry))
-        if probes.SINK is not None:
-            probes.emit("store.add", store=id(self), entry=entry.entry_id)
         return entry
 
     def remove(self, entry_id: int) -> StoredEntry:
@@ -201,8 +200,6 @@ class TupleStore:
             self._held -= entry.held
             entry.removed = True
             entry.held = False
-            if probes.SINK is not None:
-                probes.emit("store.remove", store=id(self), entry=entry_id)
             return entry
         entry = self._entries.pop(entry_id, None)
         if entry is None:
@@ -229,8 +226,6 @@ class TupleStore:
             del bucket[entry_id]
             if not bucket:
                 del self._by_actual[key]
-        if probes.SINK is not None:
-            probes.emit("store.remove", store=id(self), entry=entry_id)
         return entry
 
     # ------------------------------------------------------------------
@@ -382,9 +377,6 @@ class TupleStore:
             return found[0]
         count = len(bucket)
         self._count_scan(1 if count else 0)
-        if probes.SINK is not None:
-            for entry in bucket.values():
-                probes.emit("store.match", store=id(self), entry=entry.entry_id)
         if not count:
             return None
         k = rng.choice(range(count)) if rng is not None and count > 1 else 0
@@ -406,9 +398,6 @@ class TupleStore:
         if bucket is None:
             return self._scan(pattern)
         self._count_scan(len(bucket))
-        if probes.SINK is not None:
-            for entry in bucket.values():
-                probes.emit("store.match", store=id(self), entry=entry.entry_id)
         return bucket.values()
 
     def _count_scan(self, examined: int) -> None:
@@ -441,10 +430,6 @@ class TupleStore:
             if len(self._scan_cache) >= self.SCAN_CACHE_MAX:
                 self._scan_cache.clear()
             self._scan_cache[pattern] = (self._version, found)
-        if probes.SINK is not None:
-            for entry in found:
-                probes.emit("store.match", store=id(self),
-                            entry=entry.entry_id)
         self._count_scan(examined)
         return list(found)
 

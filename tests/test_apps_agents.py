@@ -11,7 +11,7 @@ Three Hypothesis properties pin the coordination laws of
   with a quiet tail every task still completes (lease-expiry re-offers
   are a liveness property);
 * **consensus agreement** — under adversarial vote interleavings (random
-  seeds, rosters and churn), all ``agents.decide`` events for one ballot
+  seeds, rosters and churn), all ``decide`` flight events for one ballot
   agree on one choice from the ballot's option list.
 
 Plus the portable-engine conformance check: the same tuple vocabulary
@@ -33,7 +33,6 @@ from repro.apps.agents import (
     run_handles_session,
     topological_order,
 )
-from repro.check import probes
 from repro.net import Network, VisibilityGraph
 from repro.sim import Simulator
 
@@ -185,22 +184,25 @@ def test_consensus_agreement_adversarial(seed, n_agents, ballot_times,
         sim.schedule_at(crash_at + downtime,
                         lambda name=name: swarm.revive_agent(name))
 
-    decides: list = []
-    probes.install(lambda event, fields:
-                   decides.append(dict(fields))
-                   if event == "agents.decide" else None)
+    decides: list = []   # (question, choice) of every decide event
+
+    def read(node, t, code, op_id, kind, peer, detail, payload=None):
+        if code == "decide":
+            decides.append(detail)
+
+    sim.obs.flight.add_reader(read)
     try:
         swarm.start()
         sim.run(until=20.0)
         swarm.stop()
     finally:
-        probes.uninstall()
+        sim.obs.flight.remove_reader(read)
 
     # Agreement: every decide event for one ballot names the same choice,
     # and it is one of the ballot's options.
     by_qid: dict = {}
-    for fields in decides:
-        by_qid.setdefault(fields["question"], set()).add(fields["choice"])
+    for question, choice in decides:
+        by_qid.setdefault(question, set()).add(choice)
     for qid, choices in by_qid.items():
         assert len(choices) == 1, (qid, choices)
         assert choices <= set(options)

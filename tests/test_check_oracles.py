@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.check import probes
+from repro.check import CANARY_DOUBLE_TAKE, CANARY_GHOST, canary
 from repro.check.explorer import (
     TEMPLATES,
     Explorer,
@@ -11,55 +11,85 @@ from repro.check.explorer import (
 )
 from repro.check.oracles import (
     ExactlyOnceOracle,
-    GhostReadOracle,
     InvariantMonitor,
     LeaseConservationOracle,
     RefusalVocabularyOracle,
     ReliabilityNoDupOracle,
     Violation,
 )
-from repro.tuples import Tuple
+from repro.sim import Simulator
+from repro.tuples import LocalTupleSpace, Pattern, Tuple
+from repro.tuples.serialization import encode_tuple
 
 
 # ----------------------------------------------------------------------
-# Probe plumbing
+# Stream plumbing
 # ----------------------------------------------------------------------
-def test_probe_sink_install_is_exclusive():
-    events = []
-    probes.install(lambda event, fields: events.append(event))
-    try:
-        with pytest.raises(RuntimeError):
-            probes.install(lambda event, fields: None)
-        probes.emit("x", a=1)
-        assert events == ["x"]
-    finally:
-        probes.uninstall()
-    probes.uninstall()  # idempotent
-    probes.emit("y")    # no sink: silently dropped
-    assert events == ["x"]
+def test_flight_tap_hands_every_event_to_every_reader():
+    """The recorder's tap takes more than one reader, in install order;
+    a removed reader sees nothing more, and with none the tap is off."""
+    sim = Simulator(seed=1)
+    recorder = sim.obs.flight
+    ring = recorder.ring("a")
+    seen = []
+    first = lambda node, t, code, *rest: seen.append(("first", code))
+    second = lambda node, t, code, *rest: seen.append(("second", code))
+    recorder.add_reader(first)
+    recorder.add_reader(second)
+    ring.append(0.0, "note")
+    assert seen == [("first", "note"), ("second", "note")]
+    recorder.remove_reader(first)
+    recorder.remove_reader(first)      # idempotent
+    recorder.ring("b").append(0.0, "note")   # a ring made later is tapped
+    assert seen[2:] == [("second", "note")]
+    recorder.remove_reader(second)
+    assert recorder.tap is None and ring.tap is None
+    ring.append(0.0, "note")
+    assert len(seen) == 3
 
 
 def test_canary_reads_environment(monkeypatch):
     monkeypatch.delenv("REPRO_CHECK_CANARY", raising=False)
-    assert not probes.canary(probes.CANARY_GHOST)
+    assert not canary(CANARY_GHOST)
     monkeypatch.setenv("REPRO_CHECK_CANARY", "ghost")
-    assert probes.canary(probes.CANARY_GHOST)
-    assert not probes.canary(probes.CANARY_DOUBLE_TAKE)
+    assert canary(CANARY_GHOST)
+    assert not canary(CANARY_DOUBLE_TAKE)
 
 
-def test_probes_are_observationally_passive():
-    """With and without a sink, a seeded run is bit-identical.
+def test_the_monitor_is_observationally_passive():
+    """With and without a monitor reading the stream, a seeded run is
+    bit-identical.
 
-    This is the checker's licence to exist: probe sites cost one module
-    attribute load when unmonitored and never perturb behaviour when
-    monitored.
+    This is the checker's licence to exist: the events are recorded
+    either way, and reading them never perturbs behaviour.
     """
     for template in sorted(TEMPLATES):
         monitored = run_schedule(template, 11)
         unmonitored = run_schedule(template, 11, monitored=False)
         assert monitored.schedule_hash == unmonitored.schedule_hash
         assert monitored.events == unmonitored.events
-        assert monitored.probe_events > 0  # the sink actually saw traffic
+        assert monitored.stream_events > 0  # the monitor actually read
+
+
+def test_a_violation_dump_shows_where_the_tuple_went(monkeypatch):
+    """Two blocked ``in``\\ s, one ``out``, the ``double_take`` canary: the
+    black box taken at the violation holds the tuple's one deposit and
+    both of its takes."""
+    monkeypatch.setenv("REPRO_CHECK_CANARY", "double_take")
+    sim = Simulator(seed=1)
+    space = LocalTupleSpace(sim, name="a")
+    tup = Tuple("job", 0)
+    with InvariantMonitor(sim) as monitor:
+        first, second = space.in_(Pattern("job", int)), space.in_(
+            Pattern("job", int))
+        space.out(tup)
+    assert first.satisfied and second.satisfied
+    assert [v.oracle for v in monitor.violations] == ["exactly_once"]
+    events = [(e["event"], e.get("detail"))
+              for e in monitor.flight_dump["nodes"]["a"]["events"]]
+    assert events == [("deposit", encode_tuple(tup)),
+                      ("take", encode_tuple(tup)),
+                      ("take", encode_tuple(tup))]
 
 
 # ----------------------------------------------------------------------
@@ -73,10 +103,10 @@ def _monitor(oracle):
 def test_exactly_once_oracle_flags_double_consume():
     monitor = _monitor(ExactlyOnceOracle())
     tup = Tuple("job", 1)
-    monitor("space.deposit", {"space": "a", "tup": tup})
-    monitor("space.consume", {"space": "a", "tup": tup})
+    monitor("a", 0.0, "deposit", None, None, None, tup)
+    monitor("a", 0.0, "take", None, None, None, tup)
     assert not monitor.violations
-    monitor("space.consume", {"space": "b", "tup": tup})
+    monitor("b", 0.0, "take", None, None, None, tup)
     assert len(monitor.violations) == 1
     assert monitor.violations[0].oracle == "exactly_once"
 
@@ -85,55 +115,32 @@ def test_exactly_once_oracle_allows_duplicate_values():
     monitor = _monitor(ExactlyOnceOracle())
     tup = Tuple("job", 1)
     for _ in range(2):  # a genuine multiset: two identical deposits
-        monitor("space.deposit", {"space": "a", "tup": tup})
+        monitor("a", 0.0, "deposit", None, None, None, tup)
     for _ in range(2):
-        monitor("space.consume", {"space": "a", "tup": tup})
+        monitor("a", 0.0, "take", None, None, None, tup)
+    monitor("a", 0.0, "expired", None, None, None, tup)   # not a take
     assert not monitor.violations
-
-
-def test_ghost_read_oracle_flags_match_after_remove():
-    monitor = _monitor(GhostReadOracle())
-    monitor("store.add", {"store": 1, "entry": 7})
-    monitor("store.match", {"store": 1, "entry": 7})
-    monitor("store.remove", {"store": 1, "entry": 7})
-    assert not monitor.violations
-    monitor("store.match", {"store": 1, "entry": 7})
-    assert len(monitor.violations) == 1
-    assert monitor.violations[0].oracle == "ghost_read"
-    # same entry id in a different store is a different entry
-    monitor2 = _monitor(GhostReadOracle())
-    monitor2("store.add", {"store": 2, "entry": 7})
-    monitor2("store.match", {"store": 2, "entry": 7})
-    assert not monitor2.violations
 
 
 def test_lease_conservation_oracle_flags_leak():
     monitor = _monitor(LeaseConservationOracle())
-    monitor("lease.granted", {"manager": 1, "lease": 1, "op": "rdp",
-                              "active_count": 1})
-    monitor("lease.granted", {"manager": 1, "lease": 2, "op": "out",
-                              "active_count": 2})
-    monitor("lease.ended", {"manager": 1, "lease": 1, "state": "released",
-                            "active_count": 1})
+    monitor("a", 0.0, "lease_grant", None, "rdp", None, (1, 1, 1))
+    monitor("a", 0.0, "lease_grant", None, "out", None, (1, 2, 2))
+    monitor("a", 0.0, "lease_end", None, "released", None, (1, 1, 1))
     assert not monitor.violations
     # A leak: the manager claims 1 active after both leases ended.
-    monitor("lease.ended", {"manager": 1, "lease": 2, "state": "expired",
-                            "active_count": 1})
+    monitor("a", 0.0, "lease_end", None, "expired", None, (1, 2, 1))
     assert len(monitor.violations) == 1
     assert "conservation" in monitor.violations[0].detail
 
 
 def test_lease_conservation_oracle_flags_double_end_and_unknown():
     monitor = _monitor(LeaseConservationOracle())
-    monitor("lease.granted", {"manager": 1, "lease": 1, "op": "in",
-                              "active_count": 1})
-    monitor("lease.ended", {"manager": 1, "lease": 1, "state": "released",
-                            "active_count": 0})
-    monitor("lease.ended", {"manager": 1, "lease": 1, "state": "revoked",
-                            "active_count": 0})
+    monitor("a", 0.0, "lease_grant", None, "in", None, (1, 1, 1))
+    monitor("a", 0.0, "lease_end", None, "released", None, (1, 1, 0))
+    monitor("a", 0.0, "lease_end", None, "revoked", None, (1, 1, 0))
     assert any("ended twice" in v.detail for v in monitor.violations)
-    monitor("lease.ended", {"manager": 1, "lease": 99, "state": "expired",
-                            "active_count": 0})
+    monitor("a", 0.0, "lease_end", None, "expired", None, (1, 99, 0))
     assert any("never granted" in v.detail for v in monitor.violations)
 
 
@@ -142,32 +149,31 @@ def test_refusal_vocabulary_oracle_closure():
 
     monitor = _monitor(RefusalVocabularyOracle())
     for reason in sorted(ALL_REFUSAL_REASONS):
-        monitor("serving.refusal", {"node": "a", "op_id": "a#1",
-                                    "reason": reason})
-        monitor("admission.shed", {"reason": reason, "retry_after": 0.1})
+        monitor("a", 0.0, "refuse", "a#1", "rdp", "b", reason)
+        monitor("a", 0.0, "shed", "a#1", "rdp", "b", reason)
     assert not monitor.violations
-    monitor("serving.refusal", {"node": "a", "op_id": "a#2",
-                                "reason": "mystery_meat"})
+    monitor("a", 0.0, "refuse", "a#2", "rdp", "b", "mystery_meat")
     assert len(monitor.violations) == 1
     assert monitor.violations[0].oracle == "refusal_vocabulary"
 
 
 def test_reliability_no_dup_oracle():
     monitor = _monitor(ReliabilityNoDupOracle())
-    monitor("rel.dispatch", {"src": "a", "dst": "b", "epoch": 1, "seq": 4})
-    monitor("rel.dispatch", {"src": "a", "dst": "b", "epoch": 1, "seq": 5})
-    monitor("rel.dispatch", {"src": "b", "dst": "a", "epoch": 1, "seq": 4})
+    monitor("b", 0.0, "dispatch", None, None, "a", (1, 4, 1))
+    monitor("b", 0.0, "dispatch", None, None, "a", (1, 5, 1))
+    monitor("a", 0.0, "dispatch", None, None, "b", (1, 4, 1))
+    monitor("b", 0.0, "dispatch", None, None, "a", (1, 4, 2))  # recovered
     assert not monitor.violations
-    monitor("rel.dispatch", {"src": "a", "dst": "b", "epoch": 1, "seq": 4})
+    monitor("b", 0.0, "dispatch", None, None, "a", (1, 4, 1))
     assert len(monitor.violations) == 1
     assert monitor.violations[0].oracle == "reliability_no_dup"
 
 
 def test_violation_to_dict_roundtrip_fields():
-    violation = Violation("ghost_read", "boo", 17, "store.match")
+    violation = Violation("exactly_once", "boo", 17, "take")
     data = violation.to_dict()
-    assert data == {"oracle": "ghost_read", "detail": "boo",
-                    "event_index": 17, "probe": "store.match"}
+    assert data == {"oracle": "exactly_once", "detail": "boo",
+                    "event_index": 17, "event": "take"}
 
 
 # ----------------------------------------------------------------------

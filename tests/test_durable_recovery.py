@@ -195,7 +195,7 @@ def test_rejoin_timeout_drops_unverified_entries(sim, net):
     net.visibility.set_visible("dev", "dark")
 
     reborn = TiamatInstance(sim, net, "dev")
-    reborn.recover_from(backend, sync=True, sync_timeout=3.0)
+    reborn.recover_from(backend, sync=True)
     assert reborn.space.count(Pattern("maybe-ghost")) == 0   # quarantined
     sim.run(until=10.0)
     # Unverifiable: dropped, not released (a torn rm must never win).

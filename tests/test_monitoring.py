@@ -222,8 +222,7 @@ def test_lease_tuner_shrinks_toward_observed_latency(sim):
     net, inst = build(sim, ["a"])
     monitor = AppMonitor(sim)
     monitor.attach(inst["a"])
-    tuner = LeaseTuner(monitor, base_duration=200.0, min_duration=1.0,
-                       headroom=3.0)
+    tuner = LeaseTuner(monitor, base_duration=200.0, min_duration=1.0)
     pattern = Pattern("fast", int)
     for i in range(5):
         inst["a"].out(Tuple("fast", i))

@@ -196,8 +196,9 @@ def test_dump_to_env_dir(tmp_path, monkeypatch):
 # Acceptance: canary bug -> violation -> replayable black box
 # ----------------------------------------------------------------------
 def test_canary_violation_captures_black_box(tmp_path, monkeypatch, capsys):
-    """REPRO_CHECK_CANARY=ghost trips an oracle; the dump pinpoints it."""
-    monkeypatch.setenv("REPRO_CHECK_CANARY", "ghost")
+    """REPRO_CHECK_CANARY=double_take trips an oracle; the dump
+    pinpoints it and shows where the tuple went."""
+    monkeypatch.setenv("REPRO_CHECK_CANARY", "double_take")
     monkeypatch.setenv("REPRO_FLIGHT_DIR", str(tmp_path))
     from repro.check.explorer import run_schedule
 
@@ -207,14 +208,14 @@ def test_canary_violation_captures_black_box(tmp_path, monkeypatch, capsys):
         if candidate.violations:
             outcome = candidate
             break
-    assert outcome is not None, "ghost canary never produced a violation"
-    assert outcome.violations[0].oracle == "ghost_read"
+    assert outcome is not None, "canary never produced a violation"
+    assert outcome.violations[0].oracle == "exactly_once"
 
     dumps = sorted(tmp_path.glob("flight-violation-*.json"))
     assert dumps, "violation did not write a flight dump to REPRO_FLIGHT_DIR"
     box = load_flight_dump(str(dumps[0]))
-    assert box["reason"] == "violation-ghost_read"
-    assert box["detail"]["oracle"] == "ghost_read"
+    assert box["reason"] == "violation-exactly_once"
+    assert box["detail"]["oracle"] == "exactly_once"
     assert box["detail"]["event_index"] == outcome.violations[0].event_index
     assert box["nodes"], "dump captured no node rings"
     assert sum(len(n["events"]) for n in box["nodes"].values()) > 0
@@ -225,4 +226,5 @@ def test_canary_violation_captures_black_box(tmp_path, monkeypatch, capsys):
     from repro.cli import main
     assert main(["flight", "show", str(dumps[0]), "--last", "64"]) == 0
     shown = capsys.readouterr().out
-    assert "ghost_read" in shown
+    assert "exactly_once" in shown
+    assert "deposit" in shown and "take" in shown

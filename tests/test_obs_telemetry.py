@@ -206,13 +206,13 @@ def test_exactly_once_oracle_skips_telemetry():
 
     monitor = InvariantMonitor(oracles=[ExactlyOnceOracle()],
                                stop_on_violation=False)
-    with monitor:
-        # Telemetry rows are reclaimed by expiry without a matching
-        # consume — and here even an unmatched consume is ignored.
-        monitor("space.consume", {"tup": Tuple(TELEMETRY_TAG, "a", 1, "{}")})
-        assert monitor.violations == []
-        # An application tuple consumed without a deposit still trips it.
-        monitor("space.consume", {"tup": Tuple("app", 1)})
+    # Telemetry rows are reclaimed by expiry without a matching take —
+    # and here even an unmatched take is ignored.
+    row = Tuple(TELEMETRY_TAG, "a", 1, "{}")
+    monitor("a", 0.0, "take", None, None, None, row)
+    assert monitor.violations == []
+    # An application tuple taken without a deposit still trips it.
+    monitor("a", 0.0, "take", None, None, None, Tuple("app", 1))
     assert len(monitor.violations) == 1
     assert monitor.violations[0].oracle == "exactly_once"
 

@@ -176,7 +176,7 @@ def assert_residents_are_leased(instance):
 
 def test_recovered_tuples_re_enter_lease_accounting(world, reopen):
     sim, net = world
-    with InvariantMonitor(oracles=[LeaseConservationOracle()],
+    with InvariantMonitor(sim, oracles=[LeaseConservationOracle()],
                           stop_on_violation=False) as monitor:
         old = TiamatInstance(sim, net, "dev")
         for i in range(5):
@@ -258,9 +258,9 @@ def injected_world(logged):
 
 @pytest.mark.parametrize("logged", [False, True], ids=["imaged", "wal"])
 def test_injector_power_cycle_conserves_leases(logged):
-    with InvariantMonitor(oracles=[LeaseConservationOracle()],
+    sim, registry, injector = injected_world(logged)
+    with InvariantMonitor(sim, oracles=[LeaseConservationOracle()],
                           stop_on_violation=False) as monitor:
-        sim, registry, injector = injected_world(logged)
         old = registry["n"]
         for i in range(4):
             old.out(Tuple("item", i), requester=leased(300.0))

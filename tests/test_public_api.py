@@ -196,8 +196,10 @@ def test_config_fields_are_pinned():
 
 
 #: Every parameter with a default on the exported callables (see below).
-#: A new knob moves this pin in the open; 10.0 took it from 361 to 332.
-SETTABLE_VALUES = 332
+#: A new knob moves this pin in the open; 10.0 took it from 361 to 332,
+#: and the one event stream to 329 (``Violation(fields=)``,
+#: ``LeaseTuner(headroom=)``, ``recover_from(sync_timeout=)``).
+SETTABLE_VALUES = 329
 
 
 def _exported_callables():
@@ -257,8 +259,9 @@ def test_version_is_pep440ish():
     # are JSON) in 6.0, aio multicast discovery and Message.msg_id in 7.0,
     # ProtocolTrace and the network's frame listeners in 8.0, the runtimes'
     # serve gate (SHED) and 21 config fields that no caller set in 9.0,
-    # SqliteBackend and the keywords that no caller set in 10.0
-    assert tuple(int(p) for p in parts[:2]) >= (10, 0)
+    # SqliteBackend and the keywords that no caller set in 10.0, and
+    # repro.check.probes (the checker's second event stream) in 11.0
+    assert tuple(int(p) for p in parts[:2]) >= (11, 0)
 
 
 def test_import_set_does_not_grow():
@@ -275,7 +278,7 @@ def test_import_set_does_not_grow():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     loaded = ast.literal_eval(out)
-    assert len(loaded) == 46, loaded
+    assert len(loaded) == 45, loaded
     assert not [n for n in loaded if "storage" in n or "persistence" in n]
 
 

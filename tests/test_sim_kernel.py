@@ -8,7 +8,6 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 import repro
-from repro.check import probes
 from repro.core import TiamatInstance
 from repro.core.monitoring import AppMonitor
 from repro.errors import SimulationError
@@ -324,9 +323,9 @@ def _schedule_digest():
         if name not in _REAPERS:
             plain.update(struct.pack("<d", timer.time) + name.encode())
 
-    def ended(event, fields):
-        if event == "lease.ended" and fields["state"] == "expired":
-            expired.append(("lease", sim.now, fields["lease"]))
+    def ended(node, t, code, op_id, kind, peer, detail, payload=None):
+        if code == "lease_end" and kind == "expired":
+            expired.append(("lease", sim.now, detail[1]))
 
     def removed(entry, reason):
         if reason == "expired":
@@ -335,7 +334,7 @@ def _schedule_digest():
     sim.event_hook = fired
     a.space.on_removed(removed)
     b.space.on_removed(removed)
-    probes.install(ended)
+    sim.obs.flight.add_reader(ended)
     try:
         for i in range(50):
             b.out(Tuple("job", i))
@@ -348,7 +347,7 @@ def _schedule_digest():
               requester=SimpleLeaseRequester(LeaseTerms(duration=2.0)))
         sim.run(until=sim.now + 5.0)
     finally:
-        probes.uninstall()
+        sim.obs.flight.remove_reader(ended)
     assert b.space.rdp(Pattern("brief", int)) is None      # lease expired
     assert len(expired) == 2
     plain.update(repr(expired).encode())

@@ -8,17 +8,20 @@ more than one — down to the state the random stream is left in, or seeded
 experiments would drift.  A value index exists only at the positions a
 query has named, built on the first such query, so its buckets must hold
 what an index kept from the first add would.
+
+This machine owns "no lookup returns or counts an entry that was removed
+or is held": the ``ghost`` canary, which plants exactly that bug, must
+make it fail.
 """
 
 import random
 
-from hypothesis import settings
+import pytest
+from hypothesis import Phase, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import (RuleBasedStateMachine, invariant,
-                                 precondition, rule)
+                                 precondition, rule, run_state_machine_as_test)
 
-from repro.check import probes
-from repro.check.oracles import InvariantMonitor
 from repro.sim.rng import RngStream
 from repro.tuples import ANY, Formal, Pattern, Range, Tuple, TupleStore, matches
 
@@ -96,39 +99,9 @@ class PickMachine(RuleBasedStateMachine):
         self.ref_rng = RngStream(7)
         # Recovery restores under original ids, in no particular order.
         self.pinned = iter(range(100_000, 0, -7))
-        #: ``store.match`` ids a recording probe sink saw, or None (no sink).
-        self.matched = None
-
-    def teardown(self):
-        if self.matched is not None:
-            probes.uninstall()
 
     def _same_draws(self):
         assert self.rng._random.getstate() == self.ref_rng._random.getstate()
-
-    def _record(self, event, fields):
-        if event == "store.match":
-            self.matched.append(fields["entry"])
-
-    def _emitted_the_walk(self, pattern):
-        """Under a sink, the lookup just made reported the filtered walk's
-        matches, in the walk's order — exact bucket or not."""
-        if self.matched is None:
-            return
-        emitted = list(self.matched)
-        walked = [e.entry_id for e in self.store._scan(pattern)]
-        self.matched.clear()
-        assert emitted == walked
-
-    @rule(on=st.booleans())
-    def monitor(self, on):
-        """Install or remove a recording probe sink, as the checker does."""
-        if self.matched is not None:
-            probes.uninstall()
-            self.matched = None
-        if on:
-            self.matched = []
-            probes.install(self._record)
 
     @rule(tup=tuples)
     def add(self, tup):
@@ -187,7 +160,6 @@ class PickMachine(RuleBasedStateMachine):
     @rule(pattern=patterns(), take=st.booleans())
     def find_seeded(self, pattern, take):
         entry = self.store.find(pattern, self.rng)
-        self._emitted_the_walk(pattern)
         expected = self.ref.find(pattern, self.ref_rng)
         assert (entry.entry_id if entry else None) == expected
         self._same_draws()
@@ -198,17 +170,14 @@ class PickMachine(RuleBasedStateMachine):
     @rule(pattern=patterns())
     def find_oldest(self, pattern):
         entry = self.store.find(pattern)
-        self._emitted_the_walk(pattern)
         assert (entry.entry_id if entry else None) == self.ref.find(pattern)
 
     @rule(pattern=patterns())
     def find_all(self, pattern):
         got = [e.entry_id for e in self.store.find_all(pattern)]
-        self._emitted_the_walk(pattern)
         assert got == sorted(self.ref.found(pattern))
         assert all(self.store.get(i).visible for i in got)
         assert self.store.count(pattern) == len(got)
-        self._emitted_the_walk(pattern)
 
     @rule(data=st.data(), take=st.booleans())
     def find_range(self, data, take):
@@ -256,9 +225,22 @@ class PickMachine(RuleBasedStateMachine):
                 for key, bucket in self.store._by_actual.items()} == eager
 
 
+PICK_SETTINGS = settings(max_examples=60, stateful_step_count=60,
+                         deadline=None)
 TestStorePick = PickMachine.TestCase
-TestStorePick.settings = settings(max_examples=60, stateful_step_count=60,
-                                  deadline=None)
+TestStorePick.settings = PICK_SETTINGS
+
+
+def test_store_pick_catches_the_ghost_canary(monkeypatch):
+    """With the ``ghost`` canary on, a lookup returns a removed or held
+    entry and the machine fails; with it off, the same machine passes."""
+    monkeypatch.setenv("REPRO_CHECK_CANARY", "ghost")
+    first_failure = settings(PICK_SETTINGS, report_multiple_bugs=False,
+                             phases=[Phase.generate])
+    with pytest.raises(AssertionError):
+        run_state_machine_as_test(PickMachine, settings=first_failure)
+    monkeypatch.delenv("REPRO_CHECK_CANARY")
+    run_state_machine_as_test(PickMachine, settings=PICK_SETTINGS)
 
 
 def test_nan_actuals_never_match_through_the_index():
@@ -418,40 +400,6 @@ def test_oldest_first_across_signatures_is_insertion_order_not_id_order():
     assert [e.entry_id for e in store.find_all(Pattern(ANY))] == [1, 500, 900]
     rng, same = RngStream(5), RngStream(5)
     assert store.find(Pattern(ANY), rng).entry_id == same.choice([900, 1, 500])
-
-
-def _churn(seed, steps=400):
-    """A seeded take-heavy run over colliding tuples; returns every pick."""
-    script = random.Random(seed)
-    store, rng, picks = TupleStore(), RngStream(seed), []
-    for tag in ("task", "note"):
-        for i in range(30):
-            store.add(Tuple(tag, i % 5, script.choice([1, True, 1.0])))
-    queries = [Pattern("task", int, int), Pattern("task", int, ANY),
-               Pattern(str, 3, bool), Pattern("note", Range(1, 3), float),
-               Pattern("task", 2, 1), Pattern(str, int, float)]
-    for step in range(steps):
-        entry = store.find(script.choice(queries), rng)
-        picks.append(entry.entry_id if entry else None)
-        if entry is not None and step % 3:
-            store.remove(entry.entry_id)
-            store.add(Tuple("task", step % 5, script.choice([1, True, 1.0])))
-    return picks, rng._random.getstate(), (store.entries_scanned,
-                                           store.scan_cache_misses)
-
-
-def test_monitored_and_unmonitored_runs_pick_the_same_entries():
-    """The checker runs the production lookup: with a probe sink installed
-    the store takes the same exact and walked paths (same scan counts),
-    picks the same entries and leaves the stream in the same state."""
-    direct = _churn(11)
-    with InvariantMonitor(stop_on_violation=False) as monitor:
-        assert probes.SINK is not None
-        monitored = _churn(11)
-    assert probes.SINK is None
-    assert not monitor.violations
-    assert monitored == direct
-    assert any(pick is not None for pick in direct[0])
 
 
 def test_exact_pick_skips_the_walk_and_the_memo():

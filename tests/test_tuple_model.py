@@ -157,11 +157,6 @@ def test_pattern_for_tuple_is_fully_actual():
     assert all(isinstance(s, Actual) for s in p.specs)
 
 
-def test_pattern_first_actual():
-    assert Pattern(int, "tag", str).first_actual() == (1, "tag")
-    assert Pattern(int, str).first_actual() is None
-
-
 def test_pattern_equality_and_hash():
     assert Pattern("a", int) == Pattern("a", int)
     assert Pattern("a", int) != Pattern("a", float)
