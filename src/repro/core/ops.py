@@ -46,6 +46,9 @@ class Operation:
     source: Optional[str] = None
     #: What finishing undoes: the local waiter, map or visibility watch.
     _undo: tuple[Callable[[], None], ...] = ()
+    #: The pattern's wire form, encoded by the first QUERY and shared by
+    #: every later one (receivers only read it).
+    _wire_pattern: Optional[list] = None
 
     def __init__(self, instance, kind: OperationKind, pattern: Optional[Pattern],
                  lease: Lease) -> None:
@@ -424,11 +427,13 @@ class Operation:
     # ------------------------------------------------------------------
     def _send_query(self, peer: str) -> bool:
         remaining = self.lease.remaining_time(self.instance.sim.now)
+        if self._wire_pattern is None:
+            self._wire_pattern = encode_pattern(self.pattern)
         payload = {
             "kind": protocol.QUERY,
             "op_id": self.op_id,
             "op": self.kind.label,
-            "pattern": encode_pattern(self.pattern),
+            "pattern": self._wire_pattern,
             "deadline": remaining,
         }
         if self.kind in (OperationKind.RD, OperationKind.IN):

@@ -47,6 +47,9 @@ from repro.tuples import Pattern, Tuple, decode_pattern, encode_tuple
 #: remote instance's operation.
 SERVE_MAX_DURATION = 60.0
 
+#: A QUERY's ``op`` label -> its kind, without ``Enum.__call__``.
+_OP_KINDS = {kind.label: kind for kind in OperationKind}
+
 
 class Serving:
     """State for one remote operation this instance is working on."""
@@ -204,7 +207,7 @@ class QueryServer:
     def _dispatch_query(self, origin: str, payload: dict) -> None:
         """The classic serving path: lease -> thread -> probe/watch."""
         op_id = payload["op_id"]
-        kind = OperationKind(payload["op"])
+        kind = _OP_KINDS[payload["op"]]
         pattern = decode_pattern(payload["pattern"])
         deadline = payload.get("deadline")
         retry_hint = RETRY_FLOOR if self.admission is not None else None

@@ -19,43 +19,43 @@ instead of handing garbage to a protocol handler.
 
 from __future__ import annotations
 
-import json
+from json.encoder import JSONEncoder, c_make_encoder, encode_basestring_ascii
 from typing import Optional
 
 from repro.errors import SerializationError
 
-#: ``json.dumps(payload, separators=(",", ":"), sort_keys=True)`` without
-#: building an encoder per frame: the same bytes.
-_dumps = json.JSONEncoder(separators=(",", ":"), sort_keys=True).encode
+#: ``json.dumps``'s C encoder, built once: no encoder, circular-check dict
+#: or key sort per frame.  Key order does not change a compact encoding's
+#: length, so a size is ``len(json.dumps(payload, separators=(",", ":"),
+#: sort_keys=True))``.
+_encode = c_make_encoder(None, JSONEncoder().default, encode_basestring_ascii,
+                         None, ":", ",", False, False, True)
 
 
 class Message:
     """A frame in flight (or delivered) on the simulated network."""
 
-    __slots__ = ("src", "dst", "payload", "size", "sent_at", "sent")
+    #: ``kind`` is the payload's ``"kind"``, read once: damage keeps it.
+    __slots__ = ("src", "dst", "payload", "kind", "size", "sent_at", "sent")
 
     def __init__(self, src: str, dst: Optional[str], payload: dict,
                  sent_at: float) -> None:
         self.src = src
         self.dst = dst
         self.payload = payload
+        self.kind = payload.get("kind", "?")
         self.sent_at = sent_at
         try:
-            self.size = len(_dumps(payload))
+            self.size = len("".join(_encode(payload, 0)))
         except TypeError as exc:
             raise SerializationError(
                 f"payload is not JSON-representable: {exc}") from exc
         self.sent = payload
 
-    @property
-    def kind(self) -> str:
-        """The protocol message kind (payload ``"kind"`` key)."""
-        return self.payload.get("kind", "?")
-
     def copy_for(self, dst: Optional[str], sent_at: float) -> "Message":
         """A fresh frame carrying the same payload to ``dst``.
 
-        Size and sent payload are those of the original: the payload is
+        Kind, size and sent payload are those of the original: the payload is
         shared, and :meth:`corrupt` replaces it on one copy rather than
         mutating it.
         """
@@ -63,6 +63,7 @@ class Message:
         msg.src = self.src
         msg.dst = dst
         msg.payload = self.payload
+        msg.kind = self.kind
         msg.size = self.size
         msg.sent_at = sent_at
         msg.sent = self.sent
@@ -74,8 +75,7 @@ class Message:
     def corrupt(self) -> None:
         """Damage the frame in flight: the payload is no longer the one it
         was sent with, so :meth:`verify` fails."""
-        self.payload = {"kind": self.payload.get("kind", "?"),
-                        "__garbled__": True}
+        self.payload = {"kind": self.kind, "__garbled__": True}
 
     def verify(self) -> bool:
         """True iff the payload is still the one the frame was sent with."""

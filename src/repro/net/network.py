@@ -168,12 +168,13 @@ class Network:
     # ------------------------------------------------------------------
     def unicast(self, src: str, dst: str, payload: dict) -> bool:
         """Deliver ``payload`` from src to dst if visible; True if dispatched."""
-        self._require(src)
+        if src not in self._handlers:
+            self._require(src)
         message = Message(src, dst, payload, self.sim.now)
         if not self.visibility.visible(src, dst):
             self._drop(message, DROP_INVISIBLE)
             return False
-        self.stats.record_send(src, message.size, multicast=False, kind=message.kind)
+        self.stats.record_send(src, message.size, False, message.kind)
         self._dispatch(message)
         return True  # dispatched (even if lost in flight)
 
@@ -182,12 +183,10 @@ class Network:
         self._require(src)
         neighbors = self.visibility.neighbors(src)
         probe = Message(src, None, payload, self.sim.now)
-        self.stats.record_send(src, probe.size, multicast=True, kind=probe.kind)
+        self.stats.record_send(src, probe.size, True, probe.kind)
         dispatched = 0
         for dst in neighbors:
-            copy = probe.copy_for(dst, self.sim.now)
-            if self._dispatch(copy):
-                dispatched += 1
+            dispatched += self._dispatch(probe.copy_for(dst, self.sim.now))
         return dispatched
 
     # ------------------------------------------------------------------
@@ -196,11 +195,14 @@ class Network:
     def _dispatch(self, message: Message) -> bool:
         """Run loss + fault decisions for one frame; True if any copy flies."""
         self._flight.frame("send", message)
-        if self._lost():
+        loss_rate = self.loss_rate
+        if loss_rate > 0 and self._loss_rng.random() < loss_rate:
             self._drop(message, DROP_LOSS)
             return False  # silently lost in flight
         if self.faults is None:
-            self._schedule_delivery(message, 0.0)
+            self.sim.schedule(
+                self._latency(message.src, message.dst, message.size),
+                self._deliver, message)
             return True
         verdict = self.faults.judge(message)
         if verdict.dropped:
@@ -213,16 +215,14 @@ class Network:
         for copy, delivery in zip(copies, verdict.deliveries):
             if delivery.corrupt:
                 copy.corrupt()
-            self._schedule_delivery(copy, delivery.extra_delay)
+            delay = self._latency(copy.src, copy.dst, copy.size)
+            self.sim.schedule(delay + delivery.extra_delay, self._deliver, copy)
         return True
-
-    def _schedule_delivery(self, message: Message, extra_delay: float) -> None:
-        delay = self._latency(message.src, message.dst, message.size)
-        self.sim.schedule(delay + extra_delay, self._deliver, message)
 
     def _deliver(self, message: Message) -> None:
         handler = self._handlers.get(message.dst)
-        if handler is None or not self.visibility.is_up(message.dst):
+        # An attached node is on the graph, so "up" is "not down".
+        if handler is None or message.dst in self.visibility.down:
             self._drop(message, DROP_NODE_DOWN)
             return
         if self.faults is not None and not message.verify():
@@ -233,9 +233,6 @@ class Network:
         self.stats.record_receive(message.dst, message.size)
         self._flight.frame("deliver", message)
         handler(message)
-
-    def _lost(self) -> bool:
-        return self.loss_rate > 0 and self._loss_rng.random() < self.loss_rate
 
     def _require(self, name: str) -> None:
         if name not in self._handlers:

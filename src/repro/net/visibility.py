@@ -30,7 +30,8 @@ class VisibilityGraph:
 
     def __init__(self) -> None:
         self._adjacent: dict[str, set[str]] = {}
-        self._down: set[str] = set()
+        #: Nodes powered down (see :meth:`set_up`); read-only outside.
+        self.down: set[str] = set()
         self._edge_listeners: list[EdgeListener] = []
         self._node_listeners: list[NodeListener] = []
         self.transitions = 0
@@ -48,7 +49,7 @@ class VisibilityGraph:
 
     def is_up(self, node: str) -> bool:
         """Whether the node is currently powered/participating."""
-        return node in self._adjacent and node not in self._down
+        return node in self._adjacent and node not in self.down
 
     # ------------------------------------------------------------------
     # Edges
@@ -88,11 +89,9 @@ class VisibilityGraph:
 
     def visible(self, a: str, b: str) -> bool:
         """True iff a and b are mutually visible and both up."""
-        if a == b:
-            return False
-        if not self.is_up(a) or not self.is_up(b):
-            return False
-        return b in self._adjacent.get(a, ())
+        # Only registered nodes are adjacent, and never to themselves.
+        return (b in self._adjacent.get(a, ()) and a not in self.down
+                and b not in self.down)
 
     def neighbors(self, node: str) -> list[str]:
         """Nodes currently visible from ``node`` (sorted, up only)."""
@@ -106,20 +105,20 @@ class VisibilityGraph:
     def set_up(self, node: str, up: bool) -> None:
         """Power a node up or down.  Edges are retained but inert while down."""
         self.add_node(node)
-        currently = node not in self._down
+        currently = node not in self.down
         if currently == up:
             return
         if up:
-            self._down.discard(node)
+            self.down.discard(node)
         else:
-            self._down.add(node)
+            self.down.add(node)
         self.transitions += 1
         for listener in list(self._node_listeners):
             listener(node, up)
         # A node's edges effectively appear/disappear with it; tell edge
         # listeners so propagation logic sees the change uniformly.
         for other in sorted(self._adjacent.get(node, ())):
-            if other in self._down:
+            if other in self.down:
                 continue
             lo, hi = sorted((node, other))
             for listener in list(self._edge_listeners):
@@ -140,4 +139,4 @@ class VisibilityGraph:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         edges = sum(len(v) for v in self._adjacent.values()) // 2
-        return f"<VisibilityGraph nodes={len(self._adjacent)} edges={edges} down={len(self._down)}>"
+        return f"<VisibilityGraph nodes={len(self._adjacent)} edges={edges} down={len(self.down)}>"

@@ -318,13 +318,12 @@ class FlightRecorder:
         ring = self.rings.get(node)
         if ring is None:
             ring = self.ring(node)
-        payload = message.payload
+        payload, kind = message.payload, message.kind
         op_id = payload.get("op_id")
         t = self.clock()
-        ring.put(t, phase, op_id, message.kind, peer, reason)
+        ring.put(t, phase, op_id, kind, peer, reason)
         if self._tap is not None:
-            self._tap(node, t, phase, op_id, message.kind, peer, reason,
-                      payload)
+            self._tap(node, t, phase, op_id, kind, peer, reason, payload)
 
     # -- dumps -------------------------------------------------------------
     def dump(self, reason: str, detail: Any = None) -> Dict[str, Any]:

@@ -82,7 +82,7 @@ class Event:
         self._value = value
         self._ok = ok
         sim = self.sim
-        sim._push(sim._now, self._run_callbacks, ())    # schedule(0.0, ...)
+        sim._push(sim.now, self._run_callbacks, ())    # schedule(0.0, ...)
 
     def _run_callbacks(self) -> None:
         callbacks, self.callbacks = self.callbacks, None

@@ -87,7 +87,8 @@ class Simulator:
     COMPACT_FLOOR = 1024
 
     def __init__(self, seed: int = 0) -> None:
-        self._now = 0.0
+        #: Current virtual time; only the run loop (:meth:`run`) assigns it.
+        self.now = 0.0
         #: Heap of ``(time, tiebreak, seq, timer)``; see the module docstring.
         self._queue: list[tuple[float, float, int, Timer]] = []
         #: Queue length at which cancelled timers are next swept out.
@@ -117,11 +118,6 @@ class Simulator:
     # ------------------------------------------------------------------
     # Clock and randomness
     # ------------------------------------------------------------------
-    @property
-    def now(self) -> float:
-        """Current virtual time."""
-        return self._now
-
     def rng(self, name: str = "default") -> RngStream:
         """Return a named random stream derived from the master seed.
 
@@ -164,7 +160,7 @@ class Simulator:
         if self._obs is None:
             from repro.obs import Observability
 
-            self._obs = Observability(clock=lambda: self._now)
+            self._obs = Observability(clock=lambda: self.now)
             self._obs.observe_kernel(self)
         return self._obs
 
@@ -219,7 +215,7 @@ class Simulator:
         """
         if delay < 0:
             raise SimulationError(f"cannot schedule into the past (delay={delay})")
-        return self._push(self._now + delay, callback, args)
+        return self._push(self.now + delay, callback, args)
 
     def _push(self, time: float, callback: Callable[..., Any], args: tuple) -> Timer:
         tiebreak = 0.0 if self._tiebreak_hook is None else self._tiebreak_hook()
@@ -250,7 +246,7 @@ class Simulator:
         passed), so the callback sees ``now == time`` exactly: a deadline
         reached by ``now + (time - now)`` can round one ulp short of it.
         """
-        return self._push(max(time, self._now), callback, args)
+        return self._push(max(time, self.now), callback, args)
 
     # ------------------------------------------------------------------
     # Processes and events (thin wrappers; real logic in sibling modules)
@@ -296,9 +292,9 @@ class Simulator:
                 if max_events is not None and processed >= max_events:
                     break
                 heappop(queue)
-                if time < self._now:
+                if time < self.now:
                     raise SimulationError("event queue corrupted: time moved backwards")
-                self._now = time
+                self.now = time
                 timer.fired = True
                 started = _time.perf_counter() if self.profiling else None
                 try:
@@ -315,9 +311,9 @@ class Simulator:
                     self.event_hook(timer)
         finally:
             self._running = False
-        if until is not None and self._now < until:
-            self._now = float(until)
-        return self._now
+        if until is not None and self.now < until:
+            self.now = float(until)
+        return self.now
 
     def step(self) -> bool:
         """Process exactly one pending callback; False if queue is empty."""
@@ -341,7 +337,7 @@ class Simulator:
         return self._queue[0][0] if self._queue else None
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<Simulator now={self._now:.6g} pending={self.pending}>"
+        return f"<Simulator now={self.now:.6g} pending={self.pending}>"
 
 
 class Deadlines:

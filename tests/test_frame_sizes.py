@@ -1,14 +1,18 @@
 """A frame's size is its payload's compact, key-sorted JSON, byte for byte.
 
-``Message`` sizes frames with one prebuilt encoder; these tests hold it to
+``Message`` sizes frames with one prebuilt encoder that does not sort the
+keys; these tests hold it to
 ``json.dumps(payload, separators=(",", ":"), sort_keys=True)`` for every
 frame kind the protocol sends in a remote ``rd``/``in_`` cycle and in each
-model-checker template, faults and churn included.
+model-checker template, faults and churn included, and for arbitrary
+JSON payloads: key order never changes a compact encoding's length.
 """
 
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import repro
 from repro.check.explorer import TEMPLATES, Perturbations, run_schedule
@@ -71,3 +75,53 @@ def test_a_payload_json_cannot_represent_is_refused():
         Message("a", "b", {"kind": "x", "bad": object()}, 0.0)
     with pytest.raises(SerializationError):
         Message("a", "b", {"kind": "x", "bad": {1, 2}}, 0.0)
+
+
+# ----------------------------------------------------------------------
+# Arbitrary payloads: sizing without sorting is the sorted length
+# ----------------------------------------------------------------------
+keys = st.text(max_size=8) | st.text(st.characters(min_codepoint=0x80),
+                                     min_size=1, max_size=4)
+leaves = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(min_value=2 ** 64).map(lambda i: i ** 3),   # far past 64 bits
+    st.floats(),
+    st.sampled_from([1e-7, 1e22, -0.0, 5e-324, 1.7976931348623157e308]),
+    st.text(),
+    st.text(st.characters(min_codepoint=0x80)),              # non-ASCII only
+)
+json_values = st.recursive(
+    leaves,
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(keys, children, max_size=4),
+    max_leaves=20)
+payloads = st.dictionaries(keys, json_values, max_size=6)
+
+NON_JSON = (object(), {1, 2}, b"bytes", 1j, frozenset())
+#: A payload with one value JSON cannot represent, at any depth.
+poisoned = st.recursive(
+    st.sampled_from(NON_JSON),
+    lambda inner: st.one_of(
+        st.tuples(st.lists(json_values, max_size=3), inner,
+                  st.integers(0, 3)).map(
+            lambda t: t[0][:t[2]] + [t[1]] + t[0][t[2]:]),
+        st.tuples(st.dictionaries(keys, json_values, max_size=3), keys,
+                  inner).map(lambda t: {**t[0], t[1]: t[2]})),
+    max_leaves=4,
+).flatmap(lambda bad: st.tuples(payloads, keys).map(
+    lambda t: {**t[0], t[1]: bad}))
+
+
+@settings(max_examples=200, deadline=None)
+@given(payloads)
+def test_a_frame_is_sized_as_its_sorted_compact_json(payload):
+    assert Message("a", "b", payload, 0.0).size == _dumps_size(payload)
+
+
+@settings(max_examples=100, deadline=None)
+@given(poisoned)
+def test_a_non_json_value_at_any_depth_is_refused(payload):
+    with pytest.raises(SerializationError):
+        Message("a", "b", payload, 0.0)

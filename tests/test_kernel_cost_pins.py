@@ -1,19 +1,25 @@
-"""What a sim handle call costs the kernel, pinned exactly.
+"""What a sim handle call costs the kernel and the recorders, pinned exactly.
 
 Three seeded shapes, built here as the end-to-end benchmark builds them:
 one node holding 2 000 ``task`` and 2 000 ``note`` tuples, read mostly
 (``store_poll``) or taken from and refilled (``store_churn``), and an
 origin reading and taking from one of eight peers (``sim_union``).  Each
 cycle of a shape calls the same handle methods the same way, so kernel
-events and frames per call are exact ratios.  A figure that moves means
-an operation schedules (or sends) more, or less, than it did:
+events, frames, flight events and metric observations per call are exact
+ratios.  A figure that moves means an operation schedules, sends or
+records more, or less, than it did:
 
 * a local hit costs one kernel event, the flush of its own event; a
   local miss probes for peers, five events and one discovery frame;
 * a leased ``out`` costs none (its deadline joins a heap behind one
   timer);
 * a remote hit in the eight-peer clique costs 65 events and 51 frames
-  per ``out``/``rd``/``in_`` cycle.
+  per ``out``/``rd``/``in_`` cycle;
+* every handle call records 4 flight events (the store shapes) and
+  observes its latency and, for a lookup, its scan into histograms; the
+  clique cycle records 181 events, two per frame among them, and 39
+  observations;
+* each unicast frame is sized by one JSON encoding.
 """
 
 import random
@@ -22,6 +28,7 @@ import pytest
 
 import repro
 from repro.leasing import GenerousPolicy
+from repro.net import message
 from repro.tuples import Pattern, Range, Tuple
 
 FOREVER = 1e9
@@ -43,16 +50,31 @@ class _Shape:
         self.calls = 0
 
     def measure(self, cycles):
-        """(kernel events, frames) per handle call over ``cycles`` cycles."""
+        """(kernel events, frames, flight events, metric observations) per
+        handle call over ``cycles`` cycles."""
         for _ in range(self.warmup):
             self.cycle()
         sim, stats = self.rt.sim, self.rt.network.stats
-        calls, events, frames = self.calls, sim.events_processed, stats.total_messages
+        before = (self.calls, sim.events_processed, stats.total_messages,
+                  _flight_events(sim), _observations(sim))
         for _ in range(cycles):
             self.cycle()
-        calls = self.calls - calls
-        return ((sim.events_processed - events) / calls,
-                (stats.total_messages - frames) / calls)
+        after = (self.calls, sim.events_processed, stats.total_messages,
+                 _flight_events(sim), _observations(sim))
+        calls = after[0] - before[0]
+        return tuple((a - b) / calls for a, b in zip(after[1:], before[1:]))
+
+
+def _flight_events(sim):
+    """Every event the flight recorder recorded: appends and frames."""
+    return sum(ring.recorded for ring in sim.obs.flight.rings.values())
+
+
+def _observations(sim):
+    """Every histogram observation in the simulation's metrics registry."""
+    return sum(sample["count"] for family in sim.obs.registry.families()
+               if family.kind == "histogram"
+               for sample in family.samples() if "count" in sample)
 
 
 class _Store(_Shape):
@@ -128,12 +150,27 @@ class SimUnion(_Shape):
         self.calls += 3
 
 
-@pytest.mark.parametrize("shape, cycles, events, frames", [
-    (StorePoll, 3, 201 / 102, 25 / 102),  # 1.9706 events per call
-    (StoreChurn, 30, 2 / 3, 0.0),         # 0.6667
-    (SimUnion, 12, 65 / 3, 17.0),         # 21.6667 events, 17 frames
+@pytest.mark.parametrize("shape, cycles, events, frames, flight, observed", [
+    # 1.9706 events per call; 2 observations per call (latency, scan)
+    (StorePoll, 3, 201 / 102, 25 / 102, 4.0, 202 / 102),
+    (StoreChurn, 30, 2 / 3, 0.0, 4.0, 4 / 3),    # 0.6667 events
+    (SimUnion, 12, 65 / 3, 17.0, 181 / 3, 13.0),  # 21.6667 events
 ], ids=["store_poll", "store_churn", "sim_union"])
-def test_kernel_events_and_frames_per_handle_call(shape, cycles, events,
-                                                  frames):
-    assert shape(3).measure(cycles) == pytest.approx((events, frames),
-                                                     rel=0, abs=1e-12)
+def test_kernel_events_and_frames_per_handle_call(
+        shape, cycles, events, frames, flight, observed):
+    assert shape(3).measure(cycles) == pytest.approx(
+        (events, frames, flight, observed), rel=0, abs=1e-12)
+
+
+def test_each_unicast_frame_is_sized_once(monkeypatch):
+    shape = SimUnion(3)
+    for _ in range(shape.warmup):
+        shape.cycle()
+    stats = shape.rt.network.stats
+    unicasts = lambda: sum(node.sent_unicast for node in stats.nodes.values())
+    encodes, real, sent = [], message._encode, unicasts()
+    monkeypatch.setattr(message, "_encode",
+                        lambda *a: encodes.append(a) or real(*a))
+    for _ in range(4):
+        shape.cycle()
+    assert len(encodes) == unicasts() - sent == 4 * 51

@@ -231,12 +231,12 @@ def test_multicast_encodes_the_payload_once(sim, monkeypatch):
     for name, inbox in inboxes.items():
         net.attach(name, inbox.append)
     net.visibility.connect_clique(list(inboxes))
-    dumps = []
-    real = message._dumps
-    monkeypatch.setattr(message, "_dumps",
-                        lambda *a, **kw: dumps.append(a) or real(*a, **kw))
+    encodes = []
+    real = message._encode
+    monkeypatch.setattr(message, "_encode",
+                        lambda *a: encodes.append(a) or real(*a))
     assert net.multicast("a", PAYLOAD) == 8
-    assert len(dumps) == 1          # was 2 per frame: probe + 8 copies = 18
+    assert len(encodes) == 1        # was 2 per frame: probe + 8 copies = 18
     monkeypatch.undo()
     sim.run()
     sizes = {m.size for name in "bcdefghi" for m in inboxes[name]}
