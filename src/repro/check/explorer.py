@@ -309,10 +309,10 @@ def build_crash_recover(sim: Simulator, net: Network,
     seeded number of bytes off the WAL tail, modelling an append in
     flight at the moment of power loss.  Recovery truncates the torn
     tail, replays the log, quarantines the survivors, and reconciles
-    with the consumers before releasing anything — the exactly-once
-    oracle flags any resurrected consumed tuple the instant a consumer
-    takes it twice, and the ghost-read oracle watches the store indexes
-    throughout.
+    with the consumers before releasing anything.  The exactly-once
+    oracle counts the spaces' ``deposit`` and ``take`` events: it flags a
+    tuple taken more times than it was deposited, but not an entry put
+    back after its origin accepted it, a consume that records no ``take``.
 
     Every random draw happens regardless of the churn switch, so
     ablating the crash layer keeps all other streams aligned.
@@ -405,8 +405,8 @@ def build_fabric_churn(sim: Simulator, net: Network,
     lease lapses, the survivors run the witness sync and promote their
     quarantined replicas (satisfying any `in` blocked on that shard), and
     the revival triggers rebalance migrations back.  The exactly-once
-    oracle flags a replica released after its primary's copy was consumed;
-    the no-ghost-read oracle watches the store indexes throughout.
+    oracle flags a replica released after its primary's copy was consumed
+    and then taken again.
 
     Every random draw happens regardless of the churn switch, so ablating
     the crash layer keeps all other streams aligned.

@@ -424,7 +424,7 @@ class TiamatInstance:
             # anti-entropy probe, so skewed maps reconcile without waiting
             # for the next gossip heartbeat.
             payload = {**payload, "fmd": self.fabric.digest()}
-        return self.iface.unicast(peer, payload)
+        return self.network.unicast(self.name, peer, payload)
 
     def send_reliable(self, peer: str, payload: dict,
                       deadline: Optional[float] = None) -> bool:

@@ -436,7 +436,7 @@ class Operation:
             "pattern": self._wire_pattern,
             "deadline": remaining,
         }
-        if self.kind in (OperationKind.RD, OperationKind.IN):
+        if self.kind.is_blocking:
             # A blocking operation contacts each peer exactly once; a lost
             # QUERY would silently amputate that peer from the logical
             # space for the operation's whole lifetime (probes, by

@@ -136,9 +136,7 @@ class ReliableChannel:
         if counter is None:
             counter = self._next_seq[peer] = itertools.count(1)
         seq = next(counter)
-        payload = dict(payload)
-        payload["rseq"] = seq
-        payload["repoch"] = self.epoch
+        payload = {**payload, "rseq": seq, "repoch": self.epoch}
         if deadline is None:
             deadline = (sim.now + self.config.claim_timeout
                         + core_config.PEER_TIMEOUT)
@@ -212,7 +210,9 @@ class ReliableChannel:
         self.acks_sent += 1
         self.instance.send(peer, {"kind": protocol.REL_ACK,
                                   "rseq": seq, "repoch": epoch})
-        epochs = self._windows.setdefault(peer, {})
+        epochs = self._windows.get(peer)
+        if epochs is None:
+            epochs = self._windows[peer] = {}
         window = epochs.get(epoch)
         if window is None:
             # Keep at most two epochs per peer: the live one and its

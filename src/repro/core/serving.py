@@ -50,17 +50,25 @@ SERVE_MAX_DURATION = 60.0
 #: A QUERY's ``op`` label -> its kind, without ``Enum.__call__``.
 _OP_KINDS = {kind.label: kind for kind in OperationKind}
 
+#: The last QUERY pattern decoded, with the wire list it came from (at
+#: first a sentinel no payload holds).  An operation shares one list
+#: across its QUERYs and receivers only read payloads, so every peer
+#: after the first reuses the decode; holding the list keeps its id from
+#: being reused.
+_decoded: tuple = (object(), None)
+
 
 class Serving:
     """State for one remote operation this instance is working on."""
 
-    __slots__ = ("op_id", "origin", "kind", "pattern", "lease", "waiter",
-                 "held_entry_id", "offered", "claim_timer", "closed",
+    __slots__ = ("server", "op_id", "origin", "kind", "pattern", "lease",
+                 "waiter", "held_entry_id", "offered", "claim_timer", "closed",
                  "thread_token")
 
-    def __init__(self, op_id: str, origin: str, kind: OperationKind,
-                 pattern: Pattern, lease: Lease,
+    def __init__(self, server: "QueryServer", op_id: str, origin: str,
+                 kind: OperationKind, pattern: Pattern, lease: Lease,
                  thread_token: Optional[Any] = None) -> None:
+        self.server = server
         self.op_id = op_id
         self.origin = origin
         self.kind = kind
@@ -72,6 +80,16 @@ class Serving:
         self.claim_timer: Optional[Any] = None
         self.closed = False
         self.thread_token: Optional[Any] = thread_token
+
+    def lease_ended(self, lease: Lease, state: Any) -> None:
+        """Close on the serving lease's end, unless an offer is outstanding:
+        the claim timer resolves that."""
+        if not self.closed and (not self.offered or self.held_entry_id is None):
+            self.server._close(self)
+
+    def matched(self, event: Any) -> None:
+        """The watch's waiter fired with a matching tuple."""
+        self.server._on_watch_match(self, event.value)
 
 
 class QueryServer:
@@ -96,6 +114,8 @@ class QueryServer:
         self._queue: deque[tuple[str, dict, float]] = deque()
         self._queued_ids: set[str] = set()
         self._busy_workers = 0
+        #: The serving-lease requester, reused while the duration repeats.
+        self._requester: Optional[SimpleLeaseRequester] = None
         if config.serve_cost > 0:
             # Serving-queue pressure feeds the lease manager's usage
             # snapshot, so granting policies see inbound congestion the
@@ -206,16 +226,21 @@ class QueryServer:
     # ------------------------------------------------------------------
     def _dispatch_query(self, origin: str, payload: dict) -> None:
         """The classic serving path: lease -> thread -> probe/watch."""
+        global _decoded
         op_id = payload["op_id"]
         kind = _OP_KINDS[payload["op"]]
-        pattern = decode_pattern(payload["pattern"])
+        wire, pattern = _decoded
+        if payload["pattern"] is not wire:
+            wire = payload["pattern"]
+            pattern = decode_pattern(wire)
+            _decoded = (wire, pattern)
         deadline = payload.get("deadline")
         retry_hint = RETRY_FLOOR if self.admission is not None else None
         lease = self._negotiate_serving_lease(kind, deadline)
         if lease is None:
             self.refused += 1
             self.instance.flight_ring.append(
-                self.instance.sim.now, "refuse", op_id, kind.value,
+                self.instance.sim.now, "refuse", op_id, kind.label,
                 origin, REFUSE_SERVING_LEASE)
             self._refuse(origin, op_id, REFUSE_SERVING_LEASE, retry_hint)
             return
@@ -226,13 +251,13 @@ class QueryServer:
             lease.release()
             self.refused += 1
             self.instance.flight_ring.append(
-                self.instance.sim.now, "refuse", op_id, kind.value,
+                self.instance.sim.now, "refuse", op_id, kind.label,
                 origin, REFUSE_THREADS)
             self._refuse(origin, op_id, REFUSE_THREADS, retry_hint)
             return
         self.served += 1
         self.instance.flight_ring.append(
-            self.instance.sim.now, "serve_started", op_id, kind.value, origin)
+            self.instance.sim.now, "serve_started", op_id, kind.label, origin)
         if kind in (OperationKind.RDP, OperationKind.INP):
             self._serve_probe(origin, op_id, kind, pattern, lease, thread_token)
         else:
@@ -257,7 +282,10 @@ class QueryServer:
         duration = SERVE_MAX_DURATION
         if deadline is not None:
             duration = min(duration, max(0.0, deadline))
-        requester = SimpleLeaseRequester(LeaseTerms(duration=duration))
+        requester = self._requester
+        if requester is None or requester.desired().duration != duration:
+            requester = self._requester = SimpleLeaseRequester(
+                LeaseTerms(duration=duration))
         try:
             return self.instance.leases.negotiate(requester, kind)
         except LeaseError:
@@ -282,7 +310,7 @@ class QueryServer:
             lease.release()
             thread_token.release()
             return
-        serving = Serving(op_id, origin, kind, pattern, lease,
+        serving = Serving(self, op_id, origin, kind, pattern, lease,
                           thread_token=thread_token)
         serving.held_entry_id = entry.entry_id
         self._servings[op_id] = serving
@@ -294,10 +322,10 @@ class QueryServer:
     def _serve_blocking(self, origin: str, op_id: str, kind: OperationKind,
                         pattern: Pattern, lease: Lease,
                         thread_token: Any) -> None:
-        serving = Serving(op_id, origin, kind, pattern, lease,
+        serving = Serving(self, op_id, origin, kind, pattern, lease,
                           thread_token=thread_token)
         self._servings[op_id] = serving
-        lease.on_end(lambda l, state: self._on_serving_lease_end(serving))
+        lease.on_end(serving.lease_ended)
         self._register_watch(serving)
 
     def _register_watch(self, serving: Serving) -> None:
@@ -310,8 +338,7 @@ class QueryServer:
         if waiter.satisfied:
             self._on_watch_match(serving, waiter.event.value)
         else:
-            waiter.event.add_callback(
-                lambda event: self._on_watch_match(serving, event.value))
+            waiter.event.add_callback(serving.matched)
 
     def _on_watch_match(self, serving: Serving, tup: Tuple) -> None:
         if serving.closed or not serving.lease.active:
@@ -371,7 +398,7 @@ class QueryServer:
             return
         self.instance.flight_ring.append(
             self.instance.sim.now, "claim_timeout", serving.op_id,
-            serving.kind.value, serving.origin)
+            serving.kind.label, serving.origin)
         self._put_back(serving)
         self._close(serving)
 
@@ -380,7 +407,7 @@ class QueryServer:
             self.offers_put_back += 1
             self.instance.flight_ring.append(
                 self.instance.sim.now, "put_back", serving.op_id,
-                serving.kind.value, serving.origin, serving.held_entry_id)
+                serving.kind.label, serving.origin, serving.held_entry_id)
             self.instance.space.release(serving.held_entry_id)
             serving.held_entry_id = None
 
@@ -401,22 +428,15 @@ class QueryServer:
         self._put_back(serving)
         self._close(serving)
 
-    def _on_serving_lease_end(self, serving: Serving) -> None:
-        if serving.closed:
-            return
-        if serving.offered and serving.held_entry_id is not None:
-            # An offer is outstanding: leave resolution to the claim timer.
-            return
-        self._close(serving)
-
     # ------------------------------------------------------------------
     def _close(self, serving: Serving) -> None:
         if serving.closed:
             return
         serving.closed = True
-        if serving.waiter is not None:
-            serving.waiter.cancel()
+        waiter = serving.waiter
+        if waiter is not None:
             serving.waiter = None
+            waiter.cancel()
         if serving.claim_timer is not None:
             serving.claim_timer.cancel()
             serving.claim_timer = None

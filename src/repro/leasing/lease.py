@@ -111,8 +111,9 @@ class Lease:
     ``committed`` bytes for the stored tuple ``entry_id`` (0 for none).
     """
 
-    __slots__ = ("lease_id", "manager", "terms", "granted_at", "operation",
-                 "state", "remotes_used", "committed", "entry_id", "_on_end")
+    __slots__ = ("lease_id", "manager", "terms", "granted_at", "expires_at",
+                 "operation", "state", "active", "remotes_used", "committed",
+                 "entry_id", "_on_end")
 
     def __init__(self, lease_id: int, manager, terms: LeaseTerms,
                  granted_at: float, operation: str) -> None:
@@ -120,26 +121,19 @@ class Lease:
         self.manager = manager
         self.terms = terms
         self.granted_at = granted_at
+        #: Absolute virtual expiry time; None when time-unbounded.
+        self.expires_at: Optional[float] = (
+            None if terms.duration is None else granted_at + terms.duration)
         self.operation = operation
         self.state = LeaseState.ACTIVE
+        #: True while the lease has not ended.
+        self.active = True
         self.remotes_used = 0
         self.committed = 0
         self.entry_id = 0
         self._on_end: tuple[Callable[["Lease", LeaseState], None], ...] = ()
 
     # ------------------------------------------------------------------
-    @property
-    def expires_at(self) -> Optional[float]:
-        """Absolute virtual expiry time; None when time-unbounded."""
-        if self.terms.duration is None:
-            return None
-        return self.granted_at + self.terms.duration
-
-    @property
-    def active(self) -> bool:
-        """True while the lease has not ended."""
-        return self.state is LeaseState.ACTIVE
-
     def remaining_time(self, now: float) -> Optional[float]:
         """Seconds of lease left at ``now`` (None = unbounded)."""
         if self.expires_at is None:
@@ -180,6 +174,7 @@ class Lease:
     def _end(self, state: LeaseState) -> None:
         if not self.active:
             return
+        self.active = False
         self.state = state
         if self.manager is not None:
             self.manager._ended(self, state)

@@ -381,14 +381,16 @@ class Deadlines:
         heapq.heappush(heap, (deadline, self._seq, key))
         if len(heap) >= self._compact_at:
             self._compact()
-        if not self._firing and (self._timer is None
-                                 or deadline < self._timer.time):
-            self._arm()
+        timer = self._timer
+        if not self._firing and (timer is None or deadline < timer.time):
+            # The new record is the earliest live one: no walk to find it.
+            self._aim(max(deadline, self.sim.now))
 
     def ended(self, key: Any) -> None:
         """``key``'s record died early; re-aim the timer if it was the head."""
         heap = self._heap
         if heap and heap[0][2] == key and not self._firing:
+            heapq.heappop(heap)     # dead: its owner just ended it
             self._arm()
 
     def _arm(self) -> None:
@@ -396,17 +398,19 @@ class Deadlines:
         heap, live = self._heap, self._live
         while heap and not live(heap[0][2], heap[0][0]):
             heapq.heappop(heap)
-        timer = self._timer
         if heap:
-            at = max(heap[0][0], self.sim.now)
-            if timer is not None:
-                if timer.time == at:
-                    return
-                timer.cancel()
-            self._timer = self.sim.schedule_at(at, self._fire)
-        elif timer is not None:
-            timer.cancel()
+            self._aim(max(heap[0][0], self.sim.now))
+        elif self._timer is not None:
+            self._timer.cancel()
             self._timer = None
+
+    def _aim(self, at: float) -> None:
+        timer = self._timer
+        if timer is not None:
+            if timer.time == at:
+                return
+            timer.cancel()
+        self._timer = self.sim._push(at, self._fire, ())
 
     def _fire(self) -> None:
         self._timer = None

@@ -43,11 +43,13 @@ class Waiter:
     cancelled waiter's event never triggers.
     """
 
+    __slots__ = ("space", "pattern", "remove", "event", "cancelled")
+
     def __init__(self, space: "LocalTupleSpace", pattern: Pattern, remove: bool) -> None:
         self.space = space
         self.pattern = pattern
         self.remove = remove
-        self.event: Event = space.sim.event()
+        self.event = Event(space.sim)
         self.cancelled = False
 
     @property
@@ -56,10 +58,14 @@ class Waiter:
         return self.event.triggered
 
     def cancel(self) -> None:
-        """Withdraw the waiter; a no-op if already satisfied."""
-        if not self.satisfied:
+        """Withdraw the waiter; a no-op if already satisfied or cancelled.
+
+        A waiter leaves the space's list when it is satisfied or here, so
+        an open one is on it.
+        """
+        if not self.cancelled and not self.event.triggered:
             self.cancelled = True
-            self.space._drop_waiter(self)
+            self.space._waiters.remove(self)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         kind = "in" if self.remove else "rd"
@@ -326,10 +332,6 @@ class LocalTupleSpace:
                 self.consumed += 1
                 self._notify_removed(entry, "consumed")
                 return
-
-    def _drop_waiter(self, waiter: Waiter) -> None:
-        if waiter in self._waiters:
-            self._waiters.remove(waiter)
 
     def _expiring(self, entry_id: int, deadline: float) -> bool:
         # A restored entry keeps its id under a new deadline.

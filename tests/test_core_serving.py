@@ -1,5 +1,7 @@
 """Tests for the serving side: claims, timeouts, cancels, and races."""
 
+import copy
+
 import pytest
 
 from repro.core import TiamatConfig, TiamatInstance
@@ -8,7 +10,7 @@ from repro.core import protocol, serving
 from repro.leasing import LeaseTerms, SimpleLeaseRequester
 from repro.net import Network
 from repro.sim import Simulator
-from repro.tuples import Pattern, Tuple, encode_pattern
+from repro.tuples import Pattern, Tuple, decode_pattern, encode_pattern
 
 from tests.test_core_instance import build, run_op
 
@@ -233,3 +235,71 @@ def test_thread_tokens_released_after_probe(sim):
         run_op(sim, op, until=sim.now + 5.0)
         assert op.result is not None
     assert server.leases.threads.in_use == 0
+
+
+# ----------------------------------------------------------------------
+# What a served QUERY reuses: the serving-lease requester and the decode
+# ----------------------------------------------------------------------
+def _serving_durations(sim, deadlines):
+    """Serve one blocking QUERY per deadline; each serving lease's duration."""
+    net, inst = build(sim, ["server"], clique=False)
+    mute_node(net, "ghost")
+    net.visibility.set_visible("server", "ghost")
+    for i, deadline in enumerate(deadlines):
+        send_query(sim, net, "ghost", "server", "rd", Pattern("never", i),
+                   op_id=f"ghost#{i}", deadline=deadline)
+    sim.run(until=0.5)
+    servings = inst["server"].server._servings
+    return [servings[f"ghost#{i}"].lease.terms.duration
+            for i in range(len(deadlines))]
+
+
+def test_each_serving_lease_follows_its_querys_deadline(sim):
+    """A reused requester must not carry one QUERY's duration to the next."""
+    cap = serving.SERVE_MAX_DURATION
+    deadlines = [12.5, 30.0, 30.0, 2 * cap, 12.5, None, 7.0, cap]
+    assert _serving_durations(sim, deadlines) == [
+        12.5, 30.0, 30.0, cap, 12.5, cap, 7.0, cap]
+
+
+def test_a_served_pattern_is_the_decode_of_its_wire_form(sim):
+    """Peers share one decoded pattern per wire list, and only per list:
+    a list sent once and dropped is never mistaken for a later one."""
+    net, inst = build(sim, ["origin", "a", "b"], clique=False)
+    for peer in "ab":
+        net.visibility.set_visible("origin", peer)
+    wires = {}
+    specs = [encode_pattern(Pattern("job", i % 7, str if i % 2 else int))[1]
+             for i in range(40)]
+    for i in range(40):
+        # A fresh list each time, often at the address of the last one.
+        wire = ["p", specs[i]]
+        for peer in "ab":     # both peers read the same list, as in a fan-out
+            net.unicast("origin", peer, {
+                "kind": protocol.QUERY, "op_id": f"origin#{i}", "op": "rd",
+                "pattern": wire, "deadline": 30.0})
+        wires[f"origin#{i}"] = decode_pattern(copy.deepcopy(wire))
+        del wire
+        sim.run(until=sim.now + 0.1)
+    for peer in "ab":
+        servings = inst[peer].server._servings
+        assert {op_id: s.pattern for op_id, s in servings.items()} == wires
+
+
+def test_receivers_only_read_a_querys_payload(sim, monkeypatch):
+    """The shared wire list and the decode memo rely on it: no receiver
+    changes a frame's payload, for ``rd``, ``in`` and their cancels."""
+    net, inst = build(sim, ["origin"] + [f"p{i}" for i in range(4)])
+    sent = []
+    real = Network.unicast
+    monkeypatch.setattr(Network, "unicast", lambda self, src, dst, payload: (
+        sent.append((payload, copy.deepcopy(payload)))
+        or real(self, src, dst, payload)))
+    inst["p2"].out(Tuple("job", 1, "x"))
+    for call in (inst["origin"].rd, inst["origin"].in_):
+        assert run_op(sim, call(Pattern("job", 1, str)),
+                      until=sim.now + 5.0) == Tuple("job", 1, "x")
+    kinds = {payload["kind"] for payload, _ in sent}
+    assert {protocol.QUERY, protocol.CANCEL, protocol.CLAIM_ACCEPT} <= kinds
+    assert all(payload == before for payload, before in sent)
+

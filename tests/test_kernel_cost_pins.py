@@ -19,7 +19,10 @@ records more, or less, than it did:
   observes its latency and, for a lookup, its scan into histograms; the
   clique cycle records 181 events, two per frame among them, and 39
   observations;
-* each unicast frame is sized by one JSON encoding.
+* each unicast frame is sized by one JSON encoding;
+* kernel pushes (timers scheduled, fired or not) are pinned too: the
+  clique cycle pushes 123, 58 of which never fire (a serving lease's
+  deadline re-aimed at its release, an acked frame's retransmission).
 """
 
 import random
@@ -50,17 +53,17 @@ class _Shape:
         self.calls = 0
 
     def measure(self, cycles):
-        """(kernel events, frames, flight events, metric observations) per
-        handle call over ``cycles`` cycles."""
+        """(kernel events, frames, flight events, metric observations,
+        kernel pushes) per handle call over ``cycles`` cycles."""
         for _ in range(self.warmup):
             self.cycle()
         sim, stats = self.rt.sim, self.rt.network.stats
         before = (self.calls, sim.events_processed, stats.total_messages,
-                  _flight_events(sim), _observations(sim))
+                  _flight_events(sim), _observations(sim), _pushes(sim))
         for _ in range(cycles):
             self.cycle()
         after = (self.calls, sim.events_processed, stats.total_messages,
-                 _flight_events(sim), _observations(sim))
+                 _flight_events(sim), _observations(sim), _pushes(sim))
         calls = after[0] - before[0]
         return tuple((a - b) / calls for a, b in zip(after[1:], before[1:]))
 
@@ -68,6 +71,12 @@ class _Shape:
 def _flight_events(sim):
     """Every event the flight recorder recorded: appends and frames."""
     return sum(ring.recorded for ring in sim.obs.flight.rings.values())
+
+
+def _pushes(sim):
+    """Timers pushed onto the kernel's heap so far: the next ``seq``, read
+    from the counter's repr so that reading it draws none."""
+    return int(repr(sim._seq).removeprefix("count(").removesuffix(")"))
 
 
 def _observations(sim):
@@ -150,16 +159,17 @@ class SimUnion(_Shape):
         self.calls += 3
 
 
-@pytest.mark.parametrize("shape, cycles, events, frames, flight, observed", [
-    # 1.9706 events per call; 2 observations per call (latency, scan)
-    (StorePoll, 3, 201 / 102, 25 / 102, 4.0, 202 / 102),
-    (StoreChurn, 30, 2 / 3, 0.0, 4.0, 4 / 3),    # 0.6667 events
-    (SimUnion, 12, 65 / 3, 17.0, 181 / 3, 13.0),  # 21.6667 events
-], ids=["store_poll", "store_churn", "sim_union"])
+@pytest.mark.parametrize(
+    "shape, cycles, events, frames, flight, observed, pushes", [
+        # 1.9706 events per call; 2 observations per call (latency, scan)
+        (StorePoll, 3, 201 / 102, 25 / 102, 4.0, 202 / 102, 251 / 102),
+        (StoreChurn, 30, 2 / 3, 0.0, 4.0, 4 / 3, 2 / 3),   # 0.6667 events
+        (SimUnion, 12, 65 / 3, 17.0, 181 / 3, 13.0, 41.0),  # 21.6667 events
+    ], ids=["store_poll", "store_churn", "sim_union"])
 def test_kernel_events_and_frames_per_handle_call(
-        shape, cycles, events, frames, flight, observed):
+        shape, cycles, events, frames, flight, observed, pushes):
     assert shape(3).measure(cycles) == pytest.approx(
-        (events, frames, flight, observed), rel=0, abs=1e-12)
+        (events, frames, flight, observed, pushes), rel=0, abs=1e-12)
 
 
 def test_each_unicast_frame_is_sized_once(monkeypatch):

@@ -96,18 +96,35 @@ def test_flight_recording_is_passive(monkeypatch):
     assert recorded[1] == 0      # the patched run recorded nothing at all
 
 
+#: SHA-256 of ``_chaos_run(seed=5)``'s dump (sorted-key JSON, 279 events
+#: on two rings).  A change that drops, adds, reorders or alters a flight
+#: event moves it, as ``SCHEDULE_SHA256`` moves with the schedule; move it
+#: only with a change that means to alter the stream, and say so.
+DUMP_SHA256 = ("7b2a950e7e18a3c9d56ef700a1cde254"
+               "d1fe8f506a67802ffde41c289e474721")
+
+
+def _dump_digest():
+    sim, net, tracer, ops, consumed = _chaos_run(seed=5, traced=False)
+    blob = json.dumps(sim.obs.flight.dump("churn"), sort_keys=True)
+    return hashlib.sha256(blob.encode()).hexdigest()
+
+
 def test_dump_is_deterministic_under_churn():
     """Same seed, same process: byte-identical dump and schedule, even
     with an unrelated simulation run in between (ids are per simulation,
     and their widths feed the size-dependent latency model)."""
     def build():
-        sim, net, tracer, ops, consumed = _chaos_run(seed=5, traced=False)
-        blob = json.dumps(sim.obs.flight.dump("churn"), sort_keys=True)
-        return hashlib.sha256(blob.encode()).hexdigest(), _schedule_digest()
+        return _dump_digest(), _schedule_digest()
 
     first = build()
     _chaos_run(seed=11, traced=False)
     assert build() == first
+
+
+def test_seeded_dump_is_pinned():
+    """The stream itself is pinned, not only its agreement with a rerun."""
+    assert _dump_digest() == DUMP_SHA256
 
 
 # ----------------------------------------------------------------------

@@ -207,3 +207,10 @@ def test_out_to_waiter_counts_as_deposit(sim, space):
     space.out(Tuple("x"))
     assert space.deposits == 1
     assert space.consumed == 1
+
+
+def test_cancelling_a_waiter_twice_is_a_noop(sim, space):
+    waiter = space.in_(Pattern("x"))
+    waiter.cancel()
+    waiter.cancel()
+    assert waiter.cancelled and space.waiter_count == 0
